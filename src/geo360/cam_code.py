@@ -18,6 +18,7 @@ out of band; both sides default to k=18 and 24 fractional bits.
 
 from __future__ import annotations
 
+import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -197,6 +198,33 @@ def predict_direction(
     return mean / norm
 
 
+class _History:
+    """Reconstructed (poc, direction) entries in coding order, indexed by poc.
+
+    predict_direction only looks at the entries nearest in poc, so each
+    prediction is handed those alone instead of the whole history.
+    """
+
+    def __init__(self):
+        self.entries: list[tuple[int, np.ndarray]] = []
+        self._pocs: list[int] = []  # distinct pocs, ascending
+        self._at: dict[int, list[tuple[int, np.ndarray]]] = {}
+
+    def append(self, poc: int, q: np.ndarray):
+        if poc not in self._at:
+            bisect.insort(self._pocs, poc)
+            self._at[poc] = []
+        self.entries.append((poc, q))
+        self._at[poc].append(self.entries[-1])
+
+    def neighbours(self, poc: int) -> list[tuple[int, np.ndarray]]:
+        """Entries at the nearest poc <= poc, then at the nearest poc > poc,
+        each in coding order.  predict_direction sorts candidates by poc with
+        a stable sort, so it picks from these what it picks from all."""
+        i = bisect.bisect_right(self._pocs, poc)
+        return [e for p in self._pocs[max(i - 1, 0) : i + 1] for e in self._at[p]]
+
+
 def _direction_angles(q: np.ndarray) -> tuple[float, float]:
     p = geometry.cart_to_sphere(geometry.as_unit_vector(q))
     return p.theta, p.phi
@@ -247,12 +275,12 @@ def encode_stream(
         raise DomainError("cam_code: poc outside the u32 range")
 
     body = bytearray()
-    recon: list[tuple[int, np.ndarray]] = []
+    history = _History()
     records: list[CamMotionRecord] = []
     payload_bits = 0
     record_bits: list[int] = []
     for poc, q in motions:
-        predicted = predict_direction(recon, poc)
+        predicted = predict_direction(history.neighbours(poc), poc)
         payload, rec, _ = encode_record(q, predicted, k, frac_bits)
         rec = CamMotionRecord(poc=poc, theta=rec.theta, phi=rec.phi)
         body += struct.pack(">I", poc)
@@ -260,7 +288,7 @@ def encode_stream(
         payload_bits += 8 * len(payload)
         record_bits.append(32 + 8 * len(payload))
         records.append(rec)
-        recon.append((poc, rec.direction()))
+        history.append(poc, rec.direction())
 
     header = MAGIC + struct.pack(">HI", VERSION, len(records))
     return StreamEncodeResult(
@@ -290,7 +318,7 @@ def decode_stream(
         raise FormatError(f"cam_code: unsupported version {version}")
 
     bits = Bitstream(data[10:])
-    recon: list[tuple[int, np.ndarray]] = []
+    history = _History()
     records: list[CamMotionRecord] = []
     payload_bits = 0
     for _ in range(count):
@@ -303,7 +331,7 @@ def decode_stream(
         bits.align_read()
         payload_bits += bits.read_position - start
 
-        predicted = predict_direction(recon, poc)
+        predicted = predict_direction(history.neighbours(poc), poc)
         theta_hat, phi_hat = _direction_angles(predicted)
         theta = min(
             max(theta_hat + dequantize_angle(raw_t, frac_bits), 0.0), math.pi
@@ -313,12 +341,12 @@ def decode_stream(
         )
         rec = CamMotionRecord(poc=poc, theta=theta, phi=phi)
         records.append(rec)
-        recon.append((poc, rec.direction()))
+        history.append(poc, rec.direction())
 
     if bits.bit_length - bits.read_position >= 8:
         raise FormatError("cam_code: trailing bytes after the last record")
     return StreamDecodeResult(
         records=records,
-        motion=[(p, q.copy()) for p, q in recon],
+        motion=[(p, q.copy()) for p, q in history.entries],
         payload_bits=payload_bits,
     )

@@ -123,7 +123,7 @@ def eight_point(pairs) -> EssentialMatrix:
     # Row i is the outer product s_m s^T flattened row-major, so that
     # row . vec(E) == s_m^T E s.
     a = (s_m[:, :, None] * s[:, None, :]).reshape(len(pairs), 9)
-    _, sing, vh = np.linalg.svd(a, full_matrices=True)
+    _, sing, vh = np.linalg.svd(a, full_matrices=False)
     if sing[7] == 0.0 or sing[0] / sing[7] > CONDITION_LIMIT:
         raise DegenerateGeometryError(
             "camera_est: correspondences are rank deficient "
@@ -309,11 +309,9 @@ def flow_alignment_objective(
             "camera_est: no flow samples above the magnitude threshold",
             q_init=geometry.as_unit_vector(q),
         )
-    field = _direction_field(
-        geometry.as_unit_vector(q), u, v, bearings, flow.width, flow.height
+    return _objective_on_samples(
+        geometry.as_unit_vector(q), u, v, dirs, bearings, flow.width, flow.height
     )
-    dots = np.clip((dirs * field).sum(axis=1), -1.0, 1.0)
-    return float(np.arccos(dots).mean())
 
 
 def _objective_on_samples(q, u, v, dirs, bearings, width, height) -> float:

@@ -230,6 +230,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args) -> int:
+    if args.flow_out:
+        try:
+            distinct = args.flow_out % 0 != args.flow_out % 1
+        except (TypeError, ValueError):
+            distinct = False
+        if not distinct:
+            raise Geo360Error(
+                "cli: --flow-out needs one integer placeholder such as %03d"
+            )
     cfg = video_io.SynthConfig(
         width=args.width,
         height=args.height,

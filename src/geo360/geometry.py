@@ -203,12 +203,6 @@ def rotation_to_epipole(q) -> np.ndarray:
     return np.eye(3) + s * k + (1.0 - c) * (k @ k)
 
 
-def apply_rotation(rotation, v) -> np.ndarray:
-    """Rotate a unit vector; the result is again unit length."""
-    rotation = np.asarray(rotation, dtype=np.float64)
-    return rotation @ as_unit_vector(v)
-
-
 def tangent_basis(q) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic orthonormal basis (e1, e2) of the plane normal to q."""
     q = as_unit_vector(q)

@@ -109,54 +109,60 @@ class BlockComparison:
 class _PlaneSampler:
     """Bilinear taps for a fixed set of source coordinates.
 
-    Precomputing indices and weights once lets the same mapping be applied
-    to many reference planes (one per frame pair) cheaply.  x wraps, y
-    clamps (pole rows extend as constants), and coordinates within SNAP_EPS
-    of an integer snap onto it first.
+    Flat indices into the raveled plane and the four weights are computed
+    once, so the same mapping is applied to many reference planes (one per
+    frame pair) by a plain gather.  x wraps, y clamps (pole rows extend as
+    constants), and coordinates within SNAP_EPS of an integer snap onto it
+    first.
     """
 
     def __init__(self, x, y, width: int, height: int):
-        x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.float64)
-        xr = np.rint(x)
-        x = np.where(np.abs(x - xr) < SNAP_EPS, xr, x)
-        yr = np.rint(y)
-        y = np.where(np.abs(y - yr) < SNAP_EPS, yr, y)
+        x, y = np.broadcast_arrays(x, y)
+        self.shape = x.shape
+        x, y = _snapped(x), _snapped(y)
+        # np.mod is the identity on [0, width), so only the rest goes
+        # through it.  It returns width itself only for x within half an ulp
+        # below a multiple of width, which snapping has already put on it,
+        # so every floor below is a valid column.
+        outside = (x < 0.0) | (x >= width)
+        x[outside] = np.mod(x[outside], width)
+        np.clip(y, 0.0, float(height - 1), out=y)
+        x0, y0 = np.floor(x), np.floor(y)
+        fx, fy = x - x0, y - y0
 
-        x = np.mod(x, width)
-        y = np.clip(y, 0.0, float(height - 1))
-        x0 = np.floor(x).astype(np.int64) % width
-        fx = x - np.floor(x)
-        y0 = np.floor(y).astype(np.int64)
-        fy = y - y0
-
-        self.x0 = x0
-        self.x1 = (x0 + 1) % width
-        self.y0 = y0
-        self.y1 = np.minimum(y0 + 1, height - 1)
-        self.w00 = (1.0 - fx) * (1.0 - fy)
-        self.w01 = fx * (1.0 - fy)
-        self.w10 = (1.0 - fx) * fy
-        self.w11 = fx * fy
+        c0 = x0.astype(np.intp)
+        c1 = c0 + 1
+        c1[c1 == width] = 0
+        r0 = y0.astype(np.intp) * width
+        r1 = np.minimum(r0 + width, (height - 1) * width)
+        # Raveled-plane indices and weights of the taps (y0, x0), (y0, x1),
+        # (y1, x0), (y1, x1).
+        self.taps = np.stack([r0 + c0, r0 + c1, r1 + c0, r1 + c1])
+        gx, gy = 1.0 - fx, 1.0 - fy
+        self.weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy])
 
     def sample(self, plane: np.ndarray) -> np.ndarray:
-        return (
-            plane[self.y0, self.x0] * self.w00
-            + plane[self.y0, self.x1] * self.w01
-            + plane[self.y1, self.x0] * self.w10
-            + plane[self.y1, self.x1] * self.w11
-        )
+        """Bilinear samples of a float64 plane, in the coordinates' shape."""
+        g = plane.ravel().take(self.taps)
+        g *= self.weights
+        out = np.add(g[0], g[1], out=g[0])
+        out += g[2]
+        out += g[3]
+        return out.reshape(self.shape)
 
 
-def _sample_plane(plane: np.ndarray, x, y) -> np.ndarray:
-    """One-shot bilinear sample of a float plane: x wraps, y clamps."""
-    h, w = plane.shape
-    return _PlaneSampler(x, y, w, h).sample(plane)
+def _snapped(v) -> np.ndarray:
+    """A flat float64 copy of v, values within SNAP_EPS of an integer on it."""
+    v = np.array(v, dtype=np.float64).reshape(-1)
+    r = np.rint(v)
+    np.copyto(v, r, where=np.abs(v - r) < SNAP_EPS)
+    return v
 
 
 def sample_bilinear(frame: ErpFrame, x, y):
     """Bilinear luma sample at continuous ERP coordinates (x, y)."""
-    out = _sample_plane(frame.y.astype(np.float64), x, y)
+    sampler = _PlaneSampler(x, y, frame.width, frame.height)
+    out = sampler.sample(frame.y.astype(np.float64))
     if out.ndim == 0:
         return float(out)
     return out
@@ -193,59 +199,83 @@ def predict_block(
     mapping = motion_model.block_mapping(
         block, q, t, cfg, cur.width, cur.height
     )
-    pred = _sample_plane(ref.y.astype(np.float64), mapping.src_u, mapping.src_v)
+    luma = _PlaneSampler(mapping.src_u, mapping.src_v, cur.width, cur.height)
+    pred = luma.sample(ref.y.astype(np.float64))
     cur_block = _block_view(cur, block).astype(np.float64)
     sad = float(np.abs(pred - cur_block).sum())
 
     cb = cr = None
     even = (block.x0 | block.y0 | block.width | block.height) % 2 == 0
     if ref.cb is not None and cur.cb is not None and even:
-        cu = mapping.src_u[0::2, 0::2] / 2.0
-        cv = mapping.src_v[0::2, 0::2] / 2.0
-        cb = _sample_plane(ref.cb.astype(np.float64), cu, cv)
-        cr = _sample_plane(ref.cr.astype(np.float64), cu, cv)
+        chroma = _PlaneSampler(
+            mapping.src_u[0::2, 0::2] / 2.0, mapping.src_v[0::2, 0::2] / 2.0,
+            cur.width // 2, cur.height // 2,
+        )
+        cb = chroma.sample(ref.cb.astype(np.float64))
+        cr = chroma.sample(ref.cr.astype(np.float64))
 
     return PredictionResult(
         block=pred, sad=sad, degenerate=int(mapping.clamped.sum()), cb=cb, cr=cr
     )
 
 
-def _candidate_offsets(search_range: float, step: float) -> np.ndarray:
-    if search_range <= 0 or step <= 0:
-        raise DomainError("mocomp: search range and step must be positive")
-    n = int(round(search_range / step))
-    if n < 1 or abs(n * step - search_range) > 1e-9:
-        raise DomainError(
-            f"mocomp: range {search_range} is not a multiple of step {step}"
+class _SearchKernel:
+    """The block search shared by every search entry point.
+
+    One symmetric (t_u, t_v) candidate grid, flattened t_u-major.  A
+    sampler maps the whole grid of one model for one block to reference
+    coordinates; search() gathers a reference plane through it, scores
+    every candidate by SAD against the current block and applies the
+    tie-break.
+    """
+
+    def __init__(self, search_range: float, step: float):
+        if search_range <= 0 or step <= 0:
+            raise DomainError("mocomp: search range and step must be positive")
+        n = int(round(search_range / step))
+        if n < 1 or abs(n * step - search_range) > 1e-9:
+            raise DomainError(
+                f"mocomp: range {search_range} is not a multiple of step {step}"
+            )
+        self.offsets = np.arange(-n, n + 1, dtype=np.float64) * step
+        tu, tv = np.meshgrid(self.offsets, self.offsets, indexing="ij")
+        self.tu, self.tv = tu.ravel(), tv.ravel()
+        # Candidates in tie-break order: the first minimal SAD in this order
+        # is the winner.
+        cost = np.abs(self.tu) + np.abs(self.tv)
+        self.tie_order = np.lexsort((self.tv, self.tu, cost))
+
+    def translational(self, block: BlockSpec, width: int, height: int) -> _PlaneSampler:
+        """Whole-pixel shifts of the block, t in ERP pixels."""
+        v, u = np.mgrid[
+            block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width
+        ]
+        return _PlaneSampler(
+            u + self.tu[:, None, None], v + self.tv[:, None, None], width, height
         )
-    return np.arange(-n, n + 1, dtype=np.float64) * step
 
+    def geodesic(self, geom: BlockGeometry, cfg: GeodesicModelConfig) -> _PlaneSampler:
+        """Every candidate of a geodesic model for the block of geom."""
+        src_u, src_v, _ = motion_model.map_block_geometry_batch(
+            geom, self.offsets, self.offsets, cfg
+        )
+        shape = (-1,) + geom.theta.shape
+        return _PlaneSampler(
+            src_u.reshape(shape), src_v.reshape(shape),
+            geom.frame_width, geom.frame_height,
+        )
 
-def _pick_best(sad: np.ndarray, tu: np.ndarray, tv: np.ndarray) -> int:
-    """Index of the minimal SAD under the deterministic tie-break."""
-    cost = np.abs(tu) + np.abs(tv)
-    order = np.lexsort((tv, tu, cost, sad))
-    return int(order[0])
-
-
-def _search_geodesic(
-    ref_plane: np.ndarray,
-    cur_block: np.ndarray,
-    geom: BlockGeometry,
-    cfg: GeodesicModelConfig,
-    offsets: np.ndarray,
-) -> SearchOutcome:
-    src_u, src_v, _ = motion_model.map_block_geometry_batch(
-        geom, offsets, offsets, cfg
-    )
-    pred = _sample_plane(ref_plane, src_u, src_v)
-    sad = np.abs(pred - cur_block).sum(axis=(-2, -1))
-    tu_grid, tv_grid = np.meshgrid(offsets, offsets, indexing="ij")
-    best = _pick_best(sad.ravel(), tu_grid.ravel(), tv_grid.ravel())
-    return SearchOutcome(
-        t=MotionVector2D(float(tu_grid.ravel()[best]), float(tv_grid.ravel()[best])),
-        sad=float(sad.ravel()[best]),
-    )
+    def search(
+        self, sampler: _PlaneSampler, ref_plane: np.ndarray, cur_block: np.ndarray
+    ) -> SearchOutcome:
+        diff = sampler.sample(ref_plane)
+        diff -= cur_block
+        sad = np.abs(diff, out=diff).sum(axis=(-2, -1))
+        best = self.tie_order[np.argmin(sad[self.tie_order])]
+        return SearchOutcome(
+            t=MotionVector2D(float(self.tu[best]), float(self.tv[best])),
+            sad=float(sad[best]),
+        )
 
 
 def motion_search(
@@ -263,11 +293,11 @@ def motion_search(
     candidates, so a finer search never returns a larger SAD.
     """
     _check_pair(ref, cur)
-    offsets = _candidate_offsets(search_range, step)
+    kernel = _SearchKernel(search_range, step)
     geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
     cur_block = _block_view(cur, block).astype(np.float64)
-    outcome = _search_geodesic(
-        ref.y.astype(np.float64), cur_block, geom, cfg, offsets
+    outcome = kernel.search(
+        kernel.geodesic(geom, cfg), ref.y.astype(np.float64), cur_block
     )
     return SearchResult(
         t=outcome.t, prediction=predict_block(ref, cur, block, q, outcome.t, cfg)
@@ -283,27 +313,10 @@ def translational_search(
 ) -> SearchOutcome:
     """Baseline: shift the block by whole ERP pixels (t in pixel units)."""
     _check_pair(ref, cur)
-    offsets = _candidate_offsets(search_range, step)
+    kernel = _SearchKernel(search_range, step)
+    shifts = kernel.translational(block, cur.width, cur.height)
     cur_block = _block_view(cur, block).astype(np.float64)
-    ref_plane = ref.y.astype(np.float64)
-
-    base_u = block.x0 + np.arange(block.width, dtype=np.float64)
-    base_v = block.y0 + np.arange(block.height, dtype=np.float64)
-    uu, vv = np.meshgrid(base_u, base_v)
-    src_u = uu[None, None] + offsets[:, None, None, None]
-    src_v = np.broadcast_to(
-        vv[None, None] + offsets[None, :, None, None],
-        (len(offsets), len(offsets)) + vv.shape,
-    )
-    src_u = np.broadcast_to(src_u, src_v.shape)
-    pred = _sample_plane(ref_plane, src_u, src_v)
-    sad = np.abs(pred - cur_block).sum(axis=(-2, -1))
-    tu_grid, tv_grid = np.meshgrid(offsets, offsets, indexing="ij")
-    best = _pick_best(sad.ravel(), tu_grid.ravel(), tv_grid.ravel())
-    return SearchOutcome(
-        t=MotionVector2D(float(tu_grid.ravel()[best]), float(tv_grid.ravel()[best])),
-        sad=float(sad.ravel()[best]),
-    )
+    return kernel.search(shifts, ref.y.astype(np.float64), cur_block)
 
 
 def compare_sequence(
@@ -330,18 +343,13 @@ def compare_sequence(
     for f in frames[1:]:
         _check_pair(frames[0], f)
     width, height = frames[0].width, frames[0].height
-    offsets = _candidate_offsets(search_range, step)
-    tu_grid, tv_grid = np.meshgrid(offsets, offsets, indexing="ij")
-    tu_flat, tv_flat = tu_grid.ravel(), tv_grid.ravel()
+    kernel = _SearchKernel(search_range, step)
 
     planes = [f.y.astype(np.float64) for f in frames]
     n_pairs = len(frames) - 1
     groups: dict[bytes, list[int]] = {}
-    q_of: dict[bytes, np.ndarray] = {}
     for m, q in enumerate(q_per_pair):
-        key = np.asarray(q, dtype=np.float64).tobytes()
-        groups.setdefault(key, []).append(m)
-        q_of[key] = np.asarray(q, dtype=np.float64)
+        groups.setdefault(np.asarray(q, dtype=np.float64).tobytes(), []).append(m)
 
     results: list[list[BlockComparison]] = [[] for _ in range(n_pairs)]
     for block in blocks:
@@ -349,44 +357,22 @@ def compare_sequence(
         _, vc = block.center()
         center_theta = math.pi * (vc + 0.5) / height
 
-        base_u = block.x0 + np.arange(block.width, dtype=np.float64)
-        base_v = block.y0 + np.arange(block.height, dtype=np.float64)
-        uu, vv = np.meshgrid(base_u, base_v)
-        tr_u = uu[None] + tu_flat[:, None, None]
-        tr_v = vv[None] + tv_flat[:, None, None]
-        samplers = {"translational": _PlaneSampler(tr_u, tr_v, width, height)}
-
-        outcomes_by_pair: list[dict[str, SearchOutcome]] = [{} for _ in range(n_pairs)]
-        for key, members in groups.items():
-            geom = motion_model.prepare_block_geometry(block, q_of[key], width, height)
-            model_samplers = dict(samplers)
+        shifts = kernel.translational(block, width, height)
+        outcomes = [
+            {"translational": kernel.search(shifts, planes[m], cur_blocks[m])}
+            for m in range(n_pairs)
+        ]
+        for members in groups.values():
+            q = np.asarray(q_per_pair[members[0]], dtype=np.float64)
+            geom = motion_model.prepare_block_geometry(block, q, width, height)
             for label, cfg in model_configs.items():
-                src_u, src_v, _ = motion_model.map_block_geometry_batch(
-                    geom, offsets, offsets, cfg
-                )
-                model_samplers[label] = _PlaneSampler(
-                    src_u.reshape(-1, block.height, block.width),
-                    src_v.reshape(-1, block.height, block.width),
-                    width,
-                    height,
-                )
-            for label, sampler in model_samplers.items():
+                sampler = kernel.geodesic(geom, cfg)
                 for m in members:
-                    pred = sampler.sample(planes[m])
-                    sad = np.abs(pred - cur_blocks[m]).sum(axis=(-2, -1))
-                    best = _pick_best(sad, tu_flat, tv_flat)
-                    outcomes_by_pair[m][label] = SearchOutcome(
-                        t=MotionVector2D(float(tu_flat[best]), float(tv_flat[best])),
-                        sad=float(sad[best]),
-                    )
+                    outcomes[m][label] = kernel.search(sampler, planes[m], cur_blocks[m])
         for m in range(n_pairs):
-            ordered = {"translational": outcomes_by_pair[m]["translational"]}
-            ordered.update(
-                (label, outcomes_by_pair[m][label]) for label in model_configs
-            )
             results[m].append(
                 BlockComparison(
-                    block=block, center_theta=center_theta, outcomes=ordered
+                    block=block, center_theta=center_theta, outcomes=outcomes[m]
                 )
             )
     return results

@@ -97,14 +97,6 @@ class GeodesicKFactor:
 
 
 @dataclass(frozen=True)
-class CylinderProjection:
-    """Height p of a direction projected onto a cylinder of radius r."""
-
-    r: float
-    p: float
-
-
-@dataclass(frozen=True)
 class BlockSpec:
     """Axis-aligned pixel block: top-left corner (x0, y0), width x height."""
 
@@ -200,14 +192,6 @@ def cyl_radius(scaling: str, theta_c: float) -> float:
             )
         return r
     raise DomainError(f"motion_model: unknown scaling {scaling!r}")
-
-
-def project_to_cylinder(theta: float, r: float) -> CylinderProjection:
-    """Height of a direction on the radius-r cylinder: p = r * cot(theta)."""
-    if r <= 0.0:
-        raise DomainError(f"motion_model: cylinder radius {r!r} must be positive")
-    th = clamp_theta(theta)
-    return CylinderProjection(r=r, p=r * math.cos(th) / math.sin(th))
 
 
 def ged_gc_theta(theta, t_u: float, dz: float, r: float):

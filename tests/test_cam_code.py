@@ -174,6 +174,20 @@ def test_predictor_antipodal_tie_takes_lower_poc():
     assert np.allclose(out, a)
 
 
+def test_predictor_neighbours_match_full_history():
+    # shuffled pocs with repeats (a decoder can meet both), and antipodal
+    # directions so two-sided ties also hit the cancellation fallback
+    rng = np.random.default_rng(21)
+    axes = np.eye(3)
+    history = cam_code._History()
+    for poc in rng.permutation(np.repeat(np.arange(30), 2))[:45]:
+        for target in range(-2, 33):
+            full = cam_code.predict_direction(history.entries, target)
+            near = cam_code.predict_direction(history.neighbours(target), target)
+            assert np.array_equal(full, near)
+        history.append(int(poc), axes[rng.integers(3)] * rng.choice([-1.0, 1.0]))
+
+
 # --- streams ----------------------------------------------------------------------------
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,21 @@ def test_rotation_invariance():
     rotated = [BearingPair(s=rot @ p.s, s_m=rot @ p.s_m) for p in pairs]
     est = camera_est.estimate_camera_motion(rotated)
     assert np.linalg.norm(est - rot @ base) < 1e-8
+
+
+def test_eight_point_memory_is_linear_in_pairs():
+    # a full SVD of the N x 9 system would also build an N x N U: 128 MB here
+    rng = np.random.default_rng(12)
+    q = random_unit(rng)
+    pairs = synthetic_pairs(rng, q, n=4000)
+    tracemalloc.start()
+    try:
+        e = camera_est.eight_point(pairs).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert np.linalg.norm(e @ q) < 1e-9
 
 
 def test_too_few_pairs():

@@ -32,6 +32,21 @@ def test_synth_outputs(synth_dir):
     assert (synth_dir / "flow_002.flo").exists()
 
 
+@pytest.mark.parametrize("pattern", ["flow.flo", "flow_%d_%d.flo", "flow_%.0s.flo"])
+def test_synth_rejects_flow_pattern_without_frame_number(tmp_path, capsys, pattern):
+    rc = run(
+        [
+            "synth", "--out", tmp_path / "seq.yuv", "--flow-out", tmp_path / pattern,
+            "--width", 32, "--height", 16, "--frames", 2,
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: cli: --flow-out needs one integer placeholder such as %03d\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_warp_zero_motion_identical_frames(synth_dir, tmp_path, capsys):
     rc = run(
         [

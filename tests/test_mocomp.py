@@ -93,6 +93,56 @@ def test_bilinear_clamps_vertically():
     assert float(out[1]) == 9.0
 
 
+def reference_bilinear(plane, x, y):
+    """The 2-D-index bilinear formula the flat-index sampler must reproduce
+    bit for bit."""
+    h, w = plane.shape
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    x = np.where(np.abs(x - np.rint(x)) < mocomp.SNAP_EPS, np.rint(x), x)
+    y = np.where(np.abs(y - np.rint(y)) < mocomp.SNAP_EPS, np.rint(y), y)
+    x = np.mod(x, w)
+    y = np.clip(y, 0.0, float(h - 1))
+    x0 = np.floor(x).astype(np.int64) % w
+    fx = x - np.floor(x)
+    y0 = np.floor(y).astype(np.int64)
+    fy = y - y0
+    x1 = (x0 + 1) % w
+    y1 = np.minimum(y0 + 1, h - 1)
+    return (
+        plane[y0, x0] * ((1.0 - fx) * (1.0 - fy))
+        + plane[y0, x1] * (fx * (1.0 - fy))
+        + plane[y1, x0] * ((1.0 - fx) * fy)
+        + plane[y1, x1] * (fx * fy)
+    )
+
+
+@pytest.mark.parametrize("shape", [(), (37,), (81, 6, 5)])
+def test_sampler_matches_reference_bit_for_bit(shape):
+    rng = np.random.default_rng(sum(shape) + 1)
+    h, w = 12, 20
+    plane = rng.integers(0, 1024, size=(h, w)).astype(np.float64)
+    # wraps past both edges, rows past both poles, and offsets around the
+    # snap distance; the tiny negatives are where np.mod alone returns w
+    near = np.array([0.0, 3e-7, -3e-7, 2e-6, -2e-6, 1e-17, -1e-17, -1e-15, 0.5])
+    cases = [
+        (rng.uniform(-3 * w, 3 * w, shape), rng.uniform(-4.0, h + 4.0, shape)),
+        (
+            rng.integers(-2 * w, 2 * w, shape) + rng.choice(near, shape),
+            rng.integers(-2, h + 2, shape) + rng.choice(near, shape),
+        ),
+        (
+            rng.choice([-w, 0, w, 2 * w], shape) + rng.choice(near, shape),
+            rng.choice([-1.5, 0.0, h - 1.0, h - 0.5, h + 3.0], shape),
+        ),
+    ]
+    for x, y in cases:
+        got = mocomp._PlaneSampler(x, y, w, h).sample(plane)
+        want = reference_bilinear(plane, x, y)
+        assert got.shape == np.shape(want)
+        assert np.array_equal(got, want)
+
+
 # --- prediction ---------------------------------------------------------------
 
 
@@ -263,6 +313,12 @@ def test_compare_sequence_matches_pairwise(cylinder_pair):
     )
     pair = mocomp.compare_models(ref, cur, blocks, Z, {"gcg": GCG}, 2.0, 1.0)
     assert seq[0] == pair
+    for row in seq[0]:
+        found = mocomp.motion_search(ref, cur, row.block, Z, GCG, 2.0, 1.0)
+        assert found.t == row.outcomes["gcg"].t
+        assert found.prediction.sad == row.outcomes["gcg"].sad
+        shifted = mocomp.translational_search(ref, cur, row.block, 2.0, 1.0)
+        assert shifted == row.outcomes["translational"]
 
 
 def test_compare_sequence_arity_checks(cylinder_pair):
