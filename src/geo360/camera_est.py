@@ -123,7 +123,8 @@ def eight_point(pairs) -> EssentialMatrix:
     # Row i is the outer product s_m s^T flattened row-major, so that
     # row . vec(E) == s_m^T E s.
     a = (s_m[:, :, None] * s[:, None, :]).reshape(len(pairs), 9)
-    _, sing, vh = np.linalg.svd(a, full_matrices=False)
+    # Thin SVD (memory linear in N) unless N == 8, where vh lacks the null row.
+    _, sing, vh = np.linalg.svd(a, full_matrices=len(pairs) < 9)
     if sing[7] == 0.0 or sing[0] / sing[7] > CONDITION_LIMIT:
         raise DegenerateGeometryError(
             "camera_est: correspondences are rank deficient "

@@ -232,7 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_synth(args) -> int:
     if args.flow_out:
         try:
-            distinct = args.flow_out % 0 != args.flow_out % 1
+            count = max(args.frames, 2)
+            distinct = len({args.flow_out % i for i in range(count)}) == count
         except (TypeError, ValueError):
             distinct = False
         if not distinct:

@@ -120,10 +120,9 @@ class _PlaneSampler:
         x, y = np.broadcast_arrays(x, y)
         self.shape = x.shape
         x, y = _snapped(x), _snapped(y)
-        # np.mod is the identity on [0, width), so only the rest goes
-        # through it.  It returns width itself only for x within half an ulp
-        # below a multiple of width, which snapping has already put on it,
-        # so every floor below is a valid column.
+        # np.mod is the identity on [0, width), so only the rest goes through it.
+        # It returns width only for x within half an ulp below a multiple of
+        # width, which snapping already moved onto it: every floor is a column.
         outside = (x < 0.0) | (x >= width)
         x[outside] = np.mod(x[outside], width)
         np.clip(y, 0.0, float(height - 1), out=y)
@@ -135,8 +134,7 @@ class _PlaneSampler:
         c1[c1 == width] = 0
         r0 = y0.astype(np.intp) * width
         r1 = np.minimum(r0 + width, (height - 1) * width)
-        # Raveled-plane indices and weights of the taps (y0, x0), (y0, x1),
-        # (y1, x0), (y1, x1).
+        # Flat indices and weights of taps (y0, x0), (y0, x1), (y1, x0), (y1, x1).
         self.taps = np.stack([r0 + c0, r0 + c1, r1 + c0, r1 + c1])
         gx, gy = 1.0 - fx, 1.0 - fy
         self.weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy])
@@ -240,8 +238,7 @@ class _SearchKernel:
         self.offsets = np.arange(-n, n + 1, dtype=np.float64) * step
         tu, tv = np.meshgrid(self.offsets, self.offsets, indexing="ij")
         self.tu, self.tv = tu.ravel(), tv.ravel()
-        # Candidates in tie-break order: the first minimal SAD in this order
-        # is the winner.
+        # Candidates in tie-break order; the first minimal SAD in it wins.
         cost = np.abs(self.tu) + np.abs(self.tv)
         self.tie_order = np.lexsort((self.tv, self.tu, cost))
 

@@ -54,6 +54,15 @@ def test_noise_free_recovery():
         assert geometry.angle_between(est, q) < 1e-6
 
 
+def test_noise_free_recovery_from_exactly_eight_pairs():
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        q = random_unit(rng)
+        pairs = synthetic_pairs(rng, q, n=8)
+        e = camera_est.eight_point(pairs).matrix
+        assert np.linalg.norm(e @ q) < 1e-8
+
+
 def test_epipolar_residual_noise_free():
     rng = np.random.default_rng(1)
     q = random_unit(rng)

@@ -32,12 +32,15 @@ def test_synth_outputs(synth_dir):
     assert (synth_dir / "flow_002.flo").exists()
 
 
-@pytest.mark.parametrize("pattern", ["flow.flo", "flow_%d_%d.flo", "flow_%.0s.flo"])
-def test_synth_rejects_flow_pattern_without_frame_number(tmp_path, capsys, pattern):
+@pytest.mark.parametrize(
+    "pattern, frames",
+    [("flow.flo", 2), ("flow_%d_%d.flo", 2), ("flow_%.0s.flo", 2), ("flow_%.1s.flo", 12)],
+)
+def test_synth_rejects_flow_pattern_without_frame_number(tmp_path, capsys, pattern, frames):
     rc = run(
         [
             "synth", "--out", tmp_path / "seq.yuv", "--flow-out", tmp_path / pattern,
-            "--width", 32, "--height", 16, "--frames", 2,
+            "--width", 32, "--height", 16, "--frames", frames,
         ]
     )
     assert rc == 1
