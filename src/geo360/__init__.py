@@ -25,7 +25,7 @@ from .motion_model import (
     default_delta,
 )
 from .mocomp import BlockComparison, ErpFrame, PredictionResult, SearchResult
-from .camera_est import BearingPair, EssentialMatrix, FinetuneConfig, FlowField
+from .camera_est import EssentialMatrix, FinetuneConfig, FlowField
 from .cam_code import Bitstream, CamMotionRecord
 from .metrics import RDCurve, RDPoint, SequenceResult
 from .video_io import SequenceSpec, SynthConfig, SynthResult
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousSignError",
-    "BearingPair",
     "Bitstream",
     "BlockComparison",
     "BlockSpec",

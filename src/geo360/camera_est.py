@@ -33,18 +33,8 @@ from .errors import (
 # which the correspondence set is treated as rank deficient.
 CONDITION_LIMIT = 1e12
 
-
-@dataclass(frozen=True)
-class BearingPair:
-    """One correspondence: unit ray s in the reference view, s_m in the
-    displaced view."""
-
-    s: np.ndarray
-    s_m: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "s", geometry.as_unit_vector(self.s, tol=1e-6))
-        object.__setattr__(self, "s_m", geometry.as_unit_vector(self.s_m, tol=1e-6))
+# Largest accepted deviation of a bearing's norm from 1.
+_BEARING_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,31 +90,55 @@ class FinetuneConfig:
             raise DomainError("camera_est: min_flow must be non-negative")
 
 
-def _stack_pairs(pairs) -> tuple[np.ndarray, np.ndarray]:
-    s = np.stack([p.s for p in pairs])
-    s_m = np.stack([p.s_m for p in pairs])
-    return s, s_m
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    # One dot product per row, the kernel np.linalg.norm uses on a single
+    # vector, so rows renormalize exactly as one-at-a-time normalization.
+    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
 
 
-def eight_point(pairs) -> EssentialMatrix:
+def _checked_bearings(s, s_m) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a correspondence set and return it renormalized.
+
+    s and s_m must be (N, 3) arrays of equal shape whose rows are finite
+    and of unit norm within _BEARING_TOL.
+    """
+    s = np.asarray(s, dtype=np.float64)
+    s_m = np.asarray(s_m, dtype=np.float64)
+    if s.ndim != 2 or s.shape[1] != 3 or s.shape != s_m.shape:
+        raise DomainError(
+            f"camera_est: bearings must be two (N, 3) arrays, got "
+            f"{s.shape} and {s_m.shape}"
+        )
+    n, n_m = _row_norms(s), _row_norms(s_m)
+    bad = ~((np.abs(n - 1.0) <= _BEARING_TOL) & (np.abs(n_m - 1.0) <= _BEARING_TOL))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(
+            f"camera_est: correspondence {i} has bearing norms "
+            f"{float(n[i])!r}, {float(n_m[i])!r}, not 1 within {_BEARING_TOL}"
+        )
+    return s / n[:, None], s_m / n_m[:, None]
+
+
+def eight_point(s, s_m) -> EssentialMatrix:
     """Least-squares essential matrix from >= 8 bearing correspondences.
 
-    The stacked system must be well conditioned (extreme singular value
-    ratio below CONDITION_LIMIT); the raw null-space solution is projected
-    onto the essential manifold by equalizing the top two singular values
-    and zeroing the third.
+    Row i of the (N, 3) arrays s and s_m is one correspondence: the unit ray
+    in the reference view and in the displaced view.  The stacked system
+    must be well conditioned (extreme singular value ratio below
+    CONDITION_LIMIT); the raw null-space solution is projected onto the
+    essential manifold by equalizing the top two singular values and
+    zeroing the third.
     """
-    pairs = list(pairs)
-    if len(pairs) < 8:
-        raise DomainError(
-            f"camera_est: eight_point needs >= 8 pairs, got {len(pairs)}"
-        )
-    s, s_m = _stack_pairs(pairs)
+    s, s_m = _checked_bearings(s, s_m)
+    n = len(s)
+    if n < 8:
+        raise DomainError(f"camera_est: eight_point needs >= 8 pairs, got {n}")
     # Row i is the outer product s_m s^T flattened row-major, so that
     # row . vec(E) == s_m^T E s.
-    a = (s_m[:, :, None] * s[:, None, :]).reshape(len(pairs), 9)
+    a = (s_m[:, :, None] * s[:, None, :]).reshape(n, 9)
     # Thin SVD (memory linear in N) unless N == 8, where vh lacks the null row.
-    _, sing, vh = np.linalg.svd(a, full_matrices=len(pairs) < 9)
+    _, sing, vh = np.linalg.svd(a, full_matrices=n < 9)
     if sing[7] == 0.0 or sing[0] / sing[7] > CONDITION_LIMIT:
         raise DegenerateGeometryError(
             "camera_est: correspondences are rank deficient "
@@ -152,19 +166,19 @@ def epipole_from_essential(ess: EssentialMatrix) -> np.ndarray:
     return geometry.as_unit_vector(u[:, 2])
 
 
-def disambiguate_sign(q: np.ndarray, pairs) -> np.ndarray:
+def disambiguate_sign(q: np.ndarray, s, s_m) -> np.ndarray:
     """Pick +q or -q so that points flow away from the epipole.
 
     Moving the camera toward +q pushes scene rays toward larger polar angle
-    in the epipole frame; the majority vote over all pairs decides.  An
-    exact tie carries no information and raises AmbiguousSignError.
+    in the epipole frame; the majority vote over all correspondences
+    (rows of s, s_m) decides.  An exact tie carries no information and
+    raises AmbiguousSignError.
     """
-    pairs = list(pairs)
-    if not pairs:
+    s, s_m = _checked_bearings(s, s_m)
+    if len(s) == 0:
         raise DomainError("camera_est: sign vote needs at least one pair")
     q = geometry.as_unit_vector(q)
     rot = geometry.rotation_to_epipole(q)
-    s, s_m = _stack_pairs(pairs)
     z = (s @ rot.T)[:, 2]
     z_m = (s_m @ rot.T)[:, 2]
     # theta = arccos(z) is decreasing, so theta_m > theta  <=>  z_m < z.
@@ -178,25 +192,47 @@ def disambiguate_sign(q: np.ndarray, pairs) -> np.ndarray:
     return q if forward > backward else -q
 
 
-def estimate_camera_motion(pairs) -> np.ndarray:
-    """Full algebraic path: pairs -> essential matrix -> signed unit q."""
-    ess = eight_point(pairs)
+def estimate_camera_motion(s, s_m) -> np.ndarray:
+    """Full algebraic path: bearings -> essential matrix -> signed unit q."""
+    ess = eight_point(s, s_m)
     q = epipole_from_essential(ess)
-    return disambiguate_sign(q, pairs)
+    return disambiguate_sign(q, s, s_m)
+
+
+def _erp_bearings(u, v, width: int, height: int) -> np.ndarray:
+    """Unit rays of ERP pixel coordinates, shape (N, 3)."""
+    theta, phi = geometry.erp_grid_to_sphere(u, v, width, height)
+    return geometry.sphere_grid_to_cart(theta, phi)
 
 
 def pixel_pairs_to_bearings(
     quads: np.ndarray, width: int, height: int
-) -> list[BearingPair]:
-    """Turn an (N, 4) array of (u1, v1, u2, v2) ERP pixels into bearings."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Turn an (N, 4) array of (u1, v1, u2, v2) ERP pixels into bearing
+    arrays (s, s_m), each (N, 3)."""
     quads = np.asarray(quads, dtype=np.float64)
     if quads.ndim != 2 or quads.shape[1] != 4:
         raise DomainError("camera_est: correspondence array must be (N, 4)")
-    th1, ph1 = geometry.erp_grid_to_sphere(quads[:, 0], quads[:, 1], width, height)
-    th2, ph2 = geometry.erp_grid_to_sphere(quads[:, 2], quads[:, 3], width, height)
-    v1 = geometry.sphere_grid_to_cart(th1, ph1)
-    v2 = geometry.sphere_grid_to_cart(th2, ph2)
-    return [BearingPair(s=a, s_m=b) for a, b in zip(v1, v2)]
+    return (
+        _erp_bearings(quads[:, 0], quads[:, 1], width, height),
+        _erp_bearings(quads[:, 2], quads[:, 3], width, height),
+    )
+
+
+def _strided_flow(flow: FlowField, stride: int):
+    """Flow at every stride-th row and column, flattened row-major.
+
+    Returns float64 arrays (u, v, du, dv): sample position and displacement.
+    """
+    if stride < 1:
+        raise DomainError("camera_est: stride must be >= 1")
+    uu, vv = np.meshgrid(
+        np.arange(0, flow.width, stride, dtype=np.float64),
+        np.arange(0, flow.height, stride, dtype=np.float64),
+    )
+    du = flow.du[::stride, ::stride].astype(np.float64)
+    dv = flow.dv[::stride, ::stride].astype(np.float64)
+    return uu.ravel(), vv.ravel(), du.ravel(), dv.ravel()
 
 
 def flow_to_pairs(
@@ -205,59 +241,49 @@ def flow_to_pairs(
     width: int,
     height: int,
     pole_margin: float = 0.05,
-) -> list[BearingPair]:
-    """Subsample a dense flow field into bearing correspondences.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Subsample a dense flow field into bearing arrays (s, s_m).
 
     Rows within pole_margin radians of either pole are skipped (bearings
     there are nearly parallel and the azimuth is ill conditioned), and so
     are samples whose displaced row leaves the picture.
     """
-    if stride < 1:
-        raise DomainError("camera_est: stride must be >= 1")
     if (flow.width, flow.height) != (width, height):
         raise DomainError("camera_est: flow dimensions disagree with frame")
-    us = np.arange(0, width, stride, dtype=np.float64)
-    vs = np.arange(0, height, stride, dtype=np.float64)
-    theta_rows = np.pi * (vs + 0.5) / height
-    vs = vs[(theta_rows >= pole_margin) & (theta_rows <= np.pi - pole_margin)]
-    if vs.size == 0 or us.size == 0:
-        raise DegenerateGeometryError("camera_est: no usable flow samples")
-
-    uu, vv = np.meshgrid(us, vs)
-    du = flow.du[vv.astype(int), uu.astype(int)]
-    dv = flow.dv[vv.astype(int), uu.astype(int)]
-    u2 = (uu + du).ravel()
-    v2 = (vv + dv).ravel()
-    u1 = uu.ravel()
-    v1 = vv.ravel()
-    keep = (v2 >= -0.5) & (v2 <= height - 0.5)
+    u, v, du, dv = _strided_flow(flow, stride)
+    theta, _ = geometry.erp_grid_to_sphere(u, v, width, height)
+    v2 = v + dv
+    keep = (
+        (theta >= pole_margin) & (theta <= np.pi - pole_margin)
+        & (v2 >= -0.5) & (v2 <= height - 0.5)
+    )
     if not keep.any():
         raise DegenerateGeometryError("camera_est: no usable flow samples")
-    quads = np.stack([u1[keep], v1[keep], u2[keep], v2[keep]], axis=1)
-    return pixel_pairs_to_bearings(quads, width, height)
+    u, v, du, v2 = u[keep], v[keep], du[keep], v2[keep]
+    return _erp_bearings(u, v, width, height), _erp_bearings(u + du, v2, width, height)
 
 
 # ---------------------------------------------------------------------------
 # Flow-alignment refinement
 
 
-def _flow_samples(flow: FlowField, stride: int, min_flow: float):
-    """Pixels with usable flow: positions, unit flow directions, bearings."""
-    us = np.arange(0, flow.width, stride, dtype=np.int64)
-    vs = np.arange(0, flow.height, stride, dtype=np.int64)
-    uu, vv = np.meshgrid(us, vs)
-    du = flow.du[vv, uu].astype(np.float64).ravel()
-    dv = flow.dv[vv, uu].astype(np.float64).ravel()
-    u = uu.ravel().astype(np.float64)
-    v = vv.ravel().astype(np.float64)
+def _flow_samples(flow: FlowField, stride: int, min_flow: float, q_init):
+    """Pixels with usable flow: positions, unit flow directions, bearings.
+
+    Raises NoFlowInformationError, carrying q_init, when no strided sample
+    moves by at least min_flow pixels.
+    """
+    u, v, du, dv = _strided_flow(flow, stride)
     mag = np.hypot(du, dv)
     keep = mag >= min_flow
-    u, v, du, dv, mag = u[keep], v[keep], du[keep], dv[keep], mag[keep]
-    dirs = np.stack([du / mag, dv / mag], axis=1) if mag.size else np.empty((0, 2))
-    theta = np.pi * (v + 0.5) / flow.height
-    phi = 2.0 * np.pi * (u + 0.5) / flow.width - np.pi
-    bearings = geometry.sphere_grid_to_cart(theta, phi)
-    return u, v, dirs, bearings
+    if not keep.any():
+        raise NoFlowInformationError(
+            "camera_est: no flow samples above the magnitude threshold",
+            q_init=q_init,
+        )
+    u, v, mag = u[keep], v[keep], mag[keep]
+    dirs = np.stack([du[keep] / mag, dv[keep] / mag], axis=1)
+    return u, v, dirs, _erp_bearings(u, v, flow.width, flow.height)
 
 
 # Finite-difference arc used to project the geodesic tangent onto the raster.
@@ -276,15 +302,7 @@ def _direction_field(q: np.ndarray, u, v, bearings, width: int, height: int):
     # the resulting raster vector when the step ran toward the epipole.
     sign = np.where(theta <= np.pi / 2.0, 1.0, -1.0)
     theta2 = theta + sign * _FD_STEP
-    moved = np.stack(
-        [
-            np.sin(theta2) * np.cos(phi),
-            np.sin(theta2) * np.sin(phi),
-            np.cos(theta2),
-        ],
-        axis=1,
-    )
-    world = moved @ rot
+    world = geometry.sphere_grid_to_cart(theta2, phi) @ rot
     th_w, ph_w = geometry.cart_grid_to_sphere(world)
     u2, v2 = geometry.sphere_grid_to_erp(th_w, ph_w, width, height)
     du = u2 - u
@@ -304,15 +322,9 @@ def flow_alignment_objective(
     min_flow: float = 0.1,
 ) -> float:
     """Mean angle (radians) between observed flow and the dolly field of q."""
-    u, v, dirs, bearings = _flow_samples(flow, stride, min_flow)
-    if dirs.shape[0] == 0:
-        raise NoFlowInformationError(
-            "camera_est: no flow samples above the magnitude threshold",
-            q_init=geometry.as_unit_vector(q),
-        )
-    return _objective_on_samples(
-        geometry.as_unit_vector(q), u, v, dirs, bearings, flow.width, flow.height
-    )
+    q = geometry.as_unit_vector(q)
+    u, v, dirs, bearings = _flow_samples(flow, stride, min_flow, q)
+    return _objective_on_samples(q, u, v, dirs, bearings, flow.width, flow.height)
 
 
 def _objective_on_samples(q, u, v, dirs, bearings, width, height) -> float:
@@ -334,12 +346,7 @@ def flow_finetune(
     never increases), and halves r.  Deterministic given its inputs.
     """
     q = geometry.as_unit_vector(q_init)
-    u, v, dirs, bearings = _flow_samples(flow, cfg.stride, cfg.min_flow)
-    if dirs.shape[0] == 0:
-        raise NoFlowInformationError(
-            "camera_est: no flow samples above the magnitude threshold",
-            q_init=q,
-        )
+    u, v, dirs, bearings = _flow_samples(flow, cfg.stride, cfg.min_flow, q)
     width, height = flow.width, flow.height
 
     best_q = q

@@ -229,17 +229,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _pattern_names(pattern: str, count: int, flag: str) -> list[str]:
+    """File names of frames 0 .. count-1 from a printf-style pattern.
+
+    The pattern must format every index below max(count, 2) to a different
+    name, so it needs one integer placeholder.
+    """
+    n = max(count, 2)
+    try:
+        names = [pattern % i for i in range(n)]
+    except (TypeError, ValueError):
+        names = []
+    if len(set(names)) != n:
+        raise Geo360Error(f"cli: {flag} needs one integer placeholder such as %03d")
+    return names[: max(count, 0)]
+
+
 def _cmd_synth(args) -> int:
-    if args.flow_out:
-        try:
-            count = max(args.frames, 2)
-            distinct = len({args.flow_out % i for i in range(count)}) == count
-        except (TypeError, ValueError):
-            distinct = False
-        if not distinct:
-            raise Geo360Error(
-                "cli: --flow-out needs one integer placeholder such as %03d"
-            )
+    flow_names = (
+        _pattern_names(args.flow_out, args.frames, "--flow-out")
+        if args.flow_out else []
+    )
     cfg = video_io.SynthConfig(
         width=args.width,
         height=args.height,
@@ -258,8 +268,8 @@ def _cmd_synth(args) -> int:
         video_io.write_camera_csv(args.camera_out, result.camera)
         print(f"wrote {len(result.camera)} camera rows to {args.camera_out}")
     if args.flow_out:
-        for i, flow in enumerate(result.flows):
-            video_io.write_flo(args.flow_out % i, flow)
+        for name, flow in zip(flow_names, result.flows):
+            video_io.write_flo(name, flow)
         print(f"wrote {len(result.flows)} flow fields")
     return 0
 
@@ -373,8 +383,8 @@ def _estimate_one(
     if q_init is not None:
         q = np.asarray(q_init, dtype=float)
     else:
-        pairs = camera_est.flow_to_pairs(flow, stride, flow.width, flow.height)
-        q = camera_est.estimate_camera_motion(pairs)
+        s, s_m = camera_est.flow_to_pairs(flow, stride, flow.width, flow.height)
+        q = camera_est.estimate_camera_motion(s, s_m)
     if finetune:
         q = camera_est.flow_finetune(
             q, flow, camera_est.FinetuneConfig(stride=stride)
@@ -391,19 +401,19 @@ def _cmd_camest(args) -> int:
         if args.width is None or args.height is None:
             raise Geo360Error("cli: --pairs needs --width and --height")
         quads = video_io.read_correspondences(args.pairs)
-        pairs = camera_est.pixel_pairs_to_bearings(quads, args.width, args.height)
-        estimates.append((args.poc, camera_est.estimate_camera_motion(pairs)))
-    elif "%" in args.flow:
-        if args.count is None:
-            raise Geo360Error("cli: a --flow pattern needs --count")
-        for i in range(args.count):
+        s, s_m = camera_est.pixel_pairs_to_bearings(quads, args.width, args.height)
+        estimates.append((args.poc, camera_est.estimate_camera_motion(s, s_m)))
+    elif args.count is not None:
+        for i, path in enumerate(_pattern_names(args.flow, args.count, "--flow")):
             poc = i + 1
             try:
-                flow = video_io.read_flo(args.flow % i)
+                flow = video_io.read_flo(path)
                 q = _estimate_one(flow, args.stride, args.finetune, args.q_init)
             except Geo360Error as exc:
                 raise Geo360Error(f"cli: frame {poc}: {exc}") from exc
             estimates.append((poc, q))
+    elif "%" in args.flow:
+        raise Geo360Error("cli: a --flow pattern needs --count")
     else:
         flow = video_io.read_flo(args.flow)
         try:

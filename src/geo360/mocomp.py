@@ -194,10 +194,12 @@ def predict_block(
     resolution (coordinates halved on the even-indexed luma grid).
     """
     _check_pair(ref, cur)
-    mapping = motion_model.block_mapping(
-        block, q, t, cfg, cur.width, cur.height
+    geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
+    src_u, src_v, clamped = motion_model.map_block_geometry_batch(
+        geom, np.array([t.t_u]), np.array([t.t_v]), cfg
     )
-    luma = _PlaneSampler(mapping.src_u, mapping.src_v, cur.width, cur.height)
+    src_u, src_v, clamped = src_u[0, 0], src_v[0, 0], clamped[0, 0]
+    luma = _PlaneSampler(src_u, src_v, cur.width, cur.height)
     pred = luma.sample(ref.y.astype(np.float64))
     cur_block = _block_view(cur, block).astype(np.float64)
     sad = float(np.abs(pred - cur_block).sum())
@@ -206,14 +208,14 @@ def predict_block(
     even = (block.x0 | block.y0 | block.width | block.height) % 2 == 0
     if ref.cb is not None and cur.cb is not None and even:
         chroma = _PlaneSampler(
-            mapping.src_u[0::2, 0::2] / 2.0, mapping.src_v[0::2, 0::2] / 2.0,
+            src_u[0::2, 0::2] / 2.0, src_v[0::2, 0::2] / 2.0,
             cur.width // 2, cur.height // 2,
         )
         cb = chroma.sample(ref.cb.astype(np.float64))
         cr = chroma.sample(ref.cr.astype(np.float64))
 
     return PredictionResult(
-        block=pred, sad=sad, degenerate=int(mapping.clamped.sum()), cb=cb, cr=cr
+        block=pred, sad=sad, degenerate=int(clamped.sum()), cb=cb, cr=cr
     )
 
 

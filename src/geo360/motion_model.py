@@ -229,7 +229,7 @@ def map_point(
     t: MotionVector2D,
     cfg: GeodesicModelConfig,
 ) -> SphericalPoint:
-    """Variant dispatch for single points; block paths use block_mapping."""
+    """Variant dispatch for single points; blocks use map_block_geometry_batch."""
     if cfg.variant == "original":
         return ged_orig_map(s, theta_c, t, cfg)
     return ged_gc_map(s, theta_c, t, cfg)
@@ -255,16 +255,6 @@ class BlockGeometry:
     rotation: np.ndarray
     frame_width: int
     frame_height: int
-
-
-@dataclass(frozen=True)
-class BlockMapping:
-    """Continuous ERP source coordinates for every pixel of a block."""
-
-    src_u: np.ndarray
-    src_v: np.ndarray
-    clamped: np.ndarray
-    theta_c: float
 
 
 def prepare_block_geometry(
@@ -324,7 +314,8 @@ def map_block_geometry_batch(
 ):
     """Source coordinates for every (t_u, t_v) candidate at once.
 
-    Returns (src_u, src_v, clamped) with shape (len(t_u), len(t_v), h, w).
+    Returns (src_u, src_v, clamped) with shape (len(t_u), len(t_v), h, w);
+    clamped flags pixels whose polar angle was pole-clamped on the way.
     The polar law only depends on t_u and the azimuth shift only on t_v, so
     the two trig passes stay one-dimensional before combining.
     """
@@ -364,37 +355,6 @@ def map_block_geometry_batch(
     clamped = clamped_out[:, None, :, :] | geom.clamped_in[None, None, :, :]
     clamped = np.broadcast_to(clamped, (nu, nv, h, w))
     return src_u, src_v, clamped
-
-
-def map_block_geometry(
-    geom: BlockGeometry, t: MotionVector2D, cfg: GeodesicModelConfig
-):
-    """Source coordinates of one motion candidate; shape (h, w)."""
-    src_u, src_v, clamped = map_block_geometry_batch(
-        geom, np.array([t.t_u]), np.array([t.t_v]), cfg
-    )
-    return src_u[0, 0], src_v[0, 0], clamped[0, 0]
-
-
-def block_mapping(
-    block: BlockSpec,
-    q,
-    t: MotionVector2D,
-    cfg: GeodesicModelConfig,
-    width: int,
-    height: int,
-) -> BlockMapping:
-    """Per-pixel ERP source coordinates of a block under motion t.
-
-    Pipeline per pixel: ERP -> sphere -> epipole frame of q -> variant polar
-    law with theta_c from the rotated block center -> back -> ERP.  Pixels
-    whose polar angle was pole-clamped on the way are flagged.
-    """
-    geom = prepare_block_geometry(block, q, width, height)
-    src_u, src_v, clamped = map_block_geometry(geom, t, cfg)
-    return BlockMapping(
-        src_u=src_u, src_v=src_v, clamped=clamped, theta_c=geom.theta_c
-    )
 
 
 # ---------------------------------------------------------------------------

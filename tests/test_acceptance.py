@@ -14,7 +14,6 @@ import pytest
 
 from geo360 import cam_code, camera_est, cli, geometry, metrics, video_io
 from geo360 import motion_model as mm
-from geo360.camera_est import BearingPair
 from geo360.geometry import SphericalPoint
 from geo360.mocomp import ErpFrame
 from geo360.motion_model import GeodesicModelConfig, MotionVector2D
@@ -215,8 +214,9 @@ def _synthetic_pairs(rng, q, n=50, length=0.1, depth_range=(1.0, 10.0), noise=0.
                 vec += step
             s = s / np.linalg.norm(s)
             s_m = s_m / np.linalg.norm(s_m)
-        pairs.append(BearingPair(s=s, s_m=s_m))
-    return pairs
+        pairs.append((s, s_m))
+    s, s_m = zip(*pairs)
+    return np.array(s), np.array(s_m)
 
 
 def test_direction_estimation_accuracy(capsys):
@@ -226,10 +226,10 @@ def test_direction_estimation_accuracy(capsys):
     for _ in range(100):
         q = rng.normal(size=3)
         q /= np.linalg.norm(q)
-        est = camera_est.estimate_camera_motion(_synthetic_pairs(rng, q))
+        est = camera_est.estimate_camera_motion(*_synthetic_pairs(rng, q))
         clean_errs.append(geometry.angle_between(est, q))
         est = camera_est.estimate_camera_motion(
-            _synthetic_pairs(rng, q, noise=1e-3)
+            *_synthetic_pairs(rng, q, noise=1e-3)
         )
         noisy_errs.append(geometry.angle_between(est, q))
     elapsed = time.perf_counter() - t0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geo360 import camera_est, geometry, video_io
-from geo360.camera_est import BearingPair, FinetuneConfig, FlowField
+from geo360.camera_est import FinetuneConfig, FlowField
 from geo360.errors import (
     AmbiguousSignError,
     DegenerateGeometryError,
@@ -15,7 +15,8 @@ from geo360.errors import (
 
 
 def synthetic_pairs(rng, q, n=50, length=0.1, depth_range=(1.0, 10.0), noise=0.0):
-    """Bearings seen before/after translating the camera by length * q."""
+    """Bearing arrays (s, s_m) seen before/after translating the camera by
+    length * q."""
     pairs = []
     while len(pairs) < n:
         s = rng.normal(size=3)
@@ -33,8 +34,9 @@ def synthetic_pairs(rng, q, n=50, length=0.1, depth_range=(1.0, 10.0), noise=0.0
                 vec += step
             s = s / np.linalg.norm(s)
             s_m = s_m / np.linalg.norm(s_m)
-        pairs.append(BearingPair(s=s, s_m=s_m))
-    return pairs
+        pairs.append((s, s_m))
+    s, s_m = zip(*pairs)
+    return np.array(s), np.array(s_m)
 
 
 def random_unit(rng):
@@ -49,8 +51,7 @@ def test_noise_free_recovery():
     rng = np.random.default_rng(0)
     for _ in range(10):
         q = random_unit(rng)
-        pairs = synthetic_pairs(rng, q)
-        est = camera_est.estimate_camera_motion(pairs)
+        est = camera_est.estimate_camera_motion(*synthetic_pairs(rng, q))
         assert geometry.angle_between(est, q) < 1e-6
 
 
@@ -58,17 +59,16 @@ def test_noise_free_recovery_from_exactly_eight_pairs():
     rng = np.random.default_rng(13)
     for _ in range(10):
         q = random_unit(rng)
-        pairs = synthetic_pairs(rng, q, n=8)
-        e = camera_est.eight_point(pairs).matrix
+        e = camera_est.eight_point(*synthetic_pairs(rng, q, n=8)).matrix
         assert np.linalg.norm(e @ q) < 1e-8
 
 
 def test_epipolar_residual_noise_free():
     rng = np.random.default_rng(1)
     q = random_unit(rng)
-    pairs = synthetic_pairs(rng, q)
-    e = camera_est.eight_point(pairs).matrix
-    res = [abs(p.s_m @ e @ p.s) for p in pairs]
+    s, s_m = synthetic_pairs(rng, q)
+    e = camera_est.eight_point(s, s_m).matrix
+    res = np.abs(((s_m @ e) * s).sum(axis=1))
     assert np.median(res) <= 1e-10
 
 
@@ -76,9 +76,9 @@ def test_epipolar_residual_with_noise():
     rng = np.random.default_rng(2)
     sigma = 1e-3
     q = random_unit(rng)
-    pairs = synthetic_pairs(rng, q, noise=sigma)
-    e = camera_est.eight_point(pairs).matrix
-    res = [abs(p.s_m @ e @ p.s) for p in pairs]
+    s, s_m = synthetic_pairs(rng, q, noise=sigma)
+    e = camera_est.eight_point(s, s_m).matrix
+    res = np.abs(((s_m @ e) * s).sum(axis=1))
     assert np.median(res) <= 3 * sigma
 
 
@@ -87,8 +87,7 @@ def test_noisy_recovery_median_under_one_degree():
     errs = []
     for _ in range(20):
         q = random_unit(rng)
-        pairs = synthetic_pairs(rng, q, noise=1e-3)
-        est = camera_est.estimate_camera_motion(pairs)
+        est = camera_est.estimate_camera_motion(*synthetic_pairs(rng, q, noise=1e-3))
         errs.append(math.degrees(geometry.angle_between(est, q)))
     assert np.median(errs) < 1.0
 
@@ -96,11 +95,10 @@ def test_noisy_recovery_median_under_one_degree():
 def test_rotation_invariance():
     rng = np.random.default_rng(4)
     q = random_unit(rng)
-    pairs = synthetic_pairs(rng, q)
-    base = camera_est.estimate_camera_motion(pairs)
+    s, s_m = synthetic_pairs(rng, q)
+    base = camera_est.estimate_camera_motion(s, s_m)
     rot = geometry.rotation_to_epipole(random_unit(rng))
-    rotated = [BearingPair(s=rot @ p.s, s_m=rot @ p.s_m) for p in pairs]
-    est = camera_est.estimate_camera_motion(rotated)
+    est = camera_est.estimate_camera_motion(s @ rot.T, s_m @ rot.T)
     assert np.linalg.norm(est - rot @ base) < 1e-8
 
 
@@ -108,10 +106,10 @@ def test_eight_point_memory_is_linear_in_pairs():
     # a full SVD of the N x 9 system would also build an N x N U: 128 MB here
     rng = np.random.default_rng(12)
     q = random_unit(rng)
-    pairs = synthetic_pairs(rng, q, n=4000)
+    s, s_m = synthetic_pairs(rng, q, n=4000)
     tracemalloc.start()
     try:
-        e = camera_est.eight_point(pairs).matrix
+        e = camera_est.eight_point(s, s_m).matrix
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -121,26 +119,25 @@ def test_eight_point_memory_is_linear_in_pairs():
 
 def test_too_few_pairs():
     rng = np.random.default_rng(5)
-    pairs = synthetic_pairs(rng, random_unit(rng), n=7)
+    s, s_m = synthetic_pairs(rng, random_unit(rng), n=7)
     with pytest.raises(DomainError):
-        camera_est.eight_point(pairs)
+        camera_est.eight_point(s, s_m)
 
 
 def test_degenerate_configuration():
     # one repeated correspondence carries rank 1: no unique solution
-    s = np.array([1.0, 0.0, 0.0])
-    s_m = np.array([0.0, 1.0, 0.0])
-    pairs = [BearingPair(s=s, s_m=s_m)] * 9
+    s = np.tile([1.0, 0.0, 0.0], (9, 1))
+    s_m = np.tile([0.0, 1.0, 0.0], (9, 1))
     with pytest.raises(DegenerateGeometryError):
-        camera_est.eight_point(pairs)
+        camera_est.eight_point(s, s_m)
 
 
 def test_sign_vote_is_stable_under_flip():
     rng = np.random.default_rng(6)
     q = random_unit(rng)
-    pairs = synthetic_pairs(rng, q)
-    picked = camera_est.disambiguate_sign(q, pairs)
-    flipped = camera_est.disambiguate_sign(-q, pairs)
+    s, s_m = synthetic_pairs(rng, q)
+    picked = camera_est.disambiguate_sign(q, s, s_m)
+    flipped = camera_est.disambiguate_sign(-q, s, s_m)
     assert np.allclose(picked, flipped)
 
 
@@ -148,24 +145,49 @@ def test_sign_vote_tie():
     q = np.array([0.0, 0.0, 1.0])
     a = np.array([math.sin(0.5), 0.0, math.cos(0.5)])
     b = np.array([math.sin(0.6), 0.0, math.cos(0.6)])
-    pairs = [BearingPair(s=a, s_m=b), BearingPair(s=b, s_m=a)]
     with pytest.raises(AmbiguousSignError):
-        camera_est.disambiguate_sign(q, pairs)
+        camera_est.disambiguate_sign(q, np.stack([a, b]), np.stack([b, a]))
 
 
 def test_bearing_pair_normalizes_loose_input():
-    p = BearingPair(s=np.array([1.0 + 1e-7, 0.0, 0.0]), s_m=np.array([0.0, 1.0, 0.0]))
-    assert math.isclose(np.linalg.norm(p.s), 1.0, abs_tol=1e-12)
-    with pytest.raises(DomainError):
-        BearingPair(s=np.array([2.0, 0.0, 0.0]), s_m=np.array([0.0, 1.0, 0.0]))
+    # rows within 1e-6 of unit norm are accepted (and renormalized); the
+    # check runs once on the whole arrays in both array entry points
+    rng = np.random.default_rng(7)
+    q = random_unit(rng)
+    s, s_m = synthetic_pairs(rng, q, n=9)
+    loose = s * (1.0 + 1e-7)
+    assert np.allclose(
+        camera_est.eight_point(loose, s_m).matrix,
+        camera_est.eight_point(s, s_m).matrix,
+        atol=1e-12,
+    )
+    camera_est.disambiguate_sign(q, loose, s_m)
+    long_row = s.copy()
+    long_row[4] *= 2.0
+    for call in (
+        camera_est.eight_point,
+        lambda a, b: camera_est.disambiguate_sign(q, a, b),
+    ):
+        with pytest.raises(DomainError):
+            call(long_row, s_m)
+        with pytest.raises(DomainError):
+            call(s, long_row)
+        with pytest.raises(DomainError):
+            call(s, s_m[:8])
+        with pytest.raises(DomainError):
+            call(s[:, :2], s_m[:, :2])
+        nan_row = s.copy()
+        nan_row[2, 0] = np.nan
+        with pytest.raises(DomainError):
+            call(nan_row, s_m)
 
 
 def test_pixel_pairs_to_bearings_arity():
     with pytest.raises(DomainError):
         camera_est.pixel_pairs_to_bearings(np.zeros((4, 3)), 64, 32)
     quads = np.array([[10.0, 10.0, 11.0, 10.0]])
-    pairs = camera_est.pixel_pairs_to_bearings(quads, 64, 32)
-    assert len(pairs) == 1
+    s, s_m = camera_est.pixel_pairs_to_bearings(quads, 64, 32)
+    assert s.shape == s_m.shape == (1, 3)
 
 
 # --- flow handling -----------------------------------------------------------
@@ -180,10 +202,10 @@ def synth_flow():
 
 def test_flow_to_pairs_drops_pole_margin(synth_flow):
     flow, _ = synth_flow
-    pairs = camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
-    for p in pairs:
-        theta = math.acos(np.clip(p.s[2], -1.0, 1.0))
-        assert 0.05 <= theta <= math.pi - 0.05
+    s, _ = camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
+    theta = np.arccos(np.clip(s[:, 2], -1.0, 1.0))
+    assert len(s) > 0
+    assert np.all((0.05 <= theta) & (theta <= math.pi - 0.05))
 
 
 def test_flow_to_pairs_empty_is_degenerate():
@@ -195,8 +217,8 @@ def test_flow_to_pairs_empty_is_degenerate():
 
 def test_flow_estimate_recovers_truth(synth_flow):
     flow, q_true = synth_flow
-    pairs = camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
-    est = camera_est.estimate_camera_motion(pairs)
+    s, s_m = camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
+    est = camera_est.estimate_camera_motion(s, s_m)
     assert math.degrees(geometry.angle_between(est, q_true)) < 0.2
 
 

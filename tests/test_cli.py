@@ -32,20 +32,33 @@ def test_synth_outputs(synth_dir):
     assert (synth_dir / "flow_002.flo").exists()
 
 
+_BAD_FLOW_PATTERNS = [
+    ("flow.flo", 2), ("flow_%d_%d.flo", 2), ("flow_%.0s.flo", 2), ("flow_%.1s.flo", 12)
+]
+
+
 @pytest.mark.parametrize(
-    "pattern, frames",
-    [("flow.flo", 2), ("flow_%d_%d.flo", 2), ("flow_%.0s.flo", 2), ("flow_%.1s.flo", 12)],
+    "command, pattern, frames",
+    [pytest.param("synth", p, n, id=f"{p}-{n}") for p, n in _BAD_FLOW_PATTERNS]
+    + [pytest.param("camest", p, n, id=f"camest-{p}-{n}") for p, n in _BAD_FLOW_PATTERNS],
 )
-def test_synth_rejects_flow_pattern_without_frame_number(tmp_path, capsys, pattern, frames):
-    rc = run(
-        [
+def test_synth_rejects_flow_pattern_without_frame_number(
+    tmp_path, capsys, command, pattern, frames
+):
+    # synth --flow-out writes, camest --flow --count reads one file per frame
+    if command == "synth":
+        flag = "--flow-out"
+        argv = [
             "synth", "--out", tmp_path / "seq.yuv", "--flow-out", tmp_path / pattern,
             "--width", 32, "--height", 16, "--frames", frames,
         ]
-    )
+    else:
+        flag = "--flow"
+        argv = ["camest", "--flow", tmp_path / pattern, "--count", frames]
+    rc = run(argv)
     assert rc == 1
     assert capsys.readouterr().err == (
-        "error: cli: --flow-out needs one integer placeholder such as %03d\n"
+        f"error: cli: {flag} needs one integer placeholder such as %03d\n"
     )
     assert list(tmp_path.iterdir()) == []
 
@@ -214,6 +227,18 @@ def test_camest_missing_flow_file(tmp_path, capsys):
     rc = run(["camest", "--flow", tmp_path / "absent.flo"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_camest_pairs_rejects_non_finite_row(tmp_path, capsys):
+    rows = [f"{u} {v} {u + 1} {v + 0.5}" for u, v in
+            [(3, 5), (10, 8), (17, 12), (25, 20), (33, 24), (41, 9), (50, 14), (58, 27)]]
+    rows.insert(4, "nan 10 11 10")
+    (tmp_path / "p.txt").write_text("\n".join(rows) + "\n")
+    rc = run(["camest", "--pairs", tmp_path / "p.txt", "--width", 64, "--height", 32])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def test_camest_pairs_needs_geometry(tmp_path, capsys):

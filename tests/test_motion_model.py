@@ -155,12 +155,15 @@ def test_block_identity_at_zero_motion():
     q = np.array([0.2, -0.4, 0.89])
     q /= np.linalg.norm(q)
     for cfg in (ORIG, GCG, GCL):
-        mapping = mm.block_mapping(block, q, MotionVector2D(0.0, 0.0), cfg, 128, 64)
+        geom = mm.prepare_block_geometry(block, q, 128, 64)
+        src_u, src_v, _ = mm.map_block_geometry_batch(
+            geom, np.array([0.0]), np.array([0.0]), cfg
+        )
         uu, vv = np.meshgrid(
             np.arange(40, 48, dtype=float), np.arange(24, 32, dtype=float)
         )
-        assert np.max(np.abs(mapping.src_u - uu)) < 1e-6
-        assert np.max(np.abs(mapping.src_v - vv)) < 1e-6
+        assert np.max(np.abs(src_u[0, 0] - uu)) < 1e-6
+        assert np.max(np.abs(src_v[0, 0] - vv)) < 1e-6
 
 
 def test_block_mapping_matches_scalar_path():
@@ -175,7 +178,10 @@ def test_block_mapping_matches_scalar_path():
     rot = geometry.rotation_to_epipole(q)
     geom = mm.prepare_block_geometry(block, q, width, height)
     for cfg in (ORIG, GCG, GCL):
-        src_u, src_v, _ = mm.map_block_geometry(geom, t, cfg)
+        src_u, src_v, _ = mm.map_block_geometry_batch(
+            geom, np.array([t.t_u]), np.array([t.t_v]), cfg
+        )
+        src_u, src_v = src_u[0, 0], src_v[0, 0]
         for j in range(4):
             for i in range(4):
                 u, v = block.x0 + i, block.y0 + j
@@ -219,11 +225,11 @@ def test_batch_motion_grid_consistent_with_single():
     assert su.shape == (3, 2, 4, 4)
     for a, tu in enumerate(tus):
         for b, tv in enumerate(tvs):
-            one_u, one_v, _ = mm.map_block_geometry(
-                geom, MotionVector2D(float(tu), float(tv)), GCG
+            one_u, one_v, _ = mm.map_block_geometry_batch(
+                geom, np.array([tu]), np.array([tv]), GCG
             )
-            np.testing.assert_allclose(su[a, b], one_u, atol=1e-12)
-            np.testing.assert_allclose(sv[a, b], one_v, atol=1e-12)
+            np.testing.assert_allclose(su[a, b], one_u[0, 0], atol=1e-12)
+            np.testing.assert_allclose(sv[a, b], one_v[0, 0], atol=1e-12)
 
 
 # --- arithmetic cost ---------------------------------------------------------
