@@ -90,12 +90,6 @@ class FinetuneConfig:
             raise DomainError("camera_est: min_flow must be non-negative")
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    # One dot product per row, the kernel np.linalg.norm uses on a single
-    # vector, so rows renormalize exactly as one-at-a-time normalization.
-    return np.sqrt(np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0])
-
-
 def _checked_bearings(s, s_m) -> tuple[np.ndarray, np.ndarray]:
     """Validate a correspondence set and return it renormalized.
 
@@ -109,7 +103,7 @@ def _checked_bearings(s, s_m) -> tuple[np.ndarray, np.ndarray]:
             f"camera_est: bearings must be two (N, 3) arrays, got "
             f"{s.shape} and {s_m.shape}"
         )
-    n, n_m = _row_norms(s), _row_norms(s_m)
+    n, n_m = np.linalg.norm(s, axis=1), np.linalg.norm(s_m, axis=1)
     bad = ~((np.abs(n - 1.0) <= _BEARING_TOL) & (np.abs(n_m - 1.0) <= _BEARING_TOL))
     if bad.any():
         i = int(np.argmax(bad))

@@ -40,7 +40,11 @@ _BAD_FLOW_PATTERNS = [
 @pytest.mark.parametrize(
     "command, pattern, frames",
     [pytest.param("synth", p, n, id=f"{p}-{n}") for p, n in _BAD_FLOW_PATTERNS]
-    + [pytest.param("camest", p, n, id=f"camest-{p}-{n}") for p, n in _BAD_FLOW_PATTERNS],
+    + [
+        pytest.param("camest", p, n, id=f"camest-{p}-{n}")
+        # --count always means a pattern, so a plain name is refused even at 1
+        for p, n in _BAD_FLOW_PATTERNS + [("x.flo", 1)]
+    ],
 )
 def test_synth_rejects_flow_pattern_without_frame_number(
     tmp_path, capsys, command, pattern, frames
