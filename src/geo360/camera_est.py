@@ -240,7 +240,8 @@ def flow_to_pairs(
 
     Rows within pole_margin radians of either pole are skipped (bearings
     there are nearly parallel and the azimuth is ill conditioned), and so
-    are samples whose displaced row leaves the picture.
+    are samples whose displacement is not finite (unknown flow) or whose
+    displaced row leaves the picture.
     """
     if (flow.width, flow.height) != (width, height):
         raise DomainError("camera_est: flow dimensions disagree with frame")
@@ -249,6 +250,7 @@ def flow_to_pairs(
     v2 = v + dv
     keep = (
         (theta >= pole_margin) & (theta <= np.pi - pole_margin)
+        & np.isfinite(du) & np.isfinite(dv)
         & (v2 >= -0.5) & (v2 <= height - 0.5)
     )
     if not keep.any():

@@ -109,17 +109,29 @@ class BlockComparison:
 class _PlaneSampler:
     """Bilinear taps for a fixed set of source coordinates.
 
-    Flat indices into the raveled plane and the four weights are computed
+    Flat indices into the raveled plane and the tap weights are computed
     once, so the same mapping is applied to many reference planes (one per
     frame pair) by a plain gather.  x wraps, y clamps (pole rows extend as
     constants), and coordinates within SNAP_EPS of an integer snap onto it
     first.
+
+    x and y only need broadcastable shapes: each axis is snapped, wrapped or
+    clamped and split into whole and fractional parts at its own shape, and
+    only the taps and weights take the broadcast shape.  The sampler owns x
+    and y and overwrites them when they are writable float64 arrays, so a
+    caller that still needs its coordinates passes a copy.
+
+    An axis whose fractional part is zero everywhere gets no second tap.
+    That tap's weight is +0.0 at every sample and planes hold integers, so
+    its product is a signed zero, and adding a signed zero to a running sum
+    that is never -0.0 leaves it unchanged.  The remaining taps are added in
+    the same order, so whole-pixel shifts gather one tap instead of four and
+    give the same bits.
     """
 
     def __init__(self, x, y, width: int, height: int):
-        x, y = np.broadcast_arrays(x, y)
-        self.shape = x.shape
         x, y = _snapped(x), _snapped(y)
+        self.shape = np.broadcast_shapes(x.shape, y.shape)
         # np.mod is the identity on [0, width), so only the rest goes through it.
         # It returns width only for x within half an ulp below a multiple of
         # width, which snapping already moved onto it: every floor is a column.
@@ -127,31 +139,39 @@ class _PlaneSampler:
         x[outside] = np.mod(x[outside], width)
         np.clip(y, 0.0, float(height - 1), out=y)
         x0, y0 = np.floor(x), np.floor(y)
-        fx, fy = x - x0, y - y0
+        fx, fy = np.subtract(x, x0, out=x), np.subtract(y, y0, out=y)
 
         c0 = x0.astype(np.intp)
-        c1 = c0 + 1
-        c1[c1 == width] = 0
-        r0 = y0.astype(np.intp) * width
-        r1 = np.minimum(r0 + width, (height - 1) * width)
+        cols = [(c0, 1.0 - fx)]
+        if fx.any():
+            cols.append((np.where(c0 == width - 1, 0, c0 + 1), fx))
+        r0 = y0.astype(np.intp)
+        r0 *= width
+        rows = [(r0, 1.0 - fy)]
+        if fy.any():
+            rows.append((np.minimum(r0 + width, (height - 1) * width), fy))
         # Flat indices and weights of taps (y0, x0), (y0, x1), (y1, x0), (y1, x1).
-        self.taps = np.stack([r0 + c0, r0 + c1, r1 + c0, r1 + c1])
-        gx, gy = 1.0 - fx, 1.0 - fy
-        self.weights = np.stack([gx * gy, fx * gy, gx * fy, fx * fy])
+        taps = [(r, c, wy, wx) for r, wy in rows for c, wx in cols]
+        self.taps = np.empty((len(taps),) + self.shape, dtype=np.intp)
+        self.weights = np.empty((len(taps),) + self.shape)
+        for i, (r, c, wy, wx) in enumerate(taps):
+            np.add(r, c, out=self.taps[i, ...])
+            np.multiply(wx, wy, out=self.weights[i, ...])
 
     def sample(self, plane: np.ndarray) -> np.ndarray:
         """Bilinear samples of a float64 plane, in the coordinates' shape."""
         g = plane.ravel().take(self.taps)
         g *= self.weights
-        out = np.add(g[0], g[1], out=g[0])
-        out += g[2]
-        out += g[3]
-        return out.reshape(self.shape)
+        out = g[0]
+        for tap in g[1:]:
+            out += tap
+        return out
 
 
 def _snapped(v) -> np.ndarray:
-    """A flat float64 copy of v, values within SNAP_EPS of an integer on it."""
-    v = np.array(v, dtype=np.float64).reshape(-1)
+    """v as a writable float64 array (v itself if it is one), values within
+    SNAP_EPS of an integer moved onto it."""
+    v = np.require(v, np.float64, "W")
     r = np.rint(v)
     np.copyto(v, r, where=np.abs(v - r) < SNAP_EPS)
     return v
@@ -159,7 +179,10 @@ def _snapped(v) -> np.ndarray:
 
 def sample_bilinear(frame: ErpFrame, x, y):
     """Bilinear luma sample at continuous ERP coordinates (x, y)."""
-    sampler = _PlaneSampler(x, y, frame.width, frame.height)
+    sampler = _PlaneSampler(
+        np.array(x, dtype=np.float64), np.array(y, dtype=np.float64),
+        frame.width, frame.height,
+    )
     out = sampler.sample(frame.y.astype(np.float64))
     if out.ndim == 0:
         return float(out)
@@ -199,20 +222,22 @@ def predict_block(
         geom, np.array([t.t_u]), np.array([t.t_v]), cfg
     )
     src_u, src_v, clamped = src_u[0, 0], src_v[0, 0], clamped[0, 0]
-    luma = _PlaneSampler(src_u, src_v, cur.width, cur.height)
-    pred = luma.sample(ref.y.astype(np.float64))
-    cur_block = _block_view(cur, block).astype(np.float64)
-    sad = float(np.abs(pred - cur_block).sum())
 
     cb = cr = None
     even = (block.x0 | block.y0 | block.width | block.height) % 2 == 0
     if ref.cb is not None and cur.cb is not None and even:
+        # Built first: the luma sampler below overwrites src_u and src_v.
         chroma = _PlaneSampler(
             src_u[0::2, 0::2] / 2.0, src_v[0::2, 0::2] / 2.0,
             cur.width // 2, cur.height // 2,
         )
         cb = chroma.sample(ref.cb.astype(np.float64))
         cr = chroma.sample(ref.cr.astype(np.float64))
+
+    luma = _PlaneSampler(src_u, src_v, cur.width, cur.height)
+    pred = luma.sample(ref.y.astype(np.float64))
+    cur_block = _block_view(cur, block).astype(np.float64)
+    sad = float(np.abs(pred - cur_block).sum())
 
     return PredictionResult(
         block=pred, sad=sad, degenerate=int(clamped.sum()), cb=cb, cr=cr
@@ -245,12 +270,14 @@ class _SearchKernel:
         self.tie_order = np.lexsort((self.tv, self.tu, cost))
 
     def translational(self, block: BlockSpec, width: int, height: int) -> _PlaneSampler:
-        """Whole-pixel shifts of the block, t in ERP pixels."""
-        v, u = np.mgrid[
-            block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width
-        ]
+        """Shifts of the block by t in ERP pixels: x as (n, 1, 1, w) and y
+        as (1, n, h, 1), broadcast to the (t_u, t_v, h, w) candidate grid."""
+        u = np.arange(block.x0, block.x0 + block.width, dtype=np.float64)
+        v = np.arange(block.y0, block.y0 + block.height, dtype=np.float64)
         return _PlaneSampler(
-            u + self.tu[:, None, None], v + self.tv[:, None, None], width, height
+            self.offsets[:, None, None, None] + u,
+            self.offsets[None, :, None, None] + v[:, None],
+            width, height,
         )
 
     def geodesic(self, geom: BlockGeometry, cfg: GeodesicModelConfig) -> _PlaneSampler:
@@ -258,18 +285,14 @@ class _SearchKernel:
         src_u, src_v, _ = motion_model.map_block_geometry_batch(
             geom, self.offsets, self.offsets, cfg
         )
-        shape = (-1,) + geom.theta.shape
-        return _PlaneSampler(
-            src_u.reshape(shape), src_v.reshape(shape),
-            geom.frame_width, geom.frame_height,
-        )
+        return _PlaneSampler(src_u, src_v, geom.frame_width, geom.frame_height)
 
     def search(
         self, sampler: _PlaneSampler, ref_plane: np.ndarray, cur_block: np.ndarray
     ) -> SearchOutcome:
         diff = sampler.sample(ref_plane)
         diff -= cur_block
-        sad = np.abs(diff, out=diff).sum(axis=(-2, -1))
+        sad = np.abs(diff, out=diff).sum(axis=(-2, -1)).ravel()
         best = self.tie_order[np.argmin(sad[self.tie_order])]
         return SearchOutcome(
             t=MotionVector2D(float(self.tu[best]), float(self.tv[best])),

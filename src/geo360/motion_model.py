@@ -293,17 +293,26 @@ def prepare_block_geometry(
     )
 
 
-def _model_theta_array(
-    theta: np.ndarray, theta_c: float, t_u: float, cfg: GeodesicModelConfig
+def _model_theta(
+    geom: BlockGeometry, t_u: np.ndarray, cfg: GeodesicModelConfig
 ) -> np.ndarray:
-    """Vectorized polar law over an array of (clamped) polar angles."""
-    if cfg.variant == "original":
-        if t_u == 0.0:
-            return theta.copy()
-        kf = k_factor(theta_c, t_u, cfg.delta)
-        return theta + ged_orig_theta(theta, kf)
-    r = cyl_radius(cfg.scaling, theta_c)
-    return ged_gc_theta(theta, t_u, delta_z(cfg.delta), r)
+    """Polar law of every t_u over the block's clamped polar angles: (nu, h, w)."""
+    theta = geom.theta
+    if cfg.variant == "gc":
+        r = cyl_radius(cfg.scaling, geom.theta_c)
+        return ged_gc_theta(theta, t_u[:, None, None], delta_z(cfg.delta), r)
+    # ged_orig_theta for every t_u at once; t_u = 0 is the identity.
+    k = np.zeros(len(t_u))
+    reverse = np.zeros(len(t_u), dtype=bool)
+    for i, tu in enumerate(t_u):
+        if tu != 0.0:
+            kf = k_factor(geom.theta_c, float(tu), cfg.delta)
+            k[i], reverse[i] = kf.k, kf.reverse
+    theta_m = np.arctan2(np.sin(theta), k[:, None, None] - np.cos(theta))
+    theta_m[reverse] -= math.pi
+    theta_m += theta
+    theta_m[t_u == 0.0] = theta
+    return theta_m
 
 
 def map_block_geometry_batch(
@@ -317,38 +326,44 @@ def map_block_geometry_batch(
     Returns (src_u, src_v, clamped) with shape (len(t_u), len(t_v), h, w);
     clamped flags pixels whose polar angle was pole-clamped on the way.
     The polar law only depends on t_u and the azimuth shift only on t_v, so
-    the two trig passes stay one-dimensional before combining.
+    the trig passes stay at (nu, h, w) and (nv, h, w), and so do the
+    rot[2, k] * cos(theta') terms of the rotation back.  The rotation back
+    and arccos/arctan2 write into a few reused full-size buffers.
     """
     t_u_values = np.asarray(t_u_values, dtype=np.float64)
     t_v_values = np.asarray(t_v_values, dtype=np.float64)
     h, w = geom.theta.shape
     nu, nv = len(t_u_values), len(t_v_values)
 
-    theta_m = np.empty((nu, h, w))
-    for i, tu in enumerate(t_u_values):
-        theta_m[i] = _model_theta_array(geom.theta, geom.theta_c, float(tu), cfg)
+    theta_m = _model_theta(geom, t_u_values, cfg)
     clamped_out = (theta_m < POLE_EPS) | (theta_m > math.pi - POLE_EPS)
-    theta_m = np.clip(theta_m, POLE_EPS, math.pi - POLE_EPS)
-
-    phi_m = geom.phi[None, :, :] + cfg.delta * t_v_values[:, None, None]
+    np.clip(theta_m, POLE_EPS, math.pi - POLE_EPS, out=theta_m)
+    phi_m = geom.phi + cfg.delta * t_v_values[:, None, None]
 
     sin_t = np.sin(theta_m)[:, None, :, :]
     cos_t = np.cos(theta_m)[:, None, :, :]
-    cos_p = np.cos(phi_m)[None, :, :, :]
-    sin_p = np.sin(phi_m)[None, :, :, :]
+    cos_p = np.cos(phi_m)
+    sin_p = np.sin(phi_m)
 
-    # Rotate back to the world frame: world = R^T @ s'.
+    # Rotate back to the world frame, world = R^T @ s', as
+    # w_k = rot[0, k] * x + rot[1, k] * y + rot[2, k] * cos(theta').
     rot = geom.rotation
     x = sin_t * cos_p
     y = sin_t * sin_p
-    z = np.broadcast_to(cos_t, (nu, nv, h, w))
-    wx = rot[0, 0] * x + rot[1, 0] * y + rot[2, 0] * z
-    wy = rot[0, 1] * x + rot[1, 1] * y + rot[2, 1] * z
-    wz = rot[0, 2] * x + rot[1, 2] * y + rot[2, 2] * z
+    tmp = np.empty_like(x)
 
-    theta_w = np.arccos(np.clip(wz, -1.0, 1.0))
-    phi_w = np.arctan2(wy, wx)
-    phi_w = np.where(phi_w >= math.pi, -math.pi, phi_w)
+    def world(k, out):
+        np.multiply(rot[0, k], x, out=out)
+        out += np.multiply(rot[1, k], y, out=tmp)
+        out += rot[2, k] * cos_t
+        return out
+
+    wz = world(2, np.empty_like(x))
+    theta_w = np.arccos(np.clip(wz, -1.0, 1.0, out=wz), out=wz)
+    wx = world(0, np.empty_like(x))
+    wy = world(1, x)  # x is read before it is overwritten, and not needed after
+    phi_w = np.arctan2(wy, wx, out=tmp)
+    np.copyto(phi_w, -math.pi, where=phi_w >= math.pi)
     src_u, src_v = geometry.sphere_grid_to_erp(
         theta_w, phi_w, geom.frame_width, geom.frame_height
     )

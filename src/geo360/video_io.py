@@ -29,6 +29,9 @@ from .errors import DomainError, FormatError, TruncationError
 from .mocomp import ErpFrame
 
 FLO_MAGIC = 202021.25
+# Middlebury .flo convention: a component above this magnitude marks the
+# pixel's flow as unknown; read_flo returns nan in both components there.
+FLO_UNKNOWN = 1e9
 CAMERA_CSV_HEADER = "frame_index,qx,qy,qz"
 
 
@@ -123,6 +126,7 @@ def write_yuv(path: str, frames: Sequence[ErpFrame]):
 
 
 def read_flo(path: str) -> FlowField:
+    """A Middlebury .flo file; unknown-flow pixels come back as nan."""
     with open(path, "rb") as fh:
         head = fh.read(12)
         if len(head) < 12:
@@ -136,9 +140,10 @@ def read_flo(path: str) -> FlowField:
         if len(body) < width * height * 8:
             raise TruncationError(f"video_io: {path} truncated mid-plane")
     data = np.frombuffer(body, dtype="<f4").reshape(height, width, 2)
-    return FlowField(
-        du=data[:, :, 0].astype(np.float64), dv=data[:, :, 1].astype(np.float64)
-    )
+    du, dv = data[:, :, 0].astype(np.float64), data[:, :, 1].astype(np.float64)
+    unknown = (np.abs(du) > FLO_UNKNOWN) | (np.abs(dv) > FLO_UNKNOWN)
+    du[unknown] = dv[unknown] = np.nan
+    return FlowField(du=du, dv=dv)
 
 
 def write_flo(path: str, flow: FlowField):

@@ -223,6 +223,24 @@ def test_flow_to_pairs_empty_is_degenerate():
         camera_est.flow_to_pairs(flow, 1000, 16, 200)
 
 
+def test_flow_to_pairs_drops_non_finite_flow(synth_flow):
+    # one unknown vector on the strided grid must cost one sample, not the
+    # whole frame
+    flow, _ = synth_flow
+    clean = camera_est.estimate_camera_motion(
+        *camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
+    )
+    for bad in (np.nan, np.inf):
+        du = flow.du.copy()
+        du[32, 64] = bad
+        s, s_m = camera_est.flow_to_pairs(
+            FlowField(du=du, dv=flow.dv), 4, flow.width, flow.height
+        )
+        assert np.isfinite(s_m).all()
+        est = camera_est.estimate_camera_motion(s, s_m)
+        assert math.degrees(geometry.angle_between(est, clean)) < 1e-6
+
+
 def test_flow_estimate_recovers_truth(synth_flow):
     flow, q_true = synth_flow
     s, s_m = camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)

@@ -227,6 +227,36 @@ def test_camest_single_flow(synth_dir, tmp_path, capsys):
     assert abs(np.linalg.norm(rows[0][1]) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("finetune", [[], ["--finetune"]], ids=["plain", "finetune"])
+def test_camest_ignores_unknown_flow_vectors(tmp_path, capsys, finetune):
+    # planted Middlebury unknown-flow vectors (|flow| > 1e9) must not move
+    # the estimate; 1e10 is not a multiple of the 120-pixel width, so a
+    # planted du read as flow would point somewhere else entirely
+    cfg = video_io.SynthConfig(
+        width=120, height=60, frames=2, step=0.02, seed=6, direction=(0.2, -0.3, 0.93)
+    )
+    flow = video_io.synth_dolly(cfg).flows[0]
+    du, dv = flow.du.copy(), flow.dv.copy()
+    # on camest's default stride-4 sample grid, clear of the pole margin
+    rng = np.random.default_rng(4)
+    rows = 4 * rng.integers(2, 13, 24)
+    cols = 4 * rng.integers(0, 30, 24)
+    du[rows[:16], cols[:16]] = 1e10
+    dv[rows[16:], cols[16:]] = -1e10
+    video_io.write_flo(tmp_path / "clean.flo", flow)
+    video_io.write_flo(tmp_path / "planted.flo", video_io.FlowField(du=du, dv=dv))
+    estimates = []
+    for name in ("clean", "planted"):
+        out = tmp_path / f"{name}.csv"
+        argv = ["camest", "--flow", tmp_path / f"{name}.flo", "--out", out]
+        assert run(argv + finetune) == 0
+        estimates.append(video_io.read_camera_csv(out)[0][1])
+    capsys.readouterr()
+    clean, planted = estimates
+    angle = np.degrees(np.arccos(np.clip(clean @ planted, -1.0, 1.0)))
+    assert angle < 0.01
+
+
 def test_camest_missing_flow_file(tmp_path, capsys):
     rc = run(["camest", "--flow", tmp_path / "absent.flo"])
     assert rc == 1

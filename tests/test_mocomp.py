@@ -117,30 +117,56 @@ def reference_bilinear(plane, x, y):
     )
 
 
-@pytest.mark.parametrize("shape", [(), (37,), (81, 6, 5)])
+@pytest.mark.parametrize(
+    "shape",
+    [((), ()), ((37,), (37,)), ((81, 6, 5),) * 2, ((9, 1, 1, 16), (1, 9, 16, 1))],
+)
 def test_sampler_matches_reference_bit_for_bit(shape):
-    rng = np.random.default_rng(sum(shape) + 1)
+    xs, ys = shape
+    rng = np.random.default_rng(sum(xs) + 1)
     h, w = 12, 20
     plane = rng.integers(0, 1024, size=(h, w)).astype(np.float64)
     # wraps past both edges, rows past both poles, and offsets around the
     # snap distance; the tiny negatives are where np.mod alone returns w
     near = np.array([0.0, 3e-7, -3e-7, 2e-6, -2e-6, 1e-17, -1e-17, -1e-15, 0.5])
     cases = [
-        (rng.uniform(-3 * w, 3 * w, shape), rng.uniform(-4.0, h + 4.0, shape)),
+        (rng.uniform(-3 * w, 3 * w, xs), rng.uniform(-4.0, h + 4.0, ys)),
         (
-            rng.integers(-2 * w, 2 * w, shape) + rng.choice(near, shape),
-            rng.integers(-2, h + 2, shape) + rng.choice(near, shape),
+            rng.integers(-2 * w, 2 * w, xs) + rng.choice(near, xs),
+            rng.integers(-2, h + 2, ys) + rng.choice(near, ys),
         ),
         (
-            rng.choice([-w, 0, w, 2 * w], shape) + rng.choice(near, shape),
-            rng.choice([-1.5, 0.0, h - 1.0, h - 0.5, h + 3.0], shape),
+            rng.choice([-w, 0, w, 2 * w], xs) + rng.choice(near, xs),
+            rng.choice([-1.5, 0.0, h - 1.0, h - 0.5, h + 3.0], ys),
         ),
     ]
+    # whole x, whole y, both whole (once snapped): zero-weight taps dropped
+    snap = np.array([0.0, 3e-7, -3e-7, 1e-17, -1e-17, -1e-15])
+    whole_x = rng.integers(-2 * w, 2 * w, xs) + rng.choice(snap, xs)
+    whole_y = rng.integers(-2, h + 2, ys) + rng.choice(snap, ys)
+    cases += [
+        (whole_x, rng.uniform(-4.0, h + 4.0, ys)),
+        (rng.uniform(-3 * w, 3 * w, xs), whole_y),
+        (whole_x, whole_y),
+    ]
     for x, y in cases:
-        got = mocomp._PlaneSampler(x, y, w, h).sample(plane)
+        # the sampler overwrites its coordinates, so it gets copies
+        got = mocomp._PlaneSampler(
+            np.array(x, dtype=np.float64), np.array(y, dtype=np.float64), w, h
+        ).sample(plane)
         want = reference_bilinear(plane, x, y)
         assert got.shape == np.shape(want)
         assert np.array_equal(got, want)
+
+
+def test_whole_pixel_shifts_gather_one_tap():
+    # the block touches the right edge and the top pole row
+    block = BlockSpec(x0=240, y0=0, width=16, height=16)
+    for step, taps in ((1.0, 1), (0.5, 4)):
+        shifts = mocomp._SearchKernel(4, step).translational(block, 256, 128)
+        assert shifts.taps.shape[0] == taps
+    half_x = mocomp._PlaneSampler(np.array([0.5, 3.0]), np.array([2.0]), 8, 4)
+    assert half_x.taps.shape[0] == 2
 
 
 # --- prediction ---------------------------------------------------------------

@@ -232,6 +232,88 @@ def test_batch_motion_grid_consistent_with_single():
             np.testing.assert_allclose(sv[a, b], one_v[0, 0], atol=1e-12)
 
 
+def reference_map_batch(geom, t_u_values, t_v_values, cfg):
+    """The per-t_u mapping formula the batch mapper must reproduce bit for
+    bit: polar law one t_u at a time, full-size temporaries throughout."""
+    t_u_values = np.asarray(t_u_values, dtype=np.float64)
+    t_v_values = np.asarray(t_v_values, dtype=np.float64)
+    h, w = geom.theta.shape
+    nu, nv = len(t_u_values), len(t_v_values)
+    theta_m = np.empty((nu, h, w))
+    for i, tu in enumerate(t_u_values):
+        tu = float(tu)
+        if cfg.variant == "gc":
+            r = mm.cyl_radius(cfg.scaling, geom.theta_c)
+            theta_m[i] = mm.ged_gc_theta(geom.theta, tu, mm.delta_z(cfg.delta), r)
+        elif tu == 0.0:
+            theta_m[i] = geom.theta.copy()
+        else:
+            kf = mm.k_factor(geom.theta_c, tu, cfg.delta)
+            theta_m[i] = geom.theta + mm.ged_orig_theta(geom.theta, kf)
+    clamped_out = (theta_m < mm.POLE_EPS) | (theta_m > math.pi - mm.POLE_EPS)
+    theta_m = np.clip(theta_m, mm.POLE_EPS, math.pi - mm.POLE_EPS)
+    phi_m = geom.phi[None, :, :] + cfg.delta * t_v_values[:, None, None]
+    sin_t = np.sin(theta_m)[:, None, :, :]
+    cos_t = np.cos(theta_m)[:, None, :, :]
+    cos_p = np.cos(phi_m)[None, :, :, :]
+    sin_p = np.sin(phi_m)[None, :, :, :]
+    rot = geom.rotation
+    x = sin_t * cos_p
+    y = sin_t * sin_p
+    z = np.broadcast_to(cos_t, (nu, nv, h, w))
+    wx = rot[0, 0] * x + rot[1, 0] * y + rot[2, 0] * z
+    wy = rot[0, 1] * x + rot[1, 1] * y + rot[2, 1] * z
+    wz = rot[0, 2] * x + rot[1, 2] * y + rot[2, 2] * z
+    theta_w = np.arccos(np.clip(wz, -1.0, 1.0))
+    phi_w = np.arctan2(wy, wx)
+    phi_w = np.where(phi_w >= math.pi, -math.pi, phi_w)
+    phi_w = phi_w - 2.0 * math.pi * np.floor((phi_w + math.pi) / (2.0 * math.pi))
+    src_u = (phi_w + math.pi) * geom.frame_width / (2.0 * math.pi) - 0.5
+    src_v = theta_w * geom.frame_height / math.pi - 0.5
+    clamped = clamped_out[:, None, :, :] | geom.clamped_in[None, None, :, :]
+    return src_u, src_v, np.broadcast_to(clamped, (nu, nv, h, w))
+
+
+def test_batch_mapping_matches_reference_bit_for_bit():
+    width, height = 128, 64
+    delta = math.pi / height
+    cfgs = [
+        GeodesicModelConfig(variant="original", scaling="global", delta=delta),
+        GeodesicModelConfig(variant="gc", scaling="global", delta=delta),
+        GeodesicModelConfig(variant="gc", scaling="local", delta=delta),
+    ]
+    rng = np.random.default_rng(5)
+    qs = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    qs += [v / np.linalg.norm(v) for v in rng.normal(size=(3, 3))]
+    # mid-latitude, and blocks on the top and bottom pole rows, where the
+    # rotated and the moved polar angles both get pole-clamped
+    blocks = [
+        BlockSpec(x0=40, y0=24, width=8, height=8),
+        BlockSpec(x0=0, y0=0, width=16, height=4),
+        BlockSpec(x0=120, y0=60, width=8, height=4),
+    ]
+    steps = [np.arange(-4, 5) * 1.0, np.arange(-8, 9) * 0.5]
+    touched = 0
+    for q in qs:
+        for block in blocks:
+            geom = mm.prepare_block_geometry(block, q, width, height)
+            for cfg in cfgs:
+                for offsets in steps:
+                    tv = offsets[::-1] * 1.5
+                    try:
+                        want = reference_map_batch(geom, offsets, tv, cfg)
+                    except DegenerateGeometryError:
+                        with pytest.raises(DegenerateGeometryError):
+                            mm.map_block_geometry_batch(geom, offsets, tv, cfg)
+                        continue
+                    got = mm.map_block_geometry_batch(geom, offsets, tv, cfg)
+                    for a, b in zip(got, want):
+                        assert a.shape == b.shape
+                        assert np.array_equal(a, b)
+                    touched += bool(want[2].any())
+    assert touched  # the pole cases really clamp
+
+
 # --- arithmetic cost ---------------------------------------------------------
 
 

@@ -110,6 +110,24 @@ def test_flo_crafted_single_pixel(tmp_path):
     assert flow.dv[0, 0] == -1.25
 
 
+def test_flo_unknown_flow_becomes_nan(tmp_path):
+    # Middlebury convention: |du| or |dv| above 1e9 means unknown flow
+    du = np.arange(12, dtype=np.float64).reshape(3, 4) - 5.5
+    dv = -0.25 * du
+    du[0, 1], dv[1, 2] = 1e10, -1e10
+    du[2, 3] = dv[2, 3] = np.inf
+    du[2, 0] = 1e9  # at the threshold: still known
+    path = tmp_path / "unknown.flo"
+    video_io.write_flo(path, FlowField(du=du, dv=dv))
+    back = video_io.read_flo(path)
+    unknown = np.zeros((3, 4), dtype=bool)
+    unknown[0, 1] = unknown[1, 2] = unknown[2, 3] = True
+    assert np.array_equal(np.isnan(back.du), unknown)
+    assert np.array_equal(np.isnan(back.dv), unknown)
+    assert np.array_equal(back.du[~unknown], du.astype(np.float32)[~unknown])
+    assert np.array_equal(back.dv[~unknown], dv.astype(np.float32)[~unknown])
+
+
 def test_flo_bad_magic(tmp_path):
     path = tmp_path / "bad.flo"
     path.write_bytes(struct.pack("<fii", 0.0, 1, 1) + b"\x00" * 8)
