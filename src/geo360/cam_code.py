@@ -51,7 +51,13 @@ def wrap_residual(x: float) -> float:
 
 
 class Bitstream:
-    """MSB-first bit buffer with an independent read cursor."""
+    """MSB-first bit buffer with an independent read cursor.
+
+    Reads and writes move whole integers: a write ORs the top of the value
+    into the free low bits of the last byte and appends the rest as bytes; a
+    read converts the bytes it covers to one integer and shifts and masks.
+    Bits past bit_length in the last byte are always zero.
+    """
 
     def __init__(self, data: bytes | None = None):
         self._buf = bytearray(data or b"")
@@ -69,35 +75,67 @@ class Bitstream:
     def write_bit(self, bit: int):
         if bit not in (0, 1):
             raise DomainError(f"cam_code: bit value {bit!r} is not 0 or 1")
-        if self._nbits % 8 == 0:
-            self._buf.append(0)
-        if bit:
-            self._buf[-1] |= 0x80 >> (self._nbits % 8)
-        self._nbits += 1
+        self.write_bits(int(bit), 1)
 
     def write_bits(self, value: int, count: int):
-        if count < 0 or (count and value >> count):
+        """Append the low `count` bits of value, most significant first."""
+        if count < 0 or value >> count:
             raise DomainError(f"cam_code: {value} does not fit in {count} bits")
-        for shift in range(count - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        free = -self._nbits % 8
+        self._nbits += count
+        if free:
+            if count <= free:
+                self._buf[-1] |= value << (free - count)
+                return
+            count -= free
+            self._buf[-1] |= value >> count
+            value &= (1 << count) - 1
+        pad = -count % 8
+        self._buf += (value << pad).to_bytes((count + pad) >> 3, "big")
 
     def write_string(self, bits: str):
-        for ch in bits:
-            self.write_bit(1 if ch == "1" else 0)
+        """Append a string of '0' and '1' characters."""
+        if bits.strip("01"):
+            raise DomainError(f"cam_code: bit string {bits!r} is not all 0 and 1")
+        if bits:
+            self.write_bits(int(bits, 2), len(bits))
 
     def read_bit(self) -> int:
-        if self._pos >= self._nbits:
-            raise TruncationError("cam_code: read past end of bitstream")
-        byte = self._buf[self._pos // 8]
-        bit = (byte >> (7 - self._pos % 8)) & 1
-        self._pos += 1
-        return bit
+        return self.read_bits(1)
 
     def read_bits(self, count: int) -> int:
-        value = 0
-        for _ in range(count):
-            value = (value << 1) | self.read_bit()
-        return value
+        """Read `count` bits as an unsigned integer, most significant first.
+
+        Raises TruncationError, leaving the cursor where it was, when fewer
+        than count bits remain.
+        """
+        if count < 0:
+            raise DomainError(f"cam_code: cannot read {count} bits")
+        end = self._pos + count
+        if end > self._nbits:
+            raise TruncationError("cam_code: read past end of bitstream")
+        word = int.from_bytes(self._buf[self._pos >> 3 : (end + 7) >> 3], "big")
+        self._pos = end
+        return (word >> (-end % 8)) & ((1 << count) - 1)
+
+    def read_zero_run(self) -> int:
+        """Count the zero bits from the cursor to the next one bit and move
+        the cursor onto that one bit.
+
+        Raises TruncationError when no one bit follows.
+        """
+        buf = self._buf
+        i = self._pos >> 3
+        byte = buf[i] & (0xFF >> (self._pos & 7)) if i < len(buf) else 0
+        while not byte:
+            i += 1
+            if i >= len(buf):
+                raise TruncationError("cam_code: read past end of bitstream")
+            byte = buf[i]
+        one = 8 * i + 8 - byte.bit_length()
+        zeros = one - self._pos
+        self._pos = one
+        return zeros
 
     def align_read(self):
         """Skip forward to the next byte boundary."""
@@ -108,32 +146,38 @@ class Bitstream:
         return bytes(self._buf)
 
 
-def eg_encode(n: int, k: int = DEFAULT_EG_ORDER) -> str:
-    """Order-k exponential-Golomb code of a non-negative integer, as a
-    bit string.  Code length is 2*m - k + 1 where m is the bit position of
-    the leading one of n + 2**k."""
+def _eg_word(n: int, k: int) -> tuple[int, int]:
+    """Order-k exponential-Golomb code of n as one word (value, length):
+    value is n + 2**k, and the code's leading zeros are implicit in it."""
     if n < 0:
         raise DomainError(f"cam_code: EG input {n} is negative")
     if k < 0:
         raise DomainError(f"cam_code: EG order {k} is negative")
     v = n + (1 << k)
-    m = v.bit_length() - 1
-    return "0" * (m - k) + format(v, f"0{m + 1}b")
+    return v, 2 * v.bit_length() - 1 - k
+
+
+def eg_encode(n: int, k: int = DEFAULT_EG_ORDER) -> str:
+    """Order-k exponential-Golomb code of a non-negative integer, as a
+    bit string.  Code length is 2*m - k + 1 where m is the bit position of
+    the leading one of n + 2**k."""
+    v, length = _eg_word(n, k)
+    return format(v, f"0{length}b")
 
 
 def eg_decode(bits: Bitstream, k: int = DEFAULT_EG_ORDER) -> int:
-    zeros = 0
-    while bits.read_bit() == 0:
-        zeros += 1
-    m = zeros + k
-    v = (1 << m) | bits.read_bits(m)
+    # m - k zeros, then the m + 1 bits of n + 2**k read as one word
+    v = bits.read_bits(bits.read_zero_run() + k + 1)
     return v - (1 << k)
 
 
 def _write_signed(bits: Bitstream, raw: int, k: int):
-    bits.write_string(eg_encode(abs(raw), k))
-    if raw != 0:
-        bits.write_bit(1 if raw < 0 else 0)
+    """EG code of |raw|, then a sign bit (1 = negative) when raw != 0."""
+    v, length = _eg_word(abs(raw), k)
+    if raw:
+        bits.write_bits((v << 1) | (raw < 0), length + 1)
+    else:
+        bits.write_bits(v, length)
 
 
 def _read_signed(bits: Bitstream, k: int) -> int:
@@ -306,8 +350,8 @@ def decode_stream(
 ) -> StreamDecodeResult:
     """Inverse of encode_stream; strict about framing.
 
-    Raises FormatError on a bad magic/version or trailing bytes, and
-    TruncationError when the stream ends mid-record.
+    Raises FormatError on a bad magic/version, a residual no encoder writes
+    or trailing bytes, and TruncationError when the stream ends mid-record.
     """
     if len(data) < 10:
         raise TruncationError("cam_code: stream shorter than its header")
@@ -317,6 +361,9 @@ def decode_stream(
     if version != VERSION:
         raise FormatError(f"cam_code: unsupported version {version}")
 
+    # An encoder's residuals are angle differences of at most pi; a larger
+    # one is corrupt, and one past the float range could not be dequantized.
+    limit = quantize_angle(2.0 * math.pi, frac_bits)
     bits = Bitstream(data[10:])
     history = _History()
     records: list[CamMotionRecord] = []
@@ -328,6 +375,8 @@ def decode_stream(
         start = bits.read_position
         raw_t = _read_signed(bits, k)
         raw_p = _read_signed(bits, k)
+        if abs(raw_t) > limit or abs(raw_p) > limit:
+            raise FormatError(f"cam_code: residual out of range in frame {poc}")
         bits.align_read()
         payload_bits += bits.read_position - start
 

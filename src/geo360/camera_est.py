@@ -266,12 +266,15 @@ def flow_to_pairs(
 def _flow_samples(flow: FlowField, stride: int, min_flow: float, q_init):
     """Pixels with usable flow: positions, unit flow directions, bearings.
 
-    Raises NoFlowInformationError, carrying q_init, when no strided sample
-    moves by at least min_flow pixels.
+    Samples with a non-finite displacement are dropped.  Raises
+    NoFlowInformationError, carrying q_init, when no strided sample moves by
+    at least min_flow pixels.
     """
     u, v, du, dv = _strided_flow(flow, stride)
     mag = np.hypot(du, dv)
-    keep = mag >= min_flow
+    # hypot(inf, dv) is inf, which passes the threshold and then divides
+    # to nan
+    keep = np.isfinite(mag) & (mag >= min_flow)
     if not keep.any():
         raise NoFlowInformationError(
             "camera_est: no flow samples above the magnitude threshold",

@@ -131,7 +131,9 @@ def as_unit_vector(v, tol: float = 1e-9) -> np.ndarray:
     deviations are renormalized so downstream trig stays clean.
     """
     v = np.asarray(v, dtype=np.float64).reshape(3)
-    n = float(np.linalg.norm(v))
+    # np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); calling the parts
+    # directly skips its dispatch and gives the same bits
+    n = math.sqrt(float(v.dot(v)))
     if not math.isfinite(n) or abs(n - 1.0) > tol:
         raise DomainError(f"geometry: vector norm {n!r} is not 1 within {tol}")
     return v / n

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from geo360 import cam_code, geometry
 from geo360.cam_code import Bitstream, CamMotionRecord
-from geo360.errors import DomainError, FormatError, TruncationError
+from geo360.errors import DomainError, FormatError, Geo360Error, TruncationError
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -67,6 +68,129 @@ def test_bitstream_pads_to_bytes():
     raw = bs.to_bytes()
     assert len(raw) == 1
     assert raw[0] == 0b10100000  # MSB first, zero padded
+
+
+def test_write_bits_rejects_value_wider_than_count():
+    bs = Bitstream()
+    for value, count in ((5, 0), (1, 0), (8, 3), (-1, 4)):
+        with pytest.raises(DomainError):
+            bs.write_bits(value, count)
+    assert bs.bit_length == 0
+    bs.write_bits(0, 0)
+    assert bs.bit_length == 0
+
+
+@pytest.mark.parametrize("bad", ["1x2 ", "0_1", " 01", "01\n", "2", "0b1", "\u0661"])
+def test_write_string_accepts_only_0_and_1(bad):
+    bs = Bitstream()
+    with pytest.raises(DomainError):
+        bs.write_string(bad)
+    assert bs.bit_length == 0
+
+
+class BitOracle:
+    """Bit-at-a-time MSB-first buffer: the reference Bitstream must match."""
+
+    def __init__(self, data=b""):
+        self.buf = bytearray(data)
+        self.nbits = 8 * len(self.buf)
+        self.pos = 0
+
+    def write_bit(self, bit):
+        if self.nbits % 8 == 0:
+            self.buf.append(0)
+        if bit:
+            self.buf[-1] |= 0x80 >> (self.nbits % 8)
+        self.nbits += 1
+
+    def write_bits(self, value, count):
+        for shift in range(count - 1, -1, -1):
+            self.write_bit((value >> shift) & 1)
+
+    def write_string(self, bits):
+        for ch in bits:
+            self.write_bit(int(ch))
+
+    def read_bit(self):
+        if self.pos >= self.nbits:
+            raise TruncationError("oracle: read past end")
+        bit = (self.buf[self.pos // 8] >> (7 - self.pos % 8)) & 1
+        self.pos += 1
+        return bit
+
+    def read_bits(self, count):
+        value = 0
+        for _ in range(count):
+            value = (value << 1) | self.read_bit()
+        return value
+
+    def align_read(self):
+        self.pos += (-self.pos) % 8
+
+    @property
+    def read_position(self):
+        return self.pos
+
+    def eg_decode(self, k):
+        zeros = 0
+        while self.read_bit() == 0:
+            zeros += 1
+        m = zeros + k
+        return (1 << m) - (1 << k) + self.read_bits(m)
+
+
+_write_op = st.one_of(
+    st.tuples(st.just("write_bit"), st.integers(0, 1)),
+    st.integers(0, 70).flatmap(
+        lambda n: st.tuples(st.just("write_bits"), st.integers(0, (1 << n) - 1), st.just(n))
+    ),
+    st.tuples(st.just("write_string"), st.text(alphabet="01", max_size=40)),
+)
+_read_op = st.one_of(
+    st.tuples(st.just("read_bit")),
+    st.tuples(st.just("read_bits"), st.integers(0, 70)),
+    st.tuples(st.just("align_read")),
+    st.tuples(st.just("eg"), st.sampled_from([0, 1, 3, 18])),
+)
+
+
+def _apply_reads(stream, reads):
+    """(value, cursor) after each read until the first truncation, which
+    ends the list as "truncated"."""
+    out = []
+    for op, *args in reads:
+        try:
+            if op == "eg":
+                if isinstance(stream, BitOracle):
+                    value = stream.eg_decode(*args)
+                else:
+                    value = cam_code.eg_decode(stream, *args)
+            else:
+                value = getattr(stream, op)(*args)
+        except TruncationError:
+            out.append("truncated")
+            break
+        out.append((value, stream.read_position))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_write_op, max_size=24), st.lists(_read_op, max_size=24))
+def test_bitstream_matches_bit_at_a_time_oracle(writes, reads):
+    bs, oracle = Bitstream(), BitOracle()
+    for op, *args in writes:
+        getattr(bs, op)(*args)
+        getattr(oracle, op)(*args)
+        assert bs.bit_length == oracle.nbits
+    raw = bs.to_bytes()
+    assert raw == bytes(oracle.buf)
+    # reads on the written object itself (partial last byte), then on every
+    # byte prefix of its contents
+    assert _apply_reads(bs, reads) == _apply_reads(oracle, reads)
+    for n in range(len(raw) + 1):
+        assert _apply_reads(Bitstream(raw[:n]), reads) == _apply_reads(
+            BitOracle(raw[:n]), reads
+        )
 
 
 # --- exp-golomb -----------------------------------------------------------------
@@ -281,3 +405,40 @@ def test_decode_rejects_truncated_record():
     enc = cam_code.encode_stream([(0, Z), (1, Z)])
     with pytest.raises(TruncationError):
         cam_code.decode_stream(enc.data[:-3])
+
+
+# --- malformed streams ------------------------------------------------------------
+
+
+def _header(count):
+    return cam_code.MAGIC + struct.pack(">HI", cam_code.VERSION, count)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40), st.binary(max_size=400))
+def test_decode_arbitrary_payload_raises_only_geo360_errors(count, body):
+    try:
+        cam_code.decode_stream(_header(count) + body)
+    except Geo360Error:
+        pass
+
+
+def test_decode_every_truncation_of_a_valid_stream():
+    data = cam_code.encode_stream(random_trajectory(np.random.default_rng(4))).data
+    cam_code.decode_stream(data)
+    for n in range(len(data)):
+        with pytest.raises(TruncationError):
+            cam_code.decode_stream(data[:n])
+
+
+def test_decode_zero_prefix_past_the_end():
+    with pytest.raises(TruncationError):
+        cam_code.decode_stream(_header(1) + b"\x00\x00\x00\x07" + b"\x00" * 12)
+
+
+def test_decode_rejects_residual_beyond_any_encoder():
+    # a 130-byte zero prefix announces a magnitude of over 1000 bits, far
+    # past pi and past the float range
+    body = b"\x00" * 4 + b"\x00" * 130 + b"\xff" * 140
+    with pytest.raises(FormatError):
+        cam_code.decode_stream(_header(1) + body)

@@ -281,6 +281,23 @@ def test_finetune_never_increases_objective(synth_flow):
         assert j1 <= j0 + 1e-15
 
 
+def test_finetune_drops_infinite_flow():
+    cfg = video_io.SynthConfig(width=120, height=60, frames=2, step=0.02, seed=5)
+    flow = video_io.synth_dolly(cfg).flows[0]
+    q_true = np.asarray(cfg.direction, dtype=float)
+    q0 = perturb(q_true, math.radians(3.0), np.random.default_rng(6))
+    ft = FinetuneConfig()
+    clean = camera_est.flow_finetune(q0, flow, ft)
+    du = flow.du.copy()
+    du[::ft.stride, ::ft.stride][7, 15] = np.inf
+    bad = FlowField(du=du, dv=flow.dv)
+    assert math.isfinite(
+        camera_est.flow_alignment_objective(q_true, bad, ft.stride, ft.min_flow)
+    )
+    refined = camera_est.flow_finetune(q0, bad, ft)
+    assert math.degrees(geometry.angle_between(refined, clean)) < 1e-6
+
+
 def test_objective_without_usable_flow_carries_q_init():
     flow = FlowField(du=np.zeros((16, 32)), dv=np.zeros((16, 32)))
     q = np.array([0.0, 0.0, 1.0])

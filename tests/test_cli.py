@@ -318,6 +318,25 @@ def test_camcode_decode_bad_magic(tmp_path, capsys):
     assert "error: cam_code:" in capsys.readouterr().err
 
 
+def test_camcode_decode_truncated_stream(synth_dir, tmp_path, capsys):
+    rc = run(
+        ["camcode", "encode", "--camera", synth_dir / "cam.csv", "--out",
+         tmp_path / "cam.gcmh"]
+    )
+    assert rc == 0
+    data = (tmp_path / "cam.gcmh").read_bytes()
+    (tmp_path / "cut.gcmh").write_bytes(data[:-3])
+    capsys.readouterr()
+    rc = run(
+        ["camcode", "decode", "--input", tmp_path / "cut.gcmh", "--out",
+         tmp_path / "x.csv"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cam_code: ")
+    assert "Traceback" not in err
+
+
 def test_metrics_wspsnr_identical(synth_dir, capsys):
     rc = run(
         [
