@@ -45,6 +45,17 @@ def dequantize_angle(raw: int, frac_bits: int = DEFAULT_FRAC_BITS) -> float:
     return raw / (1 << frac_bits)
 
 
+def _check_params(k: int, frac_bits: int):
+    """Reject codec parameters no stream uses.  Angles are float64, so more
+    than 52 fractional bits add nothing; 2**frac_bits past the float range
+    could not be dequantized at all.  An order above 64 spends more than 64
+    bits on every residual."""
+    if not 0 <= frac_bits <= 52:
+        raise DomainError(f"cam_code: frac_bits {frac_bits} is outside 0..52")
+    if not 0 <= k <= 64:
+        raise DomainError(f"cam_code: EG order {k} is outside 0..64")
+
+
 def wrap_residual(x: float) -> float:
     """Wrap an angle difference into (-pi, pi]."""
     return x - 2.0 * math.pi * math.ceil((x - math.pi) / (2.0 * math.pi))
@@ -270,7 +281,7 @@ class _History:
 
 
 def _direction_angles(q: np.ndarray) -> tuple[float, float]:
-    p = geometry.cart_to_sphere(geometry.as_unit_vector(q))
+    p = geometry.cart_to_sphere(q)
     return p.theta, p.phi
 
 
@@ -312,6 +323,7 @@ def encode_stream(
     payload_bits counts the padded per-record payloads, i.e. the bits the
     container actually spends beyond pocs and the header.
     """
+    _check_params(k, frac_bits)
     pocs = [p for p, _ in motions]
     if len(set(pocs)) != len(pocs):
         raise DomainError("cam_code: duplicate poc in stream input")
@@ -353,6 +365,7 @@ def decode_stream(
     Raises FormatError on a bad magic/version, a residual no encoder writes
     or trailing bytes, and TruncationError when the stream ends mid-record.
     """
+    _check_params(k, frac_bits)
     if len(data) < 10:
         raise TruncationError("cam_code: stream shorter than its header")
     if data[:4] != MAGIC:

@@ -13,7 +13,8 @@ Subcommands:
     metrics opcount   per-block arithmetic cost of a model
 
 All numeric CSV output uses fixed 6-decimal formatting so runs diff cleanly.
-Errors from the library are reported on stderr and turn into exit code 1;
+Errors from the library, and files that cannot be opened or written, are
+reported on stderr as `error: <module>: ...` and turn into exit code 1;
 argparse usage problems keep its conventional exit code 2.
 """
 
@@ -531,8 +532,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (Geo360Error, OSError) as exc:
+    except Geo360Error as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        print(f"error: cli: {exc}", file=sys.stderr)
         return 1
 
 

@@ -377,6 +377,20 @@ def test_stream_input_validation():
         cam_code.encode_stream([(1 << 32, Z)])
 
 
+def test_codec_parameter_range():
+    # the ends of 0..64 (order) and 0..52 (fractional bits) code and decode
+    motions = random_trajectory(np.random.default_rng(5), n=6)
+    for k, frac_bits in ((0, 0), (64, 52)):
+        enc = cam_code.encode_stream(motions, k=k, frac_bits=frac_bits)
+        dec = cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
+        assert dec.records == enc.records
+    for k, frac_bits in ((-1, 24), (65, 24), (18, -1), (18, 53), (18, 2000)):
+        with pytest.raises(DomainError):
+            cam_code.encode_stream(motions, k=k, frac_bits=frac_bits)
+        with pytest.raises(DomainError):
+            cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
+
+
 def test_decode_rejects_short_data():
     with pytest.raises(TruncationError):
         cam_code.decode_stream(b"GCMH\x00\x01")

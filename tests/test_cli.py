@@ -337,6 +337,52 @@ def test_camcode_decode_truncated_stream(synth_dir, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["encode", "decode"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--frac-bits", -1), ("--frac-bits", 53), ("--frac-bits", 2000),
+     ("--eg-order", -1), ("--eg-order", 65)],
+)
+def test_camcode_rejects_codec_parameters(synth_dir, tmp_path, capsys, command, flag, value):
+    if command == "encode":
+        argv = ["camcode", "encode", "--camera", synth_dir / "cam.csv",
+                "--out", tmp_path / "cam.gcmh"]
+    else:
+        assert run(["camcode", "encode", "--camera", synth_dir / "cam.csv",
+                    "--out", tmp_path / "ok.gcmh"]) == 0
+        capsys.readouterr()
+        argv = ["camcode", "decode", "--input", tmp_path / "ok.gcmh",
+                "--out", tmp_path / "x.csv"]
+    rc = run(argv + [flag, value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cam_code: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / ("cam.gcmh" if command == "encode" else "x.csv")).exists()
+
+
+def test_file_errors_name_the_cli(tmp_path, capsys):
+    rc = run(
+        ["synth", "--out", tmp_path / "seq.yuv", "--flow-out",
+         tmp_path / "missing_dir" / "f_%d.flo", "--width", 32, "--height", 16,
+         "--frames", 2]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cli: ")
+    assert "missing_dir" in err and "Traceback" not in err
+
+    (tmp_path / "cam.csv").write_text("frame_index,qx,qy,qz\n1,0,0,1\n")
+    rc = run(
+        ["compare", "--input", tmp_path / "missing.yuv", "--width", 32,
+         "--height", 16, "--camera", tmp_path / "cam.csv"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cli: ")
+    assert "missing.yuv" in err and "Traceback" not in err
+
+
 def test_metrics_wspsnr_identical(synth_dir, capsys):
     rc = run(
         [

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,3 +278,68 @@ def test_synth_flow_feeds_camera_estimation():
     s, s_m = camera_est.flow_to_pairs(out.flows[0], 4, 128, 64)
     est = camera_est.estimate_camera_motion(s, s_m)
     assert math.degrees(geometry.angle_between(est, q_true)) < 0.2
+
+
+# --- synth in row bands -------------------------------------------------------------
+
+
+def _synth_cfg(**kw):
+    base = dict(width=120, height=60, frames=3, step=0.02, seed=4,
+                direction=(0.3, -0.2, 0.9))
+    return SynthConfig(**{**base, **kw})
+
+
+def _synth_digest(result):
+    h = hashlib.sha256()
+    for f in result.frames:
+        h.update(np.ascontiguousarray(f.y).tobytes())
+    for flow in result.flows:
+        h.update(flow.du.tobytes())
+        h.update(flow.dv.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("components", [1, 40])
+@pytest.mark.parametrize("bit_depth", [8, 10])
+@pytest.mark.parametrize("world", ["cylinder", "sphere"])
+def test_synth_output_does_not_depend_on_band_height(monkeypatch, world, bit_depth, components):
+    cfg = _synth_cfg(depth_model=world, bit_depth=bit_depth, texture_components=components)
+    runs = []
+    for budget in (1, 1 << 40):  # one row per band; the whole frame in one band
+        monkeypatch.setattr(video_io, "_BAND_BYTES", budget)
+        runs.append(video_io.synth_dolly(cfg))
+    monkeypatch.undo()
+    runs.append(video_io.synth_dolly(cfg))
+    rows, whole, default = runs
+    for other in (whole, default):
+        for fa, fb in zip(rows.frames, other.frames):
+            assert fa.y.dtype == fb.y.dtype
+            np.testing.assert_array_equal(fa.y, fb.y)
+        for xa, xb in zip(rows.flows, other.flows):
+            np.testing.assert_array_equal(xa.du, xb.du)
+            np.testing.assert_array_equal(xa.dv, xb.dv)
+
+
+@pytest.mark.parametrize("components", [40, 160])
+@pytest.mark.parametrize("world", ["cylinder", "sphere"])
+def test_synth_memory_does_not_grow_with_texture(world, components):
+    # Whole-frame texture terms would peak at 28-128 MB here.
+    cfg = SynthConfig(width=256, height=128, frames=3, step=0.02, depth_model=world,
+                      direction=(0.3, -0.2, 0.9), texture_components=components)
+    tracemalloc.start()
+    try:
+        result = video_io.synth_dolly(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = sum(f.y.nbytes for f in result.frames)
+    kept += sum(flow.du.nbytes + flow.dv.nbytes for flow in result.flows)
+    assert peak - kept < 8e6
+
+
+def test_synth_golden_digest():
+    # frames and flows as rendered before synth worked in row bands
+    result = video_io.synth_dolly(_synth_cfg(depth_model="cylinder", texture_components=40))
+    assert _synth_digest(result) == (
+        "c4fd53c779e66bea06642056ed156fee3fe471c57bececfb508ea5294fa5fbcd"
+    )
