@@ -3,9 +3,12 @@
 Each frame carries one unit vector, coded as spherical angles (theta, phi).
 The coder predicts the direction from already *reconstructed* frames,
 quantizes the angle residuals to fixed point, and writes them as signed
-exponential-Golomb codes.  Because prediction runs on reconstructed values
-on both sides, decoding a stream and re-encoding the decoded directions
-reproduces the original bytes.
+exponential-Golomb codes.  Prediction runs on reconstructed values on both
+sides, so encoder and decoder rebuild the same records at any quantization.
+Re-encoding the decoded directions reproduces the original bytes for 8 to
+40 fractional bits, as long as every direction lies on a pole or at least
+0.01 rad from both, and every azimuth residual stays 0.01 rad short of a
+half turn (README, "Camera codec").
 
 Stream layout (big endian throughout):
 
@@ -182,13 +185,13 @@ def eg_decode(bits: Bitstream, k: int = DEFAULT_EG_ORDER) -> int:
     return v - (1 << k)
 
 
-def _write_signed(bits: Bitstream, raw: int, k: int):
-    """EG code of |raw|, then a sign bit (1 = negative) when raw != 0."""
+def _signed_word(raw: int, k: int) -> tuple[int, int]:
+    """EG code of |raw|, then a sign bit (1 = negative) when raw != 0, as
+    one word (value, length)."""
     v, length = _eg_word(abs(raw), k)
     if raw:
-        bits.write_bits((v << 1) | (raw < 0), length + 1)
-    else:
-        bits.write_bits(v, length)
+        return (v << 1) | (raw < 0), length + 1
+    return v, length
 
 
 def _read_signed(bits: Bitstream, k: int) -> int:
@@ -207,9 +210,7 @@ class CamMotionRecord:
     phi: float
 
     def direction(self) -> np.ndarray:
-        return geometry.sphere_to_cart(
-            geometry.SphericalPoint(theta=self.theta, phi=self.phi)
-        )
+        return geometry._angles_to_cart(self.theta, self.phi)
 
 
 @dataclass(frozen=True)
@@ -280,9 +281,35 @@ class _History:
         return [e for p in self._pocs[max(i - 1, 0) : i + 1] for e in self._at[p]]
 
 
-def _direction_angles(q: np.ndarray) -> tuple[float, float]:
-    p = geometry.cart_to_sphere(q)
-    return p.theta, p.phi
+def _reconstruct(
+    poc: int, theta_hat: float, phi_hat: float, raw_t: int, raw_p: int, frac_bits: int
+) -> CamMotionRecord:
+    """The record a decoder rebuilds from the predicted angles and the two
+    coded residuals."""
+    theta = min(max(theta_hat + dequantize_angle(raw_t, frac_bits), 0.0), math.pi)
+    phi = phi_hat + dequantize_angle(raw_p, frac_bits)
+    # geometry.wrap_angle on a float: math.floor gives the bits of np.floor
+    phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
+    return CamMotionRecord(poc=poc, theta=theta, phi=phi)
+
+
+def _code_record(
+    q: np.ndarray, predicted: np.ndarray, poc: int, k: int, frac_bits: int
+) -> tuple[bytes, CamMotionRecord, int]:
+    """encode_record for frame `poc`: both signed EG codes go out as one
+    word, written with one to_bytes."""
+    theta, phi = geometry._unit_angles(q)
+    theta_hat, phi_hat = geometry._unit_angles(predicted)
+    raw_t = quantize_angle(theta - theta_hat, frac_bits)
+    raw_p = quantize_angle(wrap_residual(phi - phi_hat), frac_bits)
+
+    word, used = _signed_word(raw_t, k)
+    word_p, used_p = _signed_word(raw_p, k)
+    word = (word << used_p) | word_p
+    used += used_p
+    pad = -used % 8
+    payload = (word << pad).to_bytes((used + pad) >> 3, "big")
+    return payload, _reconstruct(poc, theta_hat, phi_hat, raw_t, raw_p, frac_bits), used
 
 
 def encode_record(
@@ -294,22 +321,10 @@ def encode_record(
     """Code one direction against its prediction.
 
     Returns the byte-padded payload, the record rebuilt from the coded
-    residuals (what a decoder will see), and the unpadded bit count.
+    residuals (what a decoder will see, with poc -1), and the unpadded bit
+    count.
     """
-    theta, phi = _direction_angles(q)
-    theta_hat, phi_hat = _direction_angles(predicted)
-    raw_t = quantize_angle(theta - theta_hat, frac_bits)
-    raw_p = quantize_angle(wrap_residual(phi - phi_hat), frac_bits)
-
-    bits = Bitstream()
-    _write_signed(bits, raw_t, k)
-    _write_signed(bits, raw_p, k)
-    used = bits.bit_length
-
-    theta_rec = min(max(theta_hat + dequantize_angle(raw_t, frac_bits), 0.0), math.pi)
-    phi_rec = geometry.wrap_angle(phi_hat + dequantize_angle(raw_p, frac_bits))
-    record = CamMotionRecord(poc=-1, theta=theta_rec, phi=float(phi_rec))
-    return bits.to_bytes(), record, used
+    return _code_record(q, predicted, -1, k, frac_bits)
 
 
 def encode_stream(
@@ -337,8 +352,7 @@ def encode_stream(
     record_bits: list[int] = []
     for poc, q in motions:
         predicted = predict_direction(history.neighbours(poc), poc)
-        payload, rec, _ = encode_record(q, predicted, k, frac_bits)
-        rec = CamMotionRecord(poc=poc, theta=rec.theta, phi=rec.phi)
+        payload, rec, _ = _code_record(q, predicted, poc, k, frac_bits)
         body += struct.pack(">I", poc)
         body += payload
         payload_bits += 8 * len(payload)
@@ -394,14 +408,8 @@ def decode_stream(
         payload_bits += bits.read_position - start
 
         predicted = predict_direction(history.neighbours(poc), poc)
-        theta_hat, phi_hat = _direction_angles(predicted)
-        theta = min(
-            max(theta_hat + dequantize_angle(raw_t, frac_bits), 0.0), math.pi
-        )
-        phi = float(
-            geometry.wrap_angle(phi_hat + dequantize_angle(raw_p, frac_bits))
-        )
-        rec = CamMotionRecord(poc=poc, theta=theta, phi=phi)
+        theta_hat, phi_hat = geometry._unit_angles(predicted)
+        rec = _reconstruct(poc, theta_hat, phi_hat, raw_t, raw_p, frac_bits)
         records.append(rec)
         history.append(poc, rec.direction())
 

@@ -486,21 +486,20 @@ def _cmd_wspsnr(args) -> int:
 def _read_rd_csv(path: str) -> metrics.RDCurve:
     """RD points, one per line: `label,rate,quality` or just `rate,quality`."""
     points = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.strip()
-            if not ln:
-                continue
-            cells = ln.split(",")
-            if len(cells) == 3:
-                cells = cells[1:]
-            if len(cells) != 2:
-                raise Geo360Error(f"cli: malformed RD row {ln!r} in {path}")
-            try:
-                rate, quality = float(cells[0]), float(cells[1])
-            except ValueError:
-                continue  # header row
-            points.append(metrics.RDPoint(rate=rate, quality=quality))
+    for ln in video_io.read_text_lines(path):
+        ln = ln.strip()
+        if not ln:
+            continue
+        cells = ln.split(",")
+        if len(cells) == 3:
+            cells = cells[1:]
+        if len(cells) != 2:
+            raise Geo360Error(f"cli: malformed RD row {ln!r} in {path}")
+        try:
+            rate, quality = float(cells[0]), float(cells[1])
+        except ValueError:
+            continue  # header row
+        points.append(metrics.RDPoint(rate=rate, quality=quality))
     return metrics.RDCurve(points=tuple(points))
 
 

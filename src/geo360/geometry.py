@@ -124,37 +124,61 @@ def sphere_grid_to_erp(theta, phi, width: int, height: int):
     return u, v
 
 
+def _checked_norm(v, tol: float) -> tuple[np.ndarray, float]:
+    """v as a float64 3-vector and its norm, which must be 1 within tol.
+
+    np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); calling the parts
+    directly skips its dispatch and gives the same bits.  The dot stays a
+    numpy dot: x*x + y*y + z*z differs from it in the last bit for about
+    one unit vector in five.
+    """
+    v = np.asarray(v, dtype=np.float64).reshape(3)
+    n = math.sqrt(float(v.dot(v)))
+    if not math.isfinite(n) or abs(n - 1.0) > tol:
+        raise DomainError(f"geometry: vector norm {n!r} is not 1 within {tol}")
+    return v, n
+
+
 def as_unit_vector(v, tol: float = 1e-9) -> np.ndarray:
     """Validate and return v as a float64 unit 3-vector.
 
     Rejects vectors whose norm deviates from 1 by more than tol; small
     deviations are renormalized so downstream trig stays clean.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(3)
-    # np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); calling the parts
-    # directly skips its dispatch and gives the same bits
-    n = math.sqrt(float(v.dot(v)))
-    if not math.isfinite(n) or abs(n - 1.0) > tol:
-        raise DomainError(f"geometry: vector norm {n!r} is not 1 within {tol}")
+    v, n = _checked_norm(v, tol)
     return v / n
 
 
+def _unit_angles(v, tol: float = 1e-9) -> tuple[float, float]:
+    """cart_to_sphere as two floats, without building a SphericalPoint.
+
+    Each component is divided by the norm as a float, which gives the bits
+    of as_unit_vector's array division.
+    """
+    v, n = _checked_norm(v, tol)
+    x, y, z = v.tolist()
+    z = min(1.0, max(-1.0, z / n))
+    theta = math.acos(z)
+    if abs(z) >= 1.0:
+        return theta, 0.0
+    phi = math.atan2(y / n, x / n)
+    if phi >= math.pi:  # atan2 may return +pi exactly
+        phi = -math.pi
+    return theta, phi
+
+
+def _angles_to_cart(theta: float, phi: float) -> np.ndarray:
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
 def sphere_to_cart(p: SphericalPoint) -> np.ndarray:
-    st = math.sin(p.theta)
-    return np.array([st * math.cos(p.phi), st * math.sin(p.phi), math.cos(p.theta)])
+    return _angles_to_cart(p.theta, p.phi)
 
 
 def cart_to_sphere(v, tol: float = 1e-9) -> SphericalPoint:
     """Unit vector -> (theta, phi); phi fixed to 0 at the poles."""
-    v = as_unit_vector(v, tol=tol)
-    z = min(1.0, max(-1.0, float(v[2])))
-    theta = math.acos(z)
-    if abs(z) >= 1.0:
-        phi = 0.0
-    else:
-        phi = math.atan2(float(v[1]), float(v[0]))
-        if phi >= math.pi:  # atan2 may return +pi exactly
-            phi = -math.pi
+    theta, phi = _unit_angles(v, tol)
     return SphericalPoint(theta=theta, phi=phi)
 
 

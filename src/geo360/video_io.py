@@ -165,42 +165,53 @@ def write_camera_csv(path: str, entries: Sequence[tuple[int, np.ndarray]]):
         fh.write("\n".join(lines) + "\n")
 
 
+def read_text_lines(path: str) -> list[str]:
+    """Lines of a UTF-8 text file; undecodable bytes raise FormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"video_io: {path} is not UTF-8 text") from exc
+
+
 def read_camera_csv(path: str) -> list[tuple[int, np.ndarray]]:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """(poc, direction) per row; the directions are the rows of one (N, 3)
+    array."""
+    lines = [ln for ln in map(str.strip, read_text_lines(path)) if ln]
     if not lines or lines[0] != CAMERA_CSV_HEADER:
         raise FormatError(f"video_io: {path} lacks the '{CAMERA_CSV_HEADER}' header")
-    entries = []
+    pocs, rows = [], []
     for ln in lines[1:]:
         parts = ln.split(",")
         if len(parts) != 4:
             raise FormatError(f"video_io: bad camera row {ln!r}")
         try:
-            poc = int(parts[0])
-            q = np.array([float(p) for p in parts[1:]])
+            pocs.append(int(parts[0]))
+            rows.append([float(p) for p in parts[1:]])
         except ValueError as exc:
             raise FormatError(f"video_io: bad camera row {ln!r}") from exc
-        if not np.all(np.isfinite(q)):
-            raise FormatError(f"video_io: non-finite camera row {ln!r}")
-        entries.append((poc, q))
-    return entries
+    q = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(q).all(axis=1)
+    if not finite.all():
+        bad = lines[1 + int(np.argmin(finite))]
+        raise FormatError(f"video_io: non-finite camera row {bad!r}")
+    return list(zip(pocs, q))
 
 
 def read_correspondences(path: str) -> np.ndarray:
     """(N, 4) float array of 'u1 v1 u2 v2' rows; '#' starts a comment."""
     rows = []
-    with open(path) as fh:
-        for ln in fh:
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            parts = ln.split()
-            if len(parts) != 4:
-                raise FormatError(f"video_io: correspondence row {ln!r} is not 4 numbers")
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError as exc:
-                raise FormatError(f"video_io: bad correspondence row {ln!r}") from exc
+    for ln in read_text_lines(path):
+        ln = ln.split("#", 1)[0].strip()
+        if not ln:
+            continue
+        parts = ln.split()
+        if len(parts) != 4:
+            raise FormatError(f"video_io: correspondence row {ln!r} is not 4 numbers")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError as exc:
+            raise FormatError(f"video_io: bad correspondence row {ln!r}") from exc
     if not rows:
         return np.empty((0, 4))
     return np.array(rows)

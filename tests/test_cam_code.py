@@ -1,3 +1,4 @@
+import hashlib
 import math
 import struct
 
@@ -366,6 +367,148 @@ def test_closed_loop_under_coarse_quantization():
     dec = cam_code.decode_stream(enc.data, frac_bits=8)
     for a, b in zip(enc.records, dec.records):
         assert a == b
+
+
+def oracle_motions(n=48):
+    """A seeded walk from +z, coded in a hierarchical poc order.
+
+    Big steps cross both poles, and the coarse steps clamp theta; records 5
+    and 21 sit exactly on the poles.  The order codes pocs out of order and
+    meets two-sided poc ties, and pocs 100 and 102 are antipodal around 101.
+    """
+    rng = np.random.default_rng(0)
+    walk, q = [], Z.copy()
+    for i in range(n):
+        q = q + rng.normal(size=3) * (0.4 if i % 16 < 8 else 0.03)
+        q /= np.linalg.norm(q)
+        walk.append(q)
+    walk[5], walk[21] = Z.copy(), -Z
+    order = []
+    for base in range(0, n, 8):
+        order += [base + d for d in (0, 8, 4, 2, 6, 1, 3, 5, 7)
+                  if base + d < n and base + d not in order]
+    x = np.array([1.0, 0.0, 0.0])
+    return [(p, walk[p]) for p in order] + [(100, x), (102, -x), (101, walk[0])]
+
+
+def decoded_digest(dec):
+    h = hashlib.sha256()
+    for r in dec.records:
+        h.update(struct.pack(">qdd", r.poc, r.theta, r.phi))
+    for p, q in dec.motion:
+        h.update(struct.pack(">q", p) + np.asarray(q, dtype=">f8").tobytes())
+    return h.hexdigest()
+
+
+# sha256 of encode_stream(oracle_motions()).data per (frac_bits, k), and of
+# the decoded records and motion per frac_bits.  They pin every bit of the
+# record path: angles, quantization, EG words, prediction and reconstruction.
+ORACLE_STREAMS = {
+    (0, 0): "7ece4789065edf3ebc9267653500d3b5f469155c591225e867634379d8bedddf",
+    (0, 18): "d956414d4bd6b993ffe0fffb9c9eb41dc9ff1e03a0d5c4249393bae30c4c94c9",
+    (0, 64): "2c16c512d022378d2457338fddd450999ff92af27b16df240265c9bd82ee13f3",
+    (8, 0): "63b56e709af18726b24cdb5e03493807a64bea3b5f5ed8d3aba1442104fdb24a",
+    (8, 18): "6836602f4568c4d2c98da02aa2776183fcfef975e6e5ad338cd8f39e86e8fa01",
+    (8, 64): "cca816356c8e26086f64e52b945744c558c2436154afa892847925231f3baf92",
+    (24, 0): "c35b2ed46414ca06ae79a4d62d1ed026ac6d36aa9e67043b13d429a8d68ea4ea",
+    (24, 18): "9b63f4beba39597691c90d394a1197f02d5d43960f057c8a4be9b964d9c9e602",
+    (24, 64): "1e76ad410b108222c2945e1e1c0c4627431e5c6d7fa2f745c85622ef7b18b4bf",
+    (52, 0): "fbf1e8658a468cadaf04f48afdd987eb133ef55c5441d1c927815dd35fe6ba4d",
+    (52, 18): "545c5c5d9cdc63ce4d086f21571e8bc09eaa5a1198b9a69e4963815ecde7937e",
+    (52, 64): "f07f77dae676ac10c22c915ca582691913f018aa1c8ea7b4e7fafcc5e1ce3a8d",
+}
+ORACLE_DECODED = {
+    0: "bbd43838aee9c720db9b44648b94f58c92a9053e0fc8ddf27b81119c40382478",
+    8: "42092555c48a48dc406d89246811c57c8c92f9bf4776896872701a74d554f074",
+    24: "3fa6bcf46850e6d0e2f59025f93c07a70eaab7d91788492c4a0a9d1f78ca89ec",
+    52: "f97505c19a9baa9df4b51a93ea17b4fa73b99ab795a5ec6318133153916b7da2",
+}
+
+
+@pytest.mark.parametrize("frac_bits, k", sorted(ORACLE_STREAMS))
+def test_streams_match_pinned_digests(frac_bits, k):
+    motions = oracle_motions()
+    enc = cam_code.encode_stream(motions, k=k, frac_bits=frac_bits)
+    assert hashlib.sha256(enc.data).hexdigest() == ORACLE_STREAMS[frac_bits, k]
+    dec = cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
+    assert dec.records == enc.records
+    assert decoded_digest(dec) == ORACLE_DECODED[frac_bits]
+
+
+def test_oracle_covers_the_prediction_branches(monkeypatch):
+    # the averaging branch, the antipodal fallback and the pole clamp
+    seen = []
+    real = cam_code.predict_direction
+
+    def spy(reconstructed, poc):
+        dists = [abs(p - poc) for p, _ in reconstructed]
+        hits = sorted(e for e, d in zip(reconstructed, dists) if d == min(dists))
+        if len(hits) > 1:
+            mean = hits[0][1] + hits[1][1]
+            seen.append("antipodal" if np.linalg.norm(mean) < 2e-6 else "average")
+        return real(reconstructed, poc)
+
+    monkeypatch.setattr(cam_code, "predict_direction", spy)
+    coarse = cam_code.encode_stream(oracle_motions(), frac_bits=0)
+    fine = cam_code.encode_stream(oracle_motions(), frac_bits=24)
+    assert {"average", "antipodal"} <= set(seen)
+    assert any(r.theta in (0.0, math.pi) for r in coarse.records)
+    assert [r.poc for r in fine.records] != sorted(r.poc for r in fine.records)
+
+
+POLE_MARGIN = 0.01
+
+
+def pole_walk(t0, phi0, steps):
+    """Directions near the great circle through both poles at azimuth phi0.
+
+    Each (dt, offset) step moves the angle t along the circle and sets the
+    offset across it, so the walk crosses a pole whenever t passes a
+    multiple of pi.  A direction within POLE_MARGIN of a pole is moved onto
+    it, and one whose azimuth is within POLE_MARGIN of a half turn from the
+    last kept direction (at first +z, azimuth 0) is dropped.
+    """
+    motions, t, last_phi = [], t0, 0.0
+    for dt, offset in steps:
+        t += dt
+        q = np.array([
+            math.sin(t) * math.cos(phi0) - offset * math.sin(phi0),
+            math.sin(t) * math.sin(phi0) + offset * math.cos(phi0),
+            math.cos(t),
+        ])
+        q /= np.linalg.norm(q)
+        theta = math.acos(min(1.0, max(-1.0, q[2])))
+        if min(theta, math.pi - theta) < POLE_MARGIN:
+            q = np.array([0.0, 0.0, math.copysign(1.0, q[2])])
+        phi = geometry.cart_to_sphere(q).phi
+        if abs(cam_code.wrap_residual(phi - last_phi)) > math.pi - POLE_MARGIN:
+            continue
+        last_phi = phi
+        motions.append((len(motions), q))
+    return motions
+
+
+_walk_steps = st.lists(
+    st.tuples(st.floats(-0.3, 0.3), st.floats(-0.3, 0.3)), min_size=1, max_size=48
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.floats(-4.0, 4.0), st.floats(-math.pi, math.pi), _walk_steps,
+    st.integers(8, 40), st.integers(0, 64),
+)
+def test_reencode_reproduces_the_stream(t0, phi0, steps, frac_bits, k):
+    # The README's re-encode contract: frac_bits 8..40, any order, and no
+    # direction or azimuth residual within POLE_MARGIN of a pole or a half
+    # turn.  Outside it a reconstructed angle can land on the other side of
+    # a clamp or a wrap, or a round trip through a unit vector can move it
+    # by more than half a quantization step.
+    motions = pole_walk(t0, phi0, steps)
+    enc = cam_code.encode_stream(motions, k=k, frac_bits=frac_bits)
+    dec = cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
+    assert dec.records == enc.records
+    assert cam_code.encode_stream(dec.motion, k=k, frac_bits=frac_bits).data == enc.data
 
 
 def test_stream_input_validation():

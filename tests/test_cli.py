@@ -383,6 +383,22 @@ def test_file_errors_name_the_cli(tmp_path, capsys):
     assert "missing.yuv" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("reader", ["camcode", "camest", "bdrate"])
+def test_undecodable_text_exits_1(tmp_path, capsys, reader):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"frame_index,qx,qy,qz\n1,0,0,1\xff\n")
+    argv = {
+        "camcode": ["camcode", "encode", "--camera", bad, "--out", tmp_path / "x.bin"],
+        "camest": ["camest", "--pairs", bad, "--width", 64, "--height", 32],
+        "bdrate": ["metrics", "bdrate", "--anchor", bad, "--test", bad],
+    }[reader]
+    rc = run(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+    assert "bad.txt" in err and "Traceback" not in err
+
+
 def test_metrics_wspsnr_identical(synth_dir, capsys):
     rc = run(
         [

@@ -5,10 +5,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from geo360 import camera_est, geometry, video_io
+from geo360 import camera_est, cli, geometry, video_io
 from geo360.camera_est import FlowField
-from geo360.errors import DomainError, FormatError, TruncationError
+from geo360.errors import DomainError, FormatError, Geo360Error, TruncationError
 from geo360.mocomp import ErpFrame
 from geo360.video_io import SequenceSpec, SynthConfig
 
@@ -181,6 +183,9 @@ def test_camera_csv_bad_rows(tmp_path):
     path.write_text("frame_index,qx,qy,qz\n0,0,0,inf\n")
     with pytest.raises(FormatError):
         video_io.read_camera_csv(path)
+    path.write_text("frame_index,qx,qy,qz\n0,0,0,1\n1,0,nan,1\n2,0,0,-inf\n")
+    with pytest.raises(FormatError, match="'1,0,nan,1'"):
+        video_io.read_camera_csv(path)
 
 
 def test_correspondences(tmp_path):
@@ -195,6 +200,48 @@ def test_correspondences(tmp_path):
     bad.write_text("1 2 3\n")
     with pytest.raises(FormatError):
         video_io.read_correspondences(bad)
+
+
+def _text_file(header: str, sep: str):
+    """File contents for a text reader: arbitrary bytes, rows of short and
+    long length with numbers, nan/inf and junk, and such rows with a byte
+    that is not UTF-8."""
+    cell = st.sampled_from(
+        ["0", "1", "-0.5", "1e-3", "nan", "inf", "-inf", "1e999", "", "x", "#", ","]
+    ) | st.text(max_size=5)
+    rows = st.lists(st.lists(cell, max_size=7).map(sep.join), max_size=8)
+    text = rows.map(lambda rs: "\n".join([header] + rs).encode())
+    return st.one_of(
+        st.binary(max_size=200),
+        text,
+        st.tuples(text, st.integers(0, 200)).map(
+            lambda a: a[0][: a[1]] + b"\xff" + a[0][a[1] :]
+        ),
+    )
+
+
+_READERS = {
+    "camera_csv": (video_io.read_camera_csv, _text_file(video_io.CAMERA_CSV_HEADER, ",")),
+    "correspondences": (video_io.read_correspondences, _text_file("# u1 v1 u2 v2", " ")),
+    "rd_csv": (cli._read_rd_csv, _text_file("label,rate,quality", ",")),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(_READERS))
+def test_text_readers_raise_only_geo360_or_os_errors(reader, tmp_path_factory):
+    read, contents = _READERS[reader]
+    path = tmp_path_factory.mktemp(reader) / "input.txt"
+
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(contents)
+    def fuzz(data):
+        path.write_bytes(data)
+        try:
+            read(str(path))
+        except (Geo360Error, OSError):
+            pass
+
+    fuzz()
 
 
 # --- synthetic sequences ------------------------------------------------------------
