@@ -16,7 +16,7 @@ from .errors import (
     NoMotionError,
     TruncationError,
 )
-from .geometry import ErpCoord, SphericalPoint
+from .geometry import SphericalPoint
 from .motion_model import (
     BlockSpec,
     GeodesicModelConfig,
@@ -40,7 +40,6 @@ __all__ = [
     "CamMotionRecord",
     "DegenerateGeometryError",
     "DomainError",
-    "ErpCoord",
     "ErpFrame",
     "EssentialMatrix",
     "FinetuneConfig",

@@ -288,15 +288,24 @@ def _flow_samples(flow: FlowField, stride: int, min_flow: float, q_init):
 # Finite-difference arc used to project the geodesic tangent onto the raster.
 _FD_STEP = 1e-3
 
+# Candidate directions times flow samples scored in one batched pass: the
+# pass's temporaries are a few arrays of this many 3-vectors.
+_BATCH_SAMPLES = 1 << 13
 
-def _direction_field(q: np.ndarray, u, v, bearings, width: int, height: int):
+
+def _direction_field(qs, u, v, bearings, width: int, height: int):
     """Unit ERP directions of geodesics through the samples, oriented away
-    from the epipole q."""
-    rot = geometry.rotation_to_epipole(q)
-    local = bearings @ rot.T
-    z = np.clip(local[:, 2], -1.0, 1.0)
+    from each epipole of qs: shape (len(qs), N, 2).
+
+    Every candidate runs the same per-sample arithmetic, and each matrix
+    product is one (N, 3) @ (3, 3) product of the stack, so a candidate's
+    field has the bits it has when it is computed alone.
+    """
+    rot = np.stack([geometry.rotation_to_epipole(q) for q in qs])
+    local = bearings @ rot.transpose(0, 2, 1)
+    z = np.clip(local[..., 2], -1.0, 1.0)
     theta = np.arccos(z)
-    phi = np.arctan2(local[:, 1], local[:, 0])
+    phi = np.arctan2(local[..., 1], local[..., 0])
     # Step along the meridian away from whichever pole is nearer, then flip
     # the resulting raster vector when the step ran toward the epipole.
     sign = np.where(theta <= np.pi / 2.0, 1.0, -1.0)
@@ -311,7 +320,7 @@ def _direction_field(q: np.ndarray, u, v, bearings, width: int, height: int):
     dv *= sign
     mag = np.hypot(du, dv)
     mag = np.where(mag == 0.0, 1.0, mag)
-    return np.stack([du / mag, dv / mag], axis=1)
+    return np.stack([du / mag, dv / mag], axis=-1)
 
 
 def flow_alignment_objective(
@@ -323,13 +332,22 @@ def flow_alignment_objective(
     """Mean angle (radians) between observed flow and the dolly field of q."""
     q = geometry.as_unit_vector(q)
     u, v, dirs, bearings = _flow_samples(flow, stride, min_flow, q)
-    return _objective_on_samples(q, u, v, dirs, bearings, flow.width, flow.height)
+    return _objectives([q], u, v, dirs, bearings, flow.width, flow.height)[0]
 
 
-def _objective_on_samples(q, u, v, dirs, bearings, width, height) -> float:
-    field = _direction_field(q, u, v, bearings, width, height)
-    dots = np.clip((dirs * field).sum(axis=1), -1.0, 1.0)
-    return float(np.arccos(dots).mean())
+def _objectives(qs, u, v, dirs, bearings, width, height) -> list[float]:
+    """flow_alignment_objective of every direction of qs on the same samples.
+
+    Directions are scored in batches of about _BATCH_SAMPLES direction
+    samples, so a batch's temporaries keep one size whatever the flow size.
+    """
+    step = max(1, _BATCH_SAMPLES // len(u))
+    scores = []
+    for i in range(0, len(qs), step):
+        field = _direction_field(qs[i:i + step], u, v, bearings, width, height)
+        dots = np.clip((dirs * field).sum(axis=-1), -1.0, 1.0)
+        scores += np.arccos(dots).mean(axis=-1).tolist()
+    return scores
 
 
 def flow_finetune(
@@ -349,12 +367,13 @@ def flow_finetune(
     width, height = flow.width, flow.height
 
     best_q = q
-    best_j = _objective_on_samples(q, u, v, dirs, bearings, width, height)
+    (best_j,) = _objectives([q], u, v, dirs, bearings, width, height)
     radius = cfg.grid_radius
     offsets = np.linspace(-1.0, 1.0, cfg.grid_size)
     for _ in range(cfg.levels):
         e1, e2 = geometry.tangent_basis(best_q)
         center = best_q
+        cands = []
         for a in offsets * radius:
             for b in offsets * radius:
                 r_off = np.hypot(a, b)
@@ -362,12 +381,13 @@ def flow_finetune(
                     continue
                 axis = (a * e1 + b * e2) / r_off
                 cand = center * np.cos(r_off) + axis * np.sin(r_off)
-                cand = geometry.as_unit_vector(cand)
-                j = _objective_on_samples(
-                    cand, u, v, dirs, bearings, width, height
-                )
-                if j < best_j:
-                    best_j = j
-                    best_q = cand
+                cands.append(geometry.as_unit_vector(cand))
+        # The level is scored in batches; the winner is taken in grid order
+        # with strict <, as a one-by-one scan would.
+        scores = _objectives(cands, u, v, dirs, bearings, width, height)
+        for cand, j in zip(cands, scores):
+            if j < best_j:
+                best_j = j
+                best_q = cand
         radius /= 2.0
     return best_q

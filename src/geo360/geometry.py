@@ -26,7 +26,6 @@ variants take numpy arrays and are what the per-pixel pipelines use.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,59 +56,9 @@ class SphericalPoint:
             raise DomainError(f"geometry: phi {self.phi!r} outside [-pi, pi)")
 
 
-@dataclass(frozen=True)
-class ErpCoord:
-    """Continuous ERP coordinate tied to a frame geometry.
-
-    Width/height are sample counts.  True ERP has width == 2 * height; other
-    aspect ratios are accepted with a warning so partial panoramas still work.
-    """
-
-    u: float
-    v: float
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if self.width < 2 or self.height < 1:
-            raise DomainError(
-                f"geometry: ERP raster {self.width}x{self.height} too small"
-            )
-        if self.width != 2 * self.height:
-            warnings.warn(
-                f"geometry: {self.width}x{self.height} is not a 2:1 ERP raster",
-                stacklevel=3,
-            )
-
-
-def erp_to_sphere(c: ErpCoord) -> SphericalPoint:
-    """Map an ERP coordinate to its direction on the sphere.
-
-    Raises DomainError when (u, v) lies outside [0, width) x [0, height).
-    """
-    if not (0.0 <= c.u < c.width) or not (0.0 <= c.v < c.height):
-        raise DomainError(
-            f"geometry: ERP coordinate ({c.u}, {c.v}) outside "
-            f"[0, {c.width}) x [0, {c.height})"
-        )
-    phi = TWO_PI * (c.u + 0.5) / c.width - math.pi
-    theta = math.pi * (c.v + 0.5) / c.height
-    # u < width keeps phi < pi only up to rounding; wrap the boundary case.
-    if phi >= math.pi:
-        phi = -math.pi
-    return SphericalPoint(theta=theta, phi=phi)
-
-
-def sphere_to_erp(p: SphericalPoint, width: int, height: int) -> ErpCoord:
-    """Inverse of erp_to_sphere for the same raster."""
-    phi = wrap_angle(p.phi)
-    u = (phi + math.pi) * width / TWO_PI - 0.5
-    v = p.theta * height / math.pi - 0.5
-    return ErpCoord(u=float(u), v=float(v), width=width, height=height)
-
-
 def erp_grid_to_sphere(u, v, width: int, height: int):
-    """Vectorized erp_to_sphere on coordinate arrays; returns (theta, phi)."""
+    """ERP coordinates -> angles on arrays: theta from v, phi from u;
+    returns (theta, phi)."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     phi = TWO_PI * (u + 0.5) / width - math.pi
@@ -117,7 +66,8 @@ def erp_grid_to_sphere(u, v, width: int, height: int):
     return theta, phi
 
 def sphere_grid_to_erp(theta, phi, width: int, height: int):
-    """Vectorized sphere_to_erp; returns continuous (u, v) arrays."""
+    """Angles -> continuous ERP coordinates on arrays, phi wrapped first;
+    returns (u, v)."""
     phi = wrap_angle(np.asarray(phi, dtype=np.float64))
     u = (phi + math.pi) * width / TWO_PI - 0.5
     v = np.asarray(theta, dtype=np.float64) * height / math.pi - 0.5
@@ -183,11 +133,16 @@ def cart_to_sphere(v, tol: float = 1e-9) -> SphericalPoint:
 
 
 def sphere_grid_to_cart(theta, phi) -> np.ndarray:
-    """Angles -> stacked unit vectors, shape (..., 3)."""
+    """Angles -> stacked unit vectors, shape (..., 3); theta and phi
+    broadcast, and the trig runs at their own shapes."""
     theta = np.asarray(theta, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    xyz = np.empty(np.broadcast_shapes(theta.shape, phi.shape) + (3,))
+    np.multiply(st, np.cos(phi), out=xyz[..., 0])
+    np.multiply(st, np.sin(phi), out=xyz[..., 1])
+    xyz[..., 2] = np.cos(theta)
+    return xyz
 
 
 def cart_grid_to_sphere(xyz):
@@ -218,9 +173,11 @@ def rotation_to_epipole(q) -> np.ndarray:
     (a documented tie-break, any axis in the xy-plane would do).
     """
     q = as_unit_vector(q)
-    axis = np.cross(q, _Z_AXIS)
-    s = float(np.linalg.norm(axis))  # sin of the rotation angle
-    c = float(q[2])                  # cos of the rotation angle
+    x, y, c = q.tolist()  # c is the cos of the rotation angle
+    # np.cross(q, +z) term for term, signed zeros included, without its
+    # dispatch; s is np.linalg.norm(axis), the sin of the rotation angle.
+    axis = np.array([y * 1.0 - c * 0.0, c * 0.0 - x * 1.0, x * 0.0 - y * 0.0])
+    s = math.sqrt(float(axis.dot(axis)))
     if s < 1e-15:
         if c > 0.0:
             return np.eye(3)

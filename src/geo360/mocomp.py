@@ -130,26 +130,35 @@ class _PlaneSampler:
     """
 
     def __init__(self, x, y, width: int, height: int):
-        x, y = _snapped(x), _snapped(y)
+        x, x0 = _snapped(x)
+        y, y0 = _snapped(y)
         self.shape = np.broadcast_shapes(x.shape, y.shape)
         # np.mod is the identity on [0, width), so only the rest goes through it.
         # It returns width only for x within half an ulp below a multiple of
         # width, which snapping already moved onto it: every floor is a column.
-        outside = (x < 0.0) | (x >= width)
-        x[outside] = np.mod(x[outside], width)
+        if not (0.0 <= x.min() and x.max() < width):
+            outside = (x < 0.0) | (x >= width)
+            x[outside] = np.mod(x[outside], width)
         np.clip(y, 0.0, float(height - 1), out=y)
-        x0, y0 = np.floor(x), np.floor(y)
+        np.floor(x, out=x0)
+        np.floor(y, out=y0)
         fx, fy = np.subtract(x, x0, out=x), np.subtract(y, y0, out=y)
 
         c0 = x0.astype(np.intp)
-        cols = [(c0, 1.0 - fx)]
+        cols = [(c0, np.subtract(1.0, fx, out=x0))]
         if fx.any():
-            cols.append((np.where(c0 == width - 1, 0, c0 + 1), fx))
+            # In place on a copy: c0 + 1 is a scalar for 0-d coordinates.
+            c1 = c0.copy()
+            c1 += 1
+            c1[c1 == width] = 0
+            cols.append((c1, fx))
         r0 = y0.astype(np.intp)
         r0 *= width
-        rows = [(r0, 1.0 - fy)]
+        rows = [(r0, np.subtract(1.0, fy, out=y0))]
         if fy.any():
-            rows.append((np.minimum(r0 + width, (height - 1) * width), fy))
+            r1 = r0.copy()
+            r1 += width
+            rows.append((np.minimum(r1, (height - 1) * width, out=r1), fy))
         # Flat indices and weights of taps (y0, x0), (y0, x1), (y1, x0), (y1, x1).
         taps = [(r, c, wy, wx) for r, wy in rows for c, wx in cols]
         self.taps = np.empty((len(taps),) + self.shape, dtype=np.intp)
@@ -168,25 +177,15 @@ class _PlaneSampler:
         return out
 
 
-def _snapped(v) -> np.ndarray:
+def _snapped(v) -> tuple[np.ndarray, np.ndarray]:
     """v as a writable float64 array (v itself if it is one), values within
-    SNAP_EPS of an integer moved onto it."""
+    SNAP_EPS of an integer moved onto it, and a spare array of its shape."""
     v = np.require(v, np.float64, "W")
-    r = np.rint(v)
-    np.copyto(v, r, where=np.abs(v - r) < SNAP_EPS)
-    return v
-
-
-def sample_bilinear(frame: ErpFrame, x, y):
-    """Bilinear luma sample at continuous ERP coordinates (x, y)."""
-    sampler = _PlaneSampler(
-        np.array(x, dtype=np.float64), np.array(y, dtype=np.float64),
-        frame.width, frame.height,
-    )
-    out = sampler.sample(frame.y.astype(np.float64))
-    if out.ndim == 0:
-        return float(out)
-    return out
+    r, d = np.empty_like(v), np.empty_like(v)  # arrays even when v is 0-d
+    np.rint(v, out=r)
+    np.abs(np.subtract(v, r, out=d), out=d)
+    np.copyto(v, r, where=d < SNAP_EPS)
+    return v, r
 
 
 def _check_pair(ref: ErpFrame, cur: ErpFrame):

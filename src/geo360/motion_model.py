@@ -35,7 +35,6 @@ import numpy as np
 
 from . import geometry
 from .errors import DegenerateGeometryError, DomainError, NoMotionError
-from .geometry import SphericalPoint
 
 # Pixels mapped closer to a pole than this are clamped and flagged.
 POLE_EPS = 1e-6
@@ -124,13 +123,17 @@ def k_factor(theta_c: float, t_u: float, delta: float) -> GeodesicKFactor:
     """
     if t_u == 0.0:
         raise NoMotionError("motion_model: k factor undefined for t_u = 0")
+    return GeodesicKFactor(k=_k_ratio(theta_c, t_u, delta), reverse=t_u < 0.0)
+
+
+def _k_ratio(theta_c: float, t_u: float, delta: float) -> float:
+    """k of k_factor as a float, for a non-zero t_u."""
     shift = delta * t_u
     if abs(shift) >= math.pi:
         raise DomainError(
             f"motion_model: |delta*t_u| = {abs(shift)!r} must be < pi"
         )
-    k = math.sin(theta_c + shift) / math.sin(shift)
-    return GeodesicKFactor(k=k, reverse=t_u < 0.0)
+    return math.sin(theta_c + shift) / math.sin(shift)
 
 
 def ged_orig_theta(theta, kf: GeodesicKFactor):
@@ -149,28 +152,6 @@ def ged_orig_theta(theta, kf: GeodesicKFactor):
 def clamp_theta(theta):
     """Keep a polar angle strictly inside (0, pi) for cot/ratio forms."""
     return np.clip(theta, POLE_EPS, math.pi - POLE_EPS)
-
-
-def ged_orig_map(
-    s: SphericalPoint,
-    theta_c: float,
-    t: MotionVector2D,
-    cfg: GeodesicModelConfig,
-) -> SphericalPoint:
-    """Move one spherical point by t under the constant-depth model.
-
-    t_u = 0 is the identity in theta (the k factor is singular there).
-    The output theta is clamped to [POLE_EPS, pi - POLE_EPS].
-    """
-    if cfg.variant != "original":
-        raise DomainError(f"motion_model: config variant {cfg.variant!r} is not 'original'")
-    if t.t_u == 0.0:
-        theta_m = s.theta
-    else:
-        kf = k_factor(theta_c, t.t_u, cfg.delta)
-        theta_m = s.theta + ged_orig_theta(s.theta, kf)
-    phi_m = geometry.wrap_angle(s.phi + cfg.delta * t.t_v)
-    return SphericalPoint(theta=float(clamp_theta(theta_m)), phi=float(phi_m))
 
 
 def delta_z(delta: float) -> float:
@@ -208,33 +189,6 @@ def ged_gc_theta(theta, t_u: float, dz: float, r: float):
     return np.arctan2(1.0, cot - dz * t_u / r)
 
 
-def ged_gc_map(
-    s: SphericalPoint,
-    theta_c: float,
-    t: MotionVector2D,
-    cfg: GeodesicModelConfig,
-) -> SphericalPoint:
-    """Move one spherical point by t under the geometry-corrected model."""
-    if cfg.variant != "gc":
-        raise DomainError(f"motion_model: config variant {cfg.variant!r} is not 'gc'")
-    r = cyl_radius(cfg.scaling, theta_c)
-    theta_m = ged_gc_theta(s.theta, t.t_u, delta_z(cfg.delta), r)
-    phi_m = geometry.wrap_angle(s.phi + cfg.delta * t.t_v)
-    return SphericalPoint(theta=float(clamp_theta(theta_m)), phi=float(phi_m))
-
-
-def map_point(
-    s: SphericalPoint,
-    theta_c: float,
-    t: MotionVector2D,
-    cfg: GeodesicModelConfig,
-) -> SphericalPoint:
-    """Variant dispatch for single points; blocks use map_block_geometry_batch."""
-    if cfg.variant == "original":
-        return ged_orig_map(s, theta_c, t, cfg)
-    return ged_gc_map(s, theta_c, t, cfg)
-
-
 # ---------------------------------------------------------------------------
 # Per-block pixel mapping
 
@@ -267,10 +221,11 @@ def prepare_block_geometry(
         )
     rot = geometry.rotation_to_epipole(q)
 
+    # Pixel rows share a polar angle and columns an azimuth: the angles and
+    # their trig are computed per row and per column.
     u = block.x0 + np.arange(block.width, dtype=np.float64)
-    v = block.y0 + np.arange(block.height, dtype=np.float64)
-    uu, vv = np.meshgrid(u, v)
-    theta, phi = geometry.erp_grid_to_sphere(uu, vv, width, height)
+    v = block.y0 + np.arange(block.height, dtype=np.float64)[:, None]
+    theta, phi = geometry.erp_grid_to_sphere(u, v, width, height)
     xyz = geometry.sphere_grid_to_cart(theta, phi) @ rot.T
     theta_r, phi_r = geometry.cart_grid_to_sphere(xyz)
 
@@ -302,14 +257,13 @@ def _model_theta(
         r = cyl_radius(cfg.scaling, geom.theta_c)
         return ged_gc_theta(theta, t_u[:, None, None], delta_z(cfg.delta), r)
     # ged_orig_theta for every t_u at once; t_u = 0 is the identity.
-    k = np.zeros(len(t_u))
-    reverse = np.zeros(len(t_u), dtype=bool)
-    for i, tu in enumerate(t_u):
-        if tu != 0.0:
-            kf = k_factor(geom.theta_c, float(tu), cfg.delta)
-            k[i], reverse[i] = kf.k, kf.reverse
-    theta_m = np.arctan2(np.sin(theta), k[:, None, None] - np.cos(theta))
-    theta_m[reverse] -= math.pi
+    k = np.array([
+        _k_ratio(geom.theta_c, tu, cfg.delta) if tu != 0.0 else 0.0
+        for tu in t_u.tolist()
+    ])
+    theta_m = np.subtract(k[:, None, None], np.cos(theta))
+    np.arctan2(np.sin(theta), theta_m, out=theta_m)
+    theta_m[t_u < 0.0] -= math.pi
     theta_m += theta
     theta_m[t_u == 0.0] = theta
     return theta_m
@@ -327,8 +281,10 @@ def map_block_geometry_batch(
     clamped flags pixels whose polar angle was pole-clamped on the way.
     The polar law only depends on t_u and the azimuth shift only on t_v, so
     the trig passes stay at (nu, h, w) and (nv, h, w), and so do the
-    rot[2, k] * cos(theta') terms of the rotation back.  The rotation back
-    and arccos/arctan2 write into a few reused full-size buffers.
+    rot[2, k] * cos(theta') terms of the rotation back.  The rotation back,
+    arccos/arctan2 and sphere_grid_to_erp's arithmetic run in place in five
+    full-size buffers, with the operations and their order of the plain
+    formulas, so the result has the same bits.
     """
     t_u_values = np.asarray(t_u_values, dtype=np.float64)
     t_v_values = np.asarray(t_v_values, dtype=np.float64)
@@ -341,9 +297,9 @@ def map_block_geometry_batch(
     phi_m = geom.phi + cfg.delta * t_v_values[:, None, None]
 
     sin_t = np.sin(theta_m)[:, None, :, :]
-    cos_t = np.cos(theta_m)[:, None, :, :]
+    cos_t = np.cos(theta_m, out=theta_m)[:, None, :, :]
     cos_p = np.cos(phi_m)
-    sin_p = np.sin(phi_m)
+    sin_p = np.sin(phi_m, out=phi_m)
 
     # Rotate back to the world frame, world = R^T @ s', as
     # w_k = rot[0, k] * x + rot[1, k] * y + rot[2, k] * cos(theta').
@@ -351,22 +307,36 @@ def map_block_geometry_batch(
     x = sin_t * cos_p
     y = sin_t * sin_p
     tmp = np.empty_like(x)
+    z_term = np.empty_like(sin_t)
 
-    def world(k, out):
+    def world(k, out, scratch):
         np.multiply(rot[0, k], x, out=out)
-        out += np.multiply(rot[1, k], y, out=tmp)
-        out += rot[2, k] * cos_t
+        out += np.multiply(rot[1, k], y, out=scratch)
+        out += np.multiply(rot[2, k], cos_t, out=z_term)
         return out
 
-    wz = world(2, np.empty_like(x))
+    wz = world(2, np.empty_like(x), tmp)
     theta_w = np.arccos(np.clip(wz, -1.0, 1.0, out=wz), out=wz)
-    wx = world(0, np.empty_like(x))
-    wy = world(1, x)  # x is read before it is overwritten, and not needed after
+    wx = world(0, np.empty_like(x), tmp)
+    # x and y are read before they are overwritten, and not needed after.
+    wy = world(1, x, y)
     phi_w = np.arctan2(wy, wx, out=tmp)
-    np.copyto(phi_w, -math.pi, where=phi_w >= math.pi)
-    src_u, src_v = geometry.sphere_grid_to_erp(
-        theta_w, phi_w, geom.frame_width, geom.frame_height
-    )
+
+    # geometry.sphere_grid_to_erp in place.  arctan2 lies in [-pi, pi], so
+    # wrap_angle's turn count floor((phi + pi) / 2pi) is 0 everywhere unless
+    # some phi is pi, or within an ulp below it, where phi + pi rounds up to
+    # 2pi.  Only then are the pi -> -pi rule and the wrap applied.
+    shifted = np.add(phi_w, math.pi, out=wx)
+    lo, hi = shifted.min(), shifted.max()
+    if not (np.floor(lo / geometry.TWO_PI) == 0 == np.floor(hi / geometry.TWO_PI)):
+        np.copyto(phi_w, -math.pi, where=phi_w >= math.pi)
+        np.add(geometry.wrap_angle(phi_w), math.pi, out=shifted)
+    src_u = np.multiply(shifted, geom.frame_width, out=shifted)
+    src_u /= geometry.TWO_PI
+    src_u -= 0.5
+    src_v = np.multiply(theta_w, geom.frame_height, out=theta_w)
+    src_v /= math.pi
+    src_v -= 0.5
     clamped = clamped_out[:, None, :, :] | geom.clamped_in[None, None, :, :]
     clamped = np.broadcast_to(clamped, (nu, nv, h, w))
     return src_u, src_v, clamped

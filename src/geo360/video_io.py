@@ -136,11 +136,21 @@ def read_flo(path: str) -> FlowField:
             raise FormatError(f"video_io: {path} has bad .flo magic {magic!r}")
         if width < 1 or height < 1:
             raise FormatError(f"video_io: {path} has bad size {width}x{height}")
-        body = fh.read(width * height * 8)
-        if len(body) < width * height * 8:
+        # Checked against the file before reading, so a forged header never
+        # asks for more memory than the file holds.
+        size = width * height * 8
+        if size > os.fstat(fh.fileno()).st_size - len(head):
+            raise TruncationError(
+                f"video_io: {path} declares {width}x{height} flow, more than it holds"
+            )
+        body = fh.read(size)
+        if len(body) < size:
             raise TruncationError(f"video_io: {path} truncated mid-plane")
     data = np.frombuffer(body, dtype="<f4").reshape(height, width, 2)
-    du, dv = data[:, :, 0].astype(np.float64), data[:, :, 1].astype(np.float64)
+    # A signalling nan in the file sets the invalid flag when widened; it
+    # reads as nan like any other.
+    with np.errstate(invalid="ignore"):
+        du, dv = data[:, :, 0].astype(np.float64), data[:, :, 1].astype(np.float64)
     unknown = (np.abs(du) > FLO_UNKNOWN) | (np.abs(dv) > FLO_UNKNOWN)
     du[unknown] = dv[unknown] = np.nan
     return FlowField(du=du, dv=dv)

@@ -1,0 +1,141 @@
+"""Scalar reference versions of vectorized package paths, for tests only.
+
+Each function maps one point (or one coordinate) with plain floats, so the
+array code in geo360 can be checked against a formula that is easy to read.
+None of them is called by the package itself.
+"""
+
+from __future__ import annotations
+
+import math
+import warnings
+from dataclasses import dataclass
+
+import numpy as np
+
+from geo360 import geometry
+from geo360.errors import DomainError
+from geo360.geometry import TWO_PI, SphericalPoint
+from geo360.mocomp import ErpFrame, _PlaneSampler
+from geo360.motion_model import (
+    GeodesicModelConfig,
+    MotionVector2D,
+    clamp_theta,
+    cyl_radius,
+    delta_z,
+    ged_gc_theta,
+    ged_orig_theta,
+    k_factor,
+)
+
+
+@dataclass(frozen=True)
+class ErpCoord:
+    """Continuous ERP coordinate tied to a frame geometry.
+
+    Width/height are sample counts.  True ERP has width == 2 * height; other
+    aspect ratios are accepted with a warning so partial panoramas still work.
+    """
+
+    u: float
+    v: float
+    width: int
+    height: int
+
+    def __post_init__(self):
+        if self.width < 2 or self.height < 1:
+            raise DomainError(
+                f"geometry: ERP raster {self.width}x{self.height} too small"
+            )
+        if self.width != 2 * self.height:
+            warnings.warn(
+                f"geometry: {self.width}x{self.height} is not a 2:1 ERP raster",
+                stacklevel=3,
+            )
+
+
+def erp_to_sphere(c: ErpCoord) -> SphericalPoint:
+    """Map an ERP coordinate to its direction on the sphere.
+
+    Raises DomainError when (u, v) lies outside [0, width) x [0, height).
+    """
+    if not (0.0 <= c.u < c.width) or not (0.0 <= c.v < c.height):
+        raise DomainError(
+            f"geometry: ERP coordinate ({c.u}, {c.v}) outside "
+            f"[0, {c.width}) x [0, {c.height})"
+        )
+    phi = TWO_PI * (c.u + 0.5) / c.width - math.pi
+    theta = math.pi * (c.v + 0.5) / c.height
+    # u < width keeps phi < pi only up to rounding; wrap the boundary case.
+    if phi >= math.pi:
+        phi = -math.pi
+    return SphericalPoint(theta=theta, phi=phi)
+
+
+def sphere_to_erp(p: SphericalPoint, width: int, height: int) -> ErpCoord:
+    """Inverse of erp_to_sphere for the same raster."""
+    phi = geometry.wrap_angle(p.phi)
+    u = (phi + math.pi) * width / TWO_PI - 0.5
+    v = p.theta * height / math.pi - 0.5
+    return ErpCoord(u=float(u), v=float(v), width=width, height=height)
+
+
+def ged_orig_map(
+    s: SphericalPoint,
+    theta_c: float,
+    t: MotionVector2D,
+    cfg: GeodesicModelConfig,
+) -> SphericalPoint:
+    """Move one spherical point by t under the constant-depth model.
+
+    t_u = 0 is the identity in theta (the k factor is singular there).
+    The output theta is clamped to [POLE_EPS, pi - POLE_EPS].
+    """
+    if cfg.variant != "original":
+        raise DomainError(f"motion_model: config variant {cfg.variant!r} is not 'original'")
+    if t.t_u == 0.0:
+        theta_m = s.theta
+    else:
+        kf = k_factor(theta_c, t.t_u, cfg.delta)
+        theta_m = s.theta + ged_orig_theta(s.theta, kf)
+    phi_m = geometry.wrap_angle(s.phi + cfg.delta * t.t_v)
+    return SphericalPoint(theta=float(clamp_theta(theta_m)), phi=float(phi_m))
+
+
+def ged_gc_map(
+    s: SphericalPoint,
+    theta_c: float,
+    t: MotionVector2D,
+    cfg: GeodesicModelConfig,
+) -> SphericalPoint:
+    """Move one spherical point by t under the geometry-corrected model."""
+    if cfg.variant != "gc":
+        raise DomainError(f"motion_model: config variant {cfg.variant!r} is not 'gc'")
+    r = cyl_radius(cfg.scaling, theta_c)
+    theta_m = ged_gc_theta(s.theta, t.t_u, delta_z(cfg.delta), r)
+    phi_m = geometry.wrap_angle(s.phi + cfg.delta * t.t_v)
+    return SphericalPoint(theta=float(clamp_theta(theta_m)), phi=float(phi_m))
+
+
+def map_point(
+    s: SphericalPoint,
+    theta_c: float,
+    t: MotionVector2D,
+    cfg: GeodesicModelConfig,
+) -> SphericalPoint:
+    """Variant dispatch for single points; blocks use map_block_geometry_batch."""
+    if cfg.variant == "original":
+        return ged_orig_map(s, theta_c, t, cfg)
+    return ged_gc_map(s, theta_c, t, cfg)
+
+
+def sample_bilinear(frame: ErpFrame, x, y):
+    """Bilinear luma sample at continuous ERP coordinates (x, y)."""
+    sampler = _PlaneSampler(
+        np.array(x, dtype=np.float64), np.array(y, dtype=np.float64),
+        frame.width, frame.height,
+    )
+    out = sampler.sample(frame.y.astype(np.float64))
+    if out.ndim == 0:
+        return float(out)
+    return out

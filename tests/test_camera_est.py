@@ -281,6 +281,92 @@ def test_finetune_never_increases_objective(synth_flow):
         assert j1 <= j0 + 1e-15
 
 
+def reference_objective(q, u, v, dirs, bearings, width, height):
+    """The flow objective of one direction, one sample array at a time."""
+    rot = geometry.rotation_to_epipole(q)
+    local = bearings @ rot.T
+    z = np.clip(local[:, 2], -1.0, 1.0)
+    theta = np.arccos(z)
+    phi = np.arctan2(local[:, 1], local[:, 0])
+    sign = np.where(theta <= np.pi / 2.0, 1.0, -1.0)
+    world = geometry.sphere_grid_to_cart(theta + sign * 1e-3, phi) @ rot
+    th_w, ph_w = geometry.cart_grid_to_sphere(world)
+    u2, v2 = geometry.sphere_grid_to_erp(th_w, ph_w, width, height)
+    du = u2 - u
+    du = (du - width * np.round(du / width)) * sign
+    dv = (v2 - v) * sign
+    mag = np.hypot(du, dv)
+    mag = np.where(mag == 0.0, 1.0, mag)
+    field = np.stack([du / mag, dv / mag], axis=1)
+    return float(np.arccos(np.clip((dirs * field).sum(axis=1), -1.0, 1.0)).mean())
+
+
+def reference_finetune(q_init, flow, cfg):
+    """flow_finetune scoring one candidate at a time."""
+    q = geometry.as_unit_vector(q_init)
+    samples = camera_est._flow_samples(flow, cfg.stride, cfg.min_flow, q)
+    args = samples + (flow.width, flow.height)
+    best_q, best_j = q, reference_objective(q, *args)
+    radius = cfg.grid_radius
+    offsets = np.linspace(-1.0, 1.0, cfg.grid_size)
+    for _ in range(cfg.levels):
+        e1, e2 = geometry.tangent_basis(best_q)
+        center = best_q
+        for a in offsets * radius:
+            for b in offsets * radius:
+                r_off = np.hypot(a, b)
+                if r_off == 0.0:
+                    continue
+                axis = (a * e1 + b * e2) / r_off
+                cand = geometry.as_unit_vector(
+                    center * np.cos(r_off) + axis * np.sin(r_off)
+                )
+                j = reference_objective(cand, *args)
+                if j < best_j:
+                    best_j, best_q = j, cand
+        radius /= 2.0
+    return best_q
+
+
+@pytest.mark.parametrize("per_batch", [1, 5, 24])
+def test_batched_finetune_matches_one_at_a_time(synth_flow, monkeypatch, per_batch):
+    # every batch size gives each direction the bits it gets alone, and so
+    # the same refined direction
+    flow, q_true = synth_flow
+    cfg = FinetuneConfig()
+    q = geometry.as_unit_vector(q_true)
+    samples = camera_est._flow_samples(flow, cfg.stride, cfg.min_flow, q)
+    monkeypatch.setattr(camera_est, "_BATCH_SAMPLES", per_batch * len(samples[0]))
+    rng = np.random.default_rng(11)
+    qs = [geometry.as_unit_vector(perturb(q_true, math.radians(a), rng))
+          for a in (0.5, 3.0, 40.0, 120.0, 179.0)]
+    qs += [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    args = samples + (flow.width, flow.height)
+    assert camera_est._objectives(qs, *args) == [reference_objective(q, *args) for q in qs]
+    for q0 in qs[:3]:
+        assert np.array_equal(
+            camera_est.flow_finetune(q0, flow, cfg), reference_finetune(q0, flow, cfg)
+        )
+
+
+def test_finetune_keeps_the_first_of_tied_candidates(synth_flow, monkeypatch):
+    # scores as the grid scan sees them: the start scores 1, two candidates
+    # of the first level tie at 0.5 and nothing later does better
+    flow, q_true = synth_flow
+    levels = []
+
+    def scores(qs, *args):
+        levels.append(qs)
+        if len(levels) == 1:
+            return [1.0]
+        return [0.5 if i in (3, 7) else 0.75 for i in range(len(qs))]
+
+    monkeypatch.setattr(camera_est, "_objectives", scores)
+    refined = camera_est.flow_finetune(q_true, flow, FinetuneConfig(levels=3))
+    assert [len(qs) for qs in levels] == [1, 24, 24, 24]
+    assert np.array_equal(refined, levels[1][3])
+
+
 def test_finetune_drops_infinite_flow():
     cfg = video_io.SynthConfig(width=120, height=60, frames=2, step=0.02, seed=5)
     flow = video_io.synth_dolly(cfg).flows[0]

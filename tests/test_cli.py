@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,19 @@ def test_camest_missing_flow_file(tmp_path, capsys):
     rc = run(["camest", "--flow", tmp_path / "absent.flo"])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_camest_forged_flo_header_exits_1(tmp_path, capsys):
+    # width * height * 8 bytes does not even fit an index for this header
+    path = tmp_path / "forged.flo"
+    path.write_bytes(
+        struct.pack("<fii", video_io.FLO_MAGIC, 2**31 - 1, 2**31 - 1) + b"\x00" * 8
+    )
+    rc = run(["camest", "--flow", path])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: video_io: ")
+    assert "Traceback" not in err
 
 
 def test_camest_pairs_rejects_non_finite_row(tmp_path, capsys):

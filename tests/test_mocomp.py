@@ -7,6 +7,7 @@ from geo360 import mocomp, video_io
 from geo360.errors import DomainError
 from geo360.mocomp import ErpFrame
 from geo360.motion_model import BlockSpec, GeodesicModelConfig, MotionVector2D
+from oracles import sample_bilinear
 
 GCG = GeodesicModelConfig(variant="gc", scaling="global", delta=math.pi / 128)
 ORIG = GeodesicModelConfig(variant="original", scaling="global", delta=math.pi / 128)
@@ -68,27 +69,27 @@ def test_frame_rejects_odd_dims_with_chroma():
 
 def test_bilinear_quarter_weights():
     f = luma_frame(np.array([[0, 10], [20, 30]], dtype=np.int32))
-    out = mocomp.sample_bilinear(f, np.array([0.5]), np.array([0.5]))
+    out = sample_bilinear(f, np.array([0.5]), np.array([0.5]))
     assert math.isclose(float(out[0]), 15.0)
-    out = mocomp.sample_bilinear(f, np.array([0.25]), np.array([0.0]))
+    out = sample_bilinear(f, np.array([0.25]), np.array([0.0]))
     assert math.isclose(float(out[0]), 2.5)
 
 
 def test_bilinear_snaps_near_integers():
     f = luma_frame(np.array([[1, 2], [3, 4]], dtype=np.int32))
-    assert mocomp.sample_bilinear(f, 1.0 - 1e-9, 1.0 + 1e-9) == 4.0
+    assert sample_bilinear(f, 1.0 - 1e-9, 1.0 + 1e-9) == 4.0
 
 
 def test_bilinear_wraps_horizontally():
     f = luma_frame(np.array([[10, 0, 0, 40]], dtype=np.int32))
     # halfway between the last and first column, both directions
-    assert math.isclose(mocomp.sample_bilinear(f, 3.5, 0.0), 25.0)
-    assert math.isclose(mocomp.sample_bilinear(f, -0.5, 0.0), 25.0)
+    assert math.isclose(sample_bilinear(f, 3.5, 0.0), 25.0)
+    assert math.isclose(sample_bilinear(f, -0.5, 0.0), 25.0)
 
 
 def test_bilinear_clamps_vertically():
     f = luma_frame(np.array([[5], [9]], dtype=np.int32))
-    out = mocomp.sample_bilinear(f, np.array([0.0, 0.0]), np.array([-2.0, 5.0]))
+    out = sample_bilinear(f, np.array([0.0, 0.0]), np.array([-2.0, 5.0]))
     assert float(out[0]) == 5.0
     assert float(out[1]) == 9.0
 
@@ -332,19 +333,31 @@ def test_compare_models_structure(cylinder_pair):
 
 
 def test_compare_sequence_matches_pairwise(cylinder_pair):
+    # three pairs on two distinct q's, the first one repeated; three models,
+    # one of them at another delta; blocks on both wrap edges and both poles
     ref, cur = cylinder_pair
-    blocks = mocomp.tile_blocks(256, 128, 32, 32)[10:14]
-    seq = mocomp.compare_sequence(
-        [ref, cur], blocks, [Z], {"gcg": GCG}, 2.0, 1.0
-    )
-    pair = mocomp.compare_models(ref, cur, blocks, Z, {"gcg": GCG}, 2.0, 1.0)
-    assert seq[0] == pair
-    for row in seq[0]:
-        found = mocomp.motion_search(ref, cur, row.block, Z, GCG, 2.0, 1.0)
-        assert found.t == row.outcomes["gcg"].t
-        assert found.prediction.sad == row.outcomes["gcg"].sad
-        shifted = mocomp.translational_search(ref, cur, row.block, 2.0, 1.0)
-        assert shifted == row.outcomes["translational"]
+    q2 = np.array([0.3, -0.2, 0.93])
+    q2 /= np.linalg.norm(q2)
+    frames, qs = [ref, cur, ref, cur], [Z, q2, Z]
+    cfgs = {
+        "orig": ORIG,
+        "gcg": GCG,
+        "gcl": GeodesicModelConfig(variant="gc", scaling="local", delta=math.pi / 96),
+    }
+    blocks = [mocomp.tile_blocks(256, 128, 32, 32)[i] for i in (0, 7, 10, 13, 31)]
+    seq = mocomp.compare_sequence(frames, blocks, qs, cfgs, 2.0, 1.0)
+    assert len(seq) == 3
+    for m, rows in enumerate(seq):
+        a, b, q = frames[m], frames[m + 1], qs[m]
+        assert rows == mocomp.compare_models(a, b, blocks, q, cfgs, 2.0, 1.0)
+        for row in rows:
+            assert set(row.outcomes) == {"translational", *cfgs}
+            for label, cfg in cfgs.items():
+                found = mocomp.motion_search(a, b, row.block, q, cfg, 2.0, 1.0)
+                assert found.t == row.outcomes[label].t
+                assert found.prediction.sad == row.outcomes[label].sad
+            shifted = mocomp.translational_search(a, b, row.block, 2.0, 1.0)
+            assert shifted == row.outcomes["translational"]
 
 
 def test_compare_sequence_arity_checks(cylinder_pair):

@@ -9,6 +9,7 @@ from geo360 import motion_model as mm
 from geo360.errors import DegenerateGeometryError, DomainError, NoMotionError
 from geo360.geometry import SphericalPoint
 from geo360.motion_model import BlockSpec, GeodesicModelConfig, MotionVector2D
+from oracles import ged_gc_map, ged_orig_map, map_point
 
 ORIG = GeodesicModelConfig(variant="original", scaling="global", delta=0.01)
 GCG = GeodesicModelConfig(variant="gc", scaling="global", delta=0.01)
@@ -27,7 +28,7 @@ def test_center_identity_grid():
                 continue
             t_u = shift / ORIG.delta
             s = SphericalPoint(theta=float(theta_c), phi=0.0)
-            moved = mm.ged_orig_map(s, float(theta_c), MotionVector2D(t_u, 0.0), ORIG)
+            moved = ged_orig_map(s, float(theta_c), MotionVector2D(t_u, 0.0), ORIG)
             worst = max(worst, abs(moved.theta - (theta_c + shift)))
     assert worst < 1e-9
 
@@ -43,7 +44,7 @@ def test_k_factor_errors():
 
 def test_orig_zero_tu_is_identity():
     s = SphericalPoint(theta=0.8, phi=-1.0)
-    out = mm.ged_orig_map(s, 0.8, MotionVector2D(0.0, 3.0), ORIG)
+    out = ged_orig_map(s, 0.8, MotionVector2D(0.0, 3.0), ORIG)
     assert out.theta == s.theta
     assert math.isclose(out.phi, s.phi + ORIG.delta * 3.0, abs_tol=1e-15)
 
@@ -56,8 +57,8 @@ def test_orig_round_trip_breaks_off_center():
     for theta_c in (0.6, 1.0, 1.4):
         for off in (-0.2, -0.05, 0.05, 0.2):
             s = SphericalPoint(theta=theta_c + off, phi=0.0)
-            fwd = mm.ged_orig_map(s, theta_c, MotionVector2D(t_u, 0.0), ORIG)
-            back = mm.ged_orig_map(
+            fwd = ged_orig_map(s, theta_c, MotionVector2D(t_u, 0.0), ORIG)
+            back = ged_orig_map(
                 fwd, theta_c + 0.1, MotionVector2D(-t_u, 0.0), ORIG
             )
             worst_off = max(worst_off, abs(back.theta - s.theta))
@@ -113,8 +114,8 @@ def test_cyl_radius():
 
 def test_local_equals_global_at_equator():
     s = SphericalPoint(theta=1.3, phi=0.2)
-    a = mm.ged_gc_map(s, math.pi / 2, MotionVector2D(3.0, 1.0), GCG)
-    b = mm.ged_gc_map(s, math.pi / 2, MotionVector2D(3.0, 1.0), GCL)
+    a = ged_gc_map(s, math.pi / 2, MotionVector2D(3.0, 1.0), GCG)
+    b = ged_gc_map(s, math.pi / 2, MotionVector2D(3.0, 1.0), GCL)
     assert math.isclose(a.theta, b.theta, abs_tol=1e-15)
     assert a.phi == b.phi
 
@@ -126,7 +127,7 @@ def test_local_equals_global_at_equator():
 def test_azimuth_linearity_exact(cfg):
     s = SphericalPoint(theta=1.1, phi=0.25)
     for t_v in (-17.0, -0.5, 0.0, 3.0, 40.0):
-        out = mm.map_point(s, 1.0, MotionVector2D(1.0, t_v), cfg)
+        out = map_point(s, 1.0, MotionVector2D(1.0, t_v), cfg)
         expect = s.phi + cfg.delta * t_v
         expect = (expect + math.pi) % (2 * math.pi) - math.pi
         assert math.isclose(out.phi, expect, abs_tol=1e-12)
@@ -195,7 +196,7 @@ def test_block_mapping_matches_scalar_path():
                 s_rot = SphericalPoint(
                     theta=float(mm.clamp_theta(s_rot.theta)), phi=s_rot.phi
                 )
-                moved = mm.map_point(s_rot, geom.theta_c, t, cfg)
+                moved = map_point(s_rot, geom.theta_c, t, cfg)
                 back = rot.T @ geometry.sphere_to_cart(moved)
                 s_out = geometry.cart_to_sphere(back)
                 u2, v2 = geometry.sphere_grid_to_erp(
@@ -312,6 +313,98 @@ def test_batch_mapping_matches_reference_bit_for_bit():
                         assert np.array_equal(a, b)
                     touched += bool(want[2].any())
     assert touched  # the pole cases really clamp
+
+
+def test_batch_mapping_at_the_half_turn_matches_reference():
+    # Rotated back by a half turn about z, a pixel at phi' = 0 lands on
+    # azimuth +pi exactly (arctan2(+0, -x)), and one at phi' = -5e-16 lands
+    # an ulp below pi, where phi + pi rounds up to 2pi: the two cases in
+    # which sphere_grid_to_erp's wrap is not the identity.
+    assert np.arctan2(0.0, -1.0) == math.pi
+    tie = float(np.arctan2(5e-16, -1.0))
+    assert tie < math.pi and np.floor((tie + math.pi) / (2 * math.pi)) == 1.0
+    phi = np.array([[0.0, -5e-16, -3e-16, 0.25], [-5e-16, 0.0, 1e-3, -2.0]])
+    theta = np.array([[math.pi / 2] * 4, [1.0, 2.0, math.pi / 2, 0.5]])
+    geom = mm.BlockGeometry(
+        theta=theta, phi=phi, clamped_in=np.zeros(phi.shape, dtype=bool),
+        theta_c=math.pi / 2, rotation=np.diag([-1.0, -1.0, 1.0]),
+        frame_width=64, frame_height=32,
+    )
+    tu = np.array([0.0, 1.0])
+    tv = np.array([0.0, -1.0])
+    for cfg in (ORIG, GCG, GCL):
+        got = mm.map_block_geometry_batch(geom, tu, tv, cfg)
+        want = reference_map_batch(geom, tu, tv, cfg)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert got[0][0, 0, 0, 0] == -0.5  # azimuth pi read as -pi
+
+
+def reference_rotation(q):
+    """rotation_to_epipole through np.cross and np.linalg.norm."""
+    q = np.asarray(q, dtype=np.float64)
+    q = q / np.linalg.norm(q)
+    axis = np.cross(q, np.array([0.0, 0.0, 1.0]))
+    s = float(np.linalg.norm(axis))
+    c = float(q[2])
+    if s < 1e-15:
+        return np.eye(3) if c > 0.0 else np.diag([1.0, -1.0, -1.0])
+    k = axis / s
+    k = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + s * k + (1.0 - c) * (k @ k)
+
+
+def reference_prepare(block, q, width, height):
+    """prepare_block_geometry on full (h, w) grids: the angles of every
+    pixel, their trig and the rays, each computed per pixel."""
+    rot = reference_rotation(q)
+    u = block.x0 + np.arange(block.width, dtype=np.float64)
+    v = block.y0 + np.arange(block.height, dtype=np.float64)
+    uu, vv = np.meshgrid(u, v)
+    phi = 2.0 * math.pi * (uu + 0.5) / width - math.pi
+    theta = math.pi * (vv + 0.5) / height
+    st = np.sin(theta)
+    rays = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    xyz = rays @ rot.T
+    z = np.clip(xyz[..., 2], -1.0, 1.0)
+    theta_r = np.arccos(z)
+    phi_r = np.arctan2(xyz[..., 1], xyz[..., 0])
+    phi_r = np.where(np.abs(z) >= 1.0, 0.0, phi_r)
+    phi_r = np.where(phi_r >= math.pi, -math.pi, phi_r)
+    clamped_in = (theta_r < mm.POLE_EPS) | (theta_r > math.pi - mm.POLE_EPS)
+    theta_r = np.clip(theta_r, mm.POLE_EPS, math.pi - mm.POLE_EPS)
+    uc, vc = block.center()
+    tc = math.pi * (np.float64(vc) + 0.5) / height
+    pc = 2.0 * math.pi * (np.float64(uc) + 0.5) / width - math.pi
+    center = np.stack([np.sin(tc) * np.cos(pc), np.sin(tc) * np.sin(pc), np.cos(tc)])
+    theta_c = float(np.arccos(np.clip((center @ rot.T)[2], -1.0, 1.0)))
+    return theta_r, phi_r, clamped_in, theta_c, rot
+
+
+def test_prepare_matches_reference_bit_for_bit():
+    # the q and block set of test_batch_mapping_matches_reference_bit_for_bit
+    width, height = 128, 64
+    rng = np.random.default_rng(5)
+    qs = [np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, -1.0])]
+    qs += [v / np.linalg.norm(v) for v in rng.normal(size=(3, 3))]
+    blocks = [
+        BlockSpec(x0=40, y0=24, width=8, height=8),
+        BlockSpec(x0=0, y0=0, width=16, height=4),
+        BlockSpec(x0=120, y0=60, width=8, height=4),
+    ]
+    for q in qs:
+        for block in blocks:
+            geom = mm.prepare_block_geometry(block, q, width, height)
+            theta, phi, clamped_in, theta_c, rot = reference_prepare(
+                block, q, width, height
+            )
+            for got, want in (
+                (geom.theta, theta), (geom.phi, phi), (geom.rotation, rot)
+            ):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            assert np.array_equal(geom.clamped_in, clamped_in)
+            assert geom.theta_c == theta_c
 
 
 # --- arithmetic cost ---------------------------------------------------------

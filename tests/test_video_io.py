@@ -2,6 +2,7 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from geo360.camera_est import FlowField
 from geo360.errors import DomainError, FormatError, Geo360Error, TruncationError
 from geo360.mocomp import ErpFrame
 from geo360.video_io import SequenceSpec, SynthConfig
+from oracles import ErpCoord, erp_to_sphere, sphere_to_erp
 
 
 # --- raw YUV -----------------------------------------------------------------
@@ -132,6 +134,16 @@ def test_flo_unknown_flow_becomes_nan(tmp_path):
     assert np.array_equal(back.dv[~unknown], dv.astype(np.float32)[~unknown])
 
 
+def test_flo_signalling_nan_reads_as_nan_quietly(tmp_path):
+    path = tmp_path / "snan.flo"
+    snan = struct.pack("<I", 0x7F800001)
+    path.write_bytes(struct.pack("<fii", video_io.FLO_MAGIC, 1, 1) + snan + snan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flow = video_io.read_flo(path)
+    assert np.isnan(flow.du[0, 0]) and np.isnan(flow.dv[0, 0])
+
+
 def test_flo_bad_magic(tmp_path):
     path = tmp_path / "bad.flo"
     path.write_bytes(struct.pack("<fii", 0.0, 1, 1) + b"\x00" * 8)
@@ -244,6 +256,78 @@ def test_text_readers_raise_only_geo360_or_os_errors(reader, tmp_path_factory):
     fuzz()
 
 
+def _flo_file():
+    """.flo contents: arbitrary bytes, and headers with the .flo magic (or
+    not) and any int32 width and height, followed by arbitrary bytes or by
+    exactly the declared planes."""
+    magic = st.sampled_from([video_io.FLO_MAGIC, 0.0, -video_io.FLO_MAGIC])
+    side = st.integers(-(2**31), 2**31 - 1) | st.integers(-1, 5)
+    header = st.tuples(magic, side, side).map(lambda h: struct.pack("<fii", *h))
+    exact = st.tuples(magic, st.integers(1, 5), st.integers(1, 5)).flatmap(
+        lambda h: st.binary(min_size=8 * h[1] * h[2], max_size=8 * h[1] * h[2]).map(
+            lambda body: struct.pack("<fii", *h) + body
+        )
+    )
+    return st.one_of(
+        st.binary(max_size=64),
+        st.tuples(header, st.binary(max_size=64)).map(lambda hb: hb[0] + hb[1]),
+        exact,
+    )
+
+
+_SPECS = st.builds(
+    SequenceSpec,
+    width=st.sampled_from([2, 4, 6]),
+    height=st.sampled_from([2, 4]),
+    bit_depth=st.sampled_from([8, 10]),
+    chroma=st.booleans(),
+)
+
+
+def test_flo_reader_raises_only_geo360_or_os_errors(tmp_path_factory):
+    path = tmp_path_factory.mktemp("flo") / "input.flo"
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_flo_file())
+    def fuzz(data):
+        path.write_bytes(data)
+        try:
+            video_io.read_flo(str(path))
+        except (Geo360Error, OSError):
+            pass
+
+    fuzz()
+
+
+def test_yuv_reader_raises_only_geo360_or_os_errors(tmp_path_factory):
+    path = tmp_path_factory.mktemp("yuv") / "input.yuv"
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.binary(max_size=160), _SPECS, st.none() | st.integers(-1, 3))
+    def fuzz(data, spec, max_frames):
+        path.write_bytes(data)
+        try:
+            video_io.read_yuv(str(path), spec, max_frames)
+        except (Geo360Error, OSError):
+            pass
+
+    fuzz()
+
+
+def test_flo_forged_size_is_rejected_before_reading(tmp_path):
+    # a header declaring 4096x4096 flow (128 MiB of planes) on a 20-byte file
+    path = tmp_path / "forged.flo"
+    path.write_bytes(struct.pack("<fii", video_io.FLO_MAGIC, 4096, 4096) + b"\x00" * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError):
+            video_io.read_flo(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # --- synthetic sequences ------------------------------------------------------------
 
 
@@ -299,8 +383,8 @@ def test_synth_flow_matches_projection_geometry():
     d = cfg.depth
     for (u, v) in ((10, 20), (64, 32), (100, 40), (30, 50)):
         s = geometry.sphere_to_cart(
-            geometry.erp_to_sphere(
-                geometry.ErpCoord(u=float(u), v=float(v), width=128, height=64)
+            erp_to_sphere(
+                ErpCoord(u=float(u), v=float(v), width=128, height=64)
             )
         )
         # ray from the origin camera hits the unit-depth shell at d*s; the
@@ -308,7 +392,7 @@ def test_synth_flow_matches_projection_geometry():
         x = d * s - np.array([0.0, 0.0, cfg.step])
         s2 = x / np.linalg.norm(x)
         p2 = geometry.cart_to_sphere(s2)
-        c2 = geometry.sphere_to_erp(p2, 128, 64)
+        c2 = sphere_to_erp(p2, 128, 64)
         du = c2.u - u
         dv = c2.v - v
         du -= 128.0 * round(du / 128.0)
