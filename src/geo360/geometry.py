@@ -68,9 +68,33 @@ def erp_grid_to_sphere(u, v, width: int, height: int):
 def sphere_grid_to_erp(theta, phi, width: int, height: int):
     """Angles -> continuous ERP coordinates on arrays, phi wrapped first;
     returns (u, v)."""
-    phi = wrap_angle(np.asarray(phi, dtype=np.float64))
-    u = (phi + math.pi) * width / TWO_PI - 0.5
-    v = np.asarray(theta, dtype=np.float64) * height / math.pi - 0.5
+    phi = np.asarray(phi, dtype=np.float64)
+    theta = np.array(theta, dtype=np.float64)
+    return _sphere_to_erp_inplace(theta, phi, width, height, np.empty_like(phi))
+
+
+def _sphere_to_erp_inplace(theta, phi, width: int, height: int, out):
+    """sphere_grid_to_erp on float64 buffers: v is written into theta and u
+    into out, which has phi's shape; phi is only read.
+
+    The operations and their order are those of
+    u = (wrap_angle(phi) + pi) * width / 2pi - 0.5 and
+    v = theta * height / pi - 0.5.  wrap_angle subtracts 2pi times the turn
+    count floor((phi + pi) / 2pi); when that is 0 for the smallest and the
+    largest phi + pi it is 0 everywhere and the wrap is the identity, which
+    holds for arctan2 output except within an ulp of pi.
+    """
+    shifted = np.add(phi, math.pi, out=out)
+    if shifted.size and not (
+        np.floor(shifted.min() / TWO_PI) == 0 == np.floor(shifted.max() / TWO_PI)
+    ):
+        np.add(wrap_angle(phi), math.pi, out=shifted)
+    u = np.multiply(shifted, width, out=shifted)
+    u /= TWO_PI
+    u -= 0.5
+    v = np.multiply(theta, height, out=theta)
+    v /= math.pi
+    v -= 0.5
     return u, v
 
 

@@ -123,17 +123,13 @@ def k_factor(theta_c: float, t_u: float, delta: float) -> GeodesicKFactor:
     """
     if t_u == 0.0:
         raise NoMotionError("motion_model: k factor undefined for t_u = 0")
-    return GeodesicKFactor(k=_k_ratio(theta_c, t_u, delta), reverse=t_u < 0.0)
-
-
-def _k_ratio(theta_c: float, t_u: float, delta: float) -> float:
-    """k of k_factor as a float, for a non-zero t_u."""
     shift = delta * t_u
     if abs(shift) >= math.pi:
         raise DomainError(
             f"motion_model: |delta*t_u| = {abs(shift)!r} must be < pi"
         )
-    return math.sin(theta_c + shift) / math.sin(shift)
+    k = math.sin(theta_c + shift) / math.sin(shift)
+    return GeodesicKFactor(k=k, reverse=t_u < 0.0)
 
 
 def ged_orig_theta(theta, kf: GeodesicKFactor):
@@ -258,7 +254,7 @@ def _model_theta(
         return ged_gc_theta(theta, t_u[:, None, None], delta_z(cfg.delta), r)
     # ged_orig_theta for every t_u at once; t_u = 0 is the identity.
     k = np.array([
-        _k_ratio(geom.theta_c, tu, cfg.delta) if tu != 0.0 else 0.0
+        k_factor(geom.theta_c, tu, cfg.delta).k if tu != 0.0 else 0.0
         for tu in t_u.tolist()
     ])
     theta_m = np.subtract(k[:, None, None], np.cos(theta))
@@ -282,8 +278,8 @@ def map_block_geometry_batch(
     The polar law only depends on t_u and the azimuth shift only on t_v, so
     the trig passes stay at (nu, h, w) and (nv, h, w), and so do the
     rot[2, k] * cos(theta') terms of the rotation back.  The rotation back,
-    arccos/arctan2 and sphere_grid_to_erp's arithmetic run in place in five
-    full-size buffers, with the operations and their order of the plain
+    arccos/arctan2 and the conversion to ERP coordinates run in place in
+    five full-size buffers, with the operations and their order of the plain
     formulas, so the result has the same bits.
     """
     t_u_values = np.asarray(t_u_values, dtype=np.float64)
@@ -321,22 +317,10 @@ def map_block_geometry_batch(
     # x and y are read before they are overwritten, and not needed after.
     wy = world(1, x, y)
     phi_w = np.arctan2(wy, wx, out=tmp)
-
-    # geometry.sphere_grid_to_erp in place.  arctan2 lies in [-pi, pi], so
-    # wrap_angle's turn count floor((phi + pi) / 2pi) is 0 everywhere unless
-    # some phi is pi, or within an ulp below it, where phi + pi rounds up to
-    # 2pi.  Only then are the pi -> -pi rule and the wrap applied.
-    shifted = np.add(phi_w, math.pi, out=wx)
-    lo, hi = shifted.min(), shifted.max()
-    if not (np.floor(lo / geometry.TWO_PI) == 0 == np.floor(hi / geometry.TWO_PI)):
-        np.copyto(phi_w, -math.pi, where=phi_w >= math.pi)
-        np.add(geometry.wrap_angle(phi_w), math.pi, out=shifted)
-    src_u = np.multiply(shifted, geom.frame_width, out=shifted)
-    src_u /= geometry.TWO_PI
-    src_u -= 0.5
-    src_v = np.multiply(theta_w, geom.frame_height, out=theta_w)
-    src_v /= math.pi
-    src_v -= 0.5
+    # arctan2 may return +pi; the wrap maps it to -pi exactly.
+    src_u, src_v = geometry._sphere_to_erp_inplace(
+        theta_w, phi_w, geom.frame_width, geom.frame_height, wx
+    )
     clamped = clamped_out[:, None, :, :] | geom.clamped_in[None, None, :, :]
     clamped = np.broadcast_to(clamped, (nu, nv, h, w))
     return src_u, src_v, clamped

@@ -17,6 +17,7 @@ pixel along its meridian by a constant amount in cot-latitude).
 from __future__ import annotations
 
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -32,6 +33,8 @@ FLO_MAGIC = 202021.25
 # Middlebury .flo convention: a component above this magnitude marks the
 # pixel's flow as unknown; read_flo returns nan in both components there.
 FLO_UNKNOWN = 1e9
+# Bytes read at a time from a .flo input whose size is not known up front.
+_FLO_CHUNK = 1 << 20
 CAMERA_CSV_HEADER = "frame_index,qx,qy,qz"
 
 
@@ -136,14 +139,25 @@ def read_flo(path: str) -> FlowField:
             raise FormatError(f"video_io: {path} has bad .flo magic {magic!r}")
         if width < 1 or height < 1:
             raise FormatError(f"video_io: {path} has bad size {width}x{height}")
-        # Checked against the file before reading, so a forged header never
-        # asks for more memory than the file holds.
+        # A forged header never costs more memory than the input holds: a
+        # regular file's size is checked before reading, and a pipe is read
+        # in bounded chunks until the body or the stream ends.
         size = width * height * 8
-        if size > os.fstat(fh.fileno()).st_size - len(head):
-            raise TruncationError(
-                f"video_io: {path} declares {width}x{height} flow, more than it holds"
-            )
-        body = fh.read(size)
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            if size > st.st_size - len(head):
+                raise TruncationError(
+                    f"video_io: {path} declares {width}x{height} flow, "
+                    "more than it holds"
+                )
+            body = fh.read(size)
+        else:
+            body = bytearray()
+            while len(body) < size:
+                chunk = fh.read(min(size - len(body), _FLO_CHUNK))
+                if not chunk:
+                    break
+                body += chunk
         if len(body) < size:
             raise TruncationError(f"video_io: {path} truncated mid-plane")
     data = np.frombuffer(body, dtype="<f4").reshape(height, width, 2)

@@ -55,6 +55,32 @@ def test_erp_grid_matches_scalar_path():
     np.testing.assert_allclose(v2, v, atol=1e-9)
 
 
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        [-math.pi, -1.0, 0.0, -0.0, 2.5],  # the wrap is the identity
+        [math.pi, np.nextafter(math.pi, 0.0), 0.5],  # phi + pi rounds to 2pi
+        [-7.0, 3.0 * math.pi, 9.5, 0.25],
+        [np.nan, 1.0],
+        [],
+    ],
+)
+def test_sphere_grid_to_erp_matches_the_wrap_formula(phi):
+    # the plain formula bit for bit, whether or not the wrap is skipped
+    phi = np.array(phi, dtype=np.float64)
+    theta = np.linspace(0.0, math.pi, len(phi))
+    given_phi, given_theta = phi.copy(), theta.copy()
+    u, v = geometry.sphere_grid_to_erp(theta, phi, 64, 32)
+    u_ref = (geometry.wrap_angle(phi) + math.pi) * 64 / geometry.TWO_PI - 0.5
+    v_ref = theta * 32 / math.pi - 0.5
+    assert np.array_equal(u, u_ref, equal_nan=True)
+    assert np.array_equal(np.signbit(u), np.signbit(u_ref))
+    assert np.array_equal(v, v_ref)
+    assert np.array_equal(phi, given_phi, equal_nan=True)
+    assert np.array_equal(theta, given_theta)
+
+
 def test_pole_azimuth_is_zero():
     # deterministic convention at the poles: phi := 0 when |z| = 1
     assert geometry.cart_to_sphere(np.array([0.0, 0.0, 1.0])).phi == 0.0

@@ -1,6 +1,8 @@
 import hashlib
 import math
+import os
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -326,6 +328,54 @@ def test_flo_forged_size_is_rejected_before_reading(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+
+def _fifo_fed_with(tmp_path, data: bytes):
+    """A named pipe that a thread fills with data once a reader opens it."""
+    fifo = tmp_path / "pipe.flo"
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:
+            pass
+
+    thread = threading.Thread(target=feed, daemon=True)
+    thread.start()
+    return fifo, thread
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_flo_reads_through_a_pipe(tmp_path):
+    # a pipe's size reads 0; its body spans more than one read chunk
+    rng = np.random.default_rng(3)
+    flow = FlowField(du=rng.normal(size=(300, 500)), dv=rng.normal(size=(300, 500)))
+    regular = tmp_path / "f.flo"
+    video_io.write_flo(regular, flow)
+    assert regular.stat().st_size > video_io._FLO_CHUNK
+    fifo, thread = _fifo_fed_with(tmp_path, regular.read_bytes())
+    back = video_io.read_flo(str(fifo))
+    thread.join(5.0)
+    expect = video_io.read_flo(regular)
+    assert np.array_equal(back.du, expect.du) and np.array_equal(back.dv, expect.dv)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_flo_forged_size_through_a_pipe_reads_only_what_arrives(tmp_path):
+    head = struct.pack("<fii", video_io.FLO_MAGIC, 4096, 4096)
+    fifo, thread = _fifo_fed_with(tmp_path, head + b"\x00" * 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError):
+            video_io.read_flo(str(fifo))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    thread.join(5.0)
+    assert peak < 4 << 20
 
 
 # --- synthetic sequences ------------------------------------------------------------
