@@ -121,12 +121,13 @@ class Bitstream:
         """Read `count` bits as an unsigned integer, most significant first.
 
         Raises TruncationError, leaving the cursor where it was, when fewer
-        than count bits remain.
+        than count bits remain.  Reading 0 bits always gives 0, also with the
+        cursor aligned past a partial last byte.
         """
         if count < 0:
             raise DomainError(f"cam_code: cannot read {count} bits")
         end = self._pos + count
-        if end > self._nbits:
+        if end > self._nbits and count:
             raise TruncationError("cam_code: read past end of bitstream")
         word = int.from_bytes(self._buf[self._pos >> 3 : (end + 7) >> 3], "big")
         self._pos = end

@@ -295,8 +295,8 @@ def _cmd_warp(args) -> int:
     cr = np.zeros_like(cur.cr) if cur.cr is not None else None
     lines = ["block_x0,block_y0,center_theta,sad,clamped"]
     total = 0.0
-    for block in blocks:
-        pred = mocomp.predict_block(ref, cur, block, args.q, t, cfg)
+    preds = mocomp._predict_blocks(ref, cur, blocks, args.q, t, cfg)
+    for block, pred in zip(blocks, preds):
         sl = (slice(block.y0, block.y0 + bh), slice(block.x0, block.x0 + bw))
         y[sl] = np.clip(np.rint(pred.block), 0, peak).astype(cur.y.dtype)
         if cb is not None and pred.cb is not None:

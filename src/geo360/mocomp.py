@@ -106,30 +106,69 @@ class BlockComparison:
     outcomes: dict[str, SearchOutcome]
 
 
+class _Buffers:
+    """Named arrays reused from call to call.
+
+    get() returns a view of the named storage in the asked shape; the
+    storage is reallocated only when it is too small or of another dtype, so
+    a loop over same-sized blocks allocates nothing after its first pass.
+    A view stays valid until the next get() of the same name.
+    """
+
+    def __init__(self):
+        self._store: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        store = self._store.get(name)
+        if store is None or store.size < size or store.dtype != dtype:
+            store = self._store[name] = np.empty(size, dtype)
+        return store[:size].reshape(shape)
+
+
+def _quads(plane: np.ndarray) -> np.ndarray:
+    """The bilinear taps of every pixel of a plane, as (H*W, 4) rows.
+
+    Row y*W + x holds the samples at (y, x), (y, x+1), (y+1, x) and
+    (y+1, x+1), with x+1 wrapping to column 0 and y+1 clamped to the last
+    row, in the plane's own dtype: 4 bytes per pixel for 8-bit video.
+    """
+    h, w = plane.shape
+    quads = np.empty((h, w, 4), dtype=plane.dtype)
+    quads[:, :, 0] = plane
+    quads[:, :-1, 1] = plane[:, 1:]
+    quads[:, -1, 1] = plane[:, 0]
+    quads[:-1, :, 2:] = quads[1:, :, :2]
+    quads[-1, :, 2:] = quads[-1, :, :2]
+    return quads.reshape(h * w, 4)
+
+
 class _PlaneSampler:
     """Bilinear taps for a fixed set of source coordinates.
 
-    Flat indices into the raveled plane and the tap weights are computed
-    once, so the same mapping is applied to many reference planes (one per
-    frame pair) by a plain gather.  x wraps, y clamps (pole rows extend as
-    constants), and coordinates within SNAP_EPS of an integer snap onto it
-    first.
+    Each sample keeps one flat index r0*W + c0 into the _quads rows of a
+    plane and the four weights of its taps, computed once, so the same
+    mapping is applied to many reference planes (one per frame pair) by a
+    plain gather.  x wraps, y clamps (pole rows extend as constants), and
+    coordinates within SNAP_EPS of an integer snap onto it first.
 
     x and y only need broadcastable shapes: each axis is snapped, wrapped or
     clamped and split into whole and fractional parts at its own shape, and
-    only the taps and weights take the broadcast shape.  The sampler owns x
+    only the index and weights take the broadcast shape.  The sampler owns x
     and y and overwrites them when they are writable float64 arrays, so a
     caller that still needs its coordinates passes a copy.
 
-    An axis whose fractional part is zero everywhere gets no second tap.
-    That tap's weight is +0.0 at every sample and planes hold integers, so
-    its product is a signed zero, and adding a signed zero to a running sum
-    that is never -0.0 leaves it unchanged.  The remaining taps are added in
-    the same order, so whole-pixel shifts gather one tap instead of four and
-    give the same bits.
+    The index and the weights live in buffers, so a new sampler built on
+    the buffers of an earlier one overwrites it.  When the fractional parts
+    are zero everywhere (whole-pixel shifts) there are no weights and a
+    sample gathers one value: the other three weights would be +0.0 and
+    planes hold integers, so their products are signed zeros, and adding a
+    signed zero to a sum that is never -0.0 leaves it unchanged.
     """
 
-    def __init__(self, x, y, width: int, height: int):
+    def __init__(self, x, y, width: int, height: int, buffers: _Buffers | None = None):
+        if buffers is None:
+            buffers = _Buffers()
         x, x0 = _snapped(x)
         y, y0 = _snapped(y)
         self.shape = np.broadcast_shapes(x.shape, y.shape)
@@ -144,36 +183,40 @@ class _PlaneSampler:
         np.floor(y, out=y0)
         fx, fy = np.subtract(x, x0, out=x), np.subtract(y, y0, out=y)
 
-        c0 = x0.astype(np.intp)
-        cols = [(c0, np.subtract(1.0, fx, out=x0))]
-        if fx.any():
-            # In place on a copy: c0 + 1 is a scalar for 0-d coordinates.
-            c1 = c0.copy()
-            c1 += 1
-            c1[c1 == width] = 0
-            cols.append((c1, fx))
-        r0 = y0.astype(np.intp)
-        r0 *= width
-        rows = [(r0, np.subtract(1.0, fy, out=y0))]
-        if fy.any():
-            r1 = r0.copy()
-            r1 += width
-            rows.append((np.minimum(r1, (height - 1) * width, out=r1), fy))
-        # Flat indices and weights of taps (y0, x0), (y0, x1), (y1, x0), (y1, x1).
-        taps = [(r, c, wy, wx) for r, wy in rows for c, wx in cols]
-        self.taps = np.empty((len(taps),) + self.shape, dtype=np.intp)
-        self.weights = np.empty((len(taps),) + self.shape)
-        for i, (r, c, wy, wx) in enumerate(taps):
-            np.add(r, c, out=self.taps[i, ...])
-            np.multiply(wx, wy, out=self.weights[i, ...])
+        # r0*W + c0 is exact in float64: whole numbers far below 2**53.
+        self.index = buffers.get("index", self.shape, np.intp)
+        np.add(np.multiply(y0, width, out=y0), x0, out=self.index, casting="unsafe")
+        if not (fx.any() or fy.any()):
+            self.weights = None
+            self.index *= 4  # the (y0, x0) tap in the raveled quads
+            return
+        wx, wy = np.subtract(1.0, fx, out=x0), np.subtract(1.0, fy, out=y0)
+        # Weights of taps (y0, x0), (y0, x1), (y1, x0), (y1, x1), last axis.
+        self.weights = buffers.get("weights", self.shape + (4,))
+        for i, (ty, tx) in enumerate(((wy, wx), (wy, fx), (fy, wx), (fy, fx))):
+            np.multiply(tx, ty, out=self.weights[..., i])
 
-    def sample(self, plane: np.ndarray) -> np.ndarray:
-        """Bilinear samples of a float64 plane, in the coordinates' shape."""
-        g = plane.ravel().take(self.taps)
-        g *= self.weights
-        out = g[0]
-        for tap in g[1:]:
-            out += tap
+    def sample(self, quads: np.ndarray, scratch: _Buffers | None = None) -> np.ndarray:
+        """Bilinear samples of a plane given as _quads(plane), as float64 in
+        the coordinates' shape.  The result lives in scratch when one is
+        given, until the next sample through it."""
+        if scratch is None:
+            scratch = _Buffers()
+        out = scratch.get("out", self.shape)
+        if self.weights is None:
+            taps = scratch.get("taps", self.shape, quads.dtype)
+            quads.reshape(-1).take(self.index, out=taps, mode="clip")
+            np.copyto(out, taps)
+            return out
+        taps = scratch.get("taps", self.shape + (4,), quads.dtype)
+        quads.take(self.index, axis=0, out=taps, mode="clip")
+        # Cast first: a mixed integer-float multiply is slower.
+        products = scratch.get("products", self.shape + (4,))
+        np.copyto(products, taps)
+        products *= self.weights
+        np.add(products[..., 0], products[..., 1], out=out)
+        out += products[..., 2]
+        out += products[..., 3]
         return out
 
 
@@ -217,6 +260,27 @@ def predict_block(
     """
     _check_pair(ref, cur)
     geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
+    return _predict(_frame_quads(ref), cur, block, geom, t, cfg)
+
+
+def _frame_quads(frame: ErpFrame) -> tuple:
+    """_quads of the luma plane and, when the frame has them, of cb and cr."""
+    if frame.cb is None:
+        return _quads(frame.y), None, None
+    return _quads(frame.y), _quads(frame.cb), _quads(frame.cr)
+
+
+def _predict(
+    ref_quads: tuple,
+    cur: ErpFrame,
+    block: BlockSpec,
+    geom: BlockGeometry,
+    t: MotionVector2D,
+    cfg: GeodesicModelConfig,
+) -> PredictionResult:
+    """predict_block on a reference prepared by _frame_quads and the block's
+    geometry, so callers that predict many blocks prepare it once."""
+    y_quads, cb_quads, cr_quads = ref_quads
     src_u, src_v, clamped = motion_model.map_block_geometry_batch(
         geom, np.array([t.t_u]), np.array([t.t_v]), cfg
     )
@@ -224,23 +288,32 @@ def predict_block(
 
     cb = cr = None
     even = (block.x0 | block.y0 | block.width | block.height) % 2 == 0
-    if ref.cb is not None and cur.cb is not None and even:
+    if cb_quads is not None and cur.cb is not None and even:
         # Built first: the luma sampler below overwrites src_u and src_v.
         chroma = _PlaneSampler(
             src_u[0::2, 0::2] / 2.0, src_v[0::2, 0::2] / 2.0,
             cur.width // 2, cur.height // 2,
         )
-        cb = chroma.sample(ref.cb.astype(np.float64))
-        cr = chroma.sample(ref.cr.astype(np.float64))
+        cb = chroma.sample(cb_quads)
+        cr = chroma.sample(cr_quads)
 
     luma = _PlaneSampler(src_u, src_v, cur.width, cur.height)
-    pred = luma.sample(ref.y.astype(np.float64))
+    pred = luma.sample(y_quads)
     cur_block = _block_view(cur, block).astype(np.float64)
     sad = float(np.abs(pred - cur_block).sum())
 
     return PredictionResult(
         block=pred, sad=sad, degenerate=int(clamped.sum()), cb=cb, cr=cr
     )
+
+
+def _predict_blocks(ref: ErpFrame, cur: ErpFrame, blocks, q, t, cfg):
+    """predict_block for each block in turn, with ref prepared once."""
+    _check_pair(ref, cur)
+    ref_quads = _frame_quads(ref)
+    for block in blocks:
+        geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
+        yield _predict(ref_quads, cur, block, geom, t, cfg)
 
 
 class _SearchKernel:
@@ -251,6 +324,11 @@ class _SearchKernel:
     coordinates; search() gathers a reference plane through it, scores
     every candidate by SAD against the current block and applies the
     tie-break.
+
+    The kernel owns the samplers' arrays: the shifts sampler, the geodesic
+    sampler and the gather of search() each reuse one set of buffers, so a
+    new geodesic sampler overwrites the previous one, and over same-sized
+    blocks none of these arrays is freed or allocated after the first block.
     """
 
     def __init__(self, search_range: float, step: float):
@@ -267,6 +345,9 @@ class _SearchKernel:
         # Candidates in tie-break order; the first minimal SAD in it wins.
         cost = np.abs(self.tu) + np.abs(self.tv)
         self.tie_order = np.lexsort((self.tv, self.tu, cost))
+        self._shift_buffers = _Buffers()
+        self._geodesic_buffers = _Buffers()
+        self._scratch = _Buffers()
 
     def translational(self, block: BlockSpec, width: int, height: int) -> _PlaneSampler:
         """Shifts of the block by t in ERP pixels: x as (n, 1, 1, w) and y
@@ -276,7 +357,7 @@ class _SearchKernel:
         return _PlaneSampler(
             self.offsets[:, None, None, None] + u,
             self.offsets[None, :, None, None] + v[:, None],
-            width, height,
+            width, height, self._shift_buffers,
         )
 
     def geodesic(self, geom: BlockGeometry, cfg: GeodesicModelConfig) -> _PlaneSampler:
@@ -284,12 +365,14 @@ class _SearchKernel:
         src_u, src_v, _ = motion_model.map_block_geometry_batch(
             geom, self.offsets, self.offsets, cfg
         )
-        return _PlaneSampler(src_u, src_v, geom.frame_width, geom.frame_height)
+        return _PlaneSampler(
+            src_u, src_v, geom.frame_width, geom.frame_height, self._geodesic_buffers
+        )
 
     def search(
-        self, sampler: _PlaneSampler, ref_plane: np.ndarray, cur_block: np.ndarray
+        self, sampler: _PlaneSampler, ref_quads: np.ndarray, cur_block: np.ndarray
     ) -> SearchOutcome:
-        diff = sampler.sample(ref_plane)
+        diff = sampler.sample(ref_quads, self._scratch)
         diff -= cur_block
         sad = np.abs(diff, out=diff).sum(axis=(-2, -1)).ravel()
         best = self.tie_order[np.argmin(sad[self.tie_order])]
@@ -316,12 +399,11 @@ def motion_search(
     _check_pair(ref, cur)
     kernel = _SearchKernel(search_range, step)
     geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
+    ref_quads = _frame_quads(ref)
     cur_block = _block_view(cur, block).astype(np.float64)
-    outcome = kernel.search(
-        kernel.geodesic(geom, cfg), ref.y.astype(np.float64), cur_block
-    )
+    outcome = kernel.search(kernel.geodesic(geom, cfg), ref_quads[0], cur_block)
     return SearchResult(
-        t=outcome.t, prediction=predict_block(ref, cur, block, q, outcome.t, cfg)
+        t=outcome.t, prediction=_predict(ref_quads, cur, block, geom, outcome.t, cfg)
     )
 
 
@@ -337,7 +419,7 @@ def translational_search(
     kernel = _SearchKernel(search_range, step)
     shifts = kernel.translational(block, cur.width, cur.height)
     cur_block = _block_view(cur, block).astype(np.float64)
-    return kernel.search(shifts, ref.y.astype(np.float64), cur_block)
+    return kernel.search(shifts, _quads(ref.y), cur_block)
 
 
 def compare_sequence(
@@ -366,7 +448,7 @@ def compare_sequence(
     width, height = frames[0].width, frames[0].height
     kernel = _SearchKernel(search_range, step)
 
-    planes = [f.y.astype(np.float64) for f in frames]
+    ref_quads = [_quads(f.y) for f in frames[:-1]]
     n_pairs = len(frames) - 1
     groups: dict[bytes, list[int]] = {}
     for m, q in enumerate(q_per_pair):
@@ -380,7 +462,7 @@ def compare_sequence(
 
         shifts = kernel.translational(block, width, height)
         outcomes = [
-            {"translational": kernel.search(shifts, planes[m], cur_blocks[m])}
+            {"translational": kernel.search(shifts, ref_quads[m], cur_blocks[m])}
             for m in range(n_pairs)
         ]
         for members in groups.values():
@@ -389,7 +471,7 @@ def compare_sequence(
             for label, cfg in model_configs.items():
                 sampler = kernel.geodesic(geom, cfg)
                 for m in members:
-                    outcomes[m][label] = kernel.search(sampler, planes[m], cur_blocks[m])
+                    outcomes[m][label] = kernel.search(sampler, ref_quads[m], cur_blocks[m])
         for m in range(n_pairs):
             results[m].append(
                 BlockComparison(

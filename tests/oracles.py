@@ -16,7 +16,7 @@ import numpy as np
 from geo360 import geometry
 from geo360.errors import DomainError
 from geo360.geometry import TWO_PI, SphericalPoint
-from geo360.mocomp import ErpFrame, _PlaneSampler
+from geo360.mocomp import ErpFrame, _PlaneSampler, _quads
 from geo360.motion_model import (
     GeodesicModelConfig,
     MotionVector2D,
@@ -135,7 +135,7 @@ def sample_bilinear(frame: ErpFrame, x, y):
         np.array(x, dtype=np.float64), np.array(y, dtype=np.float64),
         frame.width, frame.height,
     )
-    out = sampler.sample(frame.y.astype(np.float64))
+    out = sampler.sample(_quads(frame.y))
     if out.ndim == 0:
         return float(out)
     return out

@@ -4,7 +4,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geo360 import cam_code, geometry
@@ -177,6 +177,8 @@ def _apply_reads(stream, reads):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_write_op, max_size=24), st.lists(_read_op, max_size=24))
+# a 0-bit read with the cursor aligned past a partial last byte
+@example([("write_bit", 0)], [("read_bit",), ("align_read",), ("read_bits", 0)])
 def test_bitstream_matches_bit_at_a_time_oracle(writes, reads):
     bs, oracle = Bitstream(), BitOracle()
     for op, *args in writes:

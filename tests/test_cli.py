@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from geo360 import cli, video_io
+from geo360 import cli, mocomp, video_io
 
 
 def run(argv):
@@ -111,6 +111,54 @@ def test_warp_gc_scalings_agree_on_equator_band(tmp_path, capsys):
     capsys.readouterr()
     # one block row centered exactly on the equator: r = 1 either way
     assert outputs[0] == outputs[1]
+
+
+def test_warp_prepares_reference_once(tmp_path, capsys, monkeypatch):
+    # 4:2:0 frames, so the reference has three planes to prepare
+    rng = np.random.default_rng(11)
+
+    def plane(h, w):
+        return rng.integers(0, 256, size=(h, w), dtype=np.uint8)
+
+    frames = [
+        mocomp.ErpFrame(
+            width=64, height=32, bit_depth=8,
+            y=plane(32, 64), cb=plane(16, 32), cr=plane(16, 32),
+        )
+        for _ in range(2)
+    ]
+    video_io.write_yuv(tmp_path / "c.yuv", frames)
+
+    def warp(tag):
+        rc = run(
+            [
+                "warp", "--input", tmp_path / "c.yuv", "--out", tmp_path / f"{tag}.yuv",
+                "--stats", tmp_path / f"{tag}.csv", "--width", 64, "--height", 32,
+                "--q", "0.3,-0.2,0.93", "--t", "1.5,-0.5", "--block", "8x8",
+                "--variant", "orig",
+            ]
+        )
+        assert rc == 0
+        return (tmp_path / f"{tag}.yuv").read_bytes(), (tmp_path / f"{tag}.csv").read_bytes()
+
+    quads, shapes = mocomp._quads, []
+
+    def counted(p):
+        shapes.append(p.shape)
+        return quads(p)
+
+    monkeypatch.setattr(mocomp, "_quads", counted)
+    once = warp("once")
+    assert shapes == [(32, 64), (16, 32), (16, 32)]
+
+    def per_block(ref, cur, blocks, q, t, cfg):
+        return (mocomp.predict_block(ref, cur, b, q, t, cfg) for b in blocks)
+
+    monkeypatch.setattr(mocomp, "_predict_blocks", per_block)
+    shapes.clear()
+    assert warp("per_block") == once
+    assert len(shapes) == 3 * (64 // 8) * (32 // 8)
+    capsys.readouterr()
 
 
 def test_warp_variant_scaling_contradiction(synth_dir, tmp_path, capsys):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from geo360 import mocomp, video_io
+from geo360 import mocomp, motion_model, video_io
 from geo360.errors import DomainError
 from geo360.mocomp import ErpFrame
 from geo360.motion_model import BlockSpec, GeodesicModelConfig, MotionVector2D
@@ -126,7 +127,8 @@ def test_sampler_matches_reference_bit_for_bit(shape):
     xs, ys = shape
     rng = np.random.default_rng(sum(xs) + 1)
     h, w = 12, 20
-    plane = rng.integers(0, 1024, size=(h, w)).astype(np.float64)
+    plane = rng.integers(0, 1024, size=(h, w))
+    quads = mocomp._quads(plane)
     # wraps past both edges, rows past both poles, and offsets around the
     # snap distance; the tiny negatives are where np.mod alone returns w
     near = np.array([0.0, 3e-7, -3e-7, 2e-6, -2e-6, 1e-17, -1e-17, -1e-15, 0.5])
@@ -154,20 +156,68 @@ def test_sampler_matches_reference_bit_for_bit(shape):
         # the sampler overwrites its coordinates, so it gets copies
         got = mocomp._PlaneSampler(
             np.array(x, dtype=np.float64), np.array(y, dtype=np.float64), w, h
-        ).sample(plane)
+        ).sample(quads)
         want = reference_bilinear(plane, x, y)
         assert got.shape == np.shape(want)
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "dtype, peak", [(np.uint8, 255), ("<u2", 1023), (np.int32, 2**31 - 1)]
+)
+def test_sampler_plane_dtypes_and_edges(dtype, peak):
+    # planes of video sample types, peak values included, sampled on the
+    # wrap column, both clamp rows and at 0-d coordinates
+    rng = np.random.default_rng(3)
+    h, w = 6, 10
+    plane = rng.integers(0, peak, size=(h, w), endpoint=True).astype(dtype)
+    plane[0, w - 1] = plane[h - 1, 0] = peak
+    quads = mocomp._quads(plane)
+    assert quads.dtype == np.dtype(dtype) and quads.shape == (h * w, 4)
+    x = np.array([w - 0.75, w - 1.0, -0.25, 2.5, w - 0.5, 0.0, 7.125])
+    y = np.array([-1.5, 0.25, 0.0, h - 1.0, h - 1.25, h + 2.0, h - 1.5])
+    got = mocomp._PlaneSampler(x.copy(), y.copy(), w, h).sample(quads)
+    assert np.array_equal(got, reference_bilinear(plane, x, y))
+    for xi, yi, want in zip(x, y, got):
+        one = mocomp._PlaneSampler(xi, yi, w, h).sample(quads)
+        assert one.shape == () and one == want
+    # halfway across the wrap on the clamped bottom row
+    edge = mocomp._PlaneSampler(w - 0.5, h + 1.0, w, h).sample(quads)
+    assert edge == (float(plane[h - 1, w - 1]) + float(plane[h - 1, 0])) * 0.5
+
+
 def test_whole_pixel_shifts_gather_one_tap():
     # the block touches the right edge and the top pole row
     block = BlockSpec(x0=240, y0=0, width=16, height=16)
-    for step, taps in ((1.0, 1), (0.5, 4)):
-        shifts = mocomp._SearchKernel(4, step).translational(block, 256, 128)
-        assert shifts.taps.shape[0] == taps
+    rng = np.random.default_rng(4)
+    plane = rng.integers(0, 256, size=(128, 256), dtype=np.uint8)
+    quads = mocomp._quads(plane)
+    shifts = mocomp._SearchKernel(4, 1.0).translational(block, 256, 128)
+    assert shifts.weights is None
+    offsets = np.arange(-4, 5)
+    cols = (240 + offsets[:, None, None, None] + np.arange(16)) % 256
+    rows = np.clip(offsets[None, :, None, None] + np.arange(16)[:, None], 0, 127)
+    assert np.array_equal(shifts.sample(quads), plane[rows, cols].astype(np.float64))
+    half = mocomp._SearchKernel(4, 0.5).translational(block, 256, 128)
+    assert half.weights.shape == half.shape + (4,)
     half_x = mocomp._PlaneSampler(np.array([0.5, 3.0]), np.array([2.0]), 8, 4)
-    assert half_x.taps.shape[0] == 2
+    assert half_x.weights is not None
+
+
+def test_geodesic_samplers_share_kernel_buffers(cylinder_pair):
+    ref, cur = cylinder_pair
+    block = mocomp.tile_blocks(256, 128, 32, 32)[9]
+    geom = motion_model.prepare_block_geometry(block, Z, 256, 128)
+    quads = mocomp._quads(ref.y)
+    cur_block = cur.y[block.y0 : block.y0 + 32, block.x0 : block.x0 + 32].astype(np.float64)
+    kernel = mocomp._SearchKernel(2.0, 1.0)
+    first = kernel.geodesic(geom, ORIG)
+    found = kernel.search(first, quads, cur_block)
+    second = kernel.geodesic(geom, GCG)
+    assert np.shares_memory(first.weights, second.weights)
+    assert np.shares_memory(first.index, second.index)
+    fresh = mocomp._SearchKernel(2.0, 1.0)
+    assert found == fresh.search(fresh.geodesic(geom, ORIG), quads, cur_block)
 
 
 # --- prediction ---------------------------------------------------------------
@@ -358,6 +408,30 @@ def test_compare_sequence_matches_pairwise(cylinder_pair):
                 assert found.prediction.sad == row.outcomes[label].sad
             shifted = mocomp.translational_search(a, b, row.block, 2.0, 1.0)
             assert shifted == row.outcomes["translational"]
+
+
+def test_compare_sequence_memory_per_frame():
+    # compare keeps the _quads of each reference frame, 4 bytes per 8-bit
+    # pixel; a float64 copy of every frame would add 8
+    w, h = 256, 128
+    rng = np.random.default_rng(6)
+    frames = [
+        luma_frame(rng.integers(0, 256, size=(h, w), dtype=np.uint8)) for _ in range(32)
+    ]
+    blocks = [BlockSpec(x0=112, y0=48, width=16, height=16)]
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            mocomp.compare_sequence(
+                frames[:n], blocks, [Z] * (n - 1), {"gcg": GCG}, 2.0, 1.0
+            )
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = peak(32) - peak(8)
+    assert growth <= 4 * w * h * (32 - 8) + 128 * 1024
 
 
 def test_compare_sequence_arity_checks(cylinder_pair):
