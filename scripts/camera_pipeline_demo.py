@@ -39,7 +39,7 @@ def main():
         poc = m + 1
         q_true = truth[poc]
 
-        s, s_m = camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
+        s, s_m = camera_est.flow_to_pairs(flow, 4)
         q_sparse = camera_est.estimate_camera_motion(s, s_m)
         sparse_err = math.degrees(geometry.angle_between(q_sparse, q_true))
 

@@ -25,7 +25,7 @@ from .motion_model import (
     default_delta,
 )
 from .mocomp import BlockComparison, ErpFrame, PredictionResult, SearchResult
-from .camera_est import EssentialMatrix, FinetuneConfig, FlowField
+from .camera_est import EssentialMatrix, FlowField
 from .cam_code import Bitstream, CamMotionRecord
 from .metrics import RDCurve, RDPoint, SequenceResult
 from .video_io import SequenceSpec, SynthConfig, SynthResult
@@ -42,7 +42,6 @@ __all__ = [
     "DomainError",
     "ErpFrame",
     "EssentialMatrix",
-    "FinetuneConfig",
     "FlowField",
     "FormatError",
     "Geo360Error",

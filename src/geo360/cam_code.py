@@ -298,11 +298,19 @@ def _code_record(
     q: np.ndarray, predicted: np.ndarray, poc: int, k: int, frac_bits: int
 ) -> tuple[bytes, CamMotionRecord, int]:
     """encode_record for frame `poc`: both signed EG codes go out as one
-    word, written with one to_bytes."""
+    word, written with one to_bytes.
+
+    The azimuth residual is clamped to the largest step count below a half
+    turn.  A residual within half a step of pi would otherwise round past
+    pi, the decoder would wrap the azimuth to the other side, and coding
+    the decoded direction again would flip the residual's sign.
+    """
     theta, phi = geometry._unit_angles(q)
     theta_hat, phi_hat = geometry._unit_angles(predicted)
     raw_t = quantize_angle(theta - theta_hat, frac_bits)
     raw_p = quantize_angle(wrap_residual(phi - phi_hat), frac_bits)
+    half_turn = math.floor(math.pi * (1 << frac_bits))
+    raw_p = min(max(raw_p, -half_turn), half_turn)
 
     word, used = _signed_word(raw_t, k)
     word_p, used_p = _signed_word(raw_p, k)

@@ -36,6 +36,20 @@ CONDITION_LIMIT = 1e12
 # Largest accepted deviation of a bearing's norm from 1.
 _BEARING_TOL = 1e-6
 
+# flow_to_pairs skips rows within this many radians of either pole.
+_POLE_MARGIN = 0.05
+
+# Flow samples that move less than this many pixels carry no direction and
+# are left out of the finetune objective.
+_MIN_FLOW = 0.1
+
+# flow_finetune's coarse-to-fine search: each of _LEVELS passes scores a
+# _GRID_SIZE x _GRID_SIZE tangent-plane grid of half-width radius (radians,
+# _GRID_RADIUS at first) around the running best, then halves the radius.
+_GRID_RADIUS = 0.3
+_LEVELS = 8
+_GRID_SIZE = 5
+
 
 @dataclass(frozen=True, eq=False)
 class FlowField:
@@ -64,30 +78,6 @@ class EssentialMatrix:
     def __post_init__(self):
         if self.matrix.shape != (3, 3):
             raise DomainError("camera_est: essential matrix must be 3x3")
-
-
-@dataclass(frozen=True)
-class FinetuneConfig:
-    """Coarse-to-fine search cap for flow_finetune.
-
-    grid_radius is the half-width (radians) of the first tangent-plane grid;
-    each of `levels` passes evaluates a grid_size x grid_size grid around the
-    running best and then halves the radius.
-    """
-
-    grid_radius: float = 0.3
-    levels: int = 8
-    grid_size: int = 5
-    stride: int = 4
-    min_flow: float = 0.1
-
-    def __post_init__(self):
-        if self.grid_radius <= 0 or not np.isfinite(self.grid_radius):
-            raise DomainError("camera_est: grid_radius must be positive")
-        if self.levels < 1 or self.grid_size < 2 or self.stride < 1:
-            raise DomainError("camera_est: bad finetune search shape")
-        if self.min_flow < 0:
-            raise DomainError("camera_est: min_flow must be non-negative")
 
 
 def _checked_bearings(s, s_m) -> tuple[np.ndarray, np.ndarray]:
@@ -229,27 +219,20 @@ def _strided_flow(flow: FlowField, stride: int):
     return uu.ravel(), vv.ravel(), du.ravel(), dv.ravel()
 
 
-def flow_to_pairs(
-    flow: FlowField,
-    stride: int,
-    width: int,
-    height: int,
-    pole_margin: float = 0.05,
-) -> tuple[np.ndarray, np.ndarray]:
+def flow_to_pairs(flow: FlowField, stride: int) -> tuple[np.ndarray, np.ndarray]:
     """Subsample a dense flow field into bearing arrays (s, s_m).
 
-    Rows within pole_margin radians of either pole are skipped (bearings
+    Rows within _POLE_MARGIN radians of either pole are skipped (bearings
     there are nearly parallel and the azimuth is ill conditioned), and so
     are samples whose displacement is not finite (unknown flow) or whose
     displaced row leaves the picture.
     """
-    if (flow.width, flow.height) != (width, height):
-        raise DomainError("camera_est: flow dimensions disagree with frame")
+    width, height = flow.width, flow.height
     u, v, du, dv = _strided_flow(flow, stride)
     theta, _ = geometry.erp_grid_to_sphere(u, v, width, height)
     v2 = v + dv
     keep = (
-        (theta >= pole_margin) & (theta <= np.pi - pole_margin)
+        (theta >= _POLE_MARGIN) & (theta <= np.pi - _POLE_MARGIN)
         & np.isfinite(du) & np.isfinite(dv)
         & (v2 >= -0.5) & (v2 <= height - 0.5)
     )
@@ -263,18 +246,18 @@ def flow_to_pairs(
 # Flow-alignment refinement
 
 
-def _flow_samples(flow: FlowField, stride: int, min_flow: float, q_init):
+def _flow_samples(flow: FlowField, stride: int, q_init):
     """Pixels with usable flow: positions, unit flow directions, bearings.
 
     Samples with a non-finite displacement are dropped.  Raises
     NoFlowInformationError, carrying q_init, when no strided sample moves by
-    at least min_flow pixels.
+    at least _MIN_FLOW pixels.
     """
     u, v, du, dv = _strided_flow(flow, stride)
     mag = np.hypot(du, dv)
     # hypot(inf, dv) is inf, which passes the threshold and then divides
     # to nan
-    keep = np.isfinite(mag) & (mag >= min_flow)
+    keep = np.isfinite(mag) & (mag >= _MIN_FLOW)
     if not keep.any():
         raise NoFlowInformationError(
             "camera_est: no flow samples above the magnitude threshold",
@@ -323,15 +306,10 @@ def _direction_field(qs, u, v, bearings, width: int, height: int):
     return np.stack([du / mag, dv / mag], axis=-1)
 
 
-def flow_alignment_objective(
-    q: np.ndarray,
-    flow: FlowField,
-    stride: int = 4,
-    min_flow: float = 0.1,
-) -> float:
+def flow_alignment_objective(q: np.ndarray, flow: FlowField, stride: int = 4) -> float:
     """Mean angle (radians) between observed flow and the dolly field of q."""
     q = geometry.as_unit_vector(q)
-    u, v, dirs, bearings = _flow_samples(flow, stride, min_flow, q)
+    u, v, dirs, bearings = _flow_samples(flow, stride, q)
     return _objectives([q], u, v, dirs, bearings, flow.width, flow.height)[0]
 
 
@@ -350,11 +328,7 @@ def _objectives(qs, u, v, dirs, bearings, width, height) -> list[float]:
     return scores
 
 
-def flow_finetune(
-    q_init: np.ndarray,
-    flow: FlowField,
-    cfg: FinetuneConfig = FinetuneConfig(),
-) -> np.ndarray:
+def flow_finetune(q_init: np.ndarray, flow: FlowField, stride: int = 4) -> np.ndarray:
     """Refine a translation direction against dense flow.
 
     Coarse-to-fine grid descent on the sphere: each level lays a tangent
@@ -363,14 +337,14 @@ def flow_finetune(
     never increases), and halves r.  Deterministic given its inputs.
     """
     q = geometry.as_unit_vector(q_init)
-    u, v, dirs, bearings = _flow_samples(flow, cfg.stride, cfg.min_flow, q)
+    u, v, dirs, bearings = _flow_samples(flow, stride, q)
     width, height = flow.width, flow.height
 
     best_q = q
     (best_j,) = _objectives([q], u, v, dirs, bearings, width, height)
-    radius = cfg.grid_radius
-    offsets = np.linspace(-1.0, 1.0, cfg.grid_size)
-    for _ in range(cfg.levels):
+    radius = _GRID_RADIUS
+    offsets = np.linspace(-1.0, 1.0, _GRID_SIZE)
+    for _ in range(_LEVELS):
         e1, e2 = geometry.tangent_basis(best_q)
         center = best_q
         cands = []

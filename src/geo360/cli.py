@@ -29,6 +29,8 @@ from . import cam_code, camera_est, geometry, metrics, mocomp, motion_model, vid
 from .errors import Geo360Error
 from .motion_model import BlockSpec, GeodesicModelConfig, MotionVector2D
 
+# The one CLI name of each geodesic model: GeodesicModelConfig's (variant,
+# scaling).
 _VARIANTS = {
     "orig": ("original", "global"),
     "gcg": ("gc", "global"),
@@ -68,24 +70,10 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not WxH") from exc
 
 
-def _resolve_model(variant: str, scaling: str | None) -> tuple[str, str]:
-    """Accepts both spellings: --variant gcg, or --variant gc --scaling local."""
-    if variant in _VARIANTS:
-        name, implied = _VARIANTS[variant]
-        if scaling is not None and scaling != implied and name == "gc":
-            raise Geo360Error(
-                f"cli: --scaling {scaling} contradicts --variant {variant}"
-            )
-        return name, scaling or implied
-    if variant in ("original", "gc"):
-        return variant, scaling or "global"
-    raise Geo360Error(f"cli: unknown variant {variant!r}")
-
-
 def _model_config(
-    variant: str, scaling: str | None, delta: float | None, height: int
+    variant: str, delta: float | None, height: int
 ) -> GeodesicModelConfig:
-    name, scaling = _resolve_model(variant, scaling)
+    name, scaling = _VARIANTS[variant]
     if delta is None:
         delta = motion_model.default_delta(height)
     return GeodesicModelConfig(variant=name, scaling=scaling, delta=delta)
@@ -151,8 +139,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_vec3, required=True)
     p.add_argument("--t", type=_parse_vec2, required=True)
     p.add_argument("--block", type=_parse_size, default="16x16")
-    p.add_argument("--variant", default="gcg", choices=("orig", "gc", "gcg", "gcl"))
-    p.add_argument("--scaling", choices=("global", "local"))
+    p.add_argument("--variant", default="gcg", choices=tuple(_VARIANTS))
     p.add_argument("--delta", type=float)
     p.set_defaults(func=_cmd_warp)
 
@@ -222,8 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pb.set_defaults(func=_cmd_bdrate)
     po = msub.add_parser("opcount")
-    po.add_argument("--variant", default="gcg", choices=("orig", "gc", "gcg", "gcl"))
-    po.add_argument("--scaling", choices=("global", "local"))
+    po.add_argument("--variant", default="gcg", choices=tuple(_VARIANTS))
     po.add_argument("--block", type=_parse_size, required=True, help="M x N")
     po.set_defaults(func=_cmd_opcount)
 
@@ -278,13 +264,14 @@ def _cmd_synth(args) -> int:
 def _cmd_warp(args) -> int:
     spec = _spec_from_args(args)
     cur_index = args.cur_index if args.cur_index is not None else args.ref_index + 1
-    frames = video_io.read_yuv(
-        args.input, spec, max_frames=max(args.ref_index, cur_index) + 1
-    )
-    if cur_index >= len(frames) or args.ref_index >= len(frames):
+    last = max(args.ref_index, cur_index)
+    if min(args.ref_index, cur_index) < 0:
+        raise Geo360Error("cli: frame index outside the sequence")
+    frames = video_io.read_yuv(args.input, spec, max_frames=last + 1)
+    if last >= len(frames):
         raise Geo360Error("cli: frame index outside the sequence")
     ref, cur = frames[args.ref_index], frames[cur_index]
-    cfg = _model_config(args.variant, args.scaling, args.delta, args.height)
+    cfg = _model_config(args.variant, args.delta, args.height)
     bw, bh = args.block
     blocks = mocomp.tile_blocks(args.width, args.height, bw, bh)
     t = MotionVector2D(*args.t)
@@ -342,9 +329,7 @@ def _cmd_compare(args) -> int:
     bad = sorted(set(names) - set(_VARIANTS))
     if bad:
         raise Geo360Error(f"cli: unknown variants {bad}")
-    configs = {
-        name: _model_config(name, None, args.delta, args.height) for name in names
-    }
+    configs = {name: _model_config(name, args.delta, args.height) for name in names}
 
     bw, bh = args.block
     blocks = mocomp.tile_blocks(args.width, args.height, bw, bh)
@@ -384,12 +369,10 @@ def _estimate_one(
     if q_init is not None:
         q = np.asarray(q_init, dtype=float)
     else:
-        s, s_m = camera_est.flow_to_pairs(flow, stride, flow.width, flow.height)
+        s, s_m = camera_est.flow_to_pairs(flow, stride)
         q = camera_est.estimate_camera_motion(s, s_m)
     if finetune:
-        q = camera_est.flow_finetune(
-            q, flow, camera_est.FinetuneConfig(stride=stride)
-        )
+        q = camera_est.flow_finetune(q, flow, stride)
     return np.asarray(q, dtype=float)
 
 
@@ -515,7 +498,7 @@ def _cmd_bdrate(args) -> int:
 
 
 def _cmd_opcount(args) -> int:
-    name, scaling = _resolve_model(args.variant, args.scaling)
+    name, scaling = _VARIANTS[args.variant]
     bw, bh = args.block
     counts = motion_model.op_count(name, scaling, bw, bh)
     print(

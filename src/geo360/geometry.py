@@ -36,6 +36,10 @@ TWO_PI = 2.0 * math.pi
 
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
+# Largest accepted deviation from 1 of the norm of a direction passed in as
+# a unit vector.
+_UNIT_TOL = 1e-9
+
 
 def wrap_angle(phi):
     """Wrap an angle (scalar or array) into [-pi, pi)."""
@@ -98,8 +102,8 @@ def _sphere_to_erp_inplace(theta, phi, width: int, height: int, out):
     return u, v
 
 
-def _checked_norm(v, tol: float) -> tuple[np.ndarray, float]:
-    """v as a float64 3-vector and its norm, which must be 1 within tol.
+def _checked_norm(v) -> tuple[np.ndarray, float]:
+    """v as a float64 3-vector and its norm, which must be 1 within _UNIT_TOL.
 
     np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); calling the parts
     directly skips its dispatch and gives the same bits.  The dot stays a
@@ -108,28 +112,28 @@ def _checked_norm(v, tol: float) -> tuple[np.ndarray, float]:
     """
     v = np.asarray(v, dtype=np.float64).reshape(3)
     n = math.sqrt(float(v.dot(v)))
-    if not math.isfinite(n) or abs(n - 1.0) > tol:
-        raise DomainError(f"geometry: vector norm {n!r} is not 1 within {tol}")
+    if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
+        raise DomainError(f"geometry: vector norm {n!r} is not 1 within {_UNIT_TOL}")
     return v, n
 
 
-def as_unit_vector(v, tol: float = 1e-9) -> np.ndarray:
+def as_unit_vector(v) -> np.ndarray:
     """Validate and return v as a float64 unit 3-vector.
 
-    Rejects vectors whose norm deviates from 1 by more than tol; small
+    Rejects vectors whose norm deviates from 1 by more than _UNIT_TOL; small
     deviations are renormalized so downstream trig stays clean.
     """
-    v, n = _checked_norm(v, tol)
+    v, n = _checked_norm(v)
     return v / n
 
 
-def _unit_angles(v, tol: float = 1e-9) -> tuple[float, float]:
+def _unit_angles(v) -> tuple[float, float]:
     """cart_to_sphere as two floats, without building a SphericalPoint.
 
     Each component is divided by the norm as a float, which gives the bits
     of as_unit_vector's array division.
     """
-    v, n = _checked_norm(v, tol)
+    v, n = _checked_norm(v)
     x, y, z = v.tolist()
     z = min(1.0, max(-1.0, z / n))
     theta = math.acos(z)
@@ -150,9 +154,9 @@ def sphere_to_cart(p: SphericalPoint) -> np.ndarray:
     return _angles_to_cart(p.theta, p.phi)
 
 
-def cart_to_sphere(v, tol: float = 1e-9) -> SphericalPoint:
+def cart_to_sphere(v) -> SphericalPoint:
     """Unit vector -> (theta, phi); phi fixed to 0 at the poles."""
-    theta, phi = _unit_angles(v, tol)
+    theta, phi = _unit_angles(v)
     return SphericalPoint(theta=theta, phi=phi)
 
 

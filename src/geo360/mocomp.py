@@ -54,19 +54,25 @@ class ErpFrame:
                 f"mocomp: luma shape {self.y.shape} != "
                 f"({self.height}, {self.width})"
             )
-        if not np.issubdtype(self.y.dtype, np.integer):
-            raise DomainError("mocomp: sample planes must be integer arrays")
-        limit = (1 << self.bit_depth) - 1
-        if self.y.size and int(self.y.max()) > limit:
-            raise DomainError(f"mocomp: luma exceeds {self.bit_depth}-bit range")
         if (self.cb is None) != (self.cr is None):
             raise DomainError("mocomp: chroma planes must come in pairs")
+        planes = {"luma": self.y}
         if self.cb is not None:
             if self.width % 2 or self.height % 2:
                 raise DomainError("mocomp: 4:2:0 needs even luma dimensions")
             cshape = (self.height // 2, self.width // 2)
             if self.cb.shape != cshape or self.cr.shape != cshape:
                 raise DomainError(f"mocomp: chroma shape is not {cshape}")
+            planes.update(cb=self.cb, cr=self.cr)
+        peak = self.max_value
+        for name, plane in planes.items():
+            if not np.issubdtype(plane.dtype, np.integer):
+                raise DomainError("mocomp: sample planes must be integer arrays")
+            if plane.size and (int(plane.min()) < 0 or int(plane.max()) > peak):
+                raise DomainError(
+                    f"mocomp: {name} samples outside the {self.bit_depth}-bit "
+                    f"range 0..{peak}"
+                )
 
     @property
     def max_value(self) -> int:
@@ -507,6 +513,8 @@ def strict_winner(comparison: BlockComparison) -> str | None:
 
 def tile_blocks(width: int, height: int, bw: int, bh: int) -> list[BlockSpec]:
     """Cover a frame with aligned bw x bh blocks; dimensions must divide."""
+    if bw < 1 or bh < 1:
+        raise DomainError(f"mocomp: block size {bw}x{bh} is not at least 1x1")
     if width % bw or height % bh:
         raise DomainError(
             f"mocomp: {bw}x{bh} blocks do not tile a {width}x{height} frame"

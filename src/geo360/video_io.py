@@ -71,7 +71,9 @@ def _sample_dtype(spec: SequenceSpec):
 
 
 def read_yuv(path: str, spec: SequenceSpec, max_frames: int | None = None) -> list[ErpFrame]:
-    """All frames of a raw planar YUV file (or the first max_frames)."""
+    """All frames of a raw planar YUV file (or the first max_frames >= 1)."""
+    if max_frames is not None and max_frames < 1:
+        raise DomainError(f"video_io: max_frames {max_frames} is not at least 1")
     size = os.path.getsize(path)
     if size == 0:
         raise FormatError(f"video_io: {path} is empty")

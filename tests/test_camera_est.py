@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from geo360 import camera_est, geometry, video_io
-from geo360.camera_est import FinetuneConfig, FlowField
+from geo360.camera_est import FlowField
 from geo360.errors import (
     AmbiguousSignError,
     DegenerateGeometryError,
@@ -210,7 +210,7 @@ def synth_flow():
 
 def test_flow_to_pairs_drops_pole_margin(synth_flow):
     flow, _ = synth_flow
-    s, _ = camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
+    s, _ = camera_est.flow_to_pairs(flow, 4)
     theta = np.arccos(np.clip(s[:, 2], -1.0, 1.0))
     assert len(s) > 0
     assert np.all((0.05 <= theta) & (theta <= math.pi - 0.05))
@@ -220,7 +220,7 @@ def test_flow_to_pairs_empty_is_degenerate():
     # the only strided row sits inside the polar margin
     flow = FlowField(du=np.zeros((200, 16)), dv=np.zeros((200, 16)))
     with pytest.raises(DegenerateGeometryError):
-        camera_est.flow_to_pairs(flow, 1000, 16, 200)
+        camera_est.flow_to_pairs(flow, 1000)
 
 
 def test_flow_to_pairs_drops_non_finite_flow(synth_flow):
@@ -228,14 +228,12 @@ def test_flow_to_pairs_drops_non_finite_flow(synth_flow):
     # whole frame
     flow, _ = synth_flow
     clean = camera_est.estimate_camera_motion(
-        *camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
+        *camera_est.flow_to_pairs(flow, 4)
     )
     for bad in (np.nan, np.inf):
         du = flow.du.copy()
         du[32, 64] = bad
-        s, s_m = camera_est.flow_to_pairs(
-            FlowField(du=du, dv=flow.dv), 4, flow.width, flow.height
-        )
+        s, s_m = camera_est.flow_to_pairs(FlowField(du=du, dv=flow.dv), 4)
         assert np.isfinite(s_m).all()
         est = camera_est.estimate_camera_motion(s, s_m)
         assert math.degrees(geometry.angle_between(est, clean)) < 1e-6
@@ -243,7 +241,7 @@ def test_flow_to_pairs_drops_non_finite_flow(synth_flow):
 
 def test_flow_estimate_recovers_truth(synth_flow):
     flow, q_true = synth_flow
-    s, s_m = camera_est.flow_to_pairs(flow, 4, flow.width, flow.height)
+    s, s_m = camera_est.flow_to_pairs(flow, 4)
     est = camera_est.estimate_camera_motion(s, s_m)
     assert math.degrees(geometry.angle_between(est, q_true)) < 0.2
 
@@ -262,22 +260,18 @@ def test_finetune_recovers_perturbed_direction(synth_flow):
     flow, q_true = synth_flow
     rng = np.random.default_rng(8)
     q0 = perturb(q_true, math.radians(3.0), rng)
-    cfg = FinetuneConfig()
-    refined = camera_est.flow_finetune(q0, flow, cfg)
+    refined = camera_est.flow_finetune(q0, flow)
     assert math.degrees(geometry.angle_between(refined, q_true)) < 0.2
 
 
 def test_finetune_never_increases_objective(synth_flow):
     flow, q_true = synth_flow
     rng = np.random.default_rng(9)
-    cfg = FinetuneConfig()
     for _ in range(5):
         q0 = perturb(q_true, math.radians(3.0), rng)
-        j0 = camera_est.flow_alignment_objective(q0, flow, cfg.stride, cfg.min_flow)
-        refined = camera_est.flow_finetune(q0, flow, cfg)
-        j1 = camera_est.flow_alignment_objective(
-            refined, flow, cfg.stride, cfg.min_flow
-        )
+        j0 = camera_est.flow_alignment_objective(q0, flow)
+        refined = camera_est.flow_finetune(q0, flow)
+        j1 = camera_est.flow_alignment_objective(refined, flow)
         assert j1 <= j0 + 1e-15
 
 
@@ -301,15 +295,15 @@ def reference_objective(q, u, v, dirs, bearings, width, height):
     return float(np.arccos(np.clip((dirs * field).sum(axis=1), -1.0, 1.0)).mean())
 
 
-def reference_finetune(q_init, flow, cfg):
-    """flow_finetune scoring one candidate at a time."""
+def reference_finetune(q_init, flow):
+    """flow_finetune at its default stride, scoring one candidate at a time."""
     q = geometry.as_unit_vector(q_init)
-    samples = camera_est._flow_samples(flow, cfg.stride, cfg.min_flow, q)
+    samples = camera_est._flow_samples(flow, 4, q)
     args = samples + (flow.width, flow.height)
     best_q, best_j = q, reference_objective(q, *args)
-    radius = cfg.grid_radius
-    offsets = np.linspace(-1.0, 1.0, cfg.grid_size)
-    for _ in range(cfg.levels):
+    radius = camera_est._GRID_RADIUS
+    offsets = np.linspace(-1.0, 1.0, camera_est._GRID_SIZE)
+    for _ in range(camera_est._LEVELS):
         e1, e2 = geometry.tangent_basis(best_q)
         center = best_q
         for a in offsets * radius:
@@ -333,9 +327,8 @@ def test_batched_finetune_matches_one_at_a_time(synth_flow, monkeypatch, per_bat
     # every batch size gives each direction the bits it gets alone, and so
     # the same refined direction
     flow, q_true = synth_flow
-    cfg = FinetuneConfig()
     q = geometry.as_unit_vector(q_true)
-    samples = camera_est._flow_samples(flow, cfg.stride, cfg.min_flow, q)
+    samples = camera_est._flow_samples(flow, 4, q)
     monkeypatch.setattr(camera_est, "_BATCH_SAMPLES", per_batch * len(samples[0]))
     rng = np.random.default_rng(11)
     qs = [geometry.as_unit_vector(perturb(q_true, math.radians(a), rng))
@@ -345,7 +338,7 @@ def test_batched_finetune_matches_one_at_a_time(synth_flow, monkeypatch, per_bat
     assert camera_est._objectives(qs, *args) == [reference_objective(q, *args) for q in qs]
     for q0 in qs[:3]:
         assert np.array_equal(
-            camera_est.flow_finetune(q0, flow, cfg), reference_finetune(q0, flow, cfg)
+            camera_est.flow_finetune(q0, flow), reference_finetune(q0, flow)
         )
 
 
@@ -362,7 +355,8 @@ def test_finetune_keeps_the_first_of_tied_candidates(synth_flow, monkeypatch):
         return [0.5 if i in (3, 7) else 0.75 for i in range(len(qs))]
 
     monkeypatch.setattr(camera_est, "_objectives", scores)
-    refined = camera_est.flow_finetune(q_true, flow, FinetuneConfig(levels=3))
+    monkeypatch.setattr(camera_est, "_LEVELS", 3)
+    refined = camera_est.flow_finetune(q_true, flow)
     assert [len(qs) for qs in levels] == [1, 24, 24, 24]
     assert np.array_equal(refined, levels[1][3])
 
@@ -372,15 +366,12 @@ def test_finetune_drops_infinite_flow():
     flow = video_io.synth_dolly(cfg).flows[0]
     q_true = np.asarray(cfg.direction, dtype=float)
     q0 = perturb(q_true, math.radians(3.0), np.random.default_rng(6))
-    ft = FinetuneConfig()
-    clean = camera_est.flow_finetune(q0, flow, ft)
+    clean = camera_est.flow_finetune(q0, flow)
     du = flow.du.copy()
-    du[::ft.stride, ::ft.stride][7, 15] = np.inf
+    du[::4, ::4][7, 15] = np.inf
     bad = FlowField(du=du, dv=flow.dv)
-    assert math.isfinite(
-        camera_est.flow_alignment_objective(q_true, bad, ft.stride, ft.min_flow)
-    )
-    refined = camera_est.flow_finetune(q0, bad, ft)
+    assert math.isfinite(camera_est.flow_alignment_objective(q_true, bad))
+    refined = camera_est.flow_finetune(q0, bad)
     assert math.degrees(geometry.angle_between(refined, clean)) < 1e-6
 
 
@@ -388,14 +379,5 @@ def test_objective_without_usable_flow_carries_q_init():
     flow = FlowField(du=np.zeros((16, 32)), dv=np.zeros((16, 32)))
     q = np.array([0.0, 0.0, 1.0])
     with pytest.raises(NoFlowInformationError) as info:
-        camera_est.flow_alignment_objective(q, flow, min_flow=0.5)
+        camera_est.flow_alignment_objective(q, flow)
     assert info.value.q_init is not None
-
-
-def test_finetune_config_validation():
-    with pytest.raises(DomainError):
-        FinetuneConfig(grid_radius=0.0)
-    with pytest.raises(DomainError):
-        FinetuneConfig(levels=0)
-    with pytest.raises(DomainError):
-        FinetuneConfig(min_flow=-1.0)

@@ -96,18 +96,18 @@ def test_warp_gc_scalings_agree_on_equator_band(tmp_path, capsys):
     )
     assert rc == 0
     outputs = []
-    for scaling in ("global", "local"):
+    for variant in ("gcg", "gcl"):
         rc = run(
             [
                 "warp", "--input", tmp_path / "eq.yuv", "--out",
-                tmp_path / f"p_{scaling}.yuv", "--stats", tmp_path / f"{scaling}.csv",
+                tmp_path / f"p_{variant}.yuv", "--stats", tmp_path / f"{variant}.csv",
                 "--width", 64, "--height", 16, "--pixfmt", "yuv400",
                 "--q", "0,0,1", "--t", "1,0", "--block", "16x16",
-                "--variant", "gc", "--scaling", scaling,
+                "--variant", variant,
             ]
         )
         assert rc == 0
-        outputs.append((tmp_path / f"{scaling}.csv").read_text())
+        outputs.append((tmp_path / f"{variant}.csv").read_text())
     capsys.readouterr()
     # one block row centered exactly on the equator: r = 1 either way
     assert outputs[0] == outputs[1]
@@ -161,17 +161,48 @@ def test_warp_prepares_reference_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_warp_variant_scaling_contradiction(synth_dir, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "command, flags, module",
+    [
+        pytest.param("warp", ["--block", "0x16"], "mocomp", id="warp-block-0x16"),
+        pytest.param("warp", ["--block", "16x0"], "mocomp", id="warp-block-16x0"),
+        pytest.param("compare", ["--block", "0x16"], "mocomp", id="compare-block-0x16"),
+        pytest.param("compare", ["--block", "16x0"], "mocomp", id="compare-block-16x0"),
+        pytest.param("wspsnr", ["--max-frames", 0], "video_io", id="wspsnr-max-frames-0"),
+        pytest.param("warp", ["--ref-index", -1], "cli", id="warp-ref-index-minus-1"),
+        pytest.param("warp", ["--cur-index", -1], "cli", id="warp-cur-index-minus-1"),
+    ],
+)
+def test_bad_flag_values_exit_1(synth_dir, tmp_path, capsys, command, flags, module):
+    # each of these ended in a ZeroDivisionError, or predicted from a frame
+    # counted from the end of the file
+    seq = synth_dir / "seq.yuv"
+    yuv = ["--width", 128, "--height", 64, "--pixfmt", "yuv400"]
+    argv = {
+        "warp": ["warp", "--input", seq, "--out", tmp_path / "p.yuv", "--q", "0,0,1",
+                 "--t", "1,0"],
+        "compare": ["compare", "--input", seq, "--camera", synth_dir / "cam.csv",
+                    "--out", tmp_path / "cmp.csv"],
+        "wspsnr": ["metrics", "wspsnr", "--ref", seq, "--test", seq],
+    }[command]
+    assert run(argv + yuv + flags) == 1
+    assert capsys.readouterr().err.startswith(f"error: {module}: ")
+
+
+def test_warp_rejects_chroma_above_bit_depth(tmp_path, capsys):
+    # a 10-bit 4:2:0 file whose chroma holds 4000; its luma is in range
+    luma = np.full(32 * 16, 512, dtype="<u2")
+    chroma = np.full(2 * 16 * 8, 4000, dtype="<u2")
+    (tmp_path / "c.yuv").write_bytes(2 * (luma.tobytes() + chroma.tobytes()))
     rc = run(
         [
-            "warp", "--input", synth_dir / "seq.yuv", "--out", tmp_path / "x.yuv",
-            "--width", 128, "--height", 64, "--pixfmt", "yuv400",
-            "--q", "0,0,1", "--t", "1,0", "--variant", "gcg",
-            "--scaling", "local",
+            "warp", "--input", tmp_path / "c.yuv", "--out", tmp_path / "p.yuv",
+            "--width", 32, "--height", 16, "--bitdepth", 10,
+            "--q", "0,0,1", "--t", "1,0", "--block", "8x8",
         ]
     )
     assert rc == 1
-    assert "error: cli:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: mocomp: ")
 
 
 def test_compare_over_sequence(synth_dir, tmp_path, capsys):

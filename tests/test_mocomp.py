@@ -51,6 +51,33 @@ def test_frame_rejects_out_of_range():
     luma_frame(y, bit_depth=10)  # fine at 10 bits
 
 
+def _planes():
+    """Zero int32 planes of an 8x4 4:2:0 frame, by ErpFrame field name."""
+    return {"y": np.zeros((4, 8), np.int32), "cb": np.zeros((2, 4), np.int32),
+            "cr": np.zeros((2, 4), np.int32)}
+
+
+@pytest.mark.parametrize("plane", ["y", "cb", "cr"])
+def test_frame_rejects_negative_samples(plane):
+    planes = _planes()
+    planes[plane][1, 2] = -5
+    with pytest.raises(DomainError):
+        ErpFrame(width=8, height=4, bit_depth=8, **planes)
+
+
+@pytest.mark.parametrize("plane", ["cb", "cr"])
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_frame_rejects_chroma_above_bit_depth(plane, bit_depth):
+    peak = (1 << bit_depth) - 1
+    for value in (peak + 1, 4000):
+        planes = _planes()
+        planes[plane][1, 2] = value
+        with pytest.raises(DomainError):
+            ErpFrame(width=8, height=4, bit_depth=bit_depth, **planes)
+    planes[plane][1, 2] = peak
+    ErpFrame(width=8, height=4, bit_depth=bit_depth, **planes)  # the peak is fine
+
+
 def test_frame_rejects_half_chroma():
     y = np.zeros((4, 8), dtype=np.uint8)
     c = np.zeros((2, 4), dtype=np.uint8)

@@ -456,7 +456,7 @@ def test_synth_flow_feeds_camera_estimation():
     out = video_io.synth_dolly(cfg)
     q_true = np.asarray(cfg.direction, dtype=float)
     q_true /= np.linalg.norm(q_true)
-    s, s_m = camera_est.flow_to_pairs(out.flows[0], 4, 128, 64)
+    s, s_m = camera_est.flow_to_pairs(out.flows[0], 4)
     est = camera_est.estimate_camera_motion(s, s_m)
     assert math.degrees(geometry.angle_between(est, q_true)) < 0.2
 
