@@ -107,13 +107,6 @@ class Bitstream:
         pad = -count % 8
         self._buf += (value << pad).to_bytes((count + pad) >> 3, "big")
 
-    def write_string(self, bits: str):
-        """Append a string of '0' and '1' characters."""
-        if bits.strip("01"):
-            raise DomainError(f"cam_code: bit string {bits!r} is not all 0 and 1")
-        if bits:
-            self.write_bits(int(bits, 2), len(bits))
-
     def read_bit(self) -> int:
         return self.read_bits(1)
 
@@ -172,14 +165,6 @@ def _eg_word(n: int, k: int) -> tuple[int, int]:
     return v, 2 * v.bit_length() - 1 - k
 
 
-def eg_encode(n: int, k: int = DEFAULT_EG_ORDER) -> str:
-    """Order-k exponential-Golomb code of a non-negative integer, as a
-    bit string.  Code length is 2*m - k + 1 where m is the bit position of
-    the leading one of n + 2**k."""
-    v, length = _eg_word(n, k)
-    return format(v, f"0{length}b")
-
-
 def eg_decode(bits: Bitstream, k: int = DEFAULT_EG_ORDER) -> int:
     # m - k zeros, then the m + 1 bits of n + 2**k read as one word
     v = bits.read_bits(bits.read_zero_run() + k + 1)
@@ -196,10 +181,15 @@ def _signed_word(raw: int, k: int) -> tuple[int, int]:
 
 
 def _read_signed(bits: Bitstream, k: int) -> int:
-    mag = eg_decode(bits, k)
-    if mag == 0:
-        return 0
-    return -mag if bits.read_bit() else mag
+    """Inverse of _signed_word.  A non-empty zero run means |raw| >= 2**k,
+    so a sign bit follows, and it is read in the same word as the EG code."""
+    zeros = bits.read_zero_run()
+    if zeros:
+        word = bits.read_bits(zeros + k + 2)
+        mag = (word >> 1) - (1 << k)
+        return -mag if word & 1 else mag
+    mag = bits.read_bits(k + 1) - (1 << k)
+    return -mag if mag and bits.read_bit() else mag
 
 
 @dataclass(frozen=True)
@@ -242,6 +232,8 @@ def predict_direction(
     """
     if not reconstructed:
         return np.array([0.0, 0.0, 1.0])
+    if len(reconstructed) == 1:
+        return reconstructed[0][1]
     dists = [abs(p - poc) for p, _ in reconstructed]
     best = min(dists)
     hits = [entry for entry, d in zip(reconstructed, dists) if d == best]
@@ -259,7 +251,8 @@ class _History:
     """Reconstructed (poc, direction) entries in coding order, indexed by poc.
 
     predict_direction only looks at the entries nearest in poc, so each
-    prediction is handed those alone instead of the whole history.
+    prediction is handed those alone instead of the whole history.  In
+    ascending poc order, append and neighbours take constant time.
     """
 
     def __init__(self):
@@ -269,7 +262,10 @@ class _History:
 
     def append(self, poc: int, q: np.ndarray):
         if poc not in self._at:
-            bisect.insort(self._pocs, poc)
+            if self._pocs and poc < self._pocs[-1]:
+                bisect.insort(self._pocs, poc)
+            else:
+                self._pocs.append(poc)
             self._at[poc] = []
         self.entries.append((poc, q))
         self._at[poc].append(self.entries[-1])
@@ -277,48 +273,54 @@ class _History:
     def neighbours(self, poc: int) -> list[tuple[int, np.ndarray]]:
         """Entries at the nearest poc <= poc, then at the nearest poc > poc,
         each in coding order.  predict_direction sorts candidates by poc with
-        a stable sort, so it picks from these what it picks from all."""
+        a stable sort, so it picks from these what it picks from all.  At or
+        past the last poc this is the last poc's own list, not a copy."""
+        if self._pocs and poc >= self._pocs[-1]:
+            return self._at[self._pocs[-1]]
         i = bisect.bisect_right(self._pocs, poc)
         return [e for p in self._pocs[max(i - 1, 0) : i + 1] for e in self._at[p]]
 
 
-def _reconstruct(
-    poc: int, theta_hat: float, phi_hat: float, raw_t: int, raw_p: int, frac_bits: int
-) -> CamMotionRecord:
-    """The record a decoder rebuilds from the predicted angles and the two
-    coded residuals."""
-    theta = min(max(theta_hat + dequantize_angle(raw_t, frac_bits), 0.0), math.pi)
-    phi = phi_hat + dequantize_angle(raw_p, frac_bits)
-    # geometry.wrap_angle on a float: math.floor gives the bits of np.floor
-    phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
-    return CamMotionRecord(poc=poc, theta=theta, phi=phi)
+def _payload(raw_t: int, raw_p: int, k: int) -> tuple[bytes, int]:
+    """Both signed EG codes as one zero-padded word, and its unpadded length."""
+    word, used = _signed_word(raw_t, k)
+    word_p, used_p = _signed_word(raw_p, k)
+    used += used_p
+    pad = -used % 8
+    word = ((word << used_p) | word_p) << pad
+    return word.to_bytes((used + pad) >> 3, "big"), used
 
 
-def _code_record(
-    q: np.ndarray, predicted: np.ndarray, poc: int, k: int, frac_bits: int
-) -> tuple[bytes, CamMotionRecord, int]:
-    """encode_record for frame `poc`: both signed EG codes go out as one
-    word, written with one to_bytes.
+def _closed_loop(
+    history: _History, poc: int, frac_bits: int, q: np.ndarray | None = None, raw=(0, 0)
+) -> tuple[CamMotionRecord, tuple[int, int]]:
+    """The one step both sides run per record: predict frame `poc`'s angles
+    from the reconstructed history, rebuild the record a decoder sees from
+    the quantized residuals, and add its direction to the history.
 
-    The azimuth residual is clamped to the largest step count below a half
+    The decoder passes the residuals it read as raw.  The encoder passes
+    its direction q instead and gets back the residuals to code.  The
+    azimuth residual is clamped to the largest step count below a half
     turn.  A residual within half a step of pi would otherwise round past
     pi, the decoder would wrap the azimuth to the other side, and coding
     the decoded direction again would flip the residual's sign.
     """
-    theta, phi = geometry._unit_angles(q)
+    predicted = predict_direction(history.neighbours(poc), poc)
     theta_hat, phi_hat = geometry._unit_angles(predicted)
-    raw_t = quantize_angle(theta - theta_hat, frac_bits)
-    raw_p = quantize_angle(wrap_residual(phi - phi_hat), frac_bits)
-    half_turn = math.floor(math.pi * (1 << frac_bits))
-    raw_p = min(max(raw_p, -half_turn), half_turn)
-
-    word, used = _signed_word(raw_t, k)
-    word_p, used_p = _signed_word(raw_p, k)
-    word = (word << used_p) | word_p
-    used += used_p
-    pad = -used % 8
-    payload = (word << pad).to_bytes((used + pad) >> 3, "big")
-    return payload, _reconstruct(poc, theta_hat, phi_hat, raw_t, raw_p, frac_bits), used
+    scale = 1 << frac_bits  # dequantize_angle's divisor
+    if q is not None:
+        theta, phi = geometry._unit_angles(q)
+        raw_t = quantize_angle(theta - theta_hat, frac_bits)
+        raw_p = quantize_angle(wrap_residual(phi - phi_hat), frac_bits)
+        half_turn = math.floor(math.pi * scale)
+        raw = raw_t, min(max(raw_p, -half_turn), half_turn)
+    theta = min(max(theta_hat + raw[0] / scale, 0.0), math.pi)
+    phi = phi_hat + raw[1] / scale
+    # geometry.wrap_angle on a float: math.floor gives the bits of np.floor
+    phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
+    rec = CamMotionRecord(poc, theta, phi)
+    history.append(poc, rec.direction())
+    return rec, raw
 
 
 def encode_record(
@@ -333,7 +335,11 @@ def encode_record(
     residuals (what a decoder will see, with poc -1), and the unpadded bit
     count.
     """
-    return _code_record(q, predicted, -1, k, frac_bits)
+    history = _History()
+    history.append(-1, predicted)  # a history that predicts `predicted`
+    rec, raw = _closed_loop(history, -1, frac_bits, q=q)
+    payload, used = _payload(*raw, k)
+    return payload, rec, used
 
 
 def encode_stream(
@@ -357,23 +363,19 @@ def encode_stream(
     body = bytearray()
     history = _History()
     records: list[CamMotionRecord] = []
-    payload_bits = 0
     record_bits: list[int] = []
     for poc, q in motions:
-        predicted = predict_direction(history.neighbours(poc), poc)
-        payload, rec, _ = _code_record(q, predicted, poc, k, frac_bits)
-        body += struct.pack(">I", poc)
-        body += payload
-        payload_bits += 8 * len(payload)
+        rec, raw = _closed_loop(history, poc, frac_bits, q=q)
+        payload, _ = _payload(*raw, k)
+        body += struct.pack(">I", poc) + payload
         record_bits.append(32 + 8 * len(payload))
         records.append(rec)
-        history.append(poc, rec.direction())
 
     header = MAGIC + struct.pack(">HI", VERSION, len(records))
     return StreamEncodeResult(
         data=bytes(header) + bytes(body),
         records=records,
-        payload_bits=payload_bits,
+        payload_bits=sum(record_bits) - 32 * len(records),
         record_bits=tuple(record_bits),
     )
 
@@ -409,23 +411,17 @@ def decode_stream(
             raise TruncationError("cam_code: stream ends before a poc field")
         poc = bits.read_bits(32)
         start = bits.read_position
-        raw_t = _read_signed(bits, k)
-        raw_p = _read_signed(bits, k)
-        if abs(raw_t) > limit or abs(raw_p) > limit:
+        raw = (_read_signed(bits, k), _read_signed(bits, k))
+        if abs(raw[0]) > limit or abs(raw[1]) > limit:
             raise FormatError(f"cam_code: residual out of range in frame {poc}")
         bits.align_read()
         payload_bits += bits.read_position - start
-
-        predicted = predict_direction(history.neighbours(poc), poc)
-        theta_hat, phi_hat = geometry._unit_angles(predicted)
-        rec = _reconstruct(poc, theta_hat, phi_hat, raw_t, raw_p, frac_bits)
-        records.append(rec)
-        history.append(poc, rec.direction())
+        records.append(_closed_loop(history, poc, frac_bits, raw=raw)[0])
 
     if bits.bit_length - bits.read_position >= 8:
         raise FormatError("cam_code: trailing bytes after the last record")
     return StreamDecodeResult(
         records=records,
-        motion=[(p, q.copy()) for p, q in history.entries],
+        motion=history.entries,
         payload_bits=payload_bits,
     )

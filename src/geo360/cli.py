@@ -388,6 +388,8 @@ def _cmd_camest(args) -> int:
         s, s_m = camera_est.pixel_pairs_to_bearings(quads, args.width, args.height)
         estimates.append((args.poc, camera_est.estimate_camera_motion(s, s_m)))
     elif args.count is not None:
+        if args.count < 1:
+            raise Geo360Error(f"cli: --count {args.count} is below 1")
         for i, path in enumerate(_pattern_names(args.flow, args.count, "--flow")):
             poc = i + 1
             try:
@@ -430,8 +432,8 @@ def _cmd_camcode_encode(args) -> int:
     )
     with open(args.out, "wb") as fh:
         fh.write(result.data)
-    for rec, bits in zip(result.records, result.record_bits):
-        print(f"frame {rec.poc}: {bits} bits")
+    report = zip(result.records, result.record_bits)
+    sys.stdout.write("".join(f"frame {rec.poc}: {bits} bits\n" for rec, bits in report))
     print(
         f"total: {8 * len(result.data)} bits ({len(result.data)} bytes), "
         f"{result.payload_bits} payload bits"

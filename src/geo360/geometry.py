@@ -108,9 +108,10 @@ def _checked_norm(v) -> tuple[np.ndarray, float]:
     np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); calling the parts
     directly skips its dispatch and gives the same bits.  The dot stays a
     numpy dot: x*x + y*y + z*z differs from it in the last bit for about
-    one unit vector in five.
+    one unit vector in five.  A float64 (3,) array is used as it is.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(3)
+    if type(v) is not np.ndarray or v.shape != (3,) or v.dtype != np.float64:
+        v = np.asarray(v, dtype=np.float64).reshape(3)
     n = math.sqrt(float(v.dot(v)))
     if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
         raise DomainError(f"geometry: vector norm {n!r} is not 1 within {_UNIT_TOL}")

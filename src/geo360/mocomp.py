@@ -338,8 +338,8 @@ class _SearchKernel:
     """
 
     def __init__(self, search_range: float, step: float):
-        if search_range <= 0 or step <= 0:
-            raise DomainError("mocomp: search range and step must be positive")
+        if not (0 < search_range < math.inf and 0 < step < math.inf):
+            raise DomainError("mocomp: range and step must be positive and finite")
         n = int(round(search_range / step))
         if n < 1 or abs(n * step - search_range) > 1e-9:
             raise DomainError(

@@ -186,7 +186,7 @@ def write_camera_csv(path: str, entries: Sequence[tuple[int, np.ndarray]]):
     fractional bits reproduces the original raw values."""
     lines = [CAMERA_CSV_HEADER]
     for poc, q in entries:
-        lines.append(f"{poc},{q[0]:.10f},{q[1]:.10f},{q[2]:.10f}")
+        lines.append("{},{:.10f},{:.10f},{:.10f}".format(poc, *q.tolist()))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

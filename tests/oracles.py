@@ -2,7 +2,8 @@
 
 Each function maps one point (or one coordinate) with plain floats, so the
 array code in geo360 can be checked against a formula that is easy to read.
-None of them is called by the package itself.
+The camera codec's bits also have a '0'/'1' string form here.  None of them
+is called by the package itself.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geo360 import geometry
+from geo360 import cam_code, geometry
 from geo360.errors import DomainError
 from geo360.geometry import TWO_PI, SphericalPoint
 from geo360.mocomp import ErpFrame, _PlaneSampler, _quads
@@ -139,3 +140,19 @@ def sample_bilinear(frame: ErpFrame, x, y):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+def eg_encode(n: int, k: int = cam_code.DEFAULT_EG_ORDER) -> str:
+    """Order-k exponential-Golomb code of a non-negative integer, as a
+    bit string.  Code length is 2*m - k + 1 where m is the bit position of
+    the leading one of n + 2**k."""
+    v, length = cam_code._eg_word(n, k)
+    return format(v, f"0{length}b")
+
+
+def write_string(stream: cam_code.Bitstream, bits: str):
+    """Append a string of '0' and '1' characters to a Bitstream."""
+    if bits.strip("01"):
+        raise DomainError(f"cam_code: bit string {bits!r} is not all 0 and 1")
+    if bits:
+        stream.write_bits(int(bits, 2), len(bits))

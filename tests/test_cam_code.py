@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from geo360 import cam_code, geometry
 from geo360.cam_code import Bitstream, CamMotionRecord
 from geo360.errors import DomainError, FormatError, Geo360Error, TruncationError
+from oracles import eg_encode, write_string
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -48,7 +49,7 @@ def test_bitstream_round_trip():
     bs = Bitstream()
     bs.write_bits(0b1011, 4)
     bs.write_bit(1)
-    bs.write_string("001")
+    write_string(bs, "001")
     raw = bs.to_bytes()
     rd = Bitstream(raw)
     assert rd.read_bits(4) == 0b1011
@@ -85,7 +86,7 @@ def test_write_bits_rejects_value_wider_than_count():
 def test_write_string_accepts_only_0_and_1(bad):
     bs = Bitstream()
     with pytest.raises(DomainError):
-        bs.write_string(bad)
+        write_string(bs, bad)
     assert bs.bit_length == 0
 
 
@@ -182,7 +183,10 @@ def _apply_reads(stream, reads):
 def test_bitstream_matches_bit_at_a_time_oracle(writes, reads):
     bs, oracle = Bitstream(), BitOracle()
     for op, *args in writes:
-        getattr(bs, op)(*args)
+        if op == "write_string":
+            write_string(bs, *args)
+        else:
+            getattr(bs, op)(*args)
         getattr(oracle, op)(*args)
         assert bs.bit_length == oracle.nbits
     raw = bs.to_bytes()
@@ -202,24 +206,24 @@ def test_bitstream_matches_bit_at_a_time_oracle(writes, reads):
 def test_eg_order0_table():
     table = {0: "1", 1: "010", 2: "011", 3: "00100", 4: "00101"}
     for n, word in table.items():
-        assert cam_code.eg_encode(n, 0) == word
+        assert eg_encode(n, 0) == word
 
 
 def test_eg_order1_table():
     table = {0: "10", 1: "11", 2: "0100", 3: "0101", 4: "0110"}
     for n, word in table.items():
-        assert cam_code.eg_encode(n, 1) == word
+        assert eg_encode(n, 1) == word
 
 
 def test_eg18_zero_is_19_bits():
-    assert len(cam_code.eg_encode(0, 18)) == 19
+    assert len(eg_encode(0, 18)) == 19
 
 
 def test_eg_round_trip_sample():
     for k in (0, 1, 18, 24):
         for n in (0, 1, 2, 255, 1 << 17, (1 << 20) - 1):
             bs = Bitstream()
-            bs.write_string(cam_code.eg_encode(n, k))
+            write_string(bs, eg_encode(n, k))
             assert cam_code.eg_decode(Bitstream(bs.to_bytes()), k) == n
 
 
@@ -227,20 +231,35 @@ def test_eg_round_trip_sample():
 @given(st.integers(min_value=0, max_value=(1 << 26) - 1), st.integers(min_value=0, max_value=24))
 def test_eg_round_trip_property(n, k):
     bs = Bitstream()
-    bs.write_string(cam_code.eg_encode(n, k))
+    write_string(bs, eg_encode(n, k))
     assert cam_code.eg_decode(Bitstream(bs.to_bytes()), k) == n
 
 
 def test_eg_length_formula_k18():
     for n in (0, 1, 1000, (1 << 18) - 1, 1 << 18, (1 << 25) - 1):
         expect = 2 * int(math.floor(math.log2(n + (1 << 18)))) - 17
-        assert len(cam_code.eg_encode(n, 18)) == expect
+        assert len(eg_encode(n, 18)) == expect
 
 
 def test_eg_length_monotone():
     for k in (0, 5, 18):
-        lengths = [len(cam_code.eg_encode(n, k)) for n in range(4096)]
+        lengths = [len(eg_encode(n, k)) for n in range(4096)]
         assert all(b >= a for a, b in zip(lengths, lengths[1:]))
+
+
+@pytest.mark.parametrize("k", [0, 1, 18])
+def test_signed_code_round_trip_at_the_boundaries(k):
+    # below 2**k the zero run is empty and the sign bit is read on its own;
+    # from 2**k on it is read in one word with the EG code
+    mags = {0, 1, 2**k - 1, 2**k, 2 ** (k + 1) + 3}
+    for raw in sorted(mags | {-m for m in mags}):
+        word, used = cam_code._signed_word(raw, k)
+        for tail, tail_bits in ((0, 0), (0b1011, 4)):
+            bs = Bitstream()
+            bs.write_bits(word, used)
+            bs.write_bits(tail, tail_bits)
+            assert cam_code._read_signed(bs, k) == raw
+            assert bs.read_position == used
 
 
 # --- record coding ----------------------------------------------------------------

@@ -69,6 +69,16 @@ def test_synth_rejects_flow_pattern_without_frame_number(
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_camest_count_below_1_exits_1(synth_dir, tmp_path, capsys, count):
+    # it used to exit 0 having estimated nothing, with a header-only CSV
+    out = tmp_path / "est.csv"
+    argv = ["camest", "--flow", synth_dir / "flow_%03d.flo", "--count", count, "--out", out]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == f"error: cli: --count {count} is below 1\n"
+    assert not out.exists()
+
+
 def test_warp_zero_motion_identical_frames(synth_dir, tmp_path, capsys):
     rc = run(
         [
@@ -171,11 +181,15 @@ def test_warp_prepares_reference_once(tmp_path, capsys, monkeypatch):
         pytest.param("wspsnr", ["--max-frames", 0], "video_io", id="wspsnr-max-frames-0"),
         pytest.param("warp", ["--ref-index", -1], "cli", id="warp-ref-index-minus-1"),
         pytest.param("warp", ["--cur-index", -1], "cli", id="warp-cur-index-minus-1"),
+        pytest.param("compare", ["--range", "nan"], "mocomp", id="compare-range-nan"),
+        pytest.param("compare", ["--range", "inf"], "mocomp", id="compare-range-inf"),
+        pytest.param("compare", ["--range=-inf"], "mocomp", id="compare-range-minus-inf"),
+        pytest.param("compare", ["--step", "nan"], "mocomp", id="compare-step-nan"),
     ],
 )
 def test_bad_flag_values_exit_1(synth_dir, tmp_path, capsys, command, flags, module):
-    # each of these ended in a ZeroDivisionError, or predicted from a frame
-    # counted from the end of the file
+    # each of these ended in a ZeroDivisionError, a ValueError or an
+    # OverflowError, or predicted from a frame counted from the end of the file
     seq = synth_dir / "seq.yuv"
     yuv = ["--width", 128, "--height", 64, "--pixfmt", "yuv400"]
     argv = {
