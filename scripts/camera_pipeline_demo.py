@@ -56,11 +56,13 @@ def main():
         estimates.append((poc, q_fine))
         print(f"{poc:>5}  {sparse_err:>14.6f}  {fine_err:>15.6f}  {obj:.6f}")
 
-    enc = cam_code.encode_stream(estimates)
+    enc = cam_code.encode_stream(
+        [poc for poc, _ in estimates], [q for _, q in estimates]
+    )
     dec = cam_code.decode_stream(enc.data)
     worst = max(
-        geometry.angle_between(q, rec.direction())
-        for (_, q), rec in zip(estimates, dec.records)
+        geometry.angle_between(q, q_hat)
+        for (_, q), q_hat in zip(estimates, dec.directions)
     )
     bits = 8 * len(enc.data)
     print(f"\ncoded {len(estimates)} directions in {len(enc.data)} bytes "

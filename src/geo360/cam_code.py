@@ -21,7 +21,6 @@ out of band; both sides default to k=18 and 24 fractional bits.
 
 from __future__ import annotations
 
-import bisect
 import math
 import struct
 from dataclasses import dataclass
@@ -42,10 +41,6 @@ def quantize_angle(x: float, frac_bits: int = DEFAULT_FRAC_BITS) -> int:
     """Fixed-point with half-way cases rounded away from zero."""
     scale = 1 << frac_bits
     return int(math.copysign(math.floor(abs(x) * scale + 0.5), x))
-
-
-def dequantize_angle(raw: int, frac_bits: int = DEFAULT_FRAC_BITS) -> float:
-    return raw / (1 << frac_bits)
 
 
 def _check_params(k: int, frac_bits: int):
@@ -86,11 +81,6 @@ class Bitstream:
     def read_position(self) -> int:
         return self._pos
 
-    def write_bit(self, bit: int):
-        if bit not in (0, 1):
-            raise DomainError(f"cam_code: bit value {bit!r} is not 0 or 1")
-        self.write_bits(int(bit), 1)
-
     def write_bits(self, value: int, count: int):
         """Append the low `count` bits of value, most significant first."""
         if count < 0 or value >> count:
@@ -125,6 +115,12 @@ class Bitstream:
         word = int.from_bytes(self._buf[self._pos >> 3 : (end + 7) >> 3], "big")
         self._pos = end
         return (word >> (-end % 8)) & ((1 << count) - 1)
+
+    def unread(self, count: int):
+        """Move the cursor back over the last `count` bits read."""
+        if not 0 <= count <= self._pos:
+            raise DomainError(f"cam_code: cannot unread {count} bits")
+        self._pos -= count
 
     def read_zero_run(self) -> int:
         """Count the zero bits from the cursor to the next one bit and move
@@ -165,12 +161,6 @@ def _eg_word(n: int, k: int) -> tuple[int, int]:
     return v, 2 * v.bit_length() - 1 - k
 
 
-def eg_decode(bits: Bitstream, k: int = DEFAULT_EG_ORDER) -> int:
-    # m - k zeros, then the m + 1 bits of n + 2**k read as one word
-    v = bits.read_bits(bits.read_zero_run() + k + 1)
-    return v - (1 << k)
-
-
 def _signed_word(raw: int, k: int) -> tuple[int, int]:
     """EG code of |raw|, then a sign bit (1 = negative) when raw != 0, as
     one word (value, length)."""
@@ -181,15 +171,23 @@ def _signed_word(raw: int, k: int) -> tuple[int, int]:
 
 
 def _read_signed(bits: Bitstream, k: int) -> int:
-    """Inverse of _signed_word.  A non-empty zero run means |raw| >= 2**k,
-    so a sign bit follows, and it is read in the same word as the EG code."""
+    """Inverse of _signed_word: the EG word and the bit after it in one
+    read_bits.  That bit is the sign bit when the magnitude is not 0, and
+    is given back when it is 0.  A zero code may end the stream, and then
+    its EG word is read alone."""
     zeros = bits.read_zero_run()
-    if zeros:
+    try:
         word = bits.read_bits(zeros + k + 2)
-        mag = (word >> 1) - (1 << k)
-        return -mag if word & 1 else mag
-    mag = bits.read_bits(k + 1) - (1 << k)
-    return -mag if mag and bits.read_bit() else mag
+    except TruncationError:
+        # a non-empty zero run means |raw| >= 2**k, so a sign bit must follow
+        if zeros or bits.read_bits(k + 1) != 1 << k:
+            raise
+        return 0
+    mag = (word >> 1) - (1 << k)
+    if not mag:
+        bits.unread(1)
+        return 0
+    return -mag if word & 1 else mag
 
 
 @dataclass(frozen=True)
@@ -204,19 +202,23 @@ class CamMotionRecord:
         return geometry._angles_to_cart(self.theta, self.phi)
 
 
+# A stream's reconstructed records, one row per record in coding order.
+RECORD_DTYPE = np.dtype([("poc", np.int64), ("theta", np.float64), ("phi", np.float64)])
+
+
 @dataclass(frozen=True)
 class StreamEncodeResult:
     data: bytes
-    records: list[CamMotionRecord]
+    records: np.ndarray  # RECORD_DTYPE
     payload_bits: int
     # Per record: bits spent in the container (u32 poc + padded payload).
-    record_bits: tuple[int, ...] = ()
+    record_bits: np.ndarray
 
 
 @dataclass(frozen=True)
 class StreamDecodeResult:
-    records: list[CamMotionRecord]
-    motion: list[tuple[int, np.ndarray]]
+    records: np.ndarray  # RECORD_DTYPE
+    directions: np.ndarray  # (N, 3), each record's unit direction
     payload_bits: int
 
 
@@ -247,38 +249,81 @@ def predict_direction(
     return mean / norm
 
 
-class _History:
-    """Reconstructed (poc, direction) entries in coding order, indexed by poc.
+def _grown(a: np.ndarray, capacity: int) -> np.ndarray:
+    out = np.empty((capacity,) + a.shape[1:], dtype=a.dtype)
+    out[: len(a)] = a
+    return out
 
-    predict_direction only looks at the entries nearest in poc, so each
-    prediction is handed those alone instead of the whole history.  In
-    ascending poc order, append and neighbours take constant time.
+
+class _History:
+    """Reconstructed directions in coding order, in flat arrays.
+
+    `pocs` and the `(N, 3)` `directions` hold the first `size` entries and
+    double when full.  predict_direction only looks at the entries nearest
+    in poc, so each prediction is handed those alone.  A frame at or past
+    the highest poc is predicted from `_top`, the list of entries at the
+    highest poc, returned as it is: in ascending poc order a lookup
+    allocates nothing.  The first poc below the highest sorts the rows by
+    (poc, coding order) into `_sorted`; from then on each append inserts
+    its row there, and a lookup below the highest poc is a binary search.
     """
 
-    def __init__(self):
-        self.entries: list[tuple[int, np.ndarray]] = []
-        self._pocs: list[int] = []  # distinct pocs, ascending
-        self._at: dict[int, list[tuple[int, np.ndarray]]] = {}
+    def __init__(self, capacity: int = 1):
+        self.size = 0
+        self.pocs = np.empty(max(capacity, 1), dtype=np.int64)
+        self.directions = np.empty((len(self.pocs), 3))
+        self._top: list[tuple[int, np.ndarray]] = []
+        self._sorted: tuple[np.ndarray, np.ndarray] | None = None  # pocs, rows
 
     def append(self, poc: int, q: np.ndarray):
-        if poc not in self._at:
-            if self._pocs and poc < self._pocs[-1]:
-                bisect.insort(self._pocs, poc)
-            else:
-                self._pocs.append(poc)
-            self._at[poc] = []
-        self.entries.append((poc, q))
-        self._at[poc].append(self.entries[-1])
+        n = self.size
+        if n == len(self.pocs):
+            self._grow(2 * n)
+        self.pocs[n] = poc
+        self.directions[n] = q
+        self.size = n + 1
+        top = self._top
+        if self._sorted is None and top and poc < top[0][0]:
+            rows = np.argsort(self.pocs[:n], kind="stable")
+            self._sorted = (_grown(self.pocs[rows], len(self.pocs)), _grown(rows, len(self.pocs)))
+        if self._sorted is not None:
+            spocs, rows = self._sorted
+            i = int(np.searchsorted(spocs[:n], poc, side="right"))
+            spocs[i + 1 : n + 1] = spocs[i:n]
+            rows[i + 1 : n + 1] = rows[i:n]
+            spocs[i], rows[i] = poc, n
+        if not top or poc > top[0][0]:
+            self._top = [(poc, q)]
+        elif poc == top[0][0]:
+            top.append((poc, q))
+
+    def _grow(self, capacity: int):
+        self.pocs = _grown(self.pocs, capacity)
+        self.directions = _grown(self.directions, capacity)
+        if self._sorted is not None:
+            self._sorted = tuple(_grown(a, capacity) for a in self._sorted)
+
+    def __contains__(self, poc: int) -> bool:
+        entries = self.neighbours(poc)  # those at poc, if any, come first
+        return bool(entries) and entries[0][0] == poc
 
     def neighbours(self, poc: int) -> list[tuple[int, np.ndarray]]:
         """Entries at the nearest poc <= poc, then at the nearest poc > poc,
         each in coding order.  predict_direction sorts candidates by poc with
-        a stable sort, so it picks from these what it picks from all.  At or
-        past the last poc this is the last poc's own list, not a copy."""
-        if self._pocs and poc >= self._pocs[-1]:
-            return self._at[self._pocs[-1]]
-        i = bisect.bisect_right(self._pocs, poc)
-        return [e for p in self._pocs[max(i - 1, 0) : i + 1] for e in self._at[p]]
+        a stable sort, so it picks from these what it picks from all."""
+        top = self._top
+        if not top or poc >= top[0][0]:
+            return top
+        n = self.size
+        spocs, rows = self._sorted or (self.pocs, None)
+        spocs = spocs[:n]
+        i = int(np.searchsorted(spocs, poc, side="right"))  # < n: poc is below the top
+        lo = int(np.searchsorted(spocs, spocs[i - 1])) if i else i
+        hi = int(np.searchsorted(spocs, spocs[i], side="right"))
+        return [
+            (int(spocs[j]), self.directions[j if rows is None else rows[j]])
+            for j in range(lo, hi)
+        ]
 
 
 def _payload(raw_t: int, raw_p: int, k: int) -> tuple[bytes, int]:
@@ -293,10 +338,10 @@ def _payload(raw_t: int, raw_p: int, k: int) -> tuple[bytes, int]:
 
 def _closed_loop(
     history: _History, poc: int, frac_bits: int, q: np.ndarray | None = None, raw=(0, 0)
-) -> tuple[CamMotionRecord, tuple[int, int]]:
+) -> tuple[float, float, tuple[int, int]]:
     """The one step both sides run per record: predict frame `poc`'s angles
-    from the reconstructed history, rebuild the record a decoder sees from
-    the quantized residuals, and add its direction to the history.
+    from the reconstructed history, rebuild the angles a decoder sees from
+    the quantized residuals, and add their direction to the history.
 
     The decoder passes the residuals it read as raw.  The encoder passes
     its direction q instead and gets back the residuals to code.  The
@@ -307,7 +352,7 @@ def _closed_loop(
     """
     predicted = predict_direction(history.neighbours(poc), poc)
     theta_hat, phi_hat = geometry._unit_angles(predicted)
-    scale = 1 << frac_bits  # dequantize_angle's divisor
+    scale = 1 << frac_bits  # one step of the quantizer is 1 / scale
     if q is not None:
         theta, phi = geometry._unit_angles(q)
         raw_t = quantize_angle(theta - theta_hat, frac_bits)
@@ -318,9 +363,8 @@ def _closed_loop(
     phi = phi_hat + raw[1] / scale
     # geometry.wrap_angle on a float: math.floor gives the bits of np.floor
     phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
-    rec = CamMotionRecord(poc, theta, phi)
-    history.append(poc, rec.direction())
-    return rec, raw
+    history.append(poc, geometry._angles_to_cart(theta, phi))
+    return theta, phi, raw
 
 
 def encode_record(
@@ -335,48 +379,56 @@ def encode_record(
     residuals (what a decoder will see, with poc -1), and the unpadded bit
     count.
     """
+    predicted, _ = geometry._checked_norm(predicted)
     history = _History()
     history.append(-1, predicted)  # a history that predicts `predicted`
-    rec, raw = _closed_loop(history, -1, frac_bits, q=q)
+    theta, phi, raw = _closed_loop(history, -1, frac_bits, q=q)
     payload, used = _payload(*raw, k)
-    return payload, rec, used
+    return payload, CamMotionRecord(-1, theta, phi), used
 
 
 def encode_stream(
-    motions: Sequence[tuple[int, np.ndarray]],
+    pocs: Sequence[int],
+    directions,
     k: int = DEFAULT_EG_ORDER,
     frac_bits: int = DEFAULT_FRAC_BITS,
 ) -> StreamEncodeResult:
-    """Code a whole sequence of (poc, unit direction) entries.
+    """Code frames `pocs` with unit directions, the rows of an (N, 3) array.
 
     Frames are coded in the order given; poc values must be distinct.
     payload_bits counts the padded per-record payloads, i.e. the bits the
     container actually spends beyond pocs and the header.
     """
     _check_params(k, frac_bits)
-    pocs = [p for p, _ in motions]
-    if len(set(pocs)) != len(pocs):
-        raise DomainError("cam_code: duplicate poc in stream input")
-    if any(p < 0 or p > 0xFFFFFFFF for p in pocs):
+    pocs = np.asarray(pocs)
+    directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
+    n = len(pocs)
+    if pocs.ndim != 1 or len(directions) != n:
+        raise DomainError(f"cam_code: {len(directions)} directions for {n} pocs")
+    if n and pocs.dtype.kind not in "iu":
+        raise DomainError(f"cam_code: pocs of dtype {pocs.dtype} are not integers")
+    if n and (pocs.min() < 0 or pocs.max() > 0xFFFFFFFF):
         raise DomainError("cam_code: poc outside the u32 range")
 
-    body = bytearray()
-    history = _History()
-    records: list[CamMotionRecord] = []
-    record_bits: list[int] = []
-    for poc, q in motions:
-        rec, raw = _closed_loop(history, poc, frac_bits, q=q)
+    data = bytearray(MAGIC + struct.pack(">HI", VERSION, n))
+    history = _History(n)
+    records = np.empty(n, dtype=RECORD_DTYPE)
+    record_bits = np.empty(n, dtype=np.int64)
+    for i, q in enumerate(directions):
+        poc = int(pocs[i])
+        if poc in history:
+            raise DomainError(f"cam_code: duplicate poc {poc} in stream input")
+        theta, phi, raw = _closed_loop(history, poc, frac_bits, q=q)
         payload, _ = _payload(*raw, k)
-        body += struct.pack(">I", poc) + payload
-        record_bits.append(32 + 8 * len(payload))
-        records.append(rec)
+        data += struct.pack(">I", poc) + payload
+        records[i] = poc, theta, phi
+        record_bits[i] = 32 + 8 * len(payload)
 
-    header = MAGIC + struct.pack(">HI", VERSION, len(records))
     return StreamEncodeResult(
-        data=bytes(header) + bytes(body),
+        data=bytes(data),
         records=records,
-        payload_bits=sum(record_bits) - 32 * len(records),
-        record_bits=tuple(record_bits),
+        payload_bits=8 * (len(data) - 10) - 32 * n,
+        record_bits=record_bits,
     )
 
 
@@ -403,10 +455,15 @@ def decode_stream(
     # one is corrupt, and one past the float range could not be dequantized.
     limit = quantize_angle(2.0 * math.pi, frac_bits)
     bits = Bitstream(data[10:])
-    history = _History()
-    records: list[CamMotionRecord] = []
+    # A record takes at least 5 bytes (a u32 poc and one payload byte), so
+    # the data holds no more records than this, whatever the header says;
+    # a stream that claims more ends in a TruncationError before the
+    # arrays fill up.
+    capacity = min(count, (len(data) - 10) // 5)
+    history = _History(capacity)
+    records = np.empty(capacity, dtype=RECORD_DTYPE)
     payload_bits = 0
-    for _ in range(count):
+    for i in range(count):
         if bits.bit_length - bits.read_position < 32:
             raise TruncationError("cam_code: stream ends before a poc field")
         poc = bits.read_bits(32)
@@ -416,12 +473,13 @@ def decode_stream(
             raise FormatError(f"cam_code: residual out of range in frame {poc}")
         bits.align_read()
         payload_bits += bits.read_position - start
-        records.append(_closed_loop(history, poc, frac_bits, raw=raw)[0])
+        theta, phi, _ = _closed_loop(history, poc, frac_bits, raw=raw)
+        records[i] = poc, theta, phi
 
     if bits.bit_length - bits.read_position >= 8:
         raise FormatError("cam_code: trailing bytes after the last record")
     return StreamDecodeResult(
         records=records,
-        motion=history.entries,
+        directions=history.directions[:count],
         payload_bits=payload_bits,
     )

@@ -252,7 +252,10 @@ def _cmd_synth(args) -> int:
     video_io.write_yuv(args.out, result.frames)
     print(f"wrote {len(result.frames)} frames to {args.out} (luma-only)")
     if args.camera_out:
-        video_io.write_camera_csv(args.camera_out, result.camera)
+        video_io.write_camera_csv(
+            args.camera_out,
+            [poc for poc, _ in result.camera], [q for _, q in result.camera],
+        )
         print(f"wrote {len(result.camera)} camera rows to {args.camera_out}")
     if args.flow_out:
         for name, flow in zip(flow_names, result.flows):
@@ -317,7 +320,7 @@ def _cmd_compare(args) -> int:
     frames = video_io.read_yuv(args.input, spec, max_frames=args.max_frames)
     if len(frames) < 2:
         raise Geo360Error("cli: compare needs at least two frames")
-    camera = dict(video_io.read_camera_csv(args.camera))
+    camera = dict(zip(*video_io.read_camera_csv(args.camera)))
     q_per_pair = []
     for m in range(len(frames) - 1):
         poc = m + 1
@@ -408,7 +411,7 @@ def _cmd_camest(args) -> int:
             raise Geo360Error(f"cli: frame {args.poc}: {exc}") from exc
         estimates.append((args.poc, q))
 
-    truth = dict(video_io.read_camera_csv(args.truth)) if args.truth else None
+    truth = dict(zip(*video_io.read_camera_csv(args.truth))) if args.truth else None
     lines = [video_io.CAMERA_CSV_HEADER + (",angular_error_deg" if truth else "")]
     for poc, q in estimates:
         row = f"{poc},{q[0]:.10f},{q[1]:.10f},{q[2]:.10f}"
@@ -426,14 +429,16 @@ def _cmd_camest(args) -> int:
 
 
 def _cmd_camcode_encode(args) -> int:
-    entries = video_io.read_camera_csv(args.camera)
+    pocs, directions = video_io.read_camera_csv(args.camera)
     result = cam_code.encode_stream(
-        entries, k=args.eg_order, frac_bits=args.frac_bits
+        pocs, directions, k=args.eg_order, frac_bits=args.frac_bits
     )
     with open(args.out, "wb") as fh:
         fh.write(result.data)
-    report = zip(result.records, result.record_bits)
-    sys.stdout.write("".join(f"frame {rec.poc}: {bits} bits\n" for rec, bits in report))
+    sys.stdout.writelines(
+        f"frame {poc}: {bits} bits\n"
+        for poc, bits in video_io.text_rows(result.records["poc"], result.record_bits)
+    )
     print(
         f"total: {8 * len(result.data)} bits ({len(result.data)} bytes), "
         f"{result.payload_bits} payload bits"
@@ -445,7 +450,7 @@ def _cmd_camcode_decode(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
     result = cam_code.decode_stream(data, k=args.eg_order, frac_bits=args.frac_bits)
-    video_io.write_camera_csv(args.out, result.motion)
+    video_io.write_camera_csv(args.out, result.records["poc"], result.directions)
     print(f"decoded {len(result.records)} records to {args.out}")
     return 0
 

@@ -337,10 +337,18 @@ class _SearchKernel:
     blocks none of these arrays is freed or allocated after the first block.
     """
 
-    def __init__(self, search_range: float, step: float):
+    def __init__(self, search_range: float, step: float, width: int):
         if not (0 < search_range < math.inf and 0 < step < math.inf):
             raise DomainError("mocomp: range and step must be positive and finite")
-        n = int(round(search_range / step))
+        # Past one candidate per column, the baseline's wrap and clamp and
+        # the geodesic azimuth only repeat candidates.
+        ratio = search_range / step
+        if ratio > width or 2 * round(ratio) + 1 > width:
+            raise DomainError(
+                f"mocomp: range {search_range} at step {step} has more candidates "
+                f"per axis than the frame's {width} columns"
+            )
+        n = round(ratio)
         if n < 1 or abs(n * step - search_range) > 1e-9:
             raise DomainError(
                 f"mocomp: range {search_range} is not a multiple of step {step}"
@@ -403,7 +411,7 @@ def motion_search(
     candidates, so a finer search never returns a larger SAD.
     """
     _check_pair(ref, cur)
-    kernel = _SearchKernel(search_range, step)
+    kernel = _SearchKernel(search_range, step, cur.width)
     geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
     ref_quads = _frame_quads(ref)
     cur_block = _block_view(cur, block).astype(np.float64)
@@ -422,7 +430,7 @@ def translational_search(
 ) -> SearchOutcome:
     """Baseline: shift the block by whole ERP pixels (t in pixel units)."""
     _check_pair(ref, cur)
-    kernel = _SearchKernel(search_range, step)
+    kernel = _SearchKernel(search_range, step, cur.width)
     shifts = kernel.translational(block, cur.width, cur.height)
     cur_block = _block_view(cur, block).astype(np.float64)
     return kernel.search(shifts, _quads(ref.y), cur_block)
@@ -452,7 +460,7 @@ def compare_sequence(
     for f in frames[1:]:
         _check_pair(frames[0], f)
     width, height = frames[0].width, frames[0].height
-    kernel = _SearchKernel(search_range, step)
+    kernel = _SearchKernel(search_range, step, width)
 
     ref_quads = [_quads(f.y) for f in frames[:-1]]
     n_pairs = len(frames) - 1

@@ -20,6 +20,7 @@ import os
 import stat
 import struct
 from dataclasses import dataclass
+from itertools import pairwise
 from typing import Literal, Sequence
 
 import numpy as np
@@ -181,14 +182,28 @@ def write_flo(path: str, flow: FlowField):
         fh.write(data.tobytes())
 
 
-def write_camera_csv(path: str, entries: Sequence[tuple[int, np.ndarray]]):
-    """Ten decimal places: enough that quantizing a reread direction to 24
-    fractional bits reproduces the original raw values."""
-    lines = [CAMERA_CSV_HEADER]
-    for poc, q in entries:
-        lines.append("{},{:.10f},{:.10f},{:.10f}".format(poc, *q.tolist()))
+# Rows a text writer converts to Python values at a time.
+_ROW_CHUNK = 1024
+
+
+def text_rows(*columns):
+    """The rows of equally long arrays as tuples of Python values, each
+    array converted by `tolist` one chunk of rows at a time."""
+    for start in range(0, len(columns[0]), _ROW_CHUNK):
+        yield from zip(*(c[start : start + _ROW_CHUNK].tolist() for c in columns))
+
+
+def write_camera_csv(path: str, pocs, directions):
+    """Frames `pocs` with the rows of the (N, 3) `directions`, a chunk of
+    rows at a time.  Ten decimal places: enough that quantizing a reread
+    direction to 24 fractional bits reproduces the original raw values."""
+    directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(CAMERA_CSV_HEADER + "\n")
+        fh.writelines(
+            f"{poc},{x:.10f},{y:.10f},{z:.10f}\n"
+            for poc, (x, y, z) in text_rows(np.asarray(pocs), directions)
+        )
 
 
 def read_text_lines(path: str) -> list[str]:
@@ -200,28 +215,53 @@ def read_text_lines(path: str) -> list[str]:
         raise FormatError(f"video_io: {path} is not UTF-8 text") from exc
 
 
-def read_camera_csv(path: str) -> list[tuple[int, np.ndarray]]:
-    """(poc, direction) per row; the directions are the rows of one (N, 3)
-    array."""
-    lines = [ln for ln in map(str.strip, read_text_lines(path)) if ln]
-    if not lines or lines[0] != CAMERA_CSV_HEADER:
+def read_camera_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Frame indices, (N,) int64, and directions, (N, 3) float64, of a
+    camera CSV.  The file is read a line at a time; the values go to one
+    list per array, which become the two arrays once at the end.  A frame
+    listed twice or a non-finite value raises FormatError."""
+    pocs, values = [], []
+    header = None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for ln in fh:
+                ln = ln.strip()
+                if not ln:
+                    continue
+                if header is None:
+                    header = ln
+                    if ln != CAMERA_CSV_HEADER:
+                        break
+                    continue
+                parts = ln.split(",")
+                if len(parts) != 4:
+                    raise FormatError(f"video_io: bad camera row {ln!r}")
+                try:
+                    row = [float(p) for p in parts[1:]]
+                    pocs.append(int(parts[0]))
+                except ValueError as exc:
+                    raise FormatError(f"video_io: bad camera row {ln!r}") from exc
+                values.extend(row)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"video_io: {path} is not UTF-8 text") from exc
+    if header != CAMERA_CSV_HEADER:
         raise FormatError(f"video_io: {path} lacks the '{CAMERA_CSV_HEADER}' header")
-    pocs, rows = [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"video_io: bad camera row {ln!r}")
-        try:
-            pocs.append(int(parts[0]))
-            rows.append([float(p) for p in parts[1:]])
-        except ValueError as exc:
-            raise FormatError(f"video_io: bad camera row {ln!r}") from exc
-    q = np.array(rows, dtype=np.float64).reshape(-1, 3)
+    try:
+        frames = np.array(pocs, dtype=np.int64)
+    except OverflowError as exc:
+        raise FormatError(f"video_io: {path} has a frame index outside int64") from exc
+    q = np.array(values, dtype=np.float64).reshape(-1, 3)
     finite = np.isfinite(q).all(axis=1)
     if not finite.all():
-        bad = lines[1 + int(np.argmin(finite))]
-        raise FormatError(f"video_io: non-finite camera row {bad!r}")
-    return list(zip(pocs, q))
+        poc = frames[np.argmin(finite)]
+        raise FormatError(f"video_io: non-finite camera row for frame {poc}")
+    if any(a >= b for a, b in pairwise(pocs)):  # only out of order can repeat
+        seen = set()
+        for poc in pocs:
+            if poc in seen:
+                raise FormatError(f"video_io: {path} lists frame {poc} twice")
+            seen.add(poc)
+    return frames, q
 
 
 def read_correspondences(path: str) -> np.ndarray:

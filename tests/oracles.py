@@ -150,6 +150,25 @@ def eg_encode(n: int, k: int = cam_code.DEFAULT_EG_ORDER) -> str:
     return format(v, f"0{length}b")
 
 
+def eg_decode(bits: cam_code.Bitstream, k: int = cam_code.DEFAULT_EG_ORDER) -> int:
+    """Read one order-k exponential-Golomb code from a Bitstream."""
+    # m - k zeros, then the m + 1 bits of n + 2**k read as one word
+    v = bits.read_bits(bits.read_zero_run() + k + 1)
+    return v - (1 << k)
+
+
+def dequantize_angle(raw: int, frac_bits: int = cam_code.DEFAULT_FRAC_BITS) -> float:
+    """Angle of a fixed-point value with frac_bits fractional bits."""
+    return raw / (1 << frac_bits)
+
+
+def write_bit(stream: cam_code.Bitstream, bit: int):
+    """Append one bit, 0 or 1, to a Bitstream."""
+    if bit not in (0, 1):
+        raise DomainError(f"cam_code: bit value {bit!r} is not 0 or 1")
+    stream.write_bits(int(bit), 1)
+
+
 def write_string(stream: cam_code.Bitstream, bits: str):
     """Append a string of '0' and '1' characters to a Bitstream."""
     if bits.strip("01"):

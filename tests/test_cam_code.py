@@ -1,6 +1,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geo360 import cam_code, geometry
-from geo360.cam_code import Bitstream, CamMotionRecord
+from geo360.cam_code import Bitstream
 from geo360.errors import DomainError, FormatError, Geo360Error, TruncationError
-from oracles import eg_encode, write_string
+from oracles import dequantize_angle, eg_decode, eg_encode, write_bit, write_string
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -31,7 +32,7 @@ def test_quantize_ties_away_from_zero():
 
 def test_dequantize_inverts_on_grid():
     for raw in (-100000, -1, 0, 1, 31337):
-        x = cam_code.dequantize_angle(raw, 24)
+        x = dequantize_angle(raw, 24)
         assert cam_code.quantize_angle(x, 24) == raw
 
 
@@ -48,7 +49,7 @@ def test_wrap_residual_range():
 def test_bitstream_round_trip():
     bs = Bitstream()
     bs.write_bits(0b1011, 4)
-    bs.write_bit(1)
+    write_bit(bs, 1)
     write_string(bs, "001")
     raw = bs.to_bytes()
     rd = Bitstream(raw)
@@ -166,7 +167,7 @@ def _apply_reads(stream, reads):
                 if isinstance(stream, BitOracle):
                     value = stream.eg_decode(*args)
                 else:
-                    value = cam_code.eg_decode(stream, *args)
+                    value = eg_decode(stream, *args)
             else:
                 value = getattr(stream, op)(*args)
         except TruncationError:
@@ -185,6 +186,8 @@ def test_bitstream_matches_bit_at_a_time_oracle(writes, reads):
     for op, *args in writes:
         if op == "write_string":
             write_string(bs, *args)
+        elif op == "write_bit":
+            write_bit(bs, *args)
         else:
             getattr(bs, op)(*args)
         getattr(oracle, op)(*args)
@@ -224,7 +227,7 @@ def test_eg_round_trip_sample():
         for n in (0, 1, 2, 255, 1 << 17, (1 << 20) - 1):
             bs = Bitstream()
             write_string(bs, eg_encode(n, k))
-            assert cam_code.eg_decode(Bitstream(bs.to_bytes()), k) == n
+            assert eg_decode(Bitstream(bs.to_bytes()), k) == n
 
 
 @settings(max_examples=300)
@@ -232,7 +235,7 @@ def test_eg_round_trip_sample():
 def test_eg_round_trip_property(n, k):
     bs = Bitstream()
     write_string(bs, eg_encode(n, k))
-    assert cam_code.eg_decode(Bitstream(bs.to_bytes()), k) == n
+    assert eg_decode(Bitstream(bs.to_bytes()), k) == n
 
 
 def test_eg_length_formula_k18():
@@ -249,17 +252,52 @@ def test_eg_length_monotone():
 
 @pytest.mark.parametrize("k", [0, 1, 18])
 def test_signed_code_round_trip_at_the_boundaries(k):
-    # below 2**k the zero run is empty and the sign bit is read on its own;
-    # from 2**k on it is read in one word with the EG code
+    # below 2**k the zero run is empty, from 2**k on it is not; either way
+    # the sign bit is read in one word with the EG code, and a zero code
+    # gives back the bit after it, also when the stream ends there
     mags = {0, 1, 2**k - 1, 2**k, 2 ** (k + 1) + 3}
     for raw in sorted(mags | {-m for m in mags}):
         word, used = cam_code._signed_word(raw, k)
-        for tail, tail_bits in ((0, 0), (0b1011, 4)):
+        for tail, tail_bits in ((0, 0), (1, 1), (0b1011, 4)):
             bs = Bitstream()
             bs.write_bits(word, used)
             bs.write_bits(tail, tail_bits)
             assert cam_code._read_signed(bs, k) == raw
             assert bs.read_position == used
+
+
+@pytest.mark.parametrize("k", [0, 3, 18])
+def test_signed_code_without_its_sign_bit_is_truncated(k):
+    for mag in (1, 2**k):
+        word, used = cam_code._signed_word(mag, k)
+        bs = Bitstream()
+        bs.write_bits(word >> 1, used - 1)
+        with pytest.raises(TruncationError):
+            cam_code._read_signed(bs, k)
+
+
+def test_zero_code_at_the_end_of_the_stream():
+    # at k=3 two zero codes fill the record's one payload byte, so the
+    # second ends exactly at the end of the stream
+    enc = encode([(0, Z)], k=3)
+    assert enc.record_bits.tolist() == [40]
+    dec = cam_code.decode_stream(enc.data, k=3)
+    assert np.array_equal(dec.records, enc.records)
+
+
+def test_one_read_per_signed_code(monkeypatch):
+    enc = encode(random_trajectory(np.random.default_rng(6), n=40))
+    calls = []
+    real = Bitstream.read_bits
+
+    def counted(self, count):
+        calls.append(count)
+        return real(self, count)
+
+    monkeypatch.setattr(Bitstream, "read_bits", counted)
+    dec = cam_code.decode_stream(enc.data)
+    assert len(calls) == 3 * 40  # the poc, then one word per signed code
+    assert np.array_equal(dec.records, enc.records)
 
 
 # --- record coding ----------------------------------------------------------------
@@ -325,16 +363,34 @@ def test_predictor_neighbours_match_full_history():
     # directions so two-sided ties also hit the cancellation fallback
     rng = np.random.default_rng(21)
     axes = np.eye(3)
-    history = cam_code._History()
+    history, entries = cam_code._History(), []
     for poc in rng.permutation(np.repeat(np.arange(30), 2))[:45]:
         for target in range(-2, 33):
-            full = cam_code.predict_direction(history.entries, target)
+            full = cam_code.predict_direction(entries, target)
             near = cam_code.predict_direction(history.neighbours(target), target)
             assert np.array_equal(full, near)
-        history.append(int(poc), axes[rng.integers(3)] * rng.choice([-1.0, 1.0]))
+        entries.append((int(poc), axes[rng.integers(3)] * rng.choice([-1.0, 1.0])))
+        history.append(*entries[-1])
+    pocs, directions = zip(*entries)
+    assert history.pocs[: history.size].tolist() == list(pocs)
+    assert np.array_equal(history.directions[: history.size], directions)
+
+
+def test_ascending_lookup_returns_the_cached_entry():
+    history = cam_code._History()
+    for poc in range(5):
+        q = np.array([0.0, 0.0, 1.0])
+        history.append(poc, q)
+        assert history.neighbours(poc + 1) is history.neighbours(poc)
+        assert history.neighbours(poc)[0][1] is q
 
 
 # --- streams ----------------------------------------------------------------------------
+
+
+def encode(motions, **kw):
+    """encode_stream of a list of (poc, direction) entries."""
+    return cam_code.encode_stream([p for p, _ in motions], [q for _, q in motions], **kw)
 
 
 def random_trajectory(rng, n=32):
@@ -349,11 +405,10 @@ def random_trajectory(rng, n=32):
 
 
 def test_constant_stream_sizes():
-    motions = [(poc, Z) for poc in range(32)]
-    enc = cam_code.encode_stream(motions)
+    enc = cam_code.encode_stream(range(32), np.tile(Z, (32, 1)))
     # 10-byte header, then 32 records of (4-byte poc + 5-byte payload)
     assert len(enc.data) == 10 + 32 * 9
-    assert enc.record_bits == (72,) * 32
+    assert enc.record_bits.tolist() == [72] * 32
     assert enc.payload_bits == 32 * 40
 
 
@@ -361,7 +416,7 @@ def test_second_frame_same_q_codes_to_zero_residual():
     rng = np.random.default_rng(1)
     q = rng.normal(size=3)
     q /= np.linalg.norm(q)
-    enc = cam_code.encode_stream([(0, q), (1, q)])
+    enc = cam_code.encode_stream([0, 1], [q, q])
     assert enc.record_bits[1] == 72  # 32-bit poc + minimal 5-byte payload
 
 
@@ -370,13 +425,47 @@ def test_stream_round_trip_and_reencode():
     bound = 2.0**-24 * math.sqrt(2.0) + 1e-12
     for _ in range(5):
         motions = random_trajectory(rng)
-        enc = cam_code.encode_stream(motions)
+        enc = encode(motions)
         dec = cam_code.decode_stream(enc.data)
-        assert [p for p, _ in dec.motion] == [p for p, _ in motions]
-        for (_, q), (_, q_hat) in zip(motions, dec.motion):
+        assert dec.records["poc"].tolist() == [p for p, _ in motions]
+        for (_, q), q_hat in zip(motions, dec.directions):
             assert geometry.angle_between(q, q_hat) <= bound
-        again = cam_code.encode_stream(dec.motion)
+        again = cam_code.encode_stream(dec.records["poc"], dec.directions)
         assert again.data == enc.data
+
+
+def _coding_peaks(n: int) -> tuple[int, int]:
+    """Peak bytes traced while encode_stream codes an n-frame walk, and
+    while decode_stream decodes it, each above what was held before."""
+    rng = np.random.default_rng(8)
+    q = Z + np.cumsum(rng.normal(scale=1e-3, size=(n, 3)), axis=0)
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    pocs = np.arange(n)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        enc = cam_code.encode_stream(pocs, q)
+        encode_peak = tracemalloc.get_traced_memory()[1] - held
+        data = enc.data
+        del enc
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        dec = cam_code.decode_stream(data)
+        decode_peak = tracemalloc.get_traced_memory()[1] - held
+        del dec
+    finally:
+        tracemalloc.stop()
+    return encode_peak, decode_peak
+
+
+def test_memory_per_record():
+    # the records, the history and the stream are flat arrays and bytes:
+    # with one Python object per record each took over 500 B.  The first
+    # call pays one-time costs of about 1 MB, which would hide in a peak.
+    _coding_peaks(10)
+    small, large = _coding_peaks(2000), _coding_peaks(20000)
+    for name, lo, hi in zip(("encode", "decode"), small, large):
+        assert (hi - lo) / 18000 <= 150, (name, (hi - lo) / 18000)
 
 
 def test_closed_loop_under_coarse_quantization():
@@ -384,10 +473,9 @@ def test_closed_loop_under_coarse_quantization():
     # decoder still agree exactly because prediction runs on dequantized q
     rng = np.random.default_rng(3)
     motions = random_trajectory(rng, n=16)
-    enc = cam_code.encode_stream(motions, frac_bits=8)
+    enc = encode(motions, frac_bits=8)
     dec = cam_code.decode_stream(enc.data, frac_bits=8)
-    for a, b in zip(enc.records, dec.records):
-        assert a == b
+    assert np.array_equal(enc.records, dec.records)
 
 
 def oracle_motions(n=48):
@@ -414,9 +502,9 @@ def oracle_motions(n=48):
 
 def decoded_digest(dec):
     h = hashlib.sha256()
-    for r in dec.records:
-        h.update(struct.pack(">qdd", r.poc, r.theta, r.phi))
-    for p, q in dec.motion:
+    for poc, theta, phi in dec.records.tolist():
+        h.update(struct.pack(">qdd", poc, theta, phi))
+    for p, q in zip(dec.records["poc"].tolist(), dec.directions):
         h.update(struct.pack(">q", p) + np.asarray(q, dtype=">f8").tobytes())
     return h.hexdigest()
 
@@ -449,10 +537,10 @@ ORACLE_DECODED = {
 @pytest.mark.parametrize("frac_bits, k", sorted(ORACLE_STREAMS))
 def test_streams_match_pinned_digests(frac_bits, k):
     motions = oracle_motions()
-    enc = cam_code.encode_stream(motions, k=k, frac_bits=frac_bits)
+    enc = encode(motions, k=k, frac_bits=frac_bits)
     assert hashlib.sha256(enc.data).hexdigest() == ORACLE_STREAMS[frac_bits, k]
     dec = cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
-    assert dec.records == enc.records
+    assert np.array_equal(dec.records, enc.records)
     assert decoded_digest(dec) == ORACLE_DECODED[frac_bits]
 
 
@@ -470,11 +558,11 @@ def test_oracle_covers_the_prediction_branches(monkeypatch):
         return real(reconstructed, poc)
 
     monkeypatch.setattr(cam_code, "predict_direction", spy)
-    coarse = cam_code.encode_stream(oracle_motions(), frac_bits=0)
-    fine = cam_code.encode_stream(oracle_motions(), frac_bits=24)
+    coarse = encode(oracle_motions(), frac_bits=0)
+    fine = encode(oracle_motions(), frac_bits=24)
     assert {"average", "antipodal"} <= set(seen)
-    assert any(r.theta in (0.0, math.pi) for r in coarse.records)
-    assert [r.poc for r in fine.records] != sorted(r.poc for r in fine.records)
+    assert np.isin(coarse.records["theta"], (0.0, math.pi)).any()
+    assert (np.diff(fine.records["poc"]) < 0).any()
 
 
 POLE_MARGIN = 0.01
@@ -521,10 +609,11 @@ def test_reencode_reproduces_the_stream(t0, phi0, steps, frac_bits, k):
     # through a unit vector can move it by more than half a quantization
     # step.
     motions = pole_walk(t0, phi0, steps)
-    enc = cam_code.encode_stream(motions, k=k, frac_bits=frac_bits)
+    enc = encode(motions, k=k, frac_bits=frac_bits)
     dec = cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
-    assert dec.records == enc.records
-    assert cam_code.encode_stream(dec.motion, k=k, frac_bits=frac_bits).data == enc.data
+    assert np.array_equal(dec.records, enc.records)
+    again = cam_code.encode_stream(dec.records["poc"], dec.directions, k=k, frac_bits=frac_bits)
+    assert again.data == enc.data
 
 
 @pytest.mark.parametrize(
@@ -537,32 +626,34 @@ def test_reencode_at_a_half_turn(q):
     # the +z prediction; unclamped, it rounds past pi and its decoded
     # direction codes with the opposite sign
     for frac_bits in (8, 16, 24, 32, 40):
-        enc = cam_code.encode_stream([(0, np.array(q))], frac_bits=frac_bits)
+        enc = cam_code.encode_stream([0], [q], frac_bits=frac_bits)
         dec = cam_code.decode_stream(enc.data, frac_bits=frac_bits)
-        assert dec.records == enc.records
-        again = cam_code.encode_stream(dec.motion, frac_bits=frac_bits)
+        assert np.array_equal(dec.records, enc.records)
+        again = cam_code.encode_stream(dec.records["poc"], dec.directions, frac_bits=frac_bits)
         assert again.data == enc.data, frac_bits
 
 
 def test_stream_input_validation():
+    for pocs in ([0, 0], [-1], [1 << 32], [1 << 64], [1 << 70], [0.5], [[0]]):
+        with pytest.raises(DomainError):
+            cam_code.encode_stream(pocs, np.tile(Z, (len(pocs), 1)))
     with pytest.raises(DomainError):
-        cam_code.encode_stream([(0, Z), (0, Z)])
-    with pytest.raises(DomainError):
-        cam_code.encode_stream([(-1, Z)])
-    with pytest.raises(DomainError):
-        cam_code.encode_stream([(1 << 32, Z)])
+        cam_code.encode_stream([0, 1], [Z])
+    enc = cam_code.encode_stream([], np.empty((0, 3)))
+    assert enc.data == _header(0) and len(enc.records) == 0
+    assert len(cam_code.decode_stream(enc.data).records) == 0
 
 
 def test_codec_parameter_range():
     # the ends of 0..64 (order) and 0..52 (fractional bits) code and decode
     motions = random_trajectory(np.random.default_rng(5), n=6)
     for k, frac_bits in ((0, 0), (64, 52)):
-        enc = cam_code.encode_stream(motions, k=k, frac_bits=frac_bits)
+        enc = encode(motions, k=k, frac_bits=frac_bits)
         dec = cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
-        assert dec.records == enc.records
+        assert np.array_equal(dec.records, enc.records)
     for k, frac_bits in ((-1, 24), (65, 24), (18, -1), (18, 53), (18, 2000)):
         with pytest.raises(DomainError):
-            cam_code.encode_stream(motions, k=k, frac_bits=frac_bits)
+            encode(motions, k=k, frac_bits=frac_bits)
         with pytest.raises(DomainError):
             cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
 
@@ -573,26 +664,26 @@ def test_decode_rejects_short_data():
 
 
 def test_decode_rejects_bad_magic():
-    enc = cam_code.encode_stream([(0, Z)])
+    enc = cam_code.encode_stream([0], [Z])
     with pytest.raises(FormatError):
         cam_code.decode_stream(b"XXXX" + enc.data[4:])
 
 
 def test_decode_rejects_bad_version():
-    enc = cam_code.encode_stream([(0, Z)])
+    enc = cam_code.encode_stream([0], [Z])
     bad = enc.data[:4] + b"\x00\x07" + enc.data[6:]
     with pytest.raises(FormatError):
         cam_code.decode_stream(bad)
 
 
 def test_decode_rejects_trailing_bytes():
-    enc = cam_code.encode_stream([(0, Z)])
+    enc = cam_code.encode_stream([0], [Z])
     with pytest.raises(FormatError):
         cam_code.decode_stream(enc.data + b"\x00")
 
 
 def test_decode_rejects_truncated_record():
-    enc = cam_code.encode_stream([(0, Z), (1, Z)])
+    enc = cam_code.encode_stream([0, 1], [Z, Z])
     with pytest.raises(TruncationError):
         cam_code.decode_stream(enc.data[:-3])
 
@@ -614,7 +705,7 @@ def test_decode_arbitrary_payload_raises_only_geo360_errors(count, body):
 
 
 def test_decode_every_truncation_of_a_valid_stream():
-    data = cam_code.encode_stream(random_trajectory(np.random.default_rng(4))).data
+    data = encode(random_trajectory(np.random.default_rng(4))).data
     cam_code.decode_stream(data)
     for n in range(len(data)):
         with pytest.raises(TruncationError):

@@ -29,8 +29,8 @@ def test_synth_outputs(synth_dir):
     spec = video_io.SequenceSpec(width=128, height=64, bit_depth=8, chroma=False)
     frames = video_io.read_yuv(synth_dir / "seq.yuv", spec)
     assert len(frames) == 4
-    cam = video_io.read_camera_csv(synth_dir / "cam.csv")
-    assert [p for p, _ in cam] == [1, 2, 3]
+    pocs, _ = video_io.read_camera_csv(synth_dir / "cam.csv")
+    assert pocs.tolist() == [1, 2, 3]
     assert (synth_dir / "flow_002.flo").exists()
 
 
@@ -185,11 +185,13 @@ def test_warp_prepares_reference_once(tmp_path, capsys, monkeypatch):
         pytest.param("compare", ["--range", "inf"], "mocomp", id="compare-range-inf"),
         pytest.param("compare", ["--range=-inf"], "mocomp", id="compare-range-minus-inf"),
         pytest.param("compare", ["--step", "nan"], "mocomp", id="compare-step-nan"),
+        pytest.param("compare", ["--range", "1e300"], "mocomp", id="compare-range-1e300"),
     ],
 )
 def test_bad_flag_values_exit_1(synth_dir, tmp_path, capsys, command, flags, module):
     # each of these ended in a ZeroDivisionError, a ValueError or an
-    # OverflowError, or predicted from a frame counted from the end of the file
+    # OverflowError, or predicted from a frame counted from the end of the
+    # file; a range of 1e300 asked np.arange for more candidates than exist
     seq = synth_dir / "seq.yuv"
     yuv = ["--width", 128, "--height", 64, "--pixfmt", "yuv400"]
     argv = {
@@ -292,6 +294,25 @@ def test_compare_missing_camera_row(synth_dir, tmp_path, capsys):
     assert "no row for frame 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compare", "camest", "camcode"])
+def test_camera_csv_with_a_repeated_frame_exits_1(synth_dir, tmp_path, capsys, command):
+    # compare and camest --truth used the later row of frame 2
+    rows = (synth_dir / "cam.csv").read_text().splitlines()
+    cam = tmp_path / "cam.csv"
+    cam.write_text("\n".join(rows + [rows[2]]) + "\n")
+    argv = {
+        "compare": ["compare", "--input", synth_dir / "seq.yuv", "--width", 128,
+                    "--height", 64, "--pixfmt", "yuv400", "--camera", cam,
+                    "--block", "32x32", "--range", 1, "--out", tmp_path / "cmp.csv"],
+        "camest": ["camest", "--flow", synth_dir / "flow_%03d.flo", "--count", 3,
+                   "--truth", cam, "--out", tmp_path / "est.csv"],
+        "camcode": ["camcode", "encode", "--camera", cam, "--out", tmp_path / "cam.bin"],
+    }[command]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: video_io: ") and "frame 2 twice" in err
+
+
 def test_camest_pattern_with_truth(synth_dir, tmp_path, capsys):
     rc = run(
         [
@@ -317,9 +338,9 @@ def test_camest_single_flow(synth_dir, tmp_path, capsys):
     )
     assert rc == 0
     capsys.readouterr()
-    rows = video_io.read_camera_csv(tmp_path / "one.csv")
-    assert rows[0][0] == 7
-    assert abs(np.linalg.norm(rows[0][1]) - 1.0) < 1e-6
+    pocs, q = video_io.read_camera_csv(tmp_path / "one.csv")
+    assert pocs.tolist() == [7]
+    assert abs(np.linalg.norm(q[0]) - 1.0) < 1e-6
 
 
 @pytest.mark.parametrize("finetune", [[], ["--finetune"]], ids=["plain", "finetune"])
@@ -345,7 +366,7 @@ def test_camest_ignores_unknown_flow_vectors(tmp_path, capsys, finetune):
         out = tmp_path / f"{name}.csv"
         argv = ["camest", "--flow", tmp_path / f"{name}.flo", "--out", out]
         assert run(argv + finetune) == 0
-        estimates.append(video_io.read_camera_csv(out)[0][1])
+        estimates.append(video_io.read_camera_csv(out)[1][0])
     capsys.readouterr()
     clean, planted = estimates
     angle = np.degrees(np.arccos(np.clip(clean @ planted, -1.0, 1.0)))
@@ -409,11 +430,10 @@ def test_camcode_round_trip(synth_dir, tmp_path, capsys):
     )
     assert rc == 0
     capsys.readouterr()
-    truth = video_io.read_camera_csv(synth_dir / "cam.csv")
-    rec = video_io.read_camera_csv(tmp_path / "rec.csv")
-    for (pa, qa), (pb, qb) in zip(truth, rec):
-        assert pa == pb
-        assert np.max(np.abs(qa - qb)) < 1e-6
+    truth_pocs, truth = video_io.read_camera_csv(synth_dir / "cam.csv")
+    pocs, rec = video_io.read_camera_csv(tmp_path / "rec.csv")
+    assert pocs.tolist() == truth_pocs.tolist()
+    assert np.max(np.abs(truth - rec)) < 1e-6
 
 
 def test_camcode_decode_bad_magic(tmp_path, capsys):

@@ -219,13 +219,13 @@ def test_whole_pixel_shifts_gather_one_tap():
     rng = np.random.default_rng(4)
     plane = rng.integers(0, 256, size=(128, 256), dtype=np.uint8)
     quads = mocomp._quads(plane)
-    shifts = mocomp._SearchKernel(4, 1.0).translational(block, 256, 128)
+    shifts = mocomp._SearchKernel(4, 1.0, 256).translational(block, 256, 128)
     assert shifts.weights is None
     offsets = np.arange(-4, 5)
     cols = (240 + offsets[:, None, None, None] + np.arange(16)) % 256
     rows = np.clip(offsets[None, :, None, None] + np.arange(16)[:, None], 0, 127)
     assert np.array_equal(shifts.sample(quads), plane[rows, cols].astype(np.float64))
-    half = mocomp._SearchKernel(4, 0.5).translational(block, 256, 128)
+    half = mocomp._SearchKernel(4, 0.5, 256).translational(block, 256, 128)
     assert half.weights.shape == half.shape + (4,)
     half_x = mocomp._PlaneSampler(np.array([0.5, 3.0]), np.array([2.0]), 8, 4)
     assert half_x.weights is not None
@@ -237,13 +237,13 @@ def test_geodesic_samplers_share_kernel_buffers(cylinder_pair):
     geom = motion_model.prepare_block_geometry(block, Z, 256, 128)
     quads = mocomp._quads(ref.y)
     cur_block = cur.y[block.y0 : block.y0 + 32, block.x0 : block.x0 + 32].astype(np.float64)
-    kernel = mocomp._SearchKernel(2.0, 1.0)
+    kernel = mocomp._SearchKernel(2.0, 1.0, 256)
     first = kernel.geodesic(geom, ORIG)
     found = kernel.search(first, quads, cur_block)
     second = kernel.geodesic(geom, GCG)
     assert np.shares_memory(first.weights, second.weights)
     assert np.shares_memory(first.index, second.index)
-    fresh = mocomp._SearchKernel(2.0, 1.0)
+    fresh = mocomp._SearchKernel(2.0, 1.0, 256)
     assert found == fresh.search(fresh.geodesic(geom, ORIG), quads, cur_block)
 
 

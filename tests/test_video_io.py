@@ -175,10 +175,11 @@ def test_camera_csv_round_trip(tmp_path):
         q /= np.linalg.norm(q)
         entries.append((poc, q))
     path = tmp_path / "cam.csv"
-    video_io.write_camera_csv(path, entries)
-    back = video_io.read_camera_csv(path)
-    assert [p for p, _ in back] == list(range(5))
-    for (_, a), (_, b) in zip(entries, back):
+    video_io.write_camera_csv(path, [p for p, _ in entries], [q for _, q in entries])
+    pocs, back = video_io.read_camera_csv(path)
+    assert pocs.dtype == np.int64 and pocs.tolist() == list(range(5))
+    assert back.dtype == np.float64 and back.shape == (5, 3)
+    for (_, a), b in zip(entries, back):
         assert np.max(np.abs(a - b)) < 1e-9  # ten decimals kept
 
 
@@ -198,8 +199,27 @@ def test_camera_csv_bad_rows(tmp_path):
     with pytest.raises(FormatError):
         video_io.read_camera_csv(path)
     path.write_text("frame_index,qx,qy,qz\n0,0,0,1\n1,0,nan,1\n2,0,0,-inf\n")
-    with pytest.raises(FormatError, match="'1,0,nan,1'"):
+    with pytest.raises(FormatError, match="row for frame 1$"):
         video_io.read_camera_csv(path)
+    path.write_text("frame_index,qx,qy,qz\n99999999999999999999,0,0,1\n")
+    with pytest.raises(FormatError, match="frame index outside int64"):
+        video_io.read_camera_csv(path)
+
+
+def test_camera_csv_repeated_frame(tmp_path):
+    path = tmp_path / "twice.csv"
+    path.write_text("frame_index,qx,qy,qz\n3,0,0,1\n1,0,0,1\n\n3,1,0,0\n")
+    with pytest.raises(FormatError, match="lists frame 3 twice"):
+        video_io.read_camera_csv(path)
+
+
+def test_camera_csv_empty_and_blank_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("\n  frame_index,qx,qy,qz \n\n")
+    pocs, q = video_io.read_camera_csv(path)
+    assert pocs.shape == (0,) and q.shape == (0, 3)
+    video_io.write_camera_csv(tmp_path / "none.csv", [], np.empty((0, 3)))
+    assert (tmp_path / "none.csv").read_text() == "frame_index,qx,qy,qz\n"
 
 
 def test_correspondences(tmp_path):
