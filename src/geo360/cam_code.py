@@ -256,52 +256,48 @@ def _grown(a: np.ndarray, capacity: int) -> np.ndarray:
 
 
 class _History:
-    """Reconstructed directions in coding order, in flat arrays.
+    """Reconstructed directions in flat arrays, with an index sorted by poc.
 
-    `pocs` and the `(N, 3)` `directions` hold the first `size` entries and
-    double when full.  predict_direction only looks at the entries nearest
-    in poc, so each prediction is handed those alone.  A frame at or past
-    the highest poc is predicted from `_top`, the list of entries at the
-    highest poc, returned as it is: in ascending poc order a lookup
-    allocates nothing.  The first poc below the highest sorts the rows by
-    (poc, coding order) into `_sorted`; from then on each append inserts
-    its row there, and a lookup below the highest poc is a binary search.
+    `directions`, `(N, 3)` in coding order, and the index, `pocs` ascending
+    with the coding row of each in `rows` (equal pocs in coding order),
+    hold the first `size` entries and double when full.  predict_direction
+    only looks at the entries nearest in poc, so each prediction is handed
+    those alone.  A frame at or past the highest poc is predicted from
+    `_top`, the list of entries at the highest poc, returned as it is, and
+    appended at the end of the index: in ascending poc order neither a
+    lookup nor an append searches, shifts or allocates.  Below the highest
+    poc, a lookup is a binary search and an append shifts the index tail.
     """
 
     def __init__(self, capacity: int = 1):
         self.size = 0
         self.pocs = np.empty(max(capacity, 1), dtype=np.int64)
+        self.rows = np.empty(len(self.pocs), dtype=np.int64)
         self.directions = np.empty((len(self.pocs), 3))
         self._top: list[tuple[int, np.ndarray]] = []
-        self._sorted: tuple[np.ndarray, np.ndarray] | None = None  # pocs, rows
 
     def append(self, poc: int, q: np.ndarray):
         n = self.size
         if n == len(self.pocs):
-            self._grow(2 * n)
-        self.pocs[n] = poc
-        self.directions[n] = q
-        self.size = n + 1
+            self.pocs, self.rows, self.directions = (
+                _grown(a, 2 * n) for a in (self.pocs, self.rows, self.directions)
+            )
         top = self._top
-        if self._sorted is None and top and poc < top[0][0]:
-            rows = np.argsort(self.pocs[:n], kind="stable")
-            self._sorted = (_grown(self.pocs[rows], len(self.pocs)), _grown(rows, len(self.pocs)))
-        if self._sorted is not None:
-            spocs, rows = self._sorted
-            i = int(np.searchsorted(spocs[:n], poc, side="right"))
-            spocs[i + 1 : n + 1] = spocs[i:n]
-            rows[i + 1 : n + 1] = rows[i:n]
-            spocs[i], rows[i] = poc, n
         if not top or poc > top[0][0]:
             self._top = [(poc, q)]
+            i = n
         elif poc == top[0][0]:
             top.append((poc, q))
-
-    def _grow(self, capacity: int):
-        self.pocs = _grown(self.pocs, capacity)
-        self.directions = _grown(self.directions, capacity)
-        if self._sorted is not None:
-            self._sorted = tuple(_grown(a, capacity) for a in self._sorted)
+            i = n
+        else:
+            pocs, rows = self.pocs, self.rows
+            i = int(np.searchsorted(pocs[:n], poc, side="right"))
+            pocs[i + 1 : n + 1] = pocs[i:n]
+            rows[i + 1 : n + 1] = rows[i:n]
+        self.pocs[i] = poc
+        self.rows[i] = n
+        self.directions[n] = q
+        self.size = n + 1
 
     def __contains__(self, poc: int) -> bool:
         entries = self.neighbours(poc)  # those at poc, if any, come first
@@ -314,16 +310,11 @@ class _History:
         top = self._top
         if not top or poc >= top[0][0]:
             return top
-        n = self.size
-        spocs, rows = self._sorted or (self.pocs, None)
-        spocs = spocs[:n]
-        i = int(np.searchsorted(spocs, poc, side="right"))  # < n: poc is below the top
-        lo = int(np.searchsorted(spocs, spocs[i - 1])) if i else i
-        hi = int(np.searchsorted(spocs, spocs[i], side="right"))
-        return [
-            (int(spocs[j]), self.directions[j if rows is None else rows[j]])
-            for j in range(lo, hi)
-        ]
+        pocs = self.pocs[: self.size]
+        i = int(np.searchsorted(pocs, poc, side="right"))  # < size: poc is below the top
+        lo = int(np.searchsorted(pocs, pocs[i - 1])) if i else i
+        hi = int(np.searchsorted(pocs, pocs[i], side="right"))
+        return [(int(pocs[j]), self.directions[self.rows[j]]) for j in range(lo, hi)]
 
 
 def _payload(raw_t: int, raw_p: int, k: int) -> tuple[bytes, int]:

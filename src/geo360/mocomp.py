@@ -340,15 +340,15 @@ class _SearchKernel:
     def __init__(self, search_range: float, step: float, width: int):
         if not (0 < search_range < math.inf and 0 < step < math.inf):
             raise DomainError("mocomp: range and step must be positive and finite")
-        # Past one candidate per column, the baseline's wrap and clamp and
-        # the geodesic azimuth only repeat candidates.
-        ratio = search_range / step
-        if ratio > width or 2 * round(ratio) + 1 > width:
+        # A cap on the grid's size, and so on the search's memory: no more
+        # candidates per axis than the frame has columns.  min() keeps a
+        # ratio that overflowed to inf out of round().
+        n = round(min(search_range / step, width))
+        if 2 * n + 1 > width:
             raise DomainError(
                 f"mocomp: range {search_range} at step {step} has more candidates "
                 f"per axis than the frame's {width} columns"
             )
-        n = round(ratio)
         if n < 1 or abs(n * step - search_range) > 1e-9:
             raise DomainError(
                 f"mocomp: range {search_range} is not a multiple of step {step}"
@@ -408,7 +408,9 @@ def motion_search(
     """Exhaustive search over the (t_u, t_v) grid for one block.
 
     The grid is symmetric, includes (0, 0), and halving the step only adds
-    candidates, so a finer search never returns a larger SAD.
+    candidates, so a finer search never returns a larger SAD, as long as
+    the finer grid still has no more candidates per axis than the frame
+    has columns; past that it raises DomainError.
     """
     _check_pair(ref, cur)
     kernel = _SearchKernel(search_range, step, cur.width)

@@ -16,12 +16,12 @@ pixel along its meridian by a constant amount in cot-latitude).
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
 from dataclasses import dataclass
-from itertools import pairwise
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -206,62 +206,46 @@ def write_camera_csv(path: str, pocs, directions):
         )
 
 
-def read_text_lines(path: str) -> list[str]:
-    """Lines of a UTF-8 text file; undecodable bytes raise FormatError."""
+def read_text_lines(path: str) -> Iterator[str]:
+    """Lines of a UTF-8 text file, read one at a time; undecodable bytes
+    raise FormatError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.readlines()
+            yield from fh
     except UnicodeDecodeError as exc:
         raise FormatError(f"video_io: {path} is not UTF-8 text") from exc
 
 
 def read_camera_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Frame indices, (N,) int64, and directions, (N, 3) float64, of a
-    camera CSV.  The file is read a line at a time; the values go to one
-    list per array, which become the two arrays once at the end.  A frame
-    listed twice or a non-finite value raises FormatError."""
-    pocs, values = [], []
-    header = None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln:
-                    continue
-                if header is None:
-                    header = ln
-                    if ln != CAMERA_CSV_HEADER:
-                        break
-                    continue
-                parts = ln.split(",")
-                if len(parts) != 4:
-                    raise FormatError(f"video_io: bad camera row {ln!r}")
-                try:
-                    row = [float(p) for p in parts[1:]]
-                    pocs.append(int(parts[0]))
-                except ValueError as exc:
-                    raise FormatError(f"video_io: bad camera row {ln!r}") from exc
-                values.extend(row)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"video_io: {path} is not UTF-8 text") from exc
-    if header != CAMERA_CSV_HEADER:
+    camera CSV.  The values go to one list per array, which become the two
+    arrays once at the end.  A frame listed twice or a non-finite value
+    raises FormatError."""
+    lines = (ln for ln in map(str.strip, read_text_lines(path)) if ln)
+    if next(lines, None) != CAMERA_CSV_HEADER:
         raise FormatError(f"video_io: {path} lacks the '{CAMERA_CSV_HEADER}' header")
+    pocs, values, seen = [], [], set()
+    for ln in lines:
+        parts = ln.split(",")
+        if len(parts) != 4:
+            raise FormatError(f"video_io: bad camera row {ln!r}")
+        try:
+            poc = int(parts[0])
+            row = [float(p) for p in parts[1:]]
+        except ValueError as exc:
+            raise FormatError(f"video_io: bad camera row {ln!r}") from exc
+        if not all(map(math.isfinite, row)):
+            raise FormatError(f"video_io: non-finite camera row {ln!r}")
+        if poc in seen:
+            raise FormatError(f"video_io: {path} lists frame {poc} twice")
+        seen.add(poc)
+        pocs.append(poc)
+        values.extend(row)
     try:
         frames = np.array(pocs, dtype=np.int64)
     except OverflowError as exc:
         raise FormatError(f"video_io: {path} has a frame index outside int64") from exc
-    q = np.array(values, dtype=np.float64).reshape(-1, 3)
-    finite = np.isfinite(q).all(axis=1)
-    if not finite.all():
-        poc = frames[np.argmin(finite)]
-        raise FormatError(f"video_io: non-finite camera row for frame {poc}")
-    if any(a >= b for a, b in pairwise(pocs)):  # only out of order can repeat
-        seen = set()
-        for poc in pocs:
-            if poc in seen:
-                raise FormatError(f"video_io: {path} lists frame {poc} twice")
-            seen.add(poc)
-    return frames, q
+    return frames, np.array(values, dtype=np.float64).reshape(-1, 3)
 
 
 def read_correspondences(path: str) -> np.ndarray:

@@ -199,7 +199,7 @@ def test_camera_csv_bad_rows(tmp_path):
     with pytest.raises(FormatError):
         video_io.read_camera_csv(path)
     path.write_text("frame_index,qx,qy,qz\n0,0,0,1\n1,0,nan,1\n2,0,0,-inf\n")
-    with pytest.raises(FormatError, match="row for frame 1$"):
+    with pytest.raises(FormatError, match="'1,0,nan,1'"):
         video_io.read_camera_csv(path)
     path.write_text("frame_index,qx,qy,qz\n99999999999999999999,0,0,1\n")
     with pytest.raises(FormatError, match="frame index outside int64"):
