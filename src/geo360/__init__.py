@@ -16,7 +16,6 @@ from .errors import (
     NoMotionError,
     TruncationError,
 )
-from .geometry import SphericalPoint
 from .motion_model import (
     BlockSpec,
     GeodesicModelConfig,
@@ -27,7 +26,7 @@ from .motion_model import (
 from .mocomp import BlockComparison, ErpFrame, PredictionResult, SearchResult
 from .camera_est import EssentialMatrix, FlowField
 from .cam_code import Bitstream, CamMotionRecord
-from .metrics import RDCurve, RDPoint, SequenceResult
+from .metrics import RDCurve, RDPoint
 from .video_io import SequenceSpec, SynthConfig, SynthResult
 
 __version__ = "0.1.0"
@@ -54,9 +53,7 @@ __all__ = [
     "RDCurve",
     "RDPoint",
     "SearchResult",
-    "SequenceResult",
     "SequenceSpec",
-    "SphericalPoint",
     "SynthConfig",
     "SynthResult",
     "TruncationError",

@@ -249,49 +249,41 @@ def predict_direction(
     return mean / norm
 
 
-def _grown(a: np.ndarray, capacity: int) -> np.ndarray:
-    out = np.empty((capacity,) + a.shape[1:], dtype=a.dtype)
-    out[: len(a)] = a
-    return out
-
-
 class _History:
     """Reconstructed directions in flat arrays, with an index sorted by poc.
 
     `directions`, `(N, 3)` in coding order, and the index, `pocs` ascending
-    with the coding row of each in `rows` (equal pocs in coding order),
-    hold the first `size` entries and double when full.  predict_direction
-    only looks at the entries nearest in poc, so each prediction is handed
-    those alone.  A frame at or past the highest poc is predicted from
-    `_top`, the list of entries at the highest poc, returned as it is, and
-    appended at the end of the index: in ascending poc order neither a
-    lookup nor an append searches, shifts or allocates.  Below the highest
-    poc, a lookup is a binary search and an append shifts the index tail.
+    with the coding row of each in `rows`, hold the first `size` of
+    `capacity` entries, sized once from the record count.  Each poc enters
+    once: appending one already present raises `repeat_error`.
+    predict_direction only looks at the entries nearest in poc, so each
+    prediction is handed those alone.  A frame past the highest poc is
+    predicted from `_top`, the one-entry list of the highest poc, returned
+    as it is, and appended at the end of the index: in ascending poc order
+    neither a lookup nor an append searches, shifts or allocates.  Below the
+    highest poc, a lookup is a binary search and an append shifts the index
+    tail.
     """
 
-    def __init__(self, capacity: int = 1):
+    def __init__(self, capacity: int, repeat_error: type = DomainError):
         self.size = 0
-        self.pocs = np.empty(max(capacity, 1), dtype=np.int64)
-        self.rows = np.empty(len(self.pocs), dtype=np.int64)
-        self.directions = np.empty((len(self.pocs), 3))
+        self.pocs = np.empty(capacity, dtype=np.int64)
+        self.rows = np.empty(capacity, dtype=np.int64)
+        self.directions = np.empty((capacity, 3))
         self._top: list[tuple[int, np.ndarray]] = []
+        self._repeat_error = repeat_error
 
     def append(self, poc: int, q: np.ndarray):
         n = self.size
-        if n == len(self.pocs):
-            self.pocs, self.rows, self.directions = (
-                _grown(a, 2 * n) for a in (self.pocs, self.rows, self.directions)
-            )
         top = self._top
         if not top or poc > top[0][0]:
             self._top = [(poc, q)]
             i = n
-        elif poc == top[0][0]:
-            top.append((poc, q))
-            i = n
         else:
             pocs, rows = self.pocs, self.rows
-            i = int(np.searchsorted(pocs[:n], poc, side="right"))
+            i = int(np.searchsorted(pocs[:n], poc))  # < n: poc is not above the top
+            if pocs[i] == poc:
+                raise self._repeat_error(f"cam_code: frame {poc} appears twice")
             pocs[i + 1 : n + 1] = pocs[i:n]
             rows[i + 1 : n + 1] = rows[i:n]
         self.pocs[i] = poc
@@ -299,22 +291,17 @@ class _History:
         self.directions[n] = q
         self.size = n + 1
 
-    def __contains__(self, poc: int) -> bool:
-        entries = self.neighbours(poc)  # those at poc, if any, come first
-        return bool(entries) and entries[0][0] == poc
-
     def neighbours(self, poc: int) -> list[tuple[int, np.ndarray]]:
-        """Entries at the nearest poc <= poc, then at the nearest poc > poc,
-        each in coding order.  predict_direction sorts candidates by poc with
-        a stable sort, so it picks from these what it picks from all."""
+        """The entry at the nearest poc <= poc, then the one at the nearest
+        poc > poc.  predict_direction picks from these what it picks from
+        all."""
         top = self._top
         if not top or poc >= top[0][0]:
             return top
         pocs = self.pocs[: self.size]
         i = int(np.searchsorted(pocs, poc, side="right"))  # < size: poc is below the top
-        lo = int(np.searchsorted(pocs, pocs[i - 1])) if i else i
-        hi = int(np.searchsorted(pocs, pocs[i], side="right"))
-        return [(int(pocs[j]), self.directions[self.rows[j]]) for j in range(lo, hi)]
+        near = range(max(i - 1, 0), i + 1)
+        return [(int(pocs[j]), self.directions[self.rows[j]]) for j in near]
 
 
 def _payload(raw_t: int, raw_p: int, k: int) -> tuple[bytes, int]:
@@ -371,8 +358,8 @@ def encode_record(
     count.
     """
     predicted, _ = geometry._checked_norm(predicted)
-    history = _History()
-    history.append(-1, predicted)  # a history that predicts `predicted`
+    history = _History(2)
+    history.append(-2, predicted)  # a history that predicts `predicted`
     theta, phi, raw = _closed_loop(history, -1, frac_bits, q=q)
     payload, used = _payload(*raw, k)
     return payload, CamMotionRecord(-1, theta, phi), used
@@ -407,8 +394,6 @@ def encode_stream(
     record_bits = np.empty(n, dtype=np.int64)
     for i, q in enumerate(directions):
         poc = int(pocs[i])
-        if poc in history:
-            raise DomainError(f"cam_code: duplicate poc {poc} in stream input")
         theta, phi, raw = _closed_loop(history, poc, frac_bits, q=q)
         payload, _ = _payload(*raw, k)
         data += struct.pack(">I", poc) + payload
@@ -451,7 +436,7 @@ def decode_stream(
     # a stream that claims more ends in a TruncationError before the
     # arrays fill up.
     capacity = min(count, (len(data) - 10) // 5)
-    history = _History(capacity)
+    history = _History(capacity, FormatError)
     records = np.empty(capacity, dtype=RECORD_DTYPE)
     payload_bits = 0
     for i in range(count):

@@ -70,13 +70,10 @@ def _parse_size(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"{text!r} is not WxH") from exc
 
 
-def _model_config(
-    variant: str, delta: float | None, height: int
-) -> GeodesicModelConfig:
+def _model_config(variant: str, height: int) -> GeodesicModelConfig:
+    """The model named `variant` with one ERP row per motion-vector unit."""
     name, scaling = _VARIANTS[variant]
-    if delta is None:
-        delta = motion_model.default_delta(height)
-    return GeodesicModelConfig(variant=name, scaling=scaling, delta=delta)
+    return GeodesicModelConfig(name, scaling, motion_model.default_delta(height))
 
 
 def _add_yuv_flags(p: argparse.ArgumentParser):
@@ -140,7 +137,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=_parse_vec2, required=True)
     p.add_argument("--block", type=_parse_size, default="16x16")
     p.add_argument("--variant", default="gcg", choices=tuple(_VARIANTS))
-    p.add_argument("--delta", type=float)
     p.set_defaults(func=_cmd_warp)
 
     p = sub.add_parser("compare", help="per-block model comparison over a sequence")
@@ -155,7 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--variants", default="orig,gcg",
         help="comma list out of orig,gcg,gcl (baseline always included)",
     )
-    p.add_argument("--delta", type=float)
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_compare)
 
@@ -274,7 +269,7 @@ def _cmd_warp(args) -> int:
     if last >= len(frames):
         raise Geo360Error("cli: frame index outside the sequence")
     ref, cur = frames[args.ref_index], frames[cur_index]
-    cfg = _model_config(args.variant, args.delta, args.height)
+    cfg = _model_config(args.variant, args.height)
     bw, bh = args.block
     blocks = mocomp.tile_blocks(args.width, args.height, bw, bh)
     t = MotionVector2D(*args.t)
@@ -332,7 +327,7 @@ def _cmd_compare(args) -> int:
     bad = sorted(set(names) - set(_VARIANTS))
     if bad:
         raise Geo360Error(f"cli: unknown variants {bad}")
-    configs = {name: _model_config(name, args.delta, args.height) for name in names}
+    configs = {name: _model_config(name, args.height) for name in names}
 
     bw, bh = args.block
     blocks = mocomp.tile_blocks(args.width, args.height, bw, bh)
@@ -494,6 +489,8 @@ def _read_rd_csv(path: str) -> metrics.RDCurve:
 
 
 def _cmd_bdrate(args) -> int:
+    if not args.camera_rate >= 0.0:
+        raise Geo360Error(f"cli: --camera-rate {args.camera_rate} is not a rate >= 0")
     anchor = _read_rd_csv(args.anchor)
     test = _read_rd_csv(args.test)
     value = metrics.bd_rate(anchor, test)

@@ -19,14 +19,14 @@ Conventions, fixed once so every module agrees bit-for-bit:
     differences, so the residual in-plane orientation is arbitrary but must
     stay deterministic.
 
-Scalar functions work on the small frozen dataclasses below; the *_grid
-variants take numpy arrays and are what the per-pixel pipelines use.
+The *_grid functions take numpy arrays and are what the per-pixel pipelines
+use; the camera codec converts one direction at a time with the private
+float helpers _unit_angles and _angles_to_cart.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,20 +44,6 @@ _UNIT_TOL = 1e-9
 def wrap_angle(phi):
     """Wrap an angle (scalar or array) into [-pi, pi)."""
     return phi - TWO_PI * np.floor((phi + math.pi) / TWO_PI)
-
-
-@dataclass(frozen=True)
-class SphericalPoint:
-    """Direction on the unit sphere: polar angle theta, azimuth phi."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi):
-            raise DomainError(f"geometry: theta {self.theta!r} outside [0, pi]")
-        if not (-math.pi <= self.phi < math.pi):
-            raise DomainError(f"geometry: phi {self.phi!r} outside [-pi, pi)")
 
 
 def erp_grid_to_sphere(u, v, width: int, height: int):
@@ -129,7 +115,7 @@ def as_unit_vector(v) -> np.ndarray:
 
 
 def _unit_angles(v) -> tuple[float, float]:
-    """cart_to_sphere as two floats, without building a SphericalPoint.
+    """Unit vector -> (theta, phi) as two floats; phi fixed to 0 at the poles.
 
     Each component is divided by the norm as a float, which gives the bits
     of as_unit_vector's array division.
@@ -147,18 +133,9 @@ def _unit_angles(v) -> tuple[float, float]:
 
 
 def _angles_to_cart(theta: float, phi: float) -> np.ndarray:
+    """(theta, phi) -> unit vector, with the trig on floats."""
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def sphere_to_cart(p: SphericalPoint) -> np.ndarray:
-    return _angles_to_cart(p.theta, p.phi)
-
-
-def cart_to_sphere(v) -> SphericalPoint:
-    """Unit vector -> (theta, phi); phi fixed to 0 at the poles."""
-    theta, phi = _unit_angles(v)
-    return SphericalPoint(theta=theta, phi=phi)
 
 
 def sphere_grid_to_cart(theta, phi) -> np.ndarray:

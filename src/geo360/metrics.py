@@ -1,4 +1,4 @@
-"""Quality and rate metrics: sphere-weighted PSNR, BD-rate, report tables.
+"""Quality and rate metrics: sphere-weighted PSNR and BD-rate.
 
 WS-PSNR weights each ERP row by the cosine of its latitude so that the
 over-sampled pole rows do not dominate the error the way they would in
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -41,7 +40,7 @@ def plane_ws_psnr(ref: np.ndarray, test: np.ndarray, bit_depth: int) -> float:
 
 
 # Sentinel standing in for an infinite plane PSNR inside the 6:1:1 mix and
-# in report cells.
+# in the CLI's per-frame output.
 PSNR_CAP = 999.99
 
 
@@ -134,68 +133,3 @@ def bd_rate(anchor: RDCurve, test: RDCurve) -> float:
         raise DomainError("metrics: curves share no quality range")
     diff = _mean_log_rate(test, lo, hi) - _mean_log_rate(anchor, lo, hi)
     return float((10.0**diff - 1.0) * 100.0)
-
-
-@dataclass(frozen=True)
-class SequenceResult:
-    """BD input of one sequence; camera_motion_rate is the side-channel
-    rate buried in every test point, in the same unit as RDPoint.rate."""
-
-    name: str
-    anchor: RDCurve
-    test: RDCurve
-    camera_motion_rate: float = 0.0
-
-    def __post_init__(self):
-        if self.camera_motion_rate < 0:
-            raise DomainError("metrics: camera_motion_rate must be >= 0")
-
-
-@dataclass(frozen=True)
-class ReportTables:
-    csv: str
-    markdown: str
-
-
-_COLUMNS = ("sequence", "bd_rate_percent", "bd_rate_percent_wo_camera_bits")
-
-
-def _clip_cell(x: float) -> float:
-    return min(max(x, -PSNR_CAP), PSNR_CAP)
-
-
-def report(results: Sequence[SequenceResult]) -> ReportTables:
-    """BD-rate table, with and without the camera motion side channel.
-
-    The second column removes each sequence's camera_motion_rate from the
-    test points before computing BD-rate.  An Average row closes the table;
-    with no sequences both tables are header-only.
-    """
-    rows: list[tuple[str, float, float]] = []
-    for res in results:
-        with_bits = bd_rate(res.anchor, res.test)
-        without = bd_rate(res.anchor, res.test.shifted(-res.camera_motion_rate))
-        rows.append((res.name, _clip_cell(with_bits), _clip_cell(without)))
-    if rows:
-        avg = (
-            "Average",
-            _clip_cell(float(np.mean([r[1] for r in rows]))),
-            _clip_cell(float(np.mean([r[2] for r in rows]))),
-        )
-        rows.append(avg)
-
-    csv_lines = [",".join(_COLUMNS)]
-    for name, a, b in rows:
-        csv_lines.append(f"{name},{a:.6f},{b:.6f}")
-
-    md_lines = [
-        "| " + " | ".join(_COLUMNS) + " |",
-        "|" + "|".join(["---"] * len(_COLUMNS)) + "|",
-    ]
-    for name, a, b in rows:
-        md_lines.append(f"| {name} | {a:.6f} | {b:.6f} |")
-
-    return ReportTables(
-        csv="\n".join(csv_lines) + "\n",
-        markdown="\n".join(md_lines) + "\n",
-    )

@@ -446,7 +446,8 @@ def compare_sequence(
     search_range: float,
     step: float = 1.0,
 ) -> list[list[BlockComparison]]:
-    """compare_models over every consecutive pair of a sequence.
+    """Best motion of every model, plus the translational baseline, for
+    every block of every consecutive pair of a sequence.
 
     q_per_pair[m] is the camera direction for the pair (m, m+1); result[m]
     holds that pair's block rows.  A block's candidate mapping depends only
@@ -495,22 +496,6 @@ def compare_sequence(
                 )
             )
     return results
-
-
-def compare_models(
-    ref: ErpFrame,
-    cur: ErpFrame,
-    blocks: list[BlockSpec],
-    q,
-    model_configs: Mapping[str, GeodesicModelConfig],
-    search_range: float,
-    step: float = 1.0,
-) -> list[BlockComparison]:
-    """Best motion of every model (plus the translational baseline) per block."""
-    return compare_sequence(
-        [ref, cur], blocks, [np.asarray(q, dtype=np.float64)],
-        model_configs, search_range, step,
-    )[0]
 
 
 def strict_winner(comparison: BlockComparison) -> str | None:

@@ -57,8 +57,8 @@ class GeodesicModelConfig:
     """
 
     variant: Literal["original", "gc"]
-    scaling: Literal["global", "local"] = "global"
-    delta: float = 0.01227184630308513  # pi/256, the 512x256 default
+    scaling: Literal["global", "local"]
+    delta: float
 
     def __post_init__(self):
         if self.variant not in ("original", "gc"):
@@ -84,18 +84,6 @@ class MotionVector2D:
 
 
 @dataclass(frozen=True)
-class GeodesicKFactor:
-    """Depth-to-shift ratio of the constant-depth model.
-
-    k alone loses the motion direction when the block center is pushed past
-    a pole, so the sign of t_u travels alongside it.
-    """
-
-    k: float
-    reverse: bool = False
-
-
-@dataclass(frozen=True)
 class BlockSpec:
     """Axis-aligned pixel block: top-left corner (x0, y0), width x height."""
 
@@ -114,12 +102,14 @@ class BlockSpec:
         return (self.x0 + (self.width - 1) / 2.0, self.y0 + (self.height - 1) / 2.0)
 
 
-def k_factor(theta_c: float, t_u: float, delta: float) -> GeodesicKFactor:
+def k_factor(theta_c: float, t_u: float, delta: float) -> float:
     """Constant-depth ratio fixed by the block center's displacement.
 
     k = sin(theta_c + delta*t_u) / sin(delta*t_u).  Zero t_u has no finite
     k (no motion); |delta*t_u| >= pi would move the center past the
-    antipode.
+    antipode.  k alone loses the motion direction when the block center is
+    pushed past a pole, so the polar law takes its branch from the sign of
+    t_u.
     """
     if t_u == 0.0:
         raise NoMotionError("motion_model: k factor undefined for t_u = 0")
@@ -128,21 +118,7 @@ def k_factor(theta_c: float, t_u: float, delta: float) -> GeodesicKFactor:
         raise DomainError(
             f"motion_model: |delta*t_u| = {abs(shift)!r} must be < pi"
         )
-    k = math.sin(theta_c + shift) / math.sin(shift)
-    return GeodesicKFactor(k=k, reverse=t_u < 0.0)
-
-
-def ged_orig_theta(theta, kf: GeodesicKFactor):
-    """Polar displacement under the constant-depth model (scalar or array).
-
-    Two-argument arctangent of (sin(theta), k - cos(theta)); reverse motion
-    lands on the opposite branch, shifting the result by -pi so the
-    displacement carries the sign of t_u.
-    """
-    dt = np.arctan2(np.sin(theta), kf.k - np.cos(theta))
-    if kf.reverse:
-        dt = dt - math.pi
-    return dt
+    return math.sin(theta_c + shift) / math.sin(shift)
 
 
 def clamp_theta(theta):
@@ -247,14 +223,17 @@ def prepare_block_geometry(
 def _model_theta(
     geom: BlockGeometry, t_u: np.ndarray, cfg: GeodesicModelConfig
 ) -> np.ndarray:
-    """Polar law of every t_u over the block's clamped polar angles: (nu, h, w)."""
+    """Polar law of every t_u over the block's clamped polar angles: (nu, h, w).
+
+    Under the constant-depth law t_u < 0 takes the reverse branch (less pi)
+    and t_u = 0 is the identity.
+    """
     theta = geom.theta
     if cfg.variant == "gc":
         r = cyl_radius(cfg.scaling, geom.theta_c)
         return ged_gc_theta(theta, t_u[:, None, None], delta_z(cfg.delta), r)
-    # ged_orig_theta for every t_u at once; t_u = 0 is the identity.
     k = np.array([
-        k_factor(geom.theta_c, tu, cfg.delta).k if tu != 0.0 else 0.0
+        k_factor(geom.theta_c, tu, cfg.delta) if tu != 0.0 else 0.0
         for tu in t_u.tolist()
     ])
     theta_m = np.subtract(k[:, None, None], np.cos(theta))

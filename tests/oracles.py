@@ -2,8 +2,10 @@
 
 Each function maps one point (or one coordinate) with plain floats, so the
 array code in geo360 can be checked against a formula that is easy to read.
-The camera codec's bits also have a '0'/'1' string form here.  None of them
-is called by the package itself.
+Points on the sphere are SphericalPoint values, converted one at a time by
+sphere_to_cart and cart_to_sphere; ged_orig_theta is the constant-depth law
+on its own.  The camera codec's bits also have a '0'/'1' string form here.
+None of them is called by the package itself.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from geo360 import cam_code, geometry
 from geo360.errors import DomainError
-from geo360.geometry import TWO_PI, SphericalPoint
+from geo360.geometry import TWO_PI
 from geo360.mocomp import ErpFrame, _PlaneSampler, _quads
 from geo360.motion_model import (
     GeodesicModelConfig,
@@ -25,9 +27,46 @@ from geo360.motion_model import (
     cyl_radius,
     delta_z,
     ged_gc_theta,
-    ged_orig_theta,
     k_factor,
 )
+
+
+@dataclass(frozen=True)
+class SphericalPoint:
+    """Direction on the unit sphere: polar angle theta, azimuth phi."""
+
+    theta: float
+    phi: float
+
+    def __post_init__(self):
+        if not (0.0 <= self.theta <= math.pi):
+            raise DomainError(f"geometry: theta {self.theta!r} outside [0, pi]")
+        if not (-math.pi <= self.phi < math.pi):
+            raise DomainError(f"geometry: phi {self.phi!r} outside [-pi, pi)")
+
+
+def sphere_to_cart(p: SphericalPoint) -> np.ndarray:
+    return geometry._angles_to_cart(p.theta, p.phi)
+
+
+def cart_to_sphere(v) -> SphericalPoint:
+    """Unit vector -> (theta, phi); phi fixed to 0 at the poles."""
+    theta, phi = geometry._unit_angles(v)
+    return SphericalPoint(theta=theta, phi=phi)
+
+
+def ged_orig_theta(theta, theta_c: float, t_u: float, delta: float):
+    """Polar displacement under the constant-depth model (scalar or array).
+
+    Two-argument arctangent of (sin(theta), k - cos(theta)) with the k of
+    the block center theta_c; reverse motion (t_u < 0) lands on the
+    opposite branch, shifting the result by -pi so the displacement carries
+    the sign of t_u.
+    """
+    dt = np.arctan2(np.sin(theta), k_factor(theta_c, t_u, delta) - np.cos(theta))
+    if t_u < 0.0:
+        dt = dt - math.pi
+    return dt
 
 
 @dataclass(frozen=True)
@@ -97,8 +136,7 @@ def ged_orig_map(
     if t.t_u == 0.0:
         theta_m = s.theta
     else:
-        kf = k_factor(theta_c, t.t_u, cfg.delta)
-        theta_m = s.theta + ged_orig_theta(s.theta, kf)
+        theta_m = s.theta + ged_orig_theta(s.theta, theta_c, t.t_u, cfg.delta)
     phi_m = geometry.wrap_angle(s.phi + cfg.delta * t.t_v)
     return SphericalPoint(theta=float(clamp_theta(theta_m)), phi=float(phi_m))
 

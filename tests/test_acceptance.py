@@ -14,10 +14,16 @@ import pytest
 
 from geo360 import cam_code, camera_est, cli, geometry, metrics, video_io
 from geo360 import motion_model as mm
-from geo360.geometry import SphericalPoint
 from geo360.mocomp import ErpFrame
 from geo360.motion_model import GeodesicModelConfig, MotionVector2D
-from oracles import eg_decode, eg_encode, ged_orig_map, write_string
+from oracles import (
+    SphericalPoint,
+    eg_decode,
+    eg_encode,
+    ged_orig_map,
+    ged_orig_theta,
+    write_string,
+)
 
 
 def _report(capsys, name, ok, detail):
@@ -74,10 +80,10 @@ def test_round_trip_witness(capsys):
     delta, t_u, theta_c = 0.01, 10.0, 1.0
     thetas = math.pi * (np.arange(256) + 0.5) / 256
     mask = np.abs(thetas - theta_c) >= 0.05
-    kf_f = mm.k_factor(theta_c, t_u, delta)
-    kf_b = mm.k_factor(theta_c + delta * t_u, -t_u, delta)
-    mid = mm.clamp_theta(thetas + mm.ged_orig_theta(thetas, kf_f))
-    back = mm.clamp_theta(mid + mm.ged_orig_theta(mid, kf_b))
+    mid = mm.clamp_theta(thetas + ged_orig_theta(thetas, theta_c, t_u, delta))
+    back = mm.clamp_theta(
+        mid + ged_orig_theta(mid, theta_c + delta * t_u, -t_u, delta)
+    )
     err_orig = np.abs(back - thetas)[mask]
 
     dz = mm.delta_z(delta)

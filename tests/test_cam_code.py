@@ -11,7 +11,15 @@ from hypothesis import strategies as st
 from geo360 import cam_code, geometry
 from geo360.cam_code import Bitstream
 from geo360.errors import DomainError, FormatError, Geo360Error, TruncationError
-from oracles import dequantize_angle, eg_decode, eg_encode, write_bit, write_string
+from oracles import (
+    SphericalPoint,
+    dequantize_angle,
+    eg_decode,
+    eg_encode,
+    sphere_to_cart,
+    write_bit,
+    write_string,
+)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -312,7 +320,7 @@ def test_zero_residual_record_is_5_bytes():
 
 def test_one_lsb_residual_is_39_bits():
     theta = 2.0**-24
-    q = geometry.sphere_to_cart(geometry.SphericalPoint(theta=theta, phi=0.0))
+    q = sphere_to_cart(SphericalPoint(theta=theta, phi=0.0))
     _, _, used = cam_code.encode_record(q, Z)
     assert used == 39  # 19 + sign flag + 19
 
@@ -359,27 +367,39 @@ def test_predictor_antipodal_tie_takes_lower_poc():
 
 
 def test_predictor_neighbours_match_full_history():
-    # shuffled pocs with repeats (a decoder can meet both), and antipodal
-    # directions so two-sided ties also hit the cancellation fallback
+    # shuffled distinct pocs, and antipodal directions so two-sided ties
+    # also hit the cancellation fallback
     rng = np.random.default_rng(21)
     axes = np.eye(3)
-    history, entries = cam_code._History(), []
-    for poc in rng.permutation(np.repeat(np.arange(30), 2))[:45]:
-        for target in range(-2, 33):
+    history, entries = cam_code._History(45), []
+    for poc in rng.permutation(60)[:45]:
+        for target in range(-2, 63):
             full = cam_code.predict_direction(entries, target)
             near = cam_code.predict_direction(history.neighbours(target), target)
             assert np.array_equal(full, near)
         entries.append((int(poc), axes[rng.integers(3)] * rng.choice([-1.0, 1.0])))
         history.append(*entries[-1])
     pocs, directions = zip(*entries)
-    rows = np.argsort(pocs, kind="stable")
+    rows = np.argsort(pocs)
     assert history.rows[: history.size].tolist() == rows.tolist()
     assert history.pocs[: history.size].tolist() == np.array(pocs)[rows].tolist()
     assert np.array_equal(history.directions[: history.size], directions)
 
 
+def test_history_refuses_a_repeated_poc():
+    # below and at the highest poc; the encoder's error, or a stream's
+    for error in (DomainError, FormatError):
+        history = cam_code._History(3, error)
+        history.append(4, Z)
+        history.append(7, Z)
+        for poc in (4, 7):
+            with pytest.raises(error, match=f"frame {poc} appears twice"):
+                history.append(poc, Z)
+        assert history.size == 2
+
+
 def test_ascending_lookup_returns_the_cached_entry():
-    history = cam_code._History()
+    history = cam_code._History(5)
     for poc in range(5):
         q = np.array([0.0, 0.0, 1.0])
         history.append(poc, q)

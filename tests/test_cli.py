@@ -1,9 +1,14 @@
+import contextlib
+import io
+import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geo360 import cli, mocomp, video_io
+from geo360 import cam_code, cli, metrics, mocomp, video_io
 
 
 def run(argv):
@@ -436,6 +441,26 @@ def test_camcode_round_trip(synth_dir, tmp_path, capsys):
     assert np.max(np.abs(truth - rec)) < 1e-6
 
 
+def test_camcode_decode_repeated_frame_exits_1(synth_dir, tmp_path, capsys):
+    # the second record's poc patched to the first one's; a decoded CSV
+    # listing that frame twice is one camcode encode refuses
+    pocs, directions = video_io.read_camera_csv(synth_dir / "cam.csv")
+    enc = cam_code.encode_stream(pocs, directions)
+    assert len(pocs) == 3
+    second = 10 + enc.record_bits[0] // 8
+    data = bytearray(enc.data)
+    data[second : second + 4] = struct.pack(">I", pocs[0])
+    (tmp_path / "twice.gcmh").write_bytes(bytes(data))
+    rc = run(
+        ["camcode", "decode", "--input", tmp_path / "twice.gcmh", "--out",
+         tmp_path / "dec.csv"]
+    )
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: cam_code: ") and f"frame {pocs[0]} " in err
+    assert not (tmp_path / "dec.csv").exists()
+
+
 def test_camcode_decode_bad_magic(tmp_path, capsys):
     (tmp_path / "bad.gcmh").write_bytes(b"NOPE" + b"\x00" * 8)
     rc = run(
@@ -555,6 +580,42 @@ def test_metrics_bdrate(tmp_path, capsys):
     assert "bd-rate: 0.000000 %" in capsys.readouterr().out
 
 
+def _write_rd(tmp_path, name, points):
+    path = tmp_path / name
+    path.write_text("rate,quality\n" + "".join(f"{r},{q}\n" for r, q in points))
+    return path
+
+
+ANCHOR_RD = [(100.0, 30.0), (200.0, 33.0), (400.0, 36.0), (800.0, 39.0)]
+TEST_RD = [(110.0, 30.0), (206.0, 33.0), (409.0, 36.0), (820.0, 39.0)]
+
+
+def _rd_curve(points):
+    return metrics.RDCurve(tuple(metrics.RDPoint(r, q) for r, q in points))
+
+
+def test_metrics_bdrate_camera_rate(tmp_path, capsys):
+    # the second line takes the side-channel rate out of every test point
+    a = _write_rd(tmp_path, "a.csv", ANCHOR_RD)
+    b = _write_rd(tmp_path, "b.csv", TEST_RD)
+    assert run(["metrics", "bdrate", "--anchor", a, "--test", b, "--camera-rate", 6]) == 0
+    plain, without = capsys.readouterr().out.splitlines()
+    anchor, test = _rd_curve(ANCHOR_RD), _rd_curve(TEST_RD)
+    with_bits = metrics.bd_rate(anchor, test)
+    expect = metrics.bd_rate(anchor, test.shifted(-6.0))
+    assert plain == f"bd-rate: {with_bits:.6f} %"
+    assert without == f"bd-rate w/o camera bits: {expect:.6f} %"
+    assert expect < with_bits
+
+
+def test_metrics_bdrate_negative_camera_rate_exits_1(tmp_path, capsys):
+    a = _write_rd(tmp_path, "a.csv", ANCHOR_RD)
+    b = _write_rd(tmp_path, "b.csv", TEST_RD)
+    assert run(["metrics", "bdrate", "--anchor", a, "--test", b, "--camera-rate=-5"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cli: ")
+
+
 def test_metrics_opcount(capsys):
     assert run(["metrics", "opcount", "--variant", "orig", "--block", "8x8"]) == 0
     assert "total=389" in capsys.readouterr().out
@@ -583,3 +644,61 @@ def test_unknown_compare_variant(synth_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert "unknown variants" in capsys.readouterr().err
+
+
+# --- numeric flags under a fuzzer --------------------------------------------------
+
+# Values that broke flags before, or sit at an edge of a type: each numeric
+# flag also draws small valid values of its own.
+_EDGE_VALUES = ["0", "1", "-1", "nan", "inf", "-inf", "1e300", str(-(2**31))]
+
+
+def _flag_value(valid):
+    return st.one_of(st.sampled_from(_EDGE_VALUES), valid.map(str))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    _write_rd(root, "a.csv", ANCHOR_RD)
+    _write_rd(root, "b.csv", TEST_RD)
+    (root / "cam.csv").write_text("frame_index,qx,qy,qz\n1,0,0,1\n2,0.6,0,0.8\n3,0,-0.6,0.8\n")
+    assert run(["camcode", "encode", "--camera", root / "cam.csv", "--out", root / "cam.gcmh"]) == 0
+    return root
+
+
+def _argv(command, root, draw):
+    if command == "bdrate":
+        rate = draw(_flag_value(st.floats(0.0, 50.0)))
+        return ["metrics", "bdrate", "--anchor", root / "a.csv", "--test", root / "b.csv",
+                f"--camera-rate={rate}"]
+    if command == "opcount":
+        side = _flag_value(st.integers(1, 64))
+        variant = draw(st.sampled_from(["orig", "gcg", "gcl"]))
+        return ["metrics", "opcount", "--variant", variant,
+                f"--block={draw(side)}x{draw(side)}"]
+    files = {
+        "encode": ["--camera", root / "cam.csv", "--out", root / "out.gcmh"],
+        "decode": ["--input", root / "cam.gcmh", "--out", root / "out.csv"],
+    }[command]
+    return ["camcode", command, *files,
+            f"--frac-bits={draw(_flag_value(st.integers(0, 52)))}",
+            f"--eg-order={draw(_flag_value(st.integers(0, 64)))}"]
+
+
+@pytest.mark.parametrize("command", ["bdrate", "opcount", "encode", "decode"])
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_numeric_flags_give_a_result_or_exit_1(fuzz_dir, command, data):
+    argv = [str(a) for a in _argv(command, fuzz_dir, data.draw)]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            rc = exc.code
+    err = err.getvalue()
+    assert rc in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if rc == 1:
+        assert re.match(r"error: \w+: ", err), (argv, err)

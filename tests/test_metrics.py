@@ -5,7 +5,7 @@ import pytest
 
 from geo360 import metrics
 from geo360.errors import DomainError
-from geo360.metrics import RDCurve, RDPoint, SequenceResult
+from geo360.metrics import RDCurve, RDPoint
 from geo360.mocomp import ErpFrame
 
 
@@ -166,48 +166,3 @@ def test_shifted_moves_rates_only():
     b = a.shifted(-10.0)
     assert np.allclose(b.rates, np.array(RATES_A) - 10.0)
     assert np.allclose(b.qualities, QUALS_A)
-
-
-# --- report ------------------------------------------------------------------------
-
-
-def test_report_empty_is_header_only():
-    tables = metrics.report([])
-    assert tables.csv == "sequence,bd_rate_percent,bd_rate_percent_wo_camera_bits\n"
-    assert tables.markdown.count("\n") == 2  # header + separator
-
-
-def test_report_camera_bits_column():
-    anchor = curve(RATES_A, QUALS_A)
-    test = curve([110.0, 206.0, 409.0, 820.0], QUALS_A)
-    res = SequenceResult(
-        name="seq0", anchor=anchor, test=test, camera_motion_rate=6.0
-    )
-    tables = metrics.report([res, res])
-    lines = tables.csv.strip().split("\n")
-    assert len(lines) == 4  # header, two sequences, Average
-    assert lines[-1].startswith("Average,")
-    _, with_bits, without = lines[1].split(",")
-    expect_with = metrics.bd_rate(anchor, test)
-    expect_without = metrics.bd_rate(anchor, test.shifted(-6.0))
-    assert abs(float(with_bits) - expect_with) < 1e-6
-    assert abs(float(without) - expect_without) < 1e-6
-    assert float(without) < float(with_bits)
-    # both sequences identical, so the average equals the row
-    assert lines[1].split(",")[1:] == lines[-1].split(",")[1:]
-
-
-def test_report_cells_are_clipped():
-    anchor = curve(RATES_A, QUALS_A)
-    test = curve([r * 1e8 for r in RATES_A], QUALS_A)
-    tables = metrics.report(
-        [SequenceResult(name="boom", anchor=anchor, test=test)]
-    )
-    cells = tables.csv.strip().split("\n")[1].split(",")
-    assert float(cells[1]) == 999.99
-
-
-def test_camera_motion_rate_must_be_non_negative():
-    a = curve(RATES_A, QUALS_A)
-    with pytest.raises(DomainError):
-        SequenceResult(name="x", anchor=a, test=a, camera_motion_rate=-1.0)

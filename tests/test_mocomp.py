@@ -400,9 +400,9 @@ def test_horizontal_wrap_equivariance(cylinder_pair):
 def test_compare_models_structure(cylinder_pair):
     ref, cur = cylinder_pair
     blocks = mocomp.tile_blocks(256, 128, 32, 32)[:4]
-    rows = mocomp.compare_models(
-        ref, cur, blocks, Z, {"orig": ORIG, "gcg": GCG}, 2.0, 1.0
-    )
+    rows = mocomp.compare_sequence(
+        [ref, cur], blocks, [Z], {"orig": ORIG, "gcg": GCG}, 2.0, 1.0
+    )[0]
     assert len(rows) == 4
     for row in rows:
         assert set(row.outcomes) == {"translational", "orig", "gcg"}
@@ -426,7 +426,7 @@ def test_compare_sequence_matches_pairwise(cylinder_pair):
     assert len(seq) == 3
     for m, rows in enumerate(seq):
         a, b, q = frames[m], frames[m + 1], qs[m]
-        assert rows == mocomp.compare_models(a, b, blocks, q, cfgs, 2.0, 1.0)
+        assert rows == mocomp.compare_sequence([a, b], blocks, [q], cfgs, 2.0, 1.0)[0]
         for row in rows:
             assert set(row.outcomes) == {"translational", *cfgs}
             for label, cfg in cfgs.items():

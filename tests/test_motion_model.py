@@ -7,9 +7,16 @@ from hypothesis import strategies as st
 
 from geo360 import motion_model as mm
 from geo360.errors import DegenerateGeometryError, DomainError, NoMotionError
-from geo360.geometry import SphericalPoint
 from geo360.motion_model import BlockSpec, GeodesicModelConfig, MotionVector2D
-from oracles import ged_gc_map, ged_orig_map, map_point
+from oracles import (
+    SphericalPoint,
+    cart_to_sphere,
+    ged_gc_map,
+    ged_orig_map,
+    ged_orig_theta,
+    map_point,
+    sphere_to_cart,
+)
 
 ORIG = GeodesicModelConfig(variant="original", scaling="global", delta=0.01)
 GCG = GeodesicModelConfig(variant="gc", scaling="global", delta=0.01)
@@ -38,8 +45,8 @@ def test_k_factor_errors():
         mm.k_factor(1.0, 0.0, 0.01)
     with pytest.raises(DomainError):
         mm.k_factor(1.0, 400.0, 0.01)  # |delta*t_u| >= pi
-    kf = mm.k_factor(1.0, -2.0, 0.01)
-    assert kf.reverse
+    k = mm.k_factor(1.0, -2.0, 0.01)
+    assert k == math.sin(1.0 - 0.02) / math.sin(-0.02)
 
 
 def test_orig_zero_tu_is_identity():
@@ -189,16 +196,16 @@ def test_block_mapping_matches_scalar_path():
                 th, ph = geometry.erp_grid_to_sphere(
                     float(u), float(v), width, height
                 )
-                vec = rot @ geometry.sphere_to_cart(
+                vec = rot @ sphere_to_cart(
                     SphericalPoint(theta=float(th), phi=float(ph))
                 )
-                s_rot = geometry.cart_to_sphere(vec)
+                s_rot = cart_to_sphere(vec)
                 s_rot = SphericalPoint(
                     theta=float(mm.clamp_theta(s_rot.theta)), phi=s_rot.phi
                 )
                 moved = map_point(s_rot, geom.theta_c, t, cfg)
-                back = rot.T @ geometry.sphere_to_cart(moved)
-                s_out = geometry.cart_to_sphere(back)
+                back = rot.T @ sphere_to_cart(moved)
+                s_out = cart_to_sphere(back)
                 u2, v2 = geometry.sphere_grid_to_erp(
                     s_out.theta, s_out.phi, width, height
                 )
@@ -249,8 +256,7 @@ def reference_map_batch(geom, t_u_values, t_v_values, cfg):
         elif tu == 0.0:
             theta_m[i] = geom.theta.copy()
         else:
-            kf = mm.k_factor(geom.theta_c, tu, cfg.delta)
-            theta_m[i] = geom.theta + mm.ged_orig_theta(geom.theta, kf)
+            theta_m[i] = geom.theta + ged_orig_theta(geom.theta, geom.theta_c, tu, cfg.delta)
     clamped_out = (theta_m < mm.POLE_EPS) | (theta_m > math.pi - mm.POLE_EPS)
     theta_m = np.clip(theta_m, mm.POLE_EPS, math.pi - mm.POLE_EPS)
     phi_m = geom.phi[None, :, :] + cfg.delta * t_v_values[:, None, None]

@@ -16,7 +16,13 @@ from geo360.camera_est import FlowField
 from geo360.errors import DomainError, FormatError, Geo360Error, TruncationError
 from geo360.mocomp import ErpFrame
 from geo360.video_io import SequenceSpec, SynthConfig
-from oracles import ErpCoord, erp_to_sphere, sphere_to_erp
+from oracles import (
+    ErpCoord,
+    cart_to_sphere,
+    erp_to_sphere,
+    sphere_to_cart,
+    sphere_to_erp,
+)
 
 
 # --- raw YUV -----------------------------------------------------------------
@@ -452,7 +458,7 @@ def test_synth_flow_matches_projection_geometry():
     flow = out.flows[0]
     d = cfg.depth
     for (u, v) in ((10, 20), (64, 32), (100, 40), (30, 50)):
-        s = geometry.sphere_to_cart(
+        s = sphere_to_cart(
             erp_to_sphere(
                 ErpCoord(u=float(u), v=float(v), width=128, height=64)
             )
@@ -461,7 +467,7 @@ def test_synth_flow_matches_projection_geometry():
         # second camera sits at step * z
         x = d * s - np.array([0.0, 0.0, cfg.step])
         s2 = x / np.linalg.norm(x)
-        p2 = geometry.cart_to_sphere(s2)
+        p2 = cart_to_sphere(s2)
         c2 = sphere_to_erp(p2, 128, 64)
         du = c2.u - u
         dv = c2.v - v
