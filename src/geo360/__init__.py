@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     FormatError,
     Geo360Error,
-    NoFlowInformationError,
     NoMotionError,
     TruncationError,
 )
@@ -24,7 +23,7 @@ from .motion_model import (
     default_delta,
 )
 from .mocomp import BlockComparison, ErpFrame, PredictionResult, SearchResult
-from .camera_est import EssentialMatrix, FlowField
+from .camera_est import FlowField
 from .cam_code import Bitstream, CamMotionRecord
 from .metrics import RDCurve, RDPoint
 from .video_io import SequenceSpec, SynthConfig, SynthResult
@@ -40,13 +39,11 @@ __all__ = [
     "DegenerateGeometryError",
     "DomainError",
     "ErpFrame",
-    "EssentialMatrix",
     "FlowField",
     "FormatError",
     "Geo360Error",
     "GeodesicModelConfig",
     "MotionVector2D",
-    "NoFlowInformationError",
     "NoMotionError",
     "OpCount",
     "PredictionResult",

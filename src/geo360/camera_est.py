@@ -26,7 +26,6 @@ from .errors import (
     AmbiguousSignError,
     DegenerateGeometryError,
     DomainError,
-    NoFlowInformationError,
 )
 
 # Ratio of extreme singular values of the stacked constraint matrix above
@@ -71,15 +70,6 @@ class FlowField:
         return self.du.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class EssentialMatrix:
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        if self.matrix.shape != (3, 3):
-            raise DomainError("camera_est: essential matrix must be 3x3")
-
-
 def _checked_bearings(s, s_m) -> tuple[np.ndarray, np.ndarray]:
     """Validate a correspondence set and return it renormalized.
 
@@ -104,8 +94,8 @@ def _checked_bearings(s, s_m) -> tuple[np.ndarray, np.ndarray]:
     return s / n[:, None], s_m / n_m[:, None]
 
 
-def eight_point(s, s_m) -> EssentialMatrix:
-    """Least-squares essential matrix from >= 8 bearing correspondences.
+def eight_point(s, s_m) -> np.ndarray:
+    """Least-squares (3, 3) essential matrix from >= 8 bearing correspondences.
 
     Row i of the (N, 3) arrays s and s_m is one correspondence: the unit ray
     in the reference view and in the displaced view.  The stacked system
@@ -132,13 +122,14 @@ def eight_point(s, s_m) -> EssentialMatrix:
 
     u, d, vt = np.linalg.svd(e_raw)
     mean_top = (d[0] + d[1]) / 2.0
-    e = u @ np.diag([mean_top, mean_top, 0.0]) @ vt
-    return EssentialMatrix(matrix=e)
+    return u @ np.diag([mean_top, mean_top, 0.0]) @ vt
 
 
-def epipole_from_essential(ess: EssentialMatrix) -> np.ndarray:
-    """Unit left null vector of E (the translation axis, sign unresolved)."""
-    e = ess.matrix
+def epipole_from_essential(e) -> np.ndarray:
+    """Unit left null vector of the (3, 3) essential matrix e (the
+    translation axis, sign unresolved)."""
+    if np.shape(e) != (3, 3):
+        raise DomainError(f"camera_est: essential matrix must be 3x3, got {np.shape(e)}")
     norm = np.linalg.norm(e)
     if norm < 1e-12:
         raise DegenerateGeometryError("camera_est: essential matrix is zero")
@@ -197,6 +188,8 @@ def pixel_pairs_to_bearings(
     quads = np.asarray(quads, dtype=np.float64)
     if quads.ndim != 2 or quads.shape[1] != 4:
         raise DomainError("camera_est: correspondence array must be (N, 4)")
+    if width < 1 or height < 1:
+        raise DomainError(f"camera_est: frame size {width}x{height} is not positive")
     return (
         _erp_bearings(quads[:, 0], quads[:, 1], width, height),
         _erp_bearings(quads[:, 2], quads[:, 3], width, height),
@@ -246,12 +239,12 @@ def flow_to_pairs(flow: FlowField, stride: int) -> tuple[np.ndarray, np.ndarray]
 # Flow-alignment refinement
 
 
-def _flow_samples(flow: FlowField, stride: int, q_init):
+def _flow_samples(flow: FlowField, stride: int):
     """Pixels with usable flow: positions, unit flow directions, bearings.
 
     Samples with a non-finite displacement are dropped.  Raises
-    NoFlowInformationError, carrying q_init, when no strided sample moves by
-    at least _MIN_FLOW pixels.
+    DegenerateGeometryError when no strided sample moves by at least
+    _MIN_FLOW pixels.
     """
     u, v, du, dv = _strided_flow(flow, stride)
     mag = np.hypot(du, dv)
@@ -259,9 +252,8 @@ def _flow_samples(flow: FlowField, stride: int, q_init):
     # to nan
     keep = np.isfinite(mag) & (mag >= _MIN_FLOW)
     if not keep.any():
-        raise NoFlowInformationError(
-            "camera_est: no flow samples above the magnitude threshold",
-            q_init=q_init,
+        raise DegenerateGeometryError(
+            "camera_est: no flow samples above the magnitude threshold"
         )
     u, v, mag = u[keep], v[keep], mag[keep]
     dirs = np.stack([du[keep] / mag, dv[keep] / mag], axis=1)
@@ -309,7 +301,7 @@ def _direction_field(qs, u, v, bearings, width: int, height: int):
 def flow_alignment_objective(q: np.ndarray, flow: FlowField, stride: int = 4) -> float:
     """Mean angle (radians) between observed flow and the dolly field of q."""
     q = geometry.as_unit_vector(q)
-    u, v, dirs, bearings = _flow_samples(flow, stride, q)
+    u, v, dirs, bearings = _flow_samples(flow, stride)
     return _objectives([q], u, v, dirs, bearings, flow.width, flow.height)[0]
 
 
@@ -337,7 +329,7 @@ def flow_finetune(q_init: np.ndarray, flow: FlowField, stride: int = 4) -> np.nd
     never increases), and halves r.  Deterministic given its inputs.
     """
     q = geometry.as_unit_vector(q_init)
-    u, v, dirs, bearings = _flow_samples(flow, stride, q)
+    u, v, dirs, bearings = _flow_samples(flow, stride)
     width, height = flow.width, flow.height
 
     best_q = q
@@ -346,7 +338,6 @@ def flow_finetune(q_init: np.ndarray, flow: FlowField, stride: int = 4) -> np.nd
     offsets = np.linspace(-1.0, 1.0, _GRID_SIZE)
     for _ in range(_LEVELS):
         e1, e2 = geometry.tangent_basis(best_q)
-        center = best_q
         cands = []
         for a in offsets * radius:
             for b in offsets * radius:
@@ -354,7 +345,7 @@ def flow_finetune(q_init: np.ndarray, flow: FlowField, stride: int = 4) -> np.nd
                 if r_off == 0.0:
                     continue
                 axis = (a * e1 + b * e2) / r_off
-                cand = center * np.cos(r_off) + axis * np.sin(r_off)
+                cand = best_q * np.cos(r_off) + axis * np.sin(r_off)
                 cands.append(geometry.as_unit_vector(cand))
         # The level is scored in batches; the winner is taken in grid order
         # with strict <, as a one-by-one scan would.

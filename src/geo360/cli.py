@@ -21,7 +21,9 @@ argparse usage problems keep its conventional exit code 2.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from typing import Iterator
 
 import numpy as np
 
@@ -46,10 +48,12 @@ def _parse_vec3(text: str) -> np.ndarray:
         v = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not x,y,z") from exc
-    norm = np.linalg.norm(v)
-    if norm < 1e-12:
-        raise argparse.ArgumentTypeError(f"{text!r} must be non-zero")
-    return v / norm
+    if not (np.isfinite(v).all() and v.any()):
+        raise argparse.ArgumentTypeError(f"{text!r} must be finite and non-zero")
+    # Scaled by the power of two of the largest component, the norm can
+    # neither overflow nor underflow, and the quotient keeps its bits.
+    v = np.ldexp(v, -np.frexp(np.abs(v).max())[1])
+    return v / np.linalg.norm(v)
 
 
 def _parse_vec2(text: str) -> tuple[float, float]:
@@ -165,7 +169,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int)
     p.add_argument("--stride", type=int, default=4)
     p.add_argument("--finetune", action="store_true")
-    p.add_argument("--q-init", type=_parse_vec3, help="skip 8PA, refine this")
     p.add_argument("--poc", type=int, default=1, help="frame index for single inputs")
     p.add_argument("--truth", help="camera CSV; adds an angular_error_deg column")
     p.add_argument("--out", help="CSV path (default stdout)")
@@ -211,20 +214,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _pattern_names(pattern: str, count: int, flag: str) -> list[str]:
-    """File names of frames 0 .. count-1 from a printf-style pattern.
+def _pattern_names(pattern: str, count: int, flag: str) -> Iterator[str]:
+    """File names of frames 0 .. count-1 from a printf-style pattern, made
+    one at a time.
 
-    The pattern must format every index below max(count, 2) to a different
-    name, so it needs one integer placeholder.
+    The pattern must hold exactly one integer conversion (d, i, u, o, x or
+    X, with optional flags, width and precision) and no other `%` but `%%`,
+    so every index formats to a different name.
     """
-    n = max(count, 2)
-    try:
-        names = [pattern % i for i in range(n)]
-    except (TypeError, ValueError):
-        names = []
-    if len(set(names)) != n:
+    rest = pattern.replace("%%", "")
+    if rest.count("%") != 1 or not re.search(r"%[-+ #0]*[0-9]*(\.[0-9]*)?[diouxX]", rest):
         raise Geo360Error(f"cli: {flag} needs one integer placeholder such as %03d")
-    return names[: max(count, 0)]
+    return map(pattern.__mod__, range(count))
 
 
 def _cmd_synth(args) -> int:
@@ -361,19 +362,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _estimate_one(
-    flow: video_io.FlowField, stride: int, finetune: bool, q_init
-) -> np.ndarray:
-    if q_init is not None:
-        q = np.asarray(q_init, dtype=float)
-    else:
-        s, s_m = camera_est.flow_to_pairs(flow, stride)
-        q = camera_est.estimate_camera_motion(s, s_m)
-    if finetune:
-        q = camera_est.flow_finetune(q, flow, stride)
-    return np.asarray(q, dtype=float)
-
-
 def _cmd_camest(args) -> int:
     if not args.flow and not args.pairs:
         raise Geo360Error("cli: camest needs --flow or --pairs")
@@ -385,26 +373,25 @@ def _cmd_camest(args) -> int:
         quads = video_io.read_correspondences(args.pairs)
         s, s_m = camera_est.pixel_pairs_to_bearings(quads, args.width, args.height)
         estimates.append((args.poc, camera_est.estimate_camera_motion(s, s_m)))
+        frames = []
     elif args.count is not None:
         if args.count < 1:
             raise Geo360Error(f"cli: --count {args.count} is below 1")
-        for i, path in enumerate(_pattern_names(args.flow, args.count, "--flow")):
-            poc = i + 1
-            try:
-                flow = video_io.read_flo(path)
-                q = _estimate_one(flow, args.stride, args.finetune, args.q_init)
-            except Geo360Error as exc:
-                raise Geo360Error(f"cli: frame {poc}: {exc}") from exc
-            estimates.append((poc, q))
+        frames = enumerate(_pattern_names(args.flow, args.count, "--flow"), start=1)
     elif "%" in args.flow:
         raise Geo360Error("cli: a --flow pattern needs --count")
     else:
-        flow = video_io.read_flo(args.flow)
+        frames = [(args.poc, args.flow)]
+    for poc, path in frames:
         try:
-            q = _estimate_one(flow, args.stride, args.finetune, args.q_init)
+            flow = video_io.read_flo(path)
+            s, s_m = camera_est.flow_to_pairs(flow, args.stride)
+            q = camera_est.estimate_camera_motion(s, s_m)
+            if args.finetune:
+                q = camera_est.flow_finetune(q, flow, args.stride)
         except Geo360Error as exc:
-            raise Geo360Error(f"cli: frame {args.poc}: {exc}") from exc
-        estimates.append((args.poc, q))
+            raise Geo360Error(f"cli: frame {poc}: {exc}") from exc
+        estimates.append((poc, q))
 
     truth = dict(zip(*video_io.read_camera_csv(args.truth))) if args.truth else None
     lines = [video_io.CAMERA_CSV_HEADER + (",angular_error_deg" if truth else "")]

@@ -25,14 +25,6 @@ class AmbiguousSignError(Geo360Error, ValueError):
     """Sign disambiguation produced an exact tie."""
 
 
-class NoFlowInformationError(Geo360Error, ValueError):
-    """Flow field has no usable vectors; carries the initial estimate."""
-
-    def __init__(self, message: str, q_init=None):
-        super().__init__(message)
-        self.q_init = q_init
-
-
 class FormatError(Geo360Error, ValueError):
     """A file or stream does not follow its declared format."""
 

@@ -57,18 +57,14 @@ class SequenceSpec:
             raise DomainError("video_io: 4:2:0 needs even dimensions")
 
     @property
-    def sample_bytes(self) -> int:
-        return 1 if self.bit_depth == 8 else 2
-
-    @property
     def frame_bytes(self) -> int:
         luma = self.width * self.height
         samples = luma + (luma // 2 if self.chroma else 0)
-        return samples * self.sample_bytes
+        return samples * _sample_dtype(self.bit_depth).itemsize
 
 
-def _sample_dtype(spec: SequenceSpec):
-    return np.uint8 if spec.bit_depth == 8 else np.dtype("<u2")
+def _sample_dtype(bit_depth: int) -> np.dtype:
+    return np.dtype("u1" if bit_depth == 8 else "<u2")
 
 
 def read_yuv(path: str, spec: SequenceSpec, max_frames: int | None = None) -> list[ErpFrame]:
@@ -86,7 +82,7 @@ def read_yuv(path: str, spec: SequenceSpec, max_frames: int | None = None) -> li
     count = size // spec.frame_bytes
     if max_frames is not None:
         count = min(count, max_frames)
-    dtype = _sample_dtype(spec)
+    dtype = _sample_dtype(spec.bit_depth)
     luma_n = spec.width * spec.height
     frames = []
     with open(path, "rb") as fh:
@@ -122,7 +118,7 @@ def write_yuv(path: str, frames: Sequence[ErpFrame]):
     chroma = all(f.cb is not None for f in frames)
     if any((f.cb is not None) != chroma for f in frames):
         raise DomainError("video_io: frames disagree about chroma presence")
-    dtype = np.uint8 if frames[0].bit_depth == 8 else np.dtype("<u2")
+    dtype = _sample_dtype(frames[0].bit_depth)
     with open(path, "wb") as fh:
         for f in frames:
             fh.write(np.ascontiguousarray(f.y, dtype=dtype).tobytes())
@@ -262,13 +258,18 @@ def read_correspondences(path: str) -> np.ndarray:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise FormatError(f"video_io: bad correspondence row {ln!r}") from exc
-    if not rows:
-        return np.empty((0, 4))
-    return np.array(rows)
+    return np.array(rows, dtype=np.float64).reshape(-1, 4)
 
 
 # ---------------------------------------------------------------------------
 # Synthetic dolly sequences
+
+# Sinusoids summed into the synth texture.
+_TEXTURE_COMPONENTS = 40
+
+# Largest depth and camera travel, and the inverse of the smallest depth, in
+# world units: squared lengths and texture phases stay finite float64.
+_MAX_LENGTH = 1e100
 
 
 @dataclass(frozen=True)
@@ -276,8 +277,11 @@ class SynthConfig:
     """A camera sliding along `direction` through a static textured world.
 
     step is the camera advance per frame in world units; depth is the shell
-    range (sphere) or the perpendicular radius (cylinder).  The sphere world
-    requires the whole path to stay well inside the shell.
+    range (sphere) or the perpendicular radius (cylinder).  depth lies in
+    [1e-100, 1e100] and the whole travel, (frames - 1) * step, is at most
+    1e100, so the ray geometry stays inside the float range.  The sphere
+    world requires the whole path to stay well inside the shell.  seed is
+    a non-negative integer.
     """
 
     width: int = 256
@@ -289,30 +293,30 @@ class SynthConfig:
     direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
     bit_depth: int = 8
     seed: int = 0
-    texture_components: int = 40
 
     def __post_init__(self):
         if self.width < 4 or self.height < 2:
             raise DomainError("video_io: synth frame too small")
         if self.frames < 1:
             raise DomainError("video_io: synth needs >= 1 frame")
-        if self.depth <= 0 or not np.isfinite(self.depth):
-            raise DomainError("video_io: depth must be positive")
+        if not 1.0 / _MAX_LENGTH <= self.depth <= _MAX_LENGTH:
+            raise DomainError(f"video_io: depth {self.depth} is outside [1e-100, 1e100]")
         if not np.isfinite(self.step) or self.step < 0:
             raise DomainError("video_io: step must be >= 0")
+        reach = (self.frames - 1) * self.step
+        if reach > _MAX_LENGTH:
+            raise DomainError(f"video_io: camera travel {reach:.4g} is above 1e100")
         if self.depth_model not in ("sphere", "cylinder"):
             raise DomainError(f"video_io: unknown world {self.depth_model!r}")
         if self.bit_depth not in (8, 10):
             raise DomainError("video_io: bit depth must be 8 or 10")
-        if self.texture_components < 1:
-            raise DomainError("video_io: need at least one texture component")
-        if self.depth_model == "sphere":
-            reach = (self.frames - 1) * self.step
-            if reach >= 0.95 * self.depth:
-                raise DomainError(
-                    "video_io: camera path leaves the sphere shell "
-                    f"(reach {reach:.4g} vs depth {self.depth:.4g})"
-                )
+        if self.seed < 0:
+            raise DomainError(f"video_io: seed {self.seed} is negative")
+        if self.depth_model == "sphere" and reach >= 0.95 * self.depth:
+            raise DomainError(
+                "video_io: camera path leaves the sphere shell "
+                f"(reach {reach:.4g} vs depth {self.depth:.4g})"
+            )
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,6 @@ class SynthResult:
     pixel displacements from frame m to m+1; camera[m-1] = (m, direction)
     states the translation that produced frame m."""
 
-    config: SynthConfig
     frames: list[ErpFrame]
     flows: list[FlowField]
     camera: list[tuple[int, np.ndarray]]
@@ -386,7 +389,7 @@ def _intersect_cylinder(cam_z: float, s_axis: np.ndarray, depth: float):
     return phi, z
 
 
-# A band of rows holds each (rows, W, texture_components) float64 texture
+# A band of rows holds each (rows, W, _TEXTURE_COMPONENTS) float64 texture
 # term within this many bytes, so synth memory does not grow with the
 # frame.  Of 128 KiB up to whole-frame bands, 512 KiB rendered a 256x128
 # cylinder dolly fastest on a 2-core x86-64 machine (about 6% faster than
@@ -409,9 +412,9 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
     rng = np.random.default_rng(cfg.seed)
     peak = (1 << cfg.bit_depth) - 1
     if cfg.depth_model == "sphere":
-        texture = _SphereTexture(rng, cfg.texture_components, peak)
+        texture = _SphereTexture(rng, _TEXTURE_COMPONENTS, peak)
     else:
-        texture = _CylinderTexture(rng, cfg.texture_components, peak, cfg.depth)
+        texture = _CylinderTexture(rng, _TEXTURE_COMPONENTS, peak, cfg.depth)
 
     raw_axis = np.asarray(cfg.direction, dtype=np.float64)
     norm = np.linalg.norm(raw_axis)
@@ -426,10 +429,10 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
     s_axis = geometry.sphere_grid_to_cart(theta, phi) @ rot.T
     del theta, phi
 
-    rows = max(1, _BAND_BYTES // (8 * cfg.width * cfg.texture_components))
+    rows = max(1, _BAND_BYTES // (8 * cfg.width * _TEXTURE_COMPONENTS))
     bands = [slice(r, r + rows) for r in range(0, cfg.height, rows)]
     shape = (cfg.height, cfg.width)
-    dtype = np.uint8 if cfg.bit_depth == 8 else np.dtype("<u2")
+    dtype = _sample_dtype(cfg.bit_depth)
     frames = []
     flows = []
     for m in range(cfg.frames):
@@ -473,4 +476,4 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
             flows.append(flow)
 
     camera = [(m, axis.copy()) for m in range(1, cfg.frames)]
-    return SynthResult(config=cfg, frames=frames, flows=flows, camera=camera)
+    return SynthResult(frames=frames, flows=flows, camera=camera)

@@ -10,7 +10,6 @@ from geo360.errors import (
     AmbiguousSignError,
     DegenerateGeometryError,
     DomainError,
-    NoFlowInformationError,
 )
 
 
@@ -59,7 +58,7 @@ def test_noise_free_recovery_from_exactly_eight_pairs():
     rng = np.random.default_rng(13)
     for _ in range(10):
         q = random_unit(rng)
-        e = camera_est.eight_point(*synthetic_pairs(rng, q, n=8)).matrix
+        e = camera_est.eight_point(*synthetic_pairs(rng, q, n=8))
         assert np.linalg.norm(e @ q) < 1e-8
 
 
@@ -67,9 +66,31 @@ def test_epipolar_residual_noise_free():
     rng = np.random.default_rng(1)
     q = random_unit(rng)
     s, s_m = synthetic_pairs(rng, q)
-    e = camera_est.eight_point(s, s_m).matrix
+    e = camera_est.eight_point(s, s_m)
     res = np.abs(((s_m @ e) * s).sum(axis=1))
     assert np.median(res) <= 1e-10
+
+
+def test_essential_matrix_is_a_plain_array():
+    rng = np.random.default_rng(5)
+    q = random_unit(rng)
+    s, s_m = synthetic_pairs(rng, q)
+    e = camera_est.eight_point(s, s_m)
+    assert type(e) is np.ndarray and e.shape == (3, 3)
+    axis = camera_est.epipole_from_essential(e)
+    assert np.array_equal(camera_est.disambiguate_sign(axis, s, s_m),
+                          camera_est.estimate_camera_motion(s, s_m))
+    for bad in (e[:2], e.ravel(), e[None]):
+        with pytest.raises(DomainError, match="essential matrix must be 3x3"):
+            camera_est.epipole_from_essential(bad)
+
+
+def test_pixel_pairs_need_a_positive_frame_size():
+    # a zero width divided by zero, with warnings, before the bearings failed
+    quads = np.array([[3.0, 5.0, 4.0, 5.5]] * 8)
+    for width, height in ((0, 32), (64, 0), (-1, 32)):
+        with pytest.raises(DomainError, match="frame size"):
+            camera_est.pixel_pairs_to_bearings(quads, width, height)
 
 
 def test_epipolar_residual_with_noise():
@@ -77,7 +98,7 @@ def test_epipolar_residual_with_noise():
     sigma = 1e-3
     q = random_unit(rng)
     s, s_m = synthetic_pairs(rng, q, noise=sigma)
-    e = camera_est.eight_point(s, s_m).matrix
+    e = camera_est.eight_point(s, s_m)
     res = np.abs(((s_m @ e) * s).sum(axis=1))
     assert np.median(res) <= 3 * sigma
 
@@ -109,7 +130,7 @@ def test_eight_point_memory_is_linear_in_pairs():
     s, s_m = synthetic_pairs(rng, q, n=4000)
     tracemalloc.start()
     try:
-        e = camera_est.eight_point(s, s_m).matrix
+        e = camera_est.eight_point(s, s_m)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -158,9 +179,9 @@ def test_bearing_pair_normalizes_loose_input():
     # per-row scales reweight the least-squares rows of noisy data, so E
     # only stays put if every row is brought back to unit norm
     scale = 1.0 + rng.uniform(-1e-6, 1e-6, size=(9, 1))
-    exact = camera_est.eight_point(s, s_m).matrix
+    exact = camera_est.eight_point(s, s_m)
     for loose in ((s * scale, s_m), (s, s_m / scale)):
-        diff = camera_est.eight_point(*loose).matrix - exact
+        diff = camera_est.eight_point(*loose) - exact
         assert np.abs(diff).max() <= 1e-12
     # one pair whose ray moves 1e-9 rad away from +z votes forward; a 1e-7
     # longer s_m (or shorter s) would flip the vote unless renormalized
@@ -298,7 +319,7 @@ def reference_objective(q, u, v, dirs, bearings, width, height):
 def reference_finetune(q_init, flow):
     """flow_finetune at its default stride, scoring one candidate at a time."""
     q = geometry.as_unit_vector(q_init)
-    samples = camera_est._flow_samples(flow, 4, q)
+    samples = camera_est._flow_samples(flow, 4)
     args = samples + (flow.width, flow.height)
     best_q, best_j = q, reference_objective(q, *args)
     radius = camera_est._GRID_RADIUS
@@ -328,7 +349,7 @@ def test_batched_finetune_matches_one_at_a_time(synth_flow, monkeypatch, per_bat
     # the same refined direction
     flow, q_true = synth_flow
     q = geometry.as_unit_vector(q_true)
-    samples = camera_est._flow_samples(flow, 4, q)
+    samples = camera_est._flow_samples(flow, 4)
     monkeypatch.setattr(camera_est, "_BATCH_SAMPLES", per_batch * len(samples[0]))
     rng = np.random.default_rng(11)
     qs = [geometry.as_unit_vector(perturb(q_true, math.radians(a), rng))
@@ -375,9 +396,10 @@ def test_finetune_drops_infinite_flow():
     assert math.degrees(geometry.angle_between(refined, clean)) < 1e-6
 
 
-def test_objective_without_usable_flow_carries_q_init():
+def test_objective_without_usable_flow_is_degenerate():
     flow = FlowField(du=np.zeros((16, 32)), dv=np.zeros((16, 32)))
     q = np.array([0.0, 0.0, 1.0])
-    with pytest.raises(NoFlowInformationError) as info:
+    with pytest.raises(
+        DegenerateGeometryError, match="no flow samples above the magnitude threshold"
+    ):
         camera_est.flow_alignment_objective(q, flow)
-    assert info.value.q_init is not None

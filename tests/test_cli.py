@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import io
 import re
 import struct
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geo360 import cam_code, cli, metrics, mocomp, video_io
+from geo360.errors import Geo360Error
 
 
 def run(argv):
@@ -72,6 +76,81 @@ def test_synth_rejects_flow_pattern_without_frame_number(
         f"error: cli: {flag} needs one integer placeholder such as %03d\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "pattern, ok",
+    [("f_%03d.flo", True), ("f_%%_%-+5.3x.flo", True), ("%%%d", True), ("f_%#o", True),
+     ("f_%%d.flo", False), ("f_%ld.flo", False), ("f_%*d.flo", False),
+     ("f_%(i)d.flo", False), ("f_%d%%%s.flo", False), ("f_%c.flo", False)],
+)
+def test_flow_pattern_is_checked_by_its_conversion(pattern, ok):
+    # one integer conversion and no other % but %%; names come one at a time
+    if not ok:
+        with pytest.raises(Geo360Error, match="one integer placeholder"):
+            cli._pattern_names(pattern, 3, "--flow")
+        return
+    names = cli._pattern_names(pattern, 3, "--flow")
+    assert not isinstance(names, list)
+    names = list(names)
+    assert names == [pattern % i for i in range(3)] and len(set(names)) == 3
+
+
+def test_camest_count_costs_no_memory_before_the_first_read(tmp_path, capsys):
+    # every name used to be formatted, and put in a set, first: about 150 MB
+    tracemalloc.start()
+    try:
+        rc = run(["camest", "--flow", tmp_path / "absent_%07d.flo", "--count", 1_000_000])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: cli: ")
+    assert peak < 1e6
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--seed", -1], ["--depth", "1e300"], ["--depth", "1e-310", "--depth-model", "cylinder"],
+     ["--step", "1e300", "--depth-model", "cylinder"]],
+    ids=["seed-minus-1", "depth-1e300", "cylinder-depth-1e-310", "cylinder-step-1e300"],
+)
+def test_synth_settings_outside_their_range_exit_1(tmp_path, capsys, flags):
+    # a negative seed ended in a ValueError traceback; the others wrote
+    # non-finite flow after a RuntimeWarning
+    argv = ["synth", "--out", tmp_path / "seq.yuv", "--flow-out", tmp_path / "f_%d.flo",
+            "--width", 32, "--height", 16]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = run(argv + flags)
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: video_io: ")
+    assert [str(w.message) for w in caught] == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_vector_flags_take_any_finite_scale(synth_dir, tmp_path, capsys):
+    # 1e300 overflowed the norm: a RuntimeWarning, then a zero vector
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        q = cli._parse_vec3("1e300,0,1")
+        tiny = cli._parse_vec3("0,-1e-320,0")
+    assert [str(w.message) for w in caught] == []
+    assert np.array_equal(q, [1.0, 0.0, 1e-300])
+    assert np.array_equal(tiny, [0.0, -1.0, 0.0])
+    argv = ["warp", "--input", synth_dir / "seq.yuv", "--out", tmp_path / "p.yuv",
+            "--stats", tmp_path / "s.csv", "--width", 128, "--height", 64,
+            "--pixfmt", "yuv400", "--t", "1,0"]
+    for text in ("1e300,0,1", "1,0,0"):
+        assert run(argv + ["--q", text]) == 0
+        capsys.readouterr()
+    for text in ("nan,0,1", "0,inf,1", "0,0,-inf", "0,0,0"):
+        with pytest.raises(argparse.ArgumentTypeError):
+            cli._parse_vec3(text)
+        with pytest.raises(SystemExit) as info:
+            run(argv + ["--q", text])
+        assert info.value.code == 2
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -393,7 +472,7 @@ def test_camest_forged_flo_header_exits_1(tmp_path, capsys):
     rc = run(["camest", "--flow", path])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.startswith("error: video_io: ")
+    assert err.startswith("error: cli: frame 1: video_io: ")
     assert "Traceback" not in err
 
 
@@ -649,12 +728,18 @@ def test_unknown_compare_variant(synth_dir, tmp_path, capsys):
 # --- numeric flags under a fuzzer --------------------------------------------------
 
 # Values that broke flags before, or sit at an edge of a type: each numeric
-# flag also draws small valid values of its own.
-_EDGE_VALUES = ["0", "1", "-1", "nan", "inf", "-inf", "1e300", str(-(2**31))]
+# flag also draws small valid values of its own.  Integer flags of the
+# frame commands draw only the integer edges.
+_INT_EDGES = ["0", "1", "-1", str(-(2**31))]
+_EDGE_VALUES = _INT_EDGES + ["nan", "inf", "-inf", "1e300"]
 
 
-def _flag_value(valid):
-    return st.one_of(st.sampled_from(_EDGE_VALUES), valid.map(str))
+def _flag_value(valid, edges=_EDGE_VALUES):
+    return st.one_of(st.sampled_from(edges), valid.map(str))
+
+
+def _int_value(lo, hi):
+    return _flag_value(st.integers(lo, hi), _INT_EDGES)
 
 
 @pytest.fixture(scope="module")
@@ -664,10 +749,77 @@ def fuzz_dir(tmp_path_factory):
     _write_rd(root, "b.csv", TEST_RD)
     (root / "cam.csv").write_text("frame_index,qx,qy,qz\n1,0,0,1\n2,0.6,0,0.8\n3,0,-0.6,0.8\n")
     assert run(["camcode", "encode", "--camera", root / "cam.csv", "--out", root / "cam.gcmh"]) == 0
+    # a 32x16 clip of three frames, its two flows, and a second clip
+    for name, seed in (("seq", 0), ("seq2", 1)):
+        assert run(["synth", "--out", root / f"{name}.yuv", "--flow-out", root / "flow_%d.flo",
+                    "--width", 32, "--height", 16, "--frames", 3, "--step", "0.02",
+                    "--depth-model", "cylinder", "--seed", seed]) == 0
+    rows = [f"{u} {v} {u + 1} {v + 0.5}" for u, v in
+            [(3, 5), (10, 8), (17, 12), (25, 10), (29, 4), (7, 11), (20, 6), (14, 9)]]
+    (root / "pairs.txt").write_text("\n".join(rows) + "\n")
     return root
 
 
+def _frame_flags(draw):
+    """--width, --height and --bitdepth of the 32x16 luma-only clip."""
+    return [f"--width={draw(_flag_value(st.sampled_from([16, 32]), _INT_EDGES))}",
+            f"--height={draw(_flag_value(st.sampled_from([8, 16]), _INT_EDGES))}",
+            f"--bitdepth={draw(_flag_value(st.sampled_from([8, 10]), _INT_EDGES))}",
+            "--pixfmt", draw(st.sampled_from(["yuv400", "yuv420p"]))]
+
+
+def _vector(draw, n):
+    return ",".join(draw(_flag_value(st.floats(-2.0, 2.0))) for _ in range(n))
+
+
+def _block(draw, lo):
+    side = _flag_value(st.integers(lo, 16), _INT_EDGES)
+    return f"--block={draw(side)}x{draw(side)}"
+
+
+def _frame_argv(command, root, draw):
+    seq = root / "seq.yuv"
+    if command == "synth":
+        return ["synth", "--out", root / "s.yuv", "--camera-out", root / "s.csv",
+                "--flow-out", root / "s_%d.flo",
+                f"--width={draw(_int_value(4, 32))}", f"--height={draw(_int_value(2, 16))}",
+                f"--frames={draw(_int_value(1, 3))}",
+                f"--step={draw(_flag_value(st.floats(0.0, 0.05)))}",
+                f"--depth={draw(_flag_value(st.floats(0.5, 10.0)))}",
+                "--depth-model", draw(st.sampled_from(["sphere", "cylinder"])),
+                f"--q={_vector(draw, 3)}",
+                f"--bitdepth={draw(_flag_value(st.sampled_from([8, 10]), _INT_EDGES))}",
+                f"--seed={draw(_int_value(0, 100))}"]
+    if command == "warp":
+        return ["warp", "--input", seq, "--out", root / "w.yuv", "--stats", root / "w.csv",
+                *_frame_flags(draw),
+                f"--ref-index={draw(_int_value(0, 2))}", f"--cur-index={draw(_int_value(0, 2))}",
+                f"--q={_vector(draw, 3)}", f"--t={_vector(draw, 2)}", _block(draw, 1),
+                "--variant", draw(st.sampled_from(["orig", "gcg", "gcl"]))]
+    if command == "compare":
+        return ["compare", "--input", seq, "--camera", root / "cam.csv", "--out", root / "c.csv",
+                *_frame_flags(draw), f"--max-frames={draw(_int_value(2, 3))}", _block(draw, 8),
+                f"--range={draw(_flag_value(st.floats(0.5, 2.0)))}",
+                f"--step={draw(_flag_value(st.floats(0.5, 2.0)))}"]
+    if command == "camest":
+        source = draw(st.sampled_from(["pattern", "single", "pairs"]))
+        flags = {
+            "pattern": ["--flow", root / "flow_%d.flo", f"--count={draw(_int_value(1, 2))}"],
+            "single": ["--flow", root / "flow_1.flo", f"--poc={draw(_int_value(0, 9))}"],
+            "pairs": ["--pairs", root / "pairs.txt", f"--width={draw(_int_value(8, 64))}",
+                      f"--height={draw(_int_value(4, 32))}"],
+        }[source]
+        finetune = draw(st.sampled_from([[], ["--finetune"]]))
+        return ["camest", *flags, f"--stride={draw(_int_value(1, 8))}", *finetune,
+                "--out", root / "e.csv"]
+    return ["metrics", "wspsnr", "--ref", seq, "--test", root / "seq2.yuv",
+            *_frame_flags(draw), f"--max-frames={draw(_int_value(1, 3))}",
+            *draw(st.sampled_from([[], ["--chroma"]]))]
+
+
 def _argv(command, root, draw):
+    if command in ("synth", "warp", "compare", "camest", "wspsnr"):
+        return _frame_argv(command, root, draw)
     if command == "bdrate":
         rate = draw(_flag_value(st.floats(0.0, 50.0)))
         return ["metrics", "bdrate", "--anchor", root / "a.csv", "--test", root / "b.csv",
@@ -686,13 +838,19 @@ def _argv(command, root, draw):
             f"--eg-order={draw(_flag_value(st.integers(0, 64)))}"]
 
 
-@pytest.mark.parametrize("command", ["bdrate", "opcount", "encode", "decode"])
+@pytest.mark.parametrize(
+    "command",
+    ["bdrate", "opcount", "encode", "decode", "synth", "warp", "compare", "camest", "wspsnr"],
+)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_numeric_flags_give_a_result_or_exit_1(fuzz_dir, command, data):
     argv = [str(a) for a in _argv(command, fuzz_dir, data.draw)]
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    # pytest would capture warnings away from stderr, so they are recorded here
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             rc = cli.main(argv)
         except SystemExit as exc:  # argparse usage errors
@@ -702,3 +860,4 @@ def test_numeric_flags_give_a_result_or_exit_1(fuzz_dir, command, data):
     assert "Traceback" not in err
     if rc == 1:
         assert re.match(r"error: \w+: ", err), (argv, err)
+    assert not caught, (argv, [str(w.message) for w in caught])

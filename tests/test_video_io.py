@@ -407,6 +407,21 @@ def test_flo_forged_size_through_a_pipe_reads_only_what_arrives(tmp_path):
 # --- synthetic sequences ------------------------------------------------------------
 
 
+def test_synth_lengths_and_seed_are_bounded():
+    for kw in (dict(seed=-1), dict(depth=1e300), dict(depth=1e-101), dict(depth=0.0),
+               dict(depth=float("inf")), dict(depth_model="cylinder", frames=3, step=6e99)):
+        with pytest.raises(DomainError):
+            SynthConfig(**kw)
+    # at the bounds the ray geometry stays finite and warns of nothing
+    bounds = [dict(depth=1e100), dict(depth=1e-100, step=0.0),
+              dict(depth_model="cylinder", depth=1e-100, frames=3, step=5e99)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for kw in bounds:
+            out = video_io.synth_dolly(SynthConfig(width=32, height=16, **kw))
+            assert all(np.isfinite(f.du).all() and np.isfinite(f.dv).all() for f in out.flows)
+
+
 def test_synth_config_validation():
     with pytest.raises(DomainError):
         SynthConfig(depth_model="torus")
@@ -510,13 +525,13 @@ def _synth_digest(result):
 @pytest.mark.parametrize("bit_depth", [8, 10])
 @pytest.mark.parametrize("world", ["cylinder", "sphere"])
 def test_synth_output_does_not_depend_on_band_height(monkeypatch, world, bit_depth, components):
-    cfg = _synth_cfg(depth_model=world, bit_depth=bit_depth, texture_components=components)
+    monkeypatch.setattr(video_io, "_TEXTURE_COMPONENTS", components)
+    cfg = _synth_cfg(depth_model=world, bit_depth=bit_depth)
     runs = []
-    for budget in (1, 1 << 40):  # one row per band; the whole frame in one band
+    # one row per band; the whole frame in one band; the default bands
+    for budget in (1, 1 << 40, video_io._BAND_BYTES):
         monkeypatch.setattr(video_io, "_BAND_BYTES", budget)
         runs.append(video_io.synth_dolly(cfg))
-    monkeypatch.undo()
-    runs.append(video_io.synth_dolly(cfg))
     rows, whole, default = runs
     for other in (whole, default):
         for fa, fb in zip(rows.frames, other.frames):
@@ -529,10 +544,11 @@ def test_synth_output_does_not_depend_on_band_height(monkeypatch, world, bit_dep
 
 @pytest.mark.parametrize("components", [40, 160])
 @pytest.mark.parametrize("world", ["cylinder", "sphere"])
-def test_synth_memory_does_not_grow_with_texture(world, components):
+def test_synth_memory_does_not_grow_with_texture(monkeypatch, world, components):
     # Whole-frame texture terms would peak at 28-128 MB here.
+    monkeypatch.setattr(video_io, "_TEXTURE_COMPONENTS", components)
     cfg = SynthConfig(width=256, height=128, frames=3, step=0.02, depth_model=world,
-                      direction=(0.3, -0.2, 0.9), texture_components=components)
+                      direction=(0.3, -0.2, 0.9))
     tracemalloc.start()
     try:
         result = video_io.synth_dolly(cfg)
@@ -546,7 +562,7 @@ def test_synth_memory_does_not_grow_with_texture(world, components):
 
 def test_synth_golden_digest():
     # frames and flows as rendered before synth worked in row bands
-    result = video_io.synth_dolly(_synth_cfg(depth_model="cylinder", texture_components=40))
+    result = video_io.synth_dolly(_synth_cfg(depth_model="cylinder"))
     assert _synth_digest(result) == (
         "c4fd53c779e66bea06642056ed156fee3fe471c57bececfb508ea5294fa5fbcd"
     )
