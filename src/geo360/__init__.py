@@ -22,9 +22,9 @@ from .motion_model import (
     OpCount,
     default_delta,
 )
-from .mocomp import BlockComparison, ErpFrame, PredictionResult, SearchResult
+from .mocomp import BlockComparison, ErpFrame, PredictionResult
 from .camera_est import FlowField
-from .cam_code import Bitstream, CamMotionRecord
+from .cam_code import Bitstream
 from .metrics import RDCurve, RDPoint
 from .video_io import SequenceSpec, SynthConfig, SynthResult
 
@@ -35,7 +35,6 @@ __all__ = [
     "Bitstream",
     "BlockComparison",
     "BlockSpec",
-    "CamMotionRecord",
     "DegenerateGeometryError",
     "DomainError",
     "ErpFrame",
@@ -49,7 +48,6 @@ __all__ = [
     "PredictionResult",
     "RDCurve",
     "RDPoint",
-    "SearchResult",
     "SequenceSpec",
     "SynthConfig",
     "SynthResult",

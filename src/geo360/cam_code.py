@@ -190,18 +190,6 @@ def _read_signed(bits: Bitstream, k: int) -> int:
     return -mag if word & 1 else mag
 
 
-@dataclass(frozen=True)
-class CamMotionRecord:
-    """Reconstructed translation direction of one frame, in angles."""
-
-    poc: int
-    theta: float
-    phi: float
-
-    def direction(self) -> np.ndarray:
-        return geometry._angles_to_cart(self.theta, self.phi)
-
-
 # A stream's reconstructed records, one row per record in coding order.
 RECORD_DTYPE = np.dtype([("poc", np.int64), ("theta", np.float64), ("phi", np.float64)])
 
@@ -343,26 +331,6 @@ def _closed_loop(
     phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
     history.append(poc, geometry._angles_to_cart(theta, phi))
     return theta, phi, raw
-
-
-def encode_record(
-    q: np.ndarray,
-    predicted: np.ndarray,
-    k: int = DEFAULT_EG_ORDER,
-    frac_bits: int = DEFAULT_FRAC_BITS,
-) -> tuple[bytes, CamMotionRecord, int]:
-    """Code one direction against its prediction.
-
-    Returns the byte-padded payload, the record rebuilt from the coded
-    residuals (what a decoder will see, with poc -1), and the unpadded bit
-    count.
-    """
-    predicted, _ = geometry._checked_norm(predicted)
-    history = _History(2)
-    history.append(-2, predicted)  # a history that predicts `predicted`
-    theta, phi, raw = _closed_loop(history, -1, frac_bits, q=q)
-    payload, used = _payload(*raw, k)
-    return payload, CamMotionRecord(-1, theta, phi), used
 
 
 def encode_stream(

@@ -39,6 +39,9 @@ _VARIANTS = {
     "gcl": ("gc", "local"),
 }
 
+# The longest file name (one path component) a file system accepts.
+_NAME_MAX = 255
+
 
 def _parse_vec3(text: str) -> np.ndarray:
     parts = text.split(",")
@@ -220,11 +223,20 @@ def _pattern_names(pattern: str, count: int, flag: str) -> Iterator[str]:
 
     The pattern must hold exactly one integer conversion (d, i, u, o, x or
     X, with optional flags, width and precision) and no other `%` but `%%`,
-    so every index formats to a different name.
+    so every index formats to a different name.  A width or precision
+    above _NAME_MAX is refused before any name is made: it could only give
+    a name no file system accepts, and its text grows with the number.
     """
     rest = pattern.replace("%%", "")
-    if rest.count("%") != 1 or not re.search(r"%[-+ #0]*[0-9]*(\.[0-9]*)?[diouxX]", rest):
+    # width and precision without their leading zeros: the flags take the
+    # width's, and 0* the precision's
+    field = re.search(r"%[-+ #0]*([0-9]*)(?:\.0*([0-9]*))?[diouxX]", rest)
+    if rest.count("%") != 1 or not field:
         raise Geo360Error(f"cli: {flag} needs one integer placeholder such as %03d")
+    if any(len(d) > 3 or int(d or 0) > _NAME_MAX for d in field.groups("")):
+        raise Geo360Error(
+            f"cli: {flag} width or precision is above {_NAME_MAX}, the longest file name"
+        )
     return map(pattern.__mod__, range(count))
 
 
@@ -328,6 +340,9 @@ def _cmd_compare(args) -> int:
     bad = sorted(set(names) - set(_VARIANTS))
     if bad:
         raise Geo360Error(f"cli: unknown variants {bad}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise Geo360Error(f"cli: variant {name} listed twice")
     configs = {name: _model_config(name, args.height) for name in names}
 
     bw, bh = args.block
@@ -456,12 +471,14 @@ def _cmd_wspsnr(args) -> int:
 
 
 def _read_rd_csv(path: str) -> metrics.RDCurve:
-    """RD points, one per line: `label,rate,quality` or just `rate,quality`."""
+    """RD points, one per line: `label,rate,quality` or just `rate,quality`.
+
+    Only the first non-empty row may be a header: a later row whose numbers
+    do not parse is refused, so no point is dropped silently.
+    """
     points = []
-    for ln in video_io.read_text_lines(path):
-        ln = ln.strip()
-        if not ln:
-            continue
+    rows = filter(None, (ln.strip() for ln in video_io.read_text_lines(path)))
+    for i, ln in enumerate(rows):
         cells = ln.split(",")
         if len(cells) == 3:
             cells = cells[1:]
@@ -470,6 +487,8 @@ def _read_rd_csv(path: str) -> metrics.RDCurve:
         try:
             rate, quality = float(cells[0]), float(cells[1])
         except ValueError:
+            if i:
+                raise Geo360Error(f"cli: malformed RD row {ln!r} in {path}") from None
             continue  # header row
         points.append(metrics.RDPoint(rate=rate, quality=quality))
     return metrics.RDCurve(points=tuple(points))

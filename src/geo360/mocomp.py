@@ -97,12 +97,6 @@ class SearchOutcome:
 
 
 @dataclass(frozen=True)
-class SearchResult:
-    t: MotionVector2D
-    prediction: PredictionResult
-
-
-@dataclass(frozen=True)
 class BlockComparison:
     """Best (t, SAD) of each model on one block; center_theta is the plain
     ERP latitude of the block center (not the epipole-frame angle)."""
@@ -323,7 +317,7 @@ def _predict_blocks(ref: ErpFrame, cur: ErpFrame, blocks, q, t, cfg):
 
 
 class _SearchKernel:
-    """The block search shared by every search entry point.
+    """The block search of compare_sequence.
 
     One symmetric (t_u, t_v) candidate grid, flattened t_u-major.  A
     sampler maps the whole grid of one model for one block to reference
@@ -396,48 +390,6 @@ class _SearchKernel:
         )
 
 
-def motion_search(
-    ref: ErpFrame,
-    cur: ErpFrame,
-    block: BlockSpec,
-    q,
-    cfg: GeodesicModelConfig,
-    search_range: float,
-    step: float = 1.0,
-) -> SearchResult:
-    """Exhaustive search over the (t_u, t_v) grid for one block.
-
-    The grid is symmetric, includes (0, 0), and halving the step only adds
-    candidates, so a finer search never returns a larger SAD, as long as
-    the finer grid still has no more candidates per axis than the frame
-    has columns; past that it raises DomainError.
-    """
-    _check_pair(ref, cur)
-    kernel = _SearchKernel(search_range, step, cur.width)
-    geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
-    ref_quads = _frame_quads(ref)
-    cur_block = _block_view(cur, block).astype(np.float64)
-    outcome = kernel.search(kernel.geodesic(geom, cfg), ref_quads[0], cur_block)
-    return SearchResult(
-        t=outcome.t, prediction=_predict(ref_quads, cur, block, geom, outcome.t, cfg)
-    )
-
-
-def translational_search(
-    ref: ErpFrame,
-    cur: ErpFrame,
-    block: BlockSpec,
-    search_range: float,
-    step: float = 1.0,
-) -> SearchOutcome:
-    """Baseline: shift the block by whole ERP pixels (t in pixel units)."""
-    _check_pair(ref, cur)
-    kernel = _SearchKernel(search_range, step, cur.width)
-    shifts = kernel.translational(block, cur.width, cur.height)
-    cur_block = _block_view(cur, block).astype(np.float64)
-    return kernel.search(shifts, _quads(ref.y), cur_block)
-
-
 def compare_sequence(
     frames: list[ErpFrame],
     blocks: list[BlockSpec],
@@ -453,6 +405,12 @@ def compare_sequence(
     holds that pair's block rows.  A block's candidate mapping depends only
     on (q, model), so it is computed once per distinct q and reused across
     pairs, which is what makes long sequences affordable.
+
+    Every search scans the symmetric (t_u, t_v) grid of step `step` out to
+    `search_range`, which includes (0, 0).  Halving the step only adds
+    candidates, so a finer grid never gives a larger SAD, as long as it
+    still has no more candidates per axis than the frame has columns; past
+    that it raises DomainError.
     """
     if len(frames) < 2:
         raise DomainError("mocomp: sequence comparison needs >= 2 frames")

@@ -312,20 +312,27 @@ def test_one_read_per_signed_code(monkeypatch):
 
 
 def test_zero_residual_record_is_5_bytes():
-    payload, rec, used = cam_code.encode_record(Z, Z)
+    # a one-record stream at poc 1 is coded against the +z prediction
+    enc = cam_code.encode_stream([1], [Z])
+    payload, used = cam_code._payload(0, 0, cam_code.DEFAULT_EG_ORDER)
     assert used == 38  # two 19-bit zero codes, no sign flags
     assert len(payload) == 5
-    assert rec.theta == 0.0
+    assert enc.data[14:] == payload
+    assert enc.record_bits.tolist() == [32 + 40]
+    assert enc.records["theta"][0] == 0.0
 
 
 def test_one_lsb_residual_is_39_bits():
     theta = 2.0**-24
     q = sphere_to_cart(SphericalPoint(theta=theta, phi=0.0))
-    _, _, used = cam_code.encode_record(q, Z)
+    enc = cam_code.encode_stream([1], [q])
+    payload, used = cam_code._payload(1, 0, cam_code.DEFAULT_EG_ORDER)
     assert used == 39  # 19 + sign flag + 19
+    assert enc.data[14:] == payload
 
 
 def test_record_round_trip_random():
+    # the stream [pred, q] codes q against the reconstruction of pred
     rng = np.random.default_rng(0)
     bound = 2.0**-24 * math.sqrt(2.0) + 1e-12
     for _ in range(200):
@@ -333,8 +340,10 @@ def test_record_round_trip_random():
         q /= np.linalg.norm(q)
         pred = rng.normal(size=3)
         pred /= np.linalg.norm(pred)
-        _, rec, _ = cam_code.encode_record(q, pred)
-        assert geometry.angle_between(rec.direction(), q) <= bound
+        enc = cam_code.encode_stream([0, 1], [pred, q])
+        rec = enc.records[1]
+        direction = sphere_to_cart(SphericalPoint(float(rec["theta"]), float(rec["phi"])))
+        assert geometry.angle_between(direction, q) <= bound
 
 
 # --- prediction ----------------------------------------------------------------------

@@ -81,6 +81,7 @@ def test_synth_rejects_flow_pattern_without_frame_number(
 @pytest.mark.parametrize(
     "pattern, ok",
     [("f_%03d.flo", True), ("f_%%_%-+5.3x.flo", True), ("%%%d", True), ("f_%#o", True),
+     ("f_%255d", True), ("f_%0255d", True), ("f_%.000255x", True),
      ("f_%%d.flo", False), ("f_%ld.flo", False), ("f_%*d.flo", False),
      ("f_%(i)d.flo", False), ("f_%d%%%s.flo", False), ("f_%c.flo", False)],
 )
@@ -107,6 +108,30 @@ def test_camest_count_costs_no_memory_before_the_first_read(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: cli: ")
     assert peak < 1e6
+
+
+@pytest.mark.parametrize("field", ["%999999d", "%.999999d", "%0256x", "%.0000256d"])
+@pytest.mark.parametrize("command", ["synth", "camest"])
+def test_pattern_width_is_bounded_before_a_name_is_made(tmp_path, capsys, command, field):
+    # a million-column field made a million-character name, 3 MB of memory
+    # and a million-character error line
+    pattern = tmp_path / f"x_{field}.flo"
+    flag, argv = {
+        "synth": ("--flow-out", ["synth", "--out", tmp_path / "seq.yuv", "--flow-out",
+                                 pattern, "--width", 32, "--height", 16, "--frames", 2]),
+        "camest": ("--flow", ["camest", "--flow", pattern, "--count", 1]),
+    }[command]
+    tracemalloc.start()
+    try:
+        rc = run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cli: {flag} width or precision is above 255, the longest file name\n"
+    assert peak < 1e6
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -659,6 +684,22 @@ def test_metrics_bdrate(tmp_path, capsys):
     assert "bd-rate: 0.000000 %" in capsys.readouterr().out
 
 
+def test_metrics_bdrate_refuses_a_malformed_data_row(tmp_path, capsys):
+    # only the first row may be a header; "38O" (a letter O) was skipped as
+    # one, and the BD-rate came from 4 of the 5 points
+    a = _write_rd(tmp_path, "a.csv", [(100, 30), (200, 33), (400, 36), (800, 39), (1600, 42)])
+    b = tmp_path / "b.csv"
+    b.write_text("rate,quality\n105,30\n210,33\n38O,36\n840,39\n1680,42\n")
+    rc = run(["metrics", "bdrate", "--anchor", a, "--test", b])
+    out, err = capsys.readouterr()
+    assert rc == 1 and out == ""
+    assert err == f"error: cli: malformed RD row '38O,36' in {b}\n"
+    # a header is still optional, and the first row may be one
+    b.write_text("105,30\n210,33\n420,36\n840,39\n1680,42\n")
+    assert run(["metrics", "bdrate", "--anchor", a, "--test", b]) == 0
+    assert capsys.readouterr().out == "bd-rate: 5.000000 %\n"
+
+
 def _write_rd(tmp_path, name, points):
     path = tmp_path / name
     path.write_text("rate,quality\n" + "".join(f"{r},{q}\n" for r, q in points))
@@ -723,6 +764,20 @@ def test_unknown_compare_variant(synth_dir, tmp_path, capsys):
     )
     assert rc == 1
     assert "unknown variants" in capsys.readouterr().err
+
+
+def test_repeated_compare_variant_exits_1(synth_dir, tmp_path, capsys):
+    # a repeated name wrote its rows twice and doubled its aggregate
+    rc = run(
+        [
+            "compare", "--input", synth_dir / "seq.yuv", "--width", 128,
+            "--height", 64, "--pixfmt", "yuv400", "--camera", synth_dir / "cam.csv",
+            "--variants", "orig,orig,gcg", "--out", tmp_path / "cmp.csv",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err == "error: cli: variant orig listed twice\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- numeric flags under a fuzzer --------------------------------------------------

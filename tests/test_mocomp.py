@@ -311,38 +311,49 @@ def test_exact_model_warp_has_small_residual(cylinder_pair):
 # --- search --------------------------------------------------------------------
 
 
+def search(ref, cur, block, q, cfg, search_range, step=1.0):
+    """compare_sequence's outcomes on one block of one pair, cfg as "gcg"."""
+    rows = mocomp.compare_sequence(
+        [ref, cur], [block], [q], {"gcg": cfg}, search_range, step
+    )
+    return rows[0][0].outcomes
+
+
 def test_search_recovers_true_motion(cylinder_pair):
     ref, cur = cylinder_pair
     for block in mocomp.tile_blocks(256, 128, 32, 32)[8:24:3]:
-        r = mocomp.motion_search(ref, cur, block, Z, GCG, 4.0, 1.0)
-        assert r.t == MotionVector2D(-2.0, 0.0)
+        found = search(ref, cur, block, Z, GCG, 4.0, 1.0)["gcg"]
+        assert found.t == MotionVector2D(-2.0, 0.0)
+        assert mocomp.predict_block(ref, cur, block, Z, found.t, GCG).sad == found.sad
 
 
 def test_search_prefers_smallest_offset_on_ties():
     y = np.full((16, 32), 50, dtype=np.int32)  # constant: every SAD ties
     f = luma_frame(y)
     block = BlockSpec(x0=8, y0=4, width=8, height=8)
-    r = mocomp.motion_search(f, f, block, Z, GCG, 2.0, 1.0)
-    assert r.t == MotionVector2D(0.0, 0.0)
-    out = mocomp.translational_search(f, f, block, 2.0, 1.0)
-    assert out.t == MotionVector2D(0.0, 0.0)
+    outcomes = search(f, f, block, Z, GCG, 2.0, 1.0)
+    assert outcomes["gcg"].t == MotionVector2D(0.0, 0.0)
+    assert outcomes["translational"].t == MotionVector2D(0.0, 0.0)
 
 
 def test_halving_step_never_hurts(cylinder_pair):
     ref, cur = cylinder_pair
     for block in mocomp.tile_blocks(256, 128, 32, 32)[4:28:6]:
-        coarse = mocomp.motion_search(ref, cur, block, Z, GCG, 2.0, 1.0)
-        fine = mocomp.motion_search(ref, cur, block, Z, GCG, 2.0, 0.5)
-        assert fine.prediction.sad <= coarse.prediction.sad + 1e-9
+        coarse = search(ref, cur, block, Z, GCG, 2.0, 1.0)
+        fine = search(ref, cur, block, Z, GCG, 2.0, 0.5)
+        for label in ("gcg", "translational"):
+            assert fine[label].sad <= coarse[label].sad + 1e-9
 
 
 def test_candidate_grid_validation():
     f = luma_frame(np.zeros((16, 32), dtype=np.uint8))
     block = BlockSpec(x0=0, y0=0, width=8, height=8)
     with pytest.raises(DomainError):
-        mocomp.motion_search(f, f, block, Z, GCG, 2.0, 0.3)
+        search(f, f, block, Z, GCG, 2.0, 0.3)
     with pytest.raises(DomainError):
-        mocomp.motion_search(f, f, block, Z, GCG, -1.0, 1.0)
+        search(f, f, block, Z, GCG, -1.0, 1.0)
+    with pytest.raises(DomainError):  # 33 candidates per axis, 32 columns
+        search(f, f, block, Z, GCG, 8.0, 0.5)
 
 
 def test_gc_swap_invariance(cylinder_pair):
@@ -388,10 +399,10 @@ def test_horizontal_wrap_equivariance(cylinder_pair):
             x0=(block.x0 + c) % w, y0=block.y0,
             width=block.width, height=block.height,
         )
-        r1 = mocomp.motion_search(ref, cur, block, q, GCG, 3.0, 1.0)
-        r2 = mocomp.motion_search(ref2, cur2, shifted, q_rot, GCG, 3.0, 1.0)
+        r1 = search(ref, cur, block, q, GCG, 3.0, 1.0)["gcg"]
+        r2 = search(ref2, cur2, shifted, q_rot, GCG, 3.0, 1.0)["gcg"]
         assert r1.t == r2.t
-        assert math.isclose(r1.prediction.sad, r2.prediction.sad, rel_tol=1e-9)
+        assert math.isclose(r1.sad, r2.sad, rel_tol=1e-9)
 
 
 # --- model comparison ------------------------------------------------------------
@@ -407,6 +418,62 @@ def test_compare_models_structure(cylinder_pair):
     for row in rows:
         assert set(row.outcomes) == {"translational", "orig", "gcg"}
         assert 0.0 < row.center_theta < math.pi
+
+
+def _tie_order(search_range, step):
+    """The (t_u, t_v) grid in tie-break order: |t_u| + |t_v|, then t_u,
+    then t_v."""
+    n = round(search_range / step)
+    grid = [(i * step, j * step) for i in range(-n, n + 1) for j in range(-n, n + 1)]
+    return sorted(grid, key=lambda t: (abs(t[0]) + abs(t[1]), t[0], t[1]))
+
+
+def _first_minimum(scored):
+    """The first (t, sad) with the smallest sad."""
+    best = None
+    for t, sad in scored:
+        if best is None or sad < best[1]:
+            best = (t, sad)
+    return mocomp.SearchOutcome(MotionVector2D(*best[0]), best[1])
+
+
+def _shift_sad(ref, cur, block, t_u, t_v):
+    """SAD of the block shifted by (t_u, t_v) ERP pixels, x wrapping and y
+    clamping.  At whole and half pixels every bilinear weight is a multiple
+    of 1/4, so each sum is exact."""
+    h, w = ref.y.shape
+    x = np.arange(block.x0, block.x0 + block.width) + t_u
+    y = np.arange(block.y0, block.y0 + block.height) + t_v
+    x0, y0 = np.floor(x), np.floor(y)
+    fx, fy = x - x0, (y - y0)[:, None]
+    c0 = x0.astype(int) % w
+    c1 = (c0 + 1) % w
+    r0 = np.clip(y0, 0, h - 1).astype(int)[:, None]
+    r1 = np.clip(y0 + 1, 0, h - 1).astype(int)[:, None]
+    plane = ref.y.astype(np.float64)
+    pred = (
+        (1 - fy) * ((1 - fx) * plane[r0, c0] + fx * plane[r0, c1])
+        + fy * ((1 - fx) * plane[r1, c0] + fx * plane[r1, c1])
+    )
+    cur_block = cur.y[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
+    return float(np.abs(pred - cur_block).sum())
+
+
+def _reference_outcomes(ref, cur, block, q, cfgs, search_range, step):
+    """Every model's best motion from one predict_block per candidate, and
+    the translational one from _shift_sad: no search kernel involved."""
+    order = _tie_order(search_range, step)
+    outcomes = {
+        label: _first_minimum(
+            (t, mocomp.predict_block(ref, cur, block, q, MotionVector2D(*t), cfg).sad)
+            for t in order
+        )
+        for label, cfg in cfgs.items()
+    }
+    outcomes["translational"] = _first_minimum(
+        (t, _shift_sad(ref, cur, block, *t)) for t in order
+    )
+    return outcomes
 
 
 def test_compare_sequence_matches_pairwise(cylinder_pair):
@@ -427,14 +494,34 @@ def test_compare_sequence_matches_pairwise(cylinder_pair):
     for m, rows in enumerate(seq):
         a, b, q = frames[m], frames[m + 1], qs[m]
         assert rows == mocomp.compare_sequence([a, b], blocks, [q], cfgs, 2.0, 1.0)[0]
+        assert [row.block for row in rows] == blocks
         for row in rows:
-            assert set(row.outcomes) == {"translational", *cfgs}
-            for label, cfg in cfgs.items():
-                found = mocomp.motion_search(a, b, row.block, q, cfg, 2.0, 1.0)
-                assert found.t == row.outcomes[label].t
-                assert found.prediction.sad == row.outcomes[label].sad
-            shifted = mocomp.translational_search(a, b, row.block, 2.0, 1.0)
-            assert shifted == row.outcomes["translational"]
+            assert row.outcomes == _reference_outcomes(a, b, row.block, q, cfgs, 2.0, 1.0)
+
+    # half-pixel steps, with the oblique q2
+    half = mocomp.compare_sequence([cur, ref], blocks, [q2], cfgs, 1.0, 0.5)[0]
+    for row in half:
+        assert row.outcomes == _reference_outcomes(cur, ref, row.block, q2, cfgs, 1.0, 0.5)
+
+    # a zero frame: every SAD of every model is exactly 0, so the tie-break
+    # alone decides
+    flat = luma_frame(np.zeros((128, 256), dtype=np.uint8))
+    for row in mocomp.compare_sequence([flat, flat], blocks, [q2], cfgs, 2.0, 1.0)[0]:
+        expect = _reference_outcomes(flat, flat, row.block, q2, cfgs, 2.0, 1.0)
+        assert row.outcomes == expect
+        assert {o.t for o in expect.values()} == {MotionVector2D(0.0, 0.0)}
+
+    # diagonal stripes moved one column: every shift with t_u + t_v = 1
+    # matches, and of the two nearest, (0, 1) has the smaller t_u
+    yy, xx = np.mgrid[0:128, 0:256]
+    stripes = luma_frame((60 * ((xx + yy) % 4)).astype(np.uint8))
+    moved = luma_frame(np.roll(stripes.y, -1, axis=1))
+    for row in mocomp.compare_sequence([stripes, moved], blocks, [q2], cfgs, 2.0, 1.0)[0]:
+        assert row.outcomes == _reference_outcomes(
+            stripes, moved, row.block, q2, cfgs, 2.0, 1.0
+        )
+        if 0 < row.block.y0 < 96:  # clear of the clamped rows
+            assert row.outcomes["translational"].t == MotionVector2D(0.0, 1.0)
 
 
 def test_compare_sequence_memory_per_frame():
