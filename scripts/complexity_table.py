@@ -4,12 +4,16 @@
 Prints the closed-form operation counts next to a tally from an
 instrumented run of the actual kernel, so any drift between the table
 and the code shows up immediately.  A second table puts each model's
-16x16 op total next to the measured time of one 16x16 block mapping over
-the 81 candidates of a +-4 search (median of repeated calls on this
+16x16 op total next to measured times for one 16x16 block over the 81
+candidates of a +-4 search: the polar law alone, which is all that the op
+count covers, and the whole mapping.  Both are timed as compare runs them,
+through one reused workspace after a warm-up call, on a block geometry
+whose shared trig is not computed yet (median of repeated calls on this
 machine).
 """
 
 import argparse
+import dataclasses
 import math
 import statistics
 import time
@@ -28,19 +32,28 @@ TIMED_OFFSETS = np.arange(-4.0, 5.0)  # 9 x 9 = 81 candidates
 TIMED_REPEATS = 51
 
 
-def map_microseconds(variant: str, scaling: str) -> float:
-    """Median wall time of one map_block_geometry_batch call, in us."""
+def map_microseconds(variant: str, scaling: str) -> tuple[float, float]:
+    """Median wall times, in us, of the polar law and of one whole
+    map_block_geometry_batch call."""
     width, height = 256, 128
     q = np.array([0.3, -0.5, 0.8])
     block = mm.BlockSpec(x0=96, y0=48, width=TIMED_BLOCK, height=TIMED_BLOCK)
     geom = mm.prepare_block_geometry(block, q / np.linalg.norm(q), width, height)
     cfg = mm.GeodesicModelConfig(variant, scaling, delta=math.pi / height)
-    times = []
+    workspace = mm.Workspace()
+    mm.map_block_geometry_batch(geom, TIMED_OFFSETS, TIMED_OFFSETS, cfg, workspace)
+    law, mapping = [], []
     for _ in range(TIMED_REPEATS):
+        # replace() copies the geometry without the trig its mappings share.
+        cold = dataclasses.replace(geom)
         start = time.perf_counter()
-        mm.map_block_geometry_batch(geom, TIMED_OFFSETS, TIMED_OFFSETS, cfg)
-        times.append(time.perf_counter() - start)
-    return 1e6 * statistics.median(times)
+        mm._model_theta(cold, TIMED_OFFSETS, cfg)
+        law.append(time.perf_counter() - start)
+        cold = dataclasses.replace(geom)
+        start = time.perf_counter()
+        mm.map_block_geometry_batch(cold, TIMED_OFFSETS, TIMED_OFFSETS, cfg, workspace)
+        mapping.append(time.perf_counter() - start)
+    return 1e6 * statistics.median(law), 1e6 * statistics.median(mapping)
 
 
 def main():
@@ -65,11 +78,13 @@ def main():
 
     n = TIMED_BLOCK
     print()
-    print(f"| model | {n}x{n} ops | mapping, {len(TIMED_OFFSETS) ** 2} candidates (us) |")
-    print("|:------|------:|------:|")
+    print(f"| model | {n}x{n} ops | polar law (us) "
+          f"| mapping, {len(TIMED_OFFSETS) ** 2} candidates (us) | law share |")
+    print("|:------|------:|------:|------:|------:|")
     for variant, scaling, label in VARIANTS:
         ops = mm.op_count(variant, scaling, n, n).total
-        print(f"| {label} | {ops} | {map_microseconds(variant, scaling):.0f} |")
+        law, mapping = map_microseconds(variant, scaling)
+        print(f"| {label} | {ops} | {law:.0f} | {mapping:.0f} | {law / mapping:.0%} |")
 
 
 if __name__ == "__main__":

@@ -530,6 +530,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cli: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: cli: out of memory{detail}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -28,6 +28,7 @@ from .motion_model import (
     BlockSpec,
     GeodesicModelConfig,
     MotionVector2D,
+    Workspace,
 )
 
 # Source coordinates this close to an integer sample are snapped onto it, so
@@ -106,26 +107,6 @@ class BlockComparison:
     outcomes: dict[str, SearchOutcome]
 
 
-class _Buffers:
-    """Named arrays reused from call to call.
-
-    get() returns a view of the named storage in the asked shape; the
-    storage is reallocated only when it is too small or of another dtype, so
-    a loop over same-sized blocks allocates nothing after its first pass.
-    A view stays valid until the next get() of the same name.
-    """
-
-    def __init__(self):
-        self._store: dict[str, np.ndarray] = {}
-
-    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        size = math.prod(shape)
-        store = self._store.get(name)
-        if store is None or store.size < size or store.dtype != dtype:
-            store = self._store[name] = np.empty(size, dtype)
-        return store[:size].reshape(shape)
-
-
 def _quads(plane: np.ndarray) -> np.ndarray:
     """The bilinear taps of every pixel of a plane, as (H*W, 4) rows.
 
@@ -154,81 +135,93 @@ class _PlaneSampler:
 
     x and y only need broadcastable shapes: each axis is snapped, wrapped or
     clamped and split into whole and fractional parts at its own shape, and
-    only the index and weights take the broadcast shape.  The sampler owns x
-    and y and overwrites them when they are writable float64 arrays, so a
-    caller that still needs its coordinates passes a copy.
+    only the index and the weights take the broadcast shape.  The sampler
+    owns x and y and overwrites them when they are writable float64 arrays,
+    so a caller that still needs its coordinates passes a copy.
 
-    The index and the weights live in buffers, so a new sampler built on
-    the buffers of an earlier one overwrites it.  When the fractional parts
-    are zero everywhere (whole-pixel shifts) there are no weights and a
-    sample gathers one value: the other three weights would be +0.0 and
-    planes hold integers, so their products are signed zeros, and adding a
-    signed zero to a sum that is never -0.0 leaves it unchanged.
+    The index and the weights live in a workspace, so a new sampler on the
+    workspace of an earlier one overwrites it.  Scratch comes from the
+    workspace's "slots" (see Workspace): building uses slots 0 to 2, which
+    leaves x and y free to be a mapping's src_u and src_v, slots 3 and 4 of
+    the same workspace, and sample() uses slots 0 to 4.  The weights are
+    tap-major, (4,) + shape, so each tap's weights and products are
+    contiguous.  When the fractional parts are zero everywhere (whole-pixel
+    shifts) there are no weights and a sample gathers one value: the other
+    three weights would be +0.0 and planes hold integers, so their products
+    are signed zeros, and adding a signed zero to a sum that is never -0.0
+    leaves it unchanged.
     """
 
-    def __init__(self, x, y, width: int, height: int, buffers: _Buffers | None = None):
-        if buffers is None:
-            buffers = _Buffers()
-        x, x0 = _snapped(x)
-        y, y0 = _snapped(y)
+    def __init__(
+        self, x, y, width: int, height: int, workspace: Workspace | None = None
+    ):
+        if workspace is None:
+            workspace = Workspace()
+        x = np.require(x, np.float64, "W")
+        y = np.require(y, np.float64, "W")
+        slots = workspace.get("slots", (3, max(x.size, y.size)))
+
+        def slot(i, like):
+            return slots[i, : like.size].reshape(like.shape)
+
+        x0, y0 = slot(0, x), slot(1, y)
+        _snap(x, x0, slot(2, x))
+        _snap(y, y0, slot(2, y))
         self.shape = np.broadcast_shapes(x.shape, y.shape)
         # np.mod is the identity on [0, width), so only the rest goes through it.
         # It returns width only for x within half an ulp below a multiple of
         # width, which snapping already moved onto it: every floor is a column.
         if not (0.0 <= x.min() and x.max() < width):
-            outside = (x < 0.0) | (x >= width)
-            x[outside] = np.mod(x[outside], width)
+            np.mod(x, width, out=x, where=(x < 0.0) | (x >= width))
         np.clip(y, 0.0, float(height - 1), out=y)
         np.floor(x, out=x0)
         np.floor(y, out=y0)
         fx, fy = np.subtract(x, x0, out=x), np.subtract(y, y0, out=y)
 
         # r0*W + c0 is exact in float64: whole numbers far below 2**53.
-        self.index = buffers.get("index", self.shape, np.intp)
+        self.index = workspace.get("index", self.shape, np.intp)
         np.add(np.multiply(y0, width, out=y0), x0, out=self.index, casting="unsafe")
         if not (fx.any() or fy.any()):
             self.weights = None
             self.index *= 4  # the (y0, x0) tap in the raveled quads
             return
         wx, wy = np.subtract(1.0, fx, out=x0), np.subtract(1.0, fy, out=y0)
-        # Weights of taps (y0, x0), (y0, x1), (y1, x0), (y1, x1), last axis.
-        self.weights = buffers.get("weights", self.shape + (4,))
+        # Weights of taps (y0, x0), (y0, x1), (y1, x0), (y1, x1), first axis.
+        self.weights = workspace.get("weights", (4,) + self.shape)
         for i, (ty, tx) in enumerate(((wy, wx), (wy, fx), (fy, wx), (fy, fx))):
-            np.multiply(tx, ty, out=self.weights[..., i])
+            np.multiply(tx, ty, out=self.weights[i, ...])
 
-    def sample(self, quads: np.ndarray, scratch: _Buffers | None = None) -> np.ndarray:
+    def sample(self, quads: np.ndarray, scratch: Workspace | None = None) -> np.ndarray:
         """Bilinear samples of a plane given as _quads(plane), as float64 in
-        the coordinates' shape.  The result lives in scratch when one is
-        given, until the next sample through it."""
+        the coordinates' shape.  The result is slot 4 of scratch when one is
+        given, valid until the scratch is used again."""
         if scratch is None:
-            scratch = _Buffers()
-        out = scratch.get("out", self.shape)
+            scratch = Workspace()
+        slots = scratch.get("slots", (5,) + self.shape)
+        out = slots[4, ...]
         if self.weights is None:
             taps = scratch.get("taps", self.shape, quads.dtype)
             quads.reshape(-1).take(self.index, out=taps, mode="clip")
             np.copyto(out, taps)
             return out
-        taps = scratch.get("taps", self.shape + (4,), quads.dtype)
-        quads.take(self.index, axis=0, out=taps, mode="clip")
+        taps = scratch.get("taps", (self.index.size, 4), quads.dtype)
+        quads.take(self.index.reshape(-1), axis=0, out=taps, mode="clip")
         # Cast first: a mixed integer-float multiply is slower.
-        products = scratch.get("products", self.shape + (4,))
-        np.copyto(products, taps)
+        products = slots[:4]
+        np.copyto(products.reshape(4, -1), taps.T)
         products *= self.weights
-        np.add(products[..., 0], products[..., 1], out=out)
-        out += products[..., 2]
-        out += products[..., 3]
+        np.add(products[0], products[1], out=out)
+        out += products[2]
+        out += products[3]
         return out
 
 
-def _snapped(v) -> tuple[np.ndarray, np.ndarray]:
-    """v as a writable float64 array (v itself if it is one), values within
-    SNAP_EPS of an integer moved onto it, and a spare array of its shape."""
-    v = np.require(v, np.float64, "W")
-    r, d = np.empty_like(v), np.empty_like(v)  # arrays even when v is 0-d
+def _snap(v: np.ndarray, r: np.ndarray, d: np.ndarray):
+    """Move the values of v within SNAP_EPS of an integer onto it, in place;
+    r and d are scratch of v's shape, and r is left holding rint(v)."""
     np.rint(v, out=r)
     np.abs(np.subtract(v, r, out=d), out=d)
     np.copyto(v, r, where=d < SNAP_EPS)
-    return v, r
 
 
 def _check_pair(ref: ErpFrame, cur: ErpFrame):
@@ -325,10 +318,10 @@ class _SearchKernel:
     every candidate by SAD against the current block and applies the
     tie-break.
 
-    The kernel owns the samplers' arrays: the shifts sampler, the geodesic
-    sampler and the gather of search() each reuse one set of buffers, so a
-    new geodesic sampler overwrites the previous one, and over same-sized
-    blocks none of these arrays is freed or allocated after the first block.
+    The kernel owns one workspace for the mappings, the samplers and the
+    gathers of search(), so a new sampler overwrites the previous one, and
+    over same-sized blocks no array of the search is freed or allocated
+    after the first block.
     """
 
     def __init__(self, search_range: float, step: float, width: int):
@@ -353,9 +346,7 @@ class _SearchKernel:
         # Candidates in tie-break order; the first minimal SAD in it wins.
         cost = np.abs(self.tu) + np.abs(self.tv)
         self.tie_order = np.lexsort((self.tv, self.tu, cost))
-        self._shift_buffers = _Buffers()
-        self._geodesic_buffers = _Buffers()
-        self._scratch = _Buffers()
+        self._workspace = Workspace()
 
     def translational(self, block: BlockSpec, width: int, height: int) -> _PlaneSampler:
         """Shifts of the block by t in ERP pixels: x as (n, 1, 1, w) and y
@@ -365,23 +356,27 @@ class _SearchKernel:
         return _PlaneSampler(
             self.offsets[:, None, None, None] + u,
             self.offsets[None, :, None, None] + v[:, None],
-            width, height, self._shift_buffers,
+            width, height, self._workspace,
         )
 
     def geodesic(self, geom: BlockGeometry, cfg: GeodesicModelConfig) -> _PlaneSampler:
         """Every candidate of a geodesic model for the block of geom."""
         src_u, src_v, _ = motion_model.map_block_geometry_batch(
-            geom, self.offsets, self.offsets, cfg
+            geom, self.offsets, self.offsets, cfg, self._workspace
         )
         return _PlaneSampler(
-            src_u, src_v, geom.frame_width, geom.frame_height, self._geodesic_buffers
+            src_u, src_v, geom.frame_width, geom.frame_height, self._workspace
         )
 
     def search(
         self, sampler: _PlaneSampler, ref_quads: np.ndarray, cur_block: np.ndarray
     ) -> SearchOutcome:
-        diff = sampler.sample(ref_quads, self._scratch)
-        diff -= cur_block
+        """Best candidate of the sampler on a reference plane given as
+        _quads(plane), against the current block's samples."""
+        diff = sampler.sample(ref_quads, self._workspace)
+        cur = self._workspace.get("cur", cur_block.shape)
+        np.copyto(cur, cur_block)
+        diff -= cur
         sad = np.abs(diff, out=diff).sum(axis=(-2, -1)).ravel()
         best = self.tie_order[np.argmin(sad[self.tie_order])]
         return SearchOutcome(
@@ -404,7 +399,9 @@ def compare_sequence(
     q_per_pair[m] is the camera direction for the pair (m, m+1); result[m]
     holds that pair's block rows.  A block's candidate mapping depends only
     on (q, model), so it is computed once per distinct q and reused across
-    pairs, which is what makes long sequences affordable.
+    pairs, which is what makes long sequences affordable.  The geometry of
+    the blocks is prepared one row of same-sized blocks at a time, within
+    one distinct q at a time, so one row's geometry is alive at once.
 
     Every search scans the symmetric (t_u, t_v) grid of step `step` out to
     `search_range`, which includes (0, 0).  Halving the step only adds
@@ -428,32 +425,41 @@ def compare_sequence(
     groups: dict[bytes, list[int]] = {}
     for m, q in enumerate(q_per_pair):
         groups.setdefault(np.asarray(q, dtype=np.float64).tobytes(), []).append(m)
+    rows: dict[tuple, list[int]] = {}
+    for i, block in enumerate(blocks):
+        rows.setdefault((block.y0, block.width, block.height), []).append(i)
 
-    results: list[list[BlockComparison]] = [[] for _ in range(n_pairs)]
-    for block in blocks:
-        cur_blocks = [_block_view(frames[m + 1], block).astype(np.float64) for m in range(n_pairs)]
-        _, vc = block.center()
-        center_theta = math.pi * (vc + 0.5) / height
-
+    # outcomes[m][i]: the searches of pair m on block i.
+    outcomes = [[{} for _ in blocks] for _ in range(n_pairs)]
+    for i, block in enumerate(blocks):
         shifts = kernel.translational(block, width, height)
-        outcomes = [
-            {"translational": kernel.search(shifts, ref_quads[m], cur_blocks[m])}
-            for m in range(n_pairs)
-        ]
-        for members in groups.values():
-            q = np.asarray(q_per_pair[members[0]], dtype=np.float64)
-            geom = motion_model.prepare_block_geometry(block, q, width, height)
-            for label, cfg in model_configs.items():
-                sampler = kernel.geodesic(geom, cfg)
-                for m in members:
-                    outcomes[m][label] = kernel.search(sampler, ref_quads[m], cur_blocks[m])
         for m in range(n_pairs):
-            results[m].append(
-                BlockComparison(
-                    block=block, center_theta=center_theta, outcomes=outcomes[m]
-                )
+            cur_block = _block_view(frames[m + 1], block)
+            outcomes[m][i]["translational"] = kernel.search(shifts, ref_quads[m], cur_block)
+    for members in groups.values():
+        q = np.asarray(q_per_pair[members[0]], dtype=np.float64)
+        for row in rows.values():
+            row_blocks = [blocks[i] for i in row]
+            geoms = motion_model.prepare_row_geometry(row_blocks, q, width, height)
+            for i, block in zip(row, row_blocks):
+                # Dropped after its block, with the trig its mappings shared.
+                geom = geoms.pop(0)
+                for label, cfg in model_configs.items():
+                    sampler = kernel.geodesic(geom, cfg)
+                    for m in members:
+                        cur_block = _block_view(frames[m + 1], block)
+                        outcomes[m][i][label] = kernel.search(sampler, ref_quads[m], cur_block)
+    return [
+        [
+            BlockComparison(
+                block=block,
+                center_theta=math.pi * (block.center()[1] + 0.5) / height,
+                outcomes=outcomes[m][i],
             )
-    return results
+            for i, block in enumerate(blocks)
+        ]
+        for m in range(n_pairs)
+    ]
 
 
 def strict_winner(comparison: BlockComparison) -> str | None:

@@ -28,7 +28,7 @@ Everything here is pure geometry on angles; sampling lives in mocomp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 import numpy as np
@@ -157,12 +157,41 @@ def ged_gc_theta(theta, t_u: float, dz: float, r: float):
     if r <= 0.0:
         raise DomainError(f"motion_model: cylinder radius {r!r} must be positive")
     th = clamp_theta(theta)
-    cot = np.cos(th) / np.sin(th)
-    return np.arctan2(1.0, cot - dz * t_u / r)
+    return _gc_law(np.cos(th), np.sin(th), t_u, dz, r)
+
+
+def _gc_law(cos_theta, sin_theta, t_u, dz: float, r: float):
+    """ged_gc_theta on the cos and sin of the clamped polar angles."""
+    return np.arctan2(1.0, cos_theta / sin_theta - dz * t_u / r)
 
 
 # ---------------------------------------------------------------------------
 # Per-block pixel mapping
+
+
+class Workspace:
+    """Named arrays reused from call to call.
+
+    get() returns a view of the named storage in the asked shape; the
+    storage is reallocated only when it is too small or of another dtype, so
+    a loop over same-sized blocks allocates nothing after its first pass.
+    A view stays valid until the next get() of the same name.
+
+    "slots" is the shared float64 scratch of the block search: the mapping
+    and the sampler's build and gather each ask for it as an (n,) + shape
+    array, use it, and leave in it only what the next step reads, so the
+    steps take turns on five full-size arrays.
+    """
+
+    def __init__(self):
+        self._store: dict[str, np.ndarray] = {}
+
+    def get(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        store = self._store.get(name)
+        if store is None or store.size < size or store.dtype != dtype:
+            store = self._store[name] = np.empty(size, dtype)
+        return store[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -171,7 +200,9 @@ class BlockGeometry:
 
     theta/phi are the pixel directions rotated into the epipole frame
     (theta already pole-clamped, clamps recorded), theta_c the rotated
-    block-center polar angle.
+    block-center polar angle.  The trig of theta and of each shifted azimuth
+    grid is computed on first use and kept, so every model that maps the
+    block shares it.
     """
 
     theta: np.ndarray
@@ -181,43 +212,80 @@ class BlockGeometry:
     rotation: np.ndarray
     frame_width: int
     frame_height: int
+    _trig: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def _theta_trig(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cos, sin) of theta."""
+        trig = self._trig.get("theta")
+        if trig is None:
+            trig = self._trig["theta"] = (np.cos(self.theta), np.sin(self.theta))
+        return trig
+
+    def _azimuth_trig(self, delta: float, t_v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(cos, sin) of phi + delta * t_v for every t_v: (nv, h, w) each."""
+        key = (delta, t_v.tobytes())
+        trig = self._trig.get(key)
+        if trig is None:
+            phi_m = self.phi + delta * t_v[:, None, None]
+            trig = self._trig[key] = (np.cos(phi_m), np.sin(phi_m, out=phi_m))
+        return trig
 
 
 def prepare_block_geometry(
     block: BlockSpec, q, width: int, height: int
 ) -> BlockGeometry:
     """Rotate a block's pixel directions into the epipole frame of q."""
-    if block.x0 + block.width > width or block.y0 + block.height > height:
-        raise DomainError(
-            f"motion_model: block {block} exceeds {width}x{height} frame"
-        )
+    return prepare_row_geometry([block], q, width, height)[0]
+
+
+def prepare_row_geometry(
+    blocks: list[BlockSpec], q, width: int, height: int
+) -> list[BlockGeometry]:
+    """prepare_block_geometry of blocks that share y0, width and height, with
+    one rotation and one pass over the angles of all of them.
+
+    The angles live in (n, h, w) arrays, block-major, so each block's
+    geometry is a contiguous view of them and every operation runs on the
+    values and shapes of the one-block case: a block has the same bits
+    alone or in a row.
+    """
+    x0s = [block.x0 for block in blocks]
+    y0, bw, bh = blocks[0].y0, blocks[0].width, blocks[0].height
+    for block in blocks:
+        if (block.y0, block.width, block.height) != (y0, bw, bh):
+            raise DomainError(f"motion_model: block {block} is not in the row of {blocks[0]}")
+        if block.x0 + bw > width or y0 + bh > height:
+            raise DomainError(
+                f"motion_model: block {block} exceeds {width}x{height} frame"
+            )
     rot = geometry.rotation_to_epipole(q)
 
     # Pixel rows share a polar angle and columns an azimuth: the angles and
-    # their trig are computed per row and per column.
-    u = block.x0 + np.arange(block.width, dtype=np.float64)
-    v = block.y0 + np.arange(block.height, dtype=np.float64)[:, None]
-    theta, phi = geometry.erp_grid_to_sphere(u, v, width, height)
+    # their trig are computed per row and per block column.
+    u = np.add.outer(np.array(x0s, dtype=np.float64), np.arange(bw, dtype=np.float64))
+    v = y0 + np.arange(bh, dtype=np.float64)[:, None]
+    theta, phi = geometry.erp_grid_to_sphere(u[:, None, :], v, width, height)
     xyz = geometry.sphere_grid_to_cart(theta, phi) @ rot.T
     theta_r, phi_r = geometry.cart_grid_to_sphere(xyz)
 
     clamped_in = (theta_r < POLE_EPS) | (theta_r > math.pi - POLE_EPS)
     theta_r = np.clip(theta_r, POLE_EPS, math.pi - POLE_EPS)
 
-    uc, vc = block.center()
-    tc, pc = geometry.erp_grid_to_sphere(np.float64(uc), np.float64(vc), width, height)
-    center = geometry.sphere_grid_to_cart(tc, pc) @ rot.T
-    theta_c = float(np.arccos(np.clip(center[2], -1.0, 1.0)))
-
-    return BlockGeometry(
-        theta=theta_r,
-        phi=phi_r,
-        clamped_in=clamped_in,
-        theta_c=theta_c,
-        rotation=rot,
-        frame_width=width,
-        frame_height=height,
-    )
+    geoms = []
+    for i, block in enumerate(blocks):
+        uc, vc = block.center()
+        tc, pc = geometry.erp_grid_to_sphere(np.float64(uc), np.float64(vc), width, height)
+        center = geometry.sphere_grid_to_cart(tc, pc) @ rot.T
+        geoms.append(BlockGeometry(
+            theta=theta_r[i],
+            phi=phi_r[i],
+            clamped_in=clamped_in[i],
+            theta_c=float(np.arccos(np.clip(center[2], -1.0, 1.0))),
+            rotation=rot,
+            frame_width=width,
+            frame_height=height,
+        ))
+    return geoms
 
 
 def _model_theta(
@@ -225,19 +293,21 @@ def _model_theta(
 ) -> np.ndarray:
     """Polar law of every t_u over the block's clamped polar angles: (nu, h, w).
 
-    Under the constant-depth law t_u < 0 takes the reverse branch (less pi)
-    and t_u = 0 is the identity.
+    The gc law is ged_gc_theta, whose pole clamp leaves the already clamped
+    angles as they are.  Under the constant-depth law t_u < 0 takes the
+    reverse branch (less pi) and t_u = 0 is the identity.
     """
     theta = geom.theta
+    cos_theta, sin_theta = geom._theta_trig()
     if cfg.variant == "gc":
         r = cyl_radius(cfg.scaling, geom.theta_c)
-        return ged_gc_theta(theta, t_u[:, None, None], delta_z(cfg.delta), r)
+        return _gc_law(cos_theta, sin_theta, t_u[:, None, None], delta_z(cfg.delta), r)
     k = np.array([
         k_factor(geom.theta_c, tu, cfg.delta) if tu != 0.0 else 0.0
         for tu in t_u.tolist()
     ])
-    theta_m = np.subtract(k[:, None, None], np.cos(theta))
-    np.arctan2(np.sin(theta), theta_m, out=theta_m)
+    theta_m = np.subtract(k[:, None, None], cos_theta)
+    np.arctan2(sin_theta, theta_m, out=theta_m)
     theta_m[t_u < 0.0] -= math.pi
     theta_m += theta
     theta_m[t_u == 0.0] = theta
@@ -249,6 +319,7 @@ def map_block_geometry_batch(
     t_u_values: np.ndarray,
     t_v_values: np.ndarray,
     cfg: GeodesicModelConfig,
+    workspace: Workspace | None = None,
 ):
     """Source coordinates for every (t_u, t_v) candidate at once.
 
@@ -260,28 +331,34 @@ def map_block_geometry_batch(
     arccos/arctan2 and the conversion to ERP coordinates run in place in
     five full-size buffers, with the operations and their order of the plain
     formulas, so the result has the same bits.
+
+    The five buffers are the workspace's "slots", src_u and src_v slots 3
+    and 4, so a caller that passes a workspace maps without allocating them,
+    and its next use of the slots overwrites src_u and src_v.
     """
+    if workspace is None:
+        workspace = Workspace()
     t_u_values = np.asarray(t_u_values, dtype=np.float64)
     t_v_values = np.asarray(t_v_values, dtype=np.float64)
     h, w = geom.theta.shape
     nu, nv = len(t_u_values), len(t_v_values)
+    full = (nu, nv, h, w)
 
     theta_m = _model_theta(geom, t_u_values, cfg)
     clamped_out = (theta_m < POLE_EPS) | (theta_m > math.pi - POLE_EPS)
     np.clip(theta_m, POLE_EPS, math.pi - POLE_EPS, out=theta_m)
-    phi_m = geom.phi + cfg.delta * t_v_values[:, None, None]
 
     sin_t = np.sin(theta_m)[:, None, :, :]
     cos_t = np.cos(theta_m, out=theta_m)[:, None, :, :]
-    cos_p = np.cos(phi_m)
-    sin_p = np.sin(phi_m, out=phi_m)
+    cos_p, sin_p = geom._azimuth_trig(cfg.delta, t_v_values)
 
     # Rotate back to the world frame, world = R^T @ s', as
     # w_k = rot[0, k] * x + rot[1, k] * y + rot[2, k] * cos(theta').
     rot = geom.rotation
-    x = sin_t * cos_p
-    y = sin_t * sin_p
-    tmp = np.empty_like(x)
+    slots = workspace.get("slots", (5,) + full)
+    x = np.multiply(sin_t, cos_p, out=slots[0])
+    y = np.multiply(sin_t, sin_p, out=slots[1])
+    tmp = slots[2]
     z_term = np.empty_like(sin_t)
 
     def world(k, out, scratch):
@@ -290,9 +367,9 @@ def map_block_geometry_batch(
         out += np.multiply(rot[2, k], cos_t, out=z_term)
         return out
 
-    wz = world(2, np.empty_like(x), tmp)
+    wz = world(2, slots[4], tmp)
     theta_w = np.arccos(np.clip(wz, -1.0, 1.0, out=wz), out=wz)
-    wx = world(0, np.empty_like(x), tmp)
+    wx = world(0, slots[3], tmp)
     # x and y are read before they are overwritten, and not needed after.
     wy = world(1, x, y)
     phi_w = np.arctan2(wy, wx, out=tmp)
@@ -301,8 +378,7 @@ def map_block_geometry_batch(
         theta_w, phi_w, geom.frame_width, geom.frame_height, wx
     )
     clamped = clamped_out[:, None, :, :] | geom.clamped_in[None, None, :, :]
-    clamped = np.broadcast_to(clamped, (nu, nv, h, w))
-    return src_u, src_v, clamped
+    return src_u, src_v, np.broadcast_to(clamped, full)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import re
 import struct
@@ -356,6 +357,32 @@ def test_compare_over_sequence(synth_dir, tmp_path, capsys):
     # deterministic across repeated runs
     assert run(args) == 0
     assert (tmp_path / "cmp.csv").read_text() == first
+
+
+# sha256 of the cmp.csv below: the bits of every search, mapping and sampler
+# of compare on two distinct camera directions, one of them repeated.
+COMPARE_DIGEST = "4e1b2048116351bfd410515d74679d7aca6597cdd81660ba7503828bbcb2fd12"
+
+
+def test_compare_output_is_pinned(tmp_path, capsys):
+    q = "0.48,-0.36,0.8"
+    assert run([
+        "synth", "--out", tmp_path / "seq.yuv", "--width", 128, "--height", 64,
+        "--frames", 4, "--step", "0.03", "--depth-model", "cylinder",
+        "--q=" + q, "--seed", 5,
+    ]) == 0
+    (tmp_path / "cam.csv").write_text(
+        f"frame_index,qx,qy,qz\n1,{q}\n2,0.0,0.6,-0.8\n3,{q}\n"
+    )
+    assert run([
+        "compare", "--input", tmp_path / "seq.yuv", "--width", 128, "--height", 64,
+        "--pixfmt", "yuv400", "--camera", tmp_path / "cam.csv", "--block", "16x16",
+        "--range", 2, "--step", "0.5", "--variants", "orig,gcg,gcl",
+        "--out", tmp_path / "cmp.csv",
+    ]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256((tmp_path / "cmp.csv").read_bytes()).hexdigest()
+    assert digest == COMPARE_DIGEST
 
 
 def test_compare_static_sequence_all_ties(tmp_path, capsys):
@@ -743,6 +770,20 @@ def test_metrics_opcount(capsys):
     assert "total=256" in capsys.readouterr().out
     assert run(["metrics", "opcount", "--variant", "gcl", "--block", "8x8"]) == 0
     assert "total=321" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("message", ["", "Unable to allocate 3.64 TiB for an array"])
+def test_out_of_memory_exits_1(tmp_path, capsys, monkeypatch, message):
+    # a huge synth --width/--height ended in a MemoryError traceback; the
+    # command is replaced by one that raises, so nothing large is allocated
+    def no_memory(args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "_cmd_synth", no_memory)
+    assert run(["synth", "--out", tmp_path / "seq.yuv"]) == 1
+    want = "error: cli: out of memory" + (f": {message}" if message else "")
+    assert capsys.readouterr().err == want + "\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_usage_errors_exit_2():

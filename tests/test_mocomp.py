@@ -226,7 +226,7 @@ def test_whole_pixel_shifts_gather_one_tap():
     rows = np.clip(offsets[None, :, None, None] + np.arange(16)[:, None], 0, 127)
     assert np.array_equal(shifts.sample(quads), plane[rows, cols].astype(np.float64))
     half = mocomp._SearchKernel(4, 0.5, 256).translational(block, 256, 128)
-    assert half.weights.shape == half.shape + (4,)
+    assert half.weights.shape == (4,) + half.shape
     half_x = mocomp._PlaneSampler(np.array([0.5, 3.0]), np.array([2.0]), 8, 4)
     assert half_x.weights is not None
 
@@ -245,6 +245,36 @@ def test_geodesic_samplers_share_kernel_buffers(cylinder_pair):
     assert np.shares_memory(first.index, second.index)
     fresh = mocomp._SearchKernel(2.0, 1.0, 256)
     assert found == fresh.search(fresh.geodesic(geom, ORIG), quads, cur_block)
+
+
+def test_mapping_in_a_used_workspace_matches_a_new_one(cylinder_pair):
+    # each mapping and sampler overwrites the kernel workspace's slots; a
+    # mapping made after another block, model and block size, and after a
+    # search, has the bits of one made in a workspace of its own
+    ref, cur = cylinder_pair
+    quads = mocomp._quads(ref.y)
+    q = np.array([0.3, -0.2, 0.93])
+    q /= np.linalg.norm(q)
+    gcl = GeodesicModelConfig(variant="gc", scaling="local", delta=math.pi / 96)
+    kernel = mocomp._SearchKernel(2.0, 0.5, 256)
+    cases = [
+        (BlockSpec(x0=0, y0=0, width=16, height=16), ORIG),
+        (BlockSpec(x0=248, y0=60, width=8, height=4), gcl),
+        (BlockSpec(x0=96, y0=112, width=16, height=16), GCG),
+        (BlockSpec(x0=96, y0=112, width=16, height=16), ORIG),
+    ]
+    for block, cfg in cases:
+        geom = motion_model.prepare_block_geometry(block, q, 256, 128)
+        want = motion_model.map_block_geometry_batch(geom, kernel.offsets, kernel.offsets, cfg)
+        got = motion_model.map_block_geometry_batch(
+            geom, kernel.offsets, kernel.offsets, cfg, kernel._workspace
+        )
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+            assert np.array_equal(np.signbit(a), np.signbit(b))
+        cur_block = cur.y[block.y0 : block.y0 + block.height, block.x0 : block.x0 + block.width]
+        kernel.search(kernel.geodesic(geom, cfg), quads, cur_block)
+        kernel.search(kernel.translational(block, 256, 128), quads, cur_block)
 
 
 # --- prediction ---------------------------------------------------------------
@@ -546,6 +576,39 @@ def test_compare_sequence_memory_per_frame():
 
     growth = peak(32) - peak(8)
     assert growth <= 4 * w * h * (32 - 8) + 128 * 1024
+
+
+def _compare_peak(frames, qs, bw=16):
+    h, w = frames[0].y.shape
+    blocks = mocomp.tile_blocks(w, h, bw, 16)
+    tracemalloc.start()
+    try:
+        mocomp.compare_sequence(frames, blocks, qs, {"orig": ORIG, "gcg": GCG}, 2.0, 1.0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_compare_sequence_memory_is_flat_in_rows_and_directions():
+    # the geometry of one row of blocks within one direction is alive at a
+    # time: peak memory grows by the quads of the larger frame (4 bytes a
+    # pixel) and the per-block results, not with the rows or the directions
+    rng = np.random.default_rng(7)
+    w = 128
+
+    def frames(rows, n):
+        shape = (16 * rows, w)
+        return [luma_frame(rng.integers(0, 256, size=shape, dtype=np.uint8)) for _ in range(n)]
+
+    one_row, eight_rows = _compare_peak(frames(1, 2), [Z]), _compare_peak(frames(8, 2), [Z])
+    blocks_added = (w // 16) * 7
+    assert eight_rows - one_row <= 4 * w * 16 * 7 + 1024 * blocks_added + 32 * 1024
+
+    qs = [q / np.linalg.norm(q) for q in rng.normal(size=(8, 3))]
+    clip = frames(2, 9)
+    two_qs = _compare_peak(clip, [qs[m % 2] for m in range(8)])
+    eight_qs = _compare_peak(clip, qs)
+    assert eight_qs - two_qs <= 32 * 1024
 
 
 def test_compare_sequence_arity_checks(cylinder_pair):

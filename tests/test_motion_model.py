@@ -387,6 +387,15 @@ def reference_prepare(block, q, width, height):
     return theta_r, phi_r, clamped_in, theta_c, rot
 
 
+def _assert_matches_reference(geom, block, q, width, height):
+    theta, phi, clamped_in, theta_c, rot = reference_prepare(block, q, width, height)
+    for got, want in ((geom.theta, theta), (geom.phi, phi), (geom.rotation, rot)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(geom.clamped_in, clamped_in)
+    assert geom.theta_c == theta_c
+
+
 def test_prepare_matches_reference_bit_for_bit():
     # the q and block set of test_batch_mapping_matches_reference_bit_for_bit
     width, height = 128, 64
@@ -401,16 +410,36 @@ def test_prepare_matches_reference_bit_for_bit():
     for q in qs:
         for block in blocks:
             geom = mm.prepare_block_geometry(block, q, width, height)
-            theta, phi, clamped_in, theta_c, rot = reference_prepare(
-                block, q, width, height
-            )
-            for got, want in (
-                (geom.theta, theta), (geom.phi, phi), (geom.rotation, rot)
-            ):
-                assert np.array_equal(got, want)
-                assert np.array_equal(np.signbit(got), np.signbit(want))
-            assert np.array_equal(geom.clamped_in, clamped_in)
-            assert geom.theta_c == theta_c
+            _assert_matches_reference(geom, block, q, width, height)
+        # every block of every row of three tilings, each row prepared at once
+        for bw, bh, w, h in ((1, 1, 32, 16), (8, 4, width, height), (16, 16, width, height)):
+            tiles = [
+                BlockSpec(x0=x, y0=y, width=bw, height=bh)
+                for y in range(0, h, bh) for x in range(0, w, bw)
+            ]
+            per_row = w // bw
+            for start in range(0, len(tiles), per_row):
+                row = tiles[start : start + per_row]
+                geoms = mm.prepare_row_geometry(row, q, w, h)
+                assert len(geoms) == len(row)
+                for block, geom in zip(row, geoms):
+                    assert geom.theta.flags.c_contiguous
+                    _assert_matches_reference(geom, block, q, w, h)
+
+
+def test_prepare_row_refuses_blocks_of_another_row():
+    q = np.array([0.0, 0.0, 1.0])
+    row = [BlockSpec(x0=0, y0=8, width=8, height=8), BlockSpec(x0=8, y0=8, width=8, height=8)]
+    assert len(mm.prepare_row_geometry(row, q, 64, 32)) == 2
+    for other in (
+        BlockSpec(x0=16, y0=0, width=8, height=8),
+        BlockSpec(x0=16, y0=8, width=4, height=8),
+        BlockSpec(x0=16, y0=8, width=8, height=4),
+    ):
+        with pytest.raises(DomainError):
+            mm.prepare_row_geometry(row + [other], q, 64, 32)
+    with pytest.raises(DomainError):
+        mm.prepare_row_geometry(row + [BlockSpec(x0=60, y0=8, width=8, height=8)], q, 64, 32)
 
 
 # --- arithmetic cost ---------------------------------------------------------
