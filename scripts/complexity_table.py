@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Per-block arithmetic cost of the three warp variants.
 
-Prints the closed-form operation counts next to a tally from an
-instrumented run of the actual kernel, so any drift between the table
-and the code shows up immediately.  A second table puts each model's
+Prints the closed-form operation counts next to the tally of
+`count_block_ops`, which counts the operations of a scalar transcription
+of each law that it carries itself.  It does not run the kernel's law
+(`_model_theta`), so the "tally" column checks the closed forms against
+that transcription, not against the kernel.  A second table puts each model's
 16x16 op total next to measured times for one 16x16 block over the 81
 candidates of a +-4 search: the polar law alone, which is all that the op
 count covers, and the whole mapping.  Both are timed as compare runs them,
@@ -63,8 +65,8 @@ def main():
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    print("| block | model | trig | mul | div | add | total | instrumented |")
-    print("|------:|:------|-----:|----:|----:|----:|------:|:-------------|")
+    print("| block | model | trig | mul | div | add | total | tally |")
+    print("|------:|:------|-----:|----:|----:|----:|------:|:------|")
     for n in sizes:
         for variant, scaling, label in VARIANTS:
             table = mm.op_count(variant, scaling, n, n)

@@ -22,7 +22,7 @@ from .motion_model import (
     OpCount,
     default_delta,
 )
-from .mocomp import BlockComparison, ErpFrame, PredictionResult
+from .mocomp import ErpFrame, PredictionResult
 from .camera_est import FlowField
 from .cam_code import Bitstream
 from .metrics import RDCurve, RDPoint
@@ -33,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousSignError",
     "Bitstream",
-    "BlockComparison",
     "BlockSpec",
     "DegenerateGeometryError",
     "DomainError",

@@ -21,9 +21,10 @@ argparse usage problems keep its conventional exit code 2.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -102,13 +103,14 @@ def _spec_from_args(args) -> video_io.SequenceSpec:
     )
 
 
-def _write_or_print(path: str | None, text: str, note: str) -> None:
+def _write_or_print(path: str | None, lines: Iterable[str], note: str) -> None:
+    """Write text lines to path and print note, or write them to stdout."""
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         print(note)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -291,7 +293,7 @@ def _cmd_warp(args) -> int:
     y = np.zeros_like(cur.y)
     cb = np.zeros_like(cur.cb) if cur.cb is not None else None
     cr = np.zeros_like(cur.cr) if cur.cr is not None else None
-    lines = ["block_x0,block_y0,center_theta,sad,clamped"]
+    lines = ["block_x0,block_y0,center_theta,sad,clamped\n"]
     total = 0.0
     preds = mocomp._predict_blocks(ref, cur, blocks, args.q, t, cfg)
     for block, pred in zip(blocks, preds):
@@ -307,7 +309,7 @@ def _cmd_warp(args) -> int:
         _, vc = block.center()
         theta_c = np.pi * (vc + 0.5) / args.height
         lines.append(
-            f"{block.x0},{block.y0},{theta_c:.6f},{pred.sad:.6f},{pred.degenerate}"
+            f"{block.x0},{block.y0},{theta_c:.6f},{pred.sad:.6f},{pred.degenerate}\n"
         )
         total += pred.sad
     out_frame = mocomp.ErpFrame(
@@ -316,8 +318,7 @@ def _cmd_warp(args) -> int:
     )
     video_io.write_yuv(args.out, [out_frame])
     _write_or_print(
-        args.stats, "\n".join(lines) + "\n",
-        f"wrote {len(blocks)} block rows to {args.stats}",
+        args.stats, lines, f"wrote {len(blocks)} block rows to {args.stats}",
     )
     print(f"total sad: {total:.6f}")
     return 0
@@ -347,33 +348,41 @@ def _cmd_compare(args) -> int:
 
     bw, bh = args.block
     blocks = mocomp.tile_blocks(args.width, args.height, bw, bh)
-    results = mocomp.compare_sequence(
+    t, sad = mocomp.compare_sequence(
         frames, blocks, q_per_pair, configs, args.search_range, args.step
     )
 
     labels = ["translational"] + names
-    aggregate = {label: 0.0 for label in labels}
-    lines = ["kind,poc,block_x0,block_y0,center_theta,model,t_u,t_v,sad,winner"]
-    for m, rows in enumerate(results):
-        poc = m + 1
-        for row in rows:
-            winner = mocomp.strict_winner(row) or "tie"
-            for label in labels:
-                outcome = row.outcomes[label]
-                aggregate[label] += outcome.sad
-                lines.append(
-                    f"block,{poc},{row.block.x0},{row.block.y0},"
-                    f"{row.center_theta:.6f},{label},{outcome.t.t_u:.6f},"
-                    f"{outcome.t.t_v:.6f},{outcome.sad:.6f},{winner}"
-                )
-    for label in labels:
-        lines.append(f"aggregate,,,,,{label},,,{aggregate[label]:.6f},")
+    # A left-to-right float64 sum in (pair, block) order, as the rows run.
+    totals = np.add.accumulate(sad.reshape(-1, len(labels)), axis=0)[-1].tolist()
+    # The index in winners of the model with the smallest SAD, or of "tie"
+    # when two or more models share it.
+    winners = labels + ["tie"]
+    at_min = sad == sad.min(axis=-1, keepdims=True)
+    winner = np.where(at_min.sum(axis=-1) > 1, len(labels), at_min.argmax(axis=-1))
+    x0 = np.array([b.x0 for b in blocks])
+    y0 = np.array([b.y0 for b in blocks])
+    theta = math.pi * (np.array([b.center()[1] for b in blocks]) + 0.5) / args.height
+
+    def rows() -> Iterator[str]:
+        yield "kind,poc,block_x0,block_y0,center_theta,model,t_u,t_v,sad,winner\n"
+        for m in range(len(frames) - 1):
+            columns = (x0, y0, theta, winner[m], t[m], sad[m])
+            for x, y, th, win, ts, sads in video_io.text_rows(*columns):
+                for label, (tu, tv), s in zip(labels, ts, sads):
+                    yield (
+                        f"block,{m + 1},{x},{y},{th:.6f},{label},"
+                        f"{tu:.6f},{tv:.6f},{s:.6f},{winners[win]}\n"
+                    )
+        for label, total in zip(labels, totals):
+            yield f"aggregate,,,,,{label},,,{total:.6f},\n"
+
     _write_or_print(
-        args.out, "\n".join(lines) + "\n",
+        args.out, rows(),
         f"wrote {len(frames) - 1} pairs x {len(blocks)} blocks to {args.out}",
     )
-    for label in labels:
-        print(f"aggregate sad {label}: {aggregate[label]:.6f}")
+    for label, total in zip(labels, totals):
+        print(f"aggregate sad {label}: {total:.6f}")
     return 0
 
 

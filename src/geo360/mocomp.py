@@ -91,22 +91,6 @@ class PredictionResult:
     cr: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
-    t: MotionVector2D
-    sad: float
-
-
-@dataclass(frozen=True)
-class BlockComparison:
-    """Best (t, SAD) of each model on one block; center_theta is the plain
-    ERP latitude of the block center (not the epipole-frame angle)."""
-
-    block: BlockSpec
-    center_theta: float
-    outcomes: dict[str, SearchOutcome]
-
-
 def _quads(plane: np.ndarray) -> np.ndarray:
     """The bilinear taps of every pixel of a plane, as (H*W, 4) rows.
 
@@ -370,19 +354,16 @@ class _SearchKernel:
 
     def search(
         self, sampler: _PlaneSampler, ref_quads: np.ndarray, cur_block: np.ndarray
-    ) -> SearchOutcome:
-        """Best candidate of the sampler on a reference plane given as
-        _quads(plane), against the current block's samples."""
+    ) -> tuple[int, float]:
+        """Grid index and SAD of the sampler's best candidate on a reference
+        plane given as _quads(plane), against the current block's samples."""
         diff = sampler.sample(ref_quads, self._workspace)
         cur = self._workspace.get("cur", cur_block.shape)
         np.copyto(cur, cur_block)
         diff -= cur
         sad = np.abs(diff, out=diff).sum(axis=(-2, -1)).ravel()
         best = self.tie_order[np.argmin(sad[self.tie_order])]
-        return SearchOutcome(
-            t=MotionVector2D(float(self.tu[best]), float(self.tv[best])),
-            sad=float(sad[best]),
-        )
+        return best, sad[best]
 
 
 def compare_sequence(
@@ -392,16 +373,21 @@ def compare_sequence(
     model_configs: Mapping[str, GeodesicModelConfig],
     search_range: float,
     step: float = 1.0,
-) -> list[list[BlockComparison]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Best motion of every model, plus the translational baseline, for
     every block of every consecutive pair of a sequence.
 
-    q_per_pair[m] is the camera direction for the pair (m, m+1); result[m]
-    holds that pair's block rows.  A block's candidate mapping depends only
-    on (q, model), so it is computed once per distinct q and reused across
-    pairs, which is what makes long sequences affordable.  The geometry of
-    the blocks is prepared one row of same-sized blocks at a time, within
-    one distinct q at a time, so one row's geometry is alive at once.
+    Returns (t, sad): the best (t_u, t_v) of each search, shape
+    (pairs, blocks, models, 2), and its SAD, shape (pairs, blocks, models).
+    Pair m is (m, m+1) and uses the camera direction q_per_pair[m]; blocks
+    are in the order given; model 0 is the translational baseline, then the
+    models of model_configs in its order (its keys are the caller's labels).
+
+    A block's candidate mapping depends only on (q, model), so it is
+    computed once per distinct q and reused across pairs, which is what
+    makes long sequences affordable.  The geometry of the blocks is
+    prepared one row of same-sized blocks at a time, within one distinct q
+    at a time, so one row's geometry is alive at once.
 
     Every search scans the symmetric (t_u, t_v) grid of step `step` out to
     `search_range`, which includes (0, 0).  Halving the step only adds
@@ -429,13 +415,15 @@ def compare_sequence(
     for i, block in enumerate(blocks):
         rows.setdefault((block.y0, block.width, block.height), []).append(i)
 
-    # outcomes[m][i]: the searches of pair m on block i.
-    outcomes = [[{} for _ in blocks] for _ in range(n_pairs)]
+    # best[m, i, k]: the grid index of model k's search of pair m on block i.
+    shape = (n_pairs, len(blocks), 1 + len(model_configs))
+    best = np.empty(shape, dtype=np.intp)
+    sad = np.empty(shape)
     for i, block in enumerate(blocks):
         shifts = kernel.translational(block, width, height)
         for m in range(n_pairs):
             cur_block = _block_view(frames[m + 1], block)
-            outcomes[m][i]["translational"] = kernel.search(shifts, ref_quads[m], cur_block)
+            best[m, i, 0], sad[m, i, 0] = kernel.search(shifts, ref_quads[m], cur_block)
     for members in groups.values():
         q = np.asarray(q_per_pair[members[0]], dtype=np.float64)
         for row in rows.values():
@@ -444,30 +432,14 @@ def compare_sequence(
             for i, block in zip(row, row_blocks):
                 # Dropped after its block, with the trig its mappings shared.
                 geom = geoms.pop(0)
-                for label, cfg in model_configs.items():
+                for k, cfg in enumerate(model_configs.values(), start=1):
                     sampler = kernel.geodesic(geom, cfg)
                     for m in members:
                         cur_block = _block_view(frames[m + 1], block)
-                        outcomes[m][i][label] = kernel.search(sampler, ref_quads[m], cur_block)
-    return [
-        [
-            BlockComparison(
-                block=block,
-                center_theta=math.pi * (block.center()[1] + 0.5) / height,
-                outcomes=outcomes[m][i],
-            )
-            for i, block in enumerate(blocks)
-        ]
-        for m in range(n_pairs)
-    ]
-
-
-def strict_winner(comparison: BlockComparison) -> str | None:
-    """Model whose SAD is strictly below every other; None on any tie."""
-    items = sorted(comparison.outcomes.items(), key=lambda kv: kv[1].sad)
-    if len(items) > 1 and items[0][1].sad == items[1][1].sad:
-        return None
-    return items[0][0]
+                        best[m, i, k], sad[m, i, k] = kernel.search(
+                            sampler, ref_quads[m], cur_block
+                        )
+    return np.stack((kernel.tu[best], kernel.tv[best]), axis=-1), sad
 
 
 def tile_blocks(width: int, height: int, bw: int, bh: int) -> list[BlockSpec]:

@@ -61,14 +61,26 @@ class GeodesicModelConfig:
     delta: float
 
     def __post_init__(self):
-        if self.variant not in ("original", "gc"):
-            raise DomainError(f"motion_model: unknown variant {self.variant!r}")
-        if self.scaling not in ("global", "local"):
-            raise DomainError(f"motion_model: unknown scaling {self.scaling!r}")
+        _check_model(self.variant, self.scaling)
         if not (0.0 < self.delta < math.pi / 2):
             raise DomainError(
                 f"motion_model: delta {self.delta!r} outside (0, pi/2)"
             )
+
+
+def _check_model(variant: str, scaling: str):
+    """Refuse a (variant, scaling) that names none of the three models.  The
+    constant-depth law has no cylinder radius, so "original" takes only
+    "global" scaling."""
+    if variant not in ("original", "gc"):
+        raise DomainError(f"motion_model: unknown variant {variant!r}")
+    if scaling not in ("global", "local"):
+        raise DomainError(f"motion_model: unknown scaling {scaling!r}")
+    if variant == "original" and scaling != "global":
+        raise DomainError(
+            f"motion_model: variant 'original' takes only 'global' scaling, "
+            f"not {scaling!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -412,17 +424,14 @@ def op_count(variant: str, scaling: str, width: int, height: int) -> OpCount:
     trig evaluation each; tan(delta) is a per-sequence constant and is not
     charged to the block.
     """
+    _check_model(variant, scaling)
     if width < 1 or height < 1:
         raise DomainError("motion_model: block must be at least 1x1")
     mn = width * height
     if variant == "original":
         return OpCount(trig=3 * mn + 2, mul=1, div=mn + 1, add=2 * mn + 1)
-    if variant != "gc":
-        raise DomainError(f"motion_model: unknown variant {variant!r}")
     if scaling == "global":
         return OpCount(trig=2 * mn, mul=mn, div=0, add=mn)
-    if scaling != "local":
-        raise DomainError(f"motion_model: unknown scaling {scaling!r}")
     return OpCount(trig=2 * mn + 1, mul=mn, div=mn, add=mn)
 
 
@@ -471,17 +480,22 @@ class _Tally:
 def count_block_ops(
     variant: str, scaling: str, width: int, height: int
 ) -> OpCount:
-    """Instrumented evaluation of one block's polar pipeline.
+    """Tally of a scalar transcription of one block's polar law.
 
-    Actually runs the arithmetic on a dummy block through counting wrappers
-    so the closed-form table in op_count stays honest.  Returns the tally;
-    the computed angles themselves are discarded.
+    Evaluates, on a dummy block and through counting wrappers, a per-pixel
+    scalar form of each law that this function carries itself, as a second
+    derivation of the closed-form table in op_count.  It does not run the
+    vectorized kernel (_model_theta), so a change to the kernel's law does
+    not show in this tally.  Returns the tally; the computed angles
+    themselves are discarded.
     """
+    _check_model(variant, scaling)
     tally = _Tally()
     theta_c = 1.1
     t_u = 2.5
     delta = 0.01
     thetas = np.linspace(0.4, 2.7, width * height)
+    dz = delta_z(delta)  # per-sequence constant, not charged
 
     if variant == "original":
         shift = tally.multiply(delta, t_u)
@@ -492,18 +506,14 @@ def count_block_ops(
             num = tally.sin(th)
             den = tally.addsub(k, -tally.cos(th))
             tally.addsub(th, tally.atan(tally.divide(num, den)))
-    elif variant == "gc":
-        dz = delta_z(delta)  # per-sequence constant, not charged
-        if scaling == "global":
-            for th in thetas:
-                shift = tally.multiply(dz, t_u)
-                tally.acot(tally.addsub(tally.cot(th), -shift))
-        else:
-            r = tally.sin(theta_c)
-            for th in thetas:
-                shift = tally.divide(tally.multiply(dz, t_u), r)
-                tally.acot(tally.addsub(tally.cot(th), -shift))
+    elif scaling == "global":
+        for th in thetas:
+            shift = tally.multiply(dz, t_u)
+            tally.acot(tally.addsub(tally.cot(th), -shift))
     else:
-        raise DomainError(f"motion_model: unknown variant {variant!r}")
+        r = tally.sin(theta_c)
+        for th in thetas:
+            shift = tally.divide(tally.multiply(dz, t_u), r)
+            tally.acot(tally.addsub(tally.cot(th), -shift))
 
     return OpCount(trig=tally.trig, mul=tally.mul, div=tally.div, add=tally.add)

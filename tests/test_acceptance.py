@@ -122,7 +122,7 @@ def test_operation_count_table(capsys):
     ok = ok and eight == (389, 256, 321)
     _report(
         capsys, "operation-count",
-        ok, f"{checked} closed-form vs instrumented tallies, 8x8 = {eight}",
+        ok, f"{checked} closed-form vs scalar-transcription tallies, 8x8 = {eight}",
     )
 
 

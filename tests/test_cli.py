@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import math
 import re
 import struct
 import tracemalloc
@@ -353,6 +354,7 @@ def test_compare_over_sequence(synth_dir, tmp_path, capsys):
     # winner column is one of the models or "tie"
     winners = {ln.split(",")[9] for ln in block_rows}
     assert winners <= {"translational", "orig", "gcg", "tie"}
+    assert all(0.0 < float(ln.split(",")[4]) < math.pi for ln in block_rows)
     capsys.readouterr()
     # deterministic across repeated runs
     assert run(args) == 0
@@ -383,6 +385,59 @@ def test_compare_output_is_pinned(tmp_path, capsys):
     capsys.readouterr()
     digest = hashlib.sha256((tmp_path / "cmp.csv").read_bytes()).hexdigest()
     assert digest == COMPARE_DIGEST
+
+
+def test_compare_prints_what_out_writes(synth_dir, tmp_path, capsys):
+    args = [
+        "compare", "--input", synth_dir / "seq.yuv", "--width", 128,
+        "--height", 64, "--pixfmt", "yuv400", "--camera", synth_dir / "cam.csv",
+        "--block", "32x32", "--range", 1,
+    ]
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    assert run(args + ["--out", tmp_path / "cmp.csv"]) == 0
+    capsys.readouterr()
+    written = (tmp_path / "cmp.csv").read_bytes()
+    table, sep, aggregates = printed.partition("aggregate sad ")
+    assert sep and table.encode() == written
+    assert (sep + aggregates).count("\n") == 3
+
+
+def test_compare_aggregates_and_winners(synth_dir, tmp_path, capsys, monkeypatch):
+    # 3 pairs x 8 blocks of (translational, orig, gcg) SADs whose totals
+    # print differently when summed left to right, pairwise (np.sum) or
+    # exactly (math.fsum); the CLI sums left to right in (pair, block) order
+    sad = np.ones((24, 3))
+    sad[0] = 2.0**53
+    sad[1] = [1.0, 1.0, 2.0]  # two-way tie at the minimum
+    sad[2] = [3.0, 3.0, 2.0]  # a unique minimum under a tie
+    sad[3] = [2.0, 3.0, 3.0]
+    sad = sad.reshape(3, 8, 3)
+
+    def fake_compare(frames, blocks, q_per_pair, model_configs, search_range, step):
+        assert sad.shape == (len(frames) - 1, len(blocks), 1 + len(model_configs))
+        return np.zeros(sad.shape + (2,)), sad
+
+    monkeypatch.setattr(mocomp, "compare_sequence", fake_compare)
+    assert run([
+        "compare", "--input", synth_dir / "seq.yuv", "--width", 128,
+        "--height", 64, "--pixfmt", "yuv400", "--camera", synth_dir / "cam.csv",
+        "--block", "32x32", "--out", tmp_path / "cmp.csv",
+    ]) == 0
+    out = capsys.readouterr().out
+    rows = [ln.split(",") for ln in (tmp_path / "cmp.csv").read_text().splitlines()]
+    winners = [cells[9] for cells in rows if cells[0] == "block"][::3]
+    assert winners[:4] == ["tie", "tie", "gcg", "translational"]
+    assert set(winners[4:]) == {"tie"}
+    for k, label in enumerate(("translational", "orig", "gcg")):
+        column = sad[..., k].ravel()
+        total = 0.0
+        for value in column.tolist():
+            total += value
+        printed = f"{total:.6f}"
+        assert len({printed, f"{np.sum(column):.6f}", f"{math.fsum(column):.6f}"}) == 3
+        assert ["aggregate", "", "", "", "", label, "", "", printed, ""] in rows
+        assert f"aggregate sad {label}: {printed}\n" in out
 
 
 def test_compare_static_sequence_all_ties(tmp_path, capsys):

@@ -342,37 +342,37 @@ def test_exact_model_warp_has_small_residual(cylinder_pair):
 
 
 def search(ref, cur, block, q, cfg, search_range, step=1.0):
-    """compare_sequence's outcomes on one block of one pair, cfg as "gcg"."""
-    rows = mocomp.compare_sequence(
+    """compare_sequence's t, shape (2, 2), and SAD, shape (2,), on one block
+    of one pair: row 0 is the translational baseline and row 1 is cfg."""
+    t, sad = mocomp.compare_sequence(
         [ref, cur], [block], [q], {"gcg": cfg}, search_range, step
     )
-    return rows[0][0].outcomes
+    return t[0, 0], sad[0, 0]
 
 
 def test_search_recovers_true_motion(cylinder_pair):
     ref, cur = cylinder_pair
     for block in mocomp.tile_blocks(256, 128, 32, 32)[8:24:3]:
-        found = search(ref, cur, block, Z, GCG, 4.0, 1.0)["gcg"]
-        assert found.t == MotionVector2D(-2.0, 0.0)
-        assert mocomp.predict_block(ref, cur, block, Z, found.t, GCG).sad == found.sad
+        t, sad = search(ref, cur, block, Z, GCG, 4.0, 1.0)
+        assert t[1].tolist() == [-2.0, 0.0]
+        found = MotionVector2D(*t[1].tolist())
+        assert mocomp.predict_block(ref, cur, block, Z, found, GCG).sad == sad[1]
 
 
 def test_search_prefers_smallest_offset_on_ties():
     y = np.full((16, 32), 50, dtype=np.int32)  # constant: every SAD ties
     f = luma_frame(y)
     block = BlockSpec(x0=8, y0=4, width=8, height=8)
-    outcomes = search(f, f, block, Z, GCG, 2.0, 1.0)
-    assert outcomes["gcg"].t == MotionVector2D(0.0, 0.0)
-    assert outcomes["translational"].t == MotionVector2D(0.0, 0.0)
+    t, _ = search(f, f, block, Z, GCG, 2.0, 1.0)
+    assert t.tolist() == [[0.0, 0.0], [0.0, 0.0]]
 
 
 def test_halving_step_never_hurts(cylinder_pair):
     ref, cur = cylinder_pair
     for block in mocomp.tile_blocks(256, 128, 32, 32)[4:28:6]:
-        coarse = search(ref, cur, block, Z, GCG, 2.0, 1.0)
-        fine = search(ref, cur, block, Z, GCG, 2.0, 0.5)
-        for label in ("gcg", "translational"):
-            assert fine[label].sad <= coarse[label].sad + 1e-9
+        _, coarse = search(ref, cur, block, Z, GCG, 2.0, 1.0)
+        _, fine = search(ref, cur, block, Z, GCG, 2.0, 0.5)
+        assert (fine <= coarse + 1e-9).all()
 
 
 def test_candidate_grid_validation():
@@ -429,10 +429,10 @@ def test_horizontal_wrap_equivariance(cylinder_pair):
             x0=(block.x0 + c) % w, y0=block.y0,
             width=block.width, height=block.height,
         )
-        r1 = search(ref, cur, block, q, GCG, 3.0, 1.0)["gcg"]
-        r2 = search(ref2, cur2, shifted, q_rot, GCG, 3.0, 1.0)["gcg"]
-        assert r1.t == r2.t
-        assert math.isclose(r1.sad, r2.sad, rel_tol=1e-9)
+        t1, sad1 = search(ref, cur, block, q, GCG, 3.0, 1.0)
+        t2, sad2 = search(ref2, cur2, shifted, q_rot, GCG, 3.0, 1.0)
+        assert t1[1].tolist() == t2[1].tolist()
+        assert math.isclose(sad1[1], sad2[1], rel_tol=1e-9)
 
 
 # --- model comparison ------------------------------------------------------------
@@ -441,13 +441,20 @@ def test_horizontal_wrap_equivariance(cylinder_pair):
 def test_compare_models_structure(cylinder_pair):
     ref, cur = cylinder_pair
     blocks = mocomp.tile_blocks(256, 128, 32, 32)[:4]
-    rows = mocomp.compare_sequence(
-        [ref, cur], blocks, [Z], {"orig": ORIG, "gcg": GCG}, 2.0, 1.0
-    )[0]
-    assert len(rows) == 4
-    for row in rows:
-        assert set(row.outcomes) == {"translational", "orig", "gcg"}
-        assert 0.0 < row.center_theta < math.pi
+
+    def compare(cfgs):
+        return mocomp.compare_sequence([ref, cur], blocks, [Z], cfgs, 2.0, 1.0)
+
+    t, sad = compare({"orig": ORIG, "gcg": GCG})
+    assert t.shape == (1, 4, 3, 2) and sad.shape == (1, 4, 3)
+    # model 0 is the translational baseline, then model_configs in order
+    t0, sad0 = compare({})
+    assert np.array_equal(t0[..., 0, :], t[..., 0, :])
+    assert np.array_equal(sad0[..., 0], sad[..., 0])
+    t_swapped, sad_swapped = compare({"gcg": GCG, "orig": ORIG})
+    assert np.array_equal(t_swapped, t[:, :, [0, 2, 1]])
+    assert np.array_equal(sad_swapped, sad[:, :, [0, 2, 1]])
+    assert not np.array_equal(sad[..., 1], sad[..., 2])
 
 
 def _tie_order(search_range, step):
@@ -464,7 +471,7 @@ def _first_minimum(scored):
     for t, sad in scored:
         if best is None or sad < best[1]:
             best = (t, sad)
-    return mocomp.SearchOutcome(MotionVector2D(*best[0]), best[1])
+    return best
 
 
 def _shift_sad(ref, cur, block, t_u, t_v):
@@ -490,20 +497,30 @@ def _shift_sad(ref, cur, block, t_u, t_v):
 
 
 def _reference_outcomes(ref, cur, block, q, cfgs, search_range, step):
-    """Every model's best motion from one predict_block per candidate, and
-    the translational one from _shift_sad: no search kernel involved."""
+    """Every model's best t, shape (models, 2), and SAD, shape (models,),
+    in compare_sequence's model order: the translational one from
+    _shift_sad, then each of cfgs from one predict_block per candidate.  No
+    search kernel involved."""
     order = _tie_order(search_range, step)
-    outcomes = {
-        label: _first_minimum(
+    best = [_first_minimum((t, _shift_sad(ref, cur, block, *t)) for t in order)]
+    best += [
+        _first_minimum(
             (t, mocomp.predict_block(ref, cur, block, q, MotionVector2D(*t), cfg).sad)
             for t in order
         )
-        for label, cfg in cfgs.items()
-    }
-    outcomes["translational"] = _first_minimum(
-        (t, _shift_sad(ref, cur, block, *t)) for t in order
-    )
-    return outcomes
+        for cfg in cfgs.values()
+    ]
+    return np.array([t for t, _ in best]), np.array([sad for _, sad in best])
+
+
+def _assert_matches_reference(t, sad, ref, cur, blocks, q, cfgs, search_range, step):
+    """t and sad, one pair's rows of compare_sequence, equal
+    _reference_outcomes exactly on every block."""
+    assert t.shape == (len(blocks), 1 + len(cfgs), 2)
+    for i, block in enumerate(blocks):
+        ref_t, ref_sad = _reference_outcomes(ref, cur, block, q, cfgs, search_range, step)
+        assert np.array_equal(t[i], ref_t)
+        assert np.array_equal(sad[i], ref_sad)
 
 
 def test_compare_sequence_matches_pairwise(cylinder_pair):
@@ -519,39 +536,35 @@ def test_compare_sequence_matches_pairwise(cylinder_pair):
         "gcl": GeodesicModelConfig(variant="gc", scaling="local", delta=math.pi / 96),
     }
     blocks = [mocomp.tile_blocks(256, 128, 32, 32)[i] for i in (0, 7, 10, 13, 31)]
-    seq = mocomp.compare_sequence(frames, blocks, qs, cfgs, 2.0, 1.0)
-    assert len(seq) == 3
-    for m, rows in enumerate(seq):
+    t, sad = mocomp.compare_sequence(frames, blocks, qs, cfgs, 2.0, 1.0)
+    assert t.shape == (3, 5, 4, 2) and sad.shape == (3, 5, 4)
+    for m in range(3):
         a, b, q = frames[m], frames[m + 1], qs[m]
-        assert rows == mocomp.compare_sequence([a, b], blocks, [q], cfgs, 2.0, 1.0)[0]
-        assert [row.block for row in rows] == blocks
-        for row in rows:
-            assert row.outcomes == _reference_outcomes(a, b, row.block, q, cfgs, 2.0, 1.0)
+        t_pair, sad_pair = mocomp.compare_sequence([a, b], blocks, [q], cfgs, 2.0, 1.0)
+        assert np.array_equal(t[m], t_pair[0]) and np.array_equal(sad[m], sad_pair[0])
+        _assert_matches_reference(t[m], sad[m], a, b, blocks, q, cfgs, 2.0, 1.0)
 
     # half-pixel steps, with the oblique q2
-    half = mocomp.compare_sequence([cur, ref], blocks, [q2], cfgs, 1.0, 0.5)[0]
-    for row in half:
-        assert row.outcomes == _reference_outcomes(cur, ref, row.block, q2, cfgs, 1.0, 0.5)
+    t, sad = mocomp.compare_sequence([cur, ref], blocks, [q2], cfgs, 1.0, 0.5)
+    _assert_matches_reference(t[0], sad[0], cur, ref, blocks, q2, cfgs, 1.0, 0.5)
 
     # a zero frame: every SAD of every model is exactly 0, so the tie-break
     # alone decides
     flat = luma_frame(np.zeros((128, 256), dtype=np.uint8))
-    for row in mocomp.compare_sequence([flat, flat], blocks, [q2], cfgs, 2.0, 1.0)[0]:
-        expect = _reference_outcomes(flat, flat, row.block, q2, cfgs, 2.0, 1.0)
-        assert row.outcomes == expect
-        assert {o.t for o in expect.values()} == {MotionVector2D(0.0, 0.0)}
+    t, sad = mocomp.compare_sequence([flat, flat], blocks, [q2], cfgs, 2.0, 1.0)
+    _assert_matches_reference(t[0], sad[0], flat, flat, blocks, q2, cfgs, 2.0, 1.0)
+    assert not t.any() and not sad.any()
 
     # diagonal stripes moved one column: every shift with t_u + t_v = 1
     # matches, and of the two nearest, (0, 1) has the smaller t_u
     yy, xx = np.mgrid[0:128, 0:256]
     stripes = luma_frame((60 * ((xx + yy) % 4)).astype(np.uint8))
     moved = luma_frame(np.roll(stripes.y, -1, axis=1))
-    for row in mocomp.compare_sequence([stripes, moved], blocks, [q2], cfgs, 2.0, 1.0)[0]:
-        assert row.outcomes == _reference_outcomes(
-            stripes, moved, row.block, q2, cfgs, 2.0, 1.0
-        )
-        if 0 < row.block.y0 < 96:  # clear of the clamped rows
-            assert row.outcomes["translational"].t == MotionVector2D(0.0, 1.0)
+    t, sad = mocomp.compare_sequence([stripes, moved], blocks, [q2], cfgs, 2.0, 1.0)
+    _assert_matches_reference(t[0], sad[0], stripes, moved, blocks, q2, cfgs, 2.0, 1.0)
+    for i, block in enumerate(blocks):
+        if 0 < block.y0 < 96:  # clear of the clamped rows
+            assert t[0, i, 0].tolist() == [0.0, 1.0]
 
 
 def test_compare_sequence_memory_per_frame():
@@ -618,28 +631,6 @@ def test_compare_sequence_arity_checks(cylinder_pair):
         mocomp.compare_sequence([ref], blocks, [], {"gcg": GCG}, 2.0, 1.0)
     with pytest.raises(DomainError):
         mocomp.compare_sequence([ref, cur], blocks, [Z, Z], {"gcg": GCG}, 2.0, 1.0)
-
-
-def test_strict_winner():
-    block = BlockSpec(x0=0, y0=0, width=8, height=8)
-    row = mocomp.BlockComparison(
-        block=block,
-        center_theta=1.0,
-        outcomes={
-            "translational": mocomp.SearchOutcome(MotionVector2D(0, 0), 10.0),
-            "gcg": mocomp.SearchOutcome(MotionVector2D(0, 0), 7.0),
-        },
-    )
-    assert mocomp.strict_winner(row) == "gcg"
-    tied = mocomp.BlockComparison(
-        block=block,
-        center_theta=1.0,
-        outcomes={
-            "translational": mocomp.SearchOutcome(MotionVector2D(0, 0), 7.0),
-            "gcg": mocomp.SearchOutcome(MotionVector2D(0, 0), 7.0),
-        },
-    )
-    assert mocomp.strict_winner(tied) is None
 
 
 def test_tile_blocks():

@@ -149,6 +149,21 @@ def test_config_validation():
         GeodesicModelConfig(variant="spline", scaling="global", delta=0.01)
 
 
+@pytest.mark.parametrize(
+    "variant, scaling",
+    [("original", "local"), ("original", "bogus"), ("gc", "bogus"), ("bogus", "global")],
+)
+def test_only_the_three_models_are_accepted(variant, scaling):
+    # the constant-depth law has no radius: ("original", "local") mapped
+    # exactly as ("original", "global") and op counts took any scaling
+    with pytest.raises(DomainError):
+        GeodesicModelConfig(variant=variant, scaling=scaling, delta=0.01)
+    with pytest.raises(DomainError):
+        mm.op_count(variant, scaling, 8, 8)
+    with pytest.raises(DomainError):
+        mm.count_block_ops(variant, scaling, 2, 2)
+
+
 def test_default_delta():
     assert math.isclose(mm.default_delta(256), math.pi / 256)
     with pytest.raises(DomainError):
