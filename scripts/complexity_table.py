@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Per-block arithmetic cost of the three warp variants.
+"""Per-block arithmetic cost of the three models of `motion_model.MODELS`.
 
 Prints the closed-form operation counts next to the tally of
 `count_block_ops`, which counts the operations of a scalar transcription
@@ -11,24 +11,20 @@ candidates of a +-4 search: the polar law alone, which is all that the op
 count covers, and the whole mapping.  Both are timed as compare runs them,
 through one reused workspace after a warm-up call, on a block geometry
 whose shared trig is not computed yet (median of repeated calls on this
-machine).
+machine).  Exits 1 when a tally row differs from the closed form.
 """
 
 import argparse
 import dataclasses
 import math
 import statistics
+import sys
 import time
 
 import numpy as np
 
 from geo360 import motion_model as mm
 
-VARIANTS = [
-    ("original", "global", "orig"),
-    ("gc", "global", "gcg"),
-    ("gc", "local", "gcl"),
-]
 TIMED_BLOCK = 16
 TIMED_OFFSETS = np.arange(-4.0, 5.0)  # 9 x 9 = 81 candidates
 TIMED_REPEATS = 51
@@ -58,19 +54,21 @@ def map_microseconds(variant: str, scaling: str) -> tuple[float, float]:
     return 1e6 * statistics.median(law), 1e6 * statistics.median(mapping)
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", default="4,8,16,32,64",
                     help="comma-separated square block sizes")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",")]
 
     print("| block | model | trig | mul | div | add | total | tally |")
     print("|------:|:------|-----:|----:|----:|----:|------:|:------|")
+    mismatches = 0
     for n in sizes:
-        for variant, scaling, label in VARIANTS:
+        for label, (variant, scaling) in mm.MODELS.items():
             table = mm.op_count(variant, scaling, n, n)
             ran = mm.count_block_ops(variant, scaling, n, n)
+            mismatches += ran != table
             status = "match" if ran == table else f"MISMATCH {ran}"
             print(f"| {n}x{n} | {label} | {table.trig} | {table.mul} "
                   f"| {table.div} | {table.add} | {table.total} | {status} |")
@@ -83,11 +81,16 @@ def main():
     print(f"| model | {n}x{n} ops | polar law (us) "
           f"| mapping, {len(TIMED_OFFSETS) ** 2} candidates (us) | law share |")
     print("|:------|------:|------:|------:|------:|")
-    for variant, scaling, label in VARIANTS:
+    for label, (variant, scaling) in mm.MODELS.items():
         ops = mm.op_count(variant, scaling, n, n).total
         law, mapping = map_microseconds(variant, scaling)
         print(f"| {label} | {ops} | {law:.0f} | {mapping:.0f} | {law / mapping:.0%} |")
 
+    if mismatches:
+        print(f"error: {mismatches} tally rows differ from op_count", file=sys.stderr)
+        return 1
+    return 0
+
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -21,7 +21,6 @@ argparse usage problems keep its conventional exit code 2.
 from __future__ import annotations
 
 import argparse
-import math
 import re
 import sys
 from typing import Iterable, Iterator
@@ -31,14 +30,6 @@ import numpy as np
 from . import cam_code, camera_est, geometry, metrics, mocomp, motion_model, video_io
 from .errors import Geo360Error
 from .motion_model import BlockSpec, GeodesicModelConfig, MotionVector2D
-
-# The one CLI name of each geodesic model: GeodesicModelConfig's (variant,
-# scaling).
-_VARIANTS = {
-    "orig": ("original", "global"),
-    "gcg": ("gc", "global"),
-    "gcl": ("gc", "local"),
-}
 
 # The longest file name (one path component) a file system accepts.
 _NAME_MAX = 255
@@ -80,8 +71,15 @@ def _parse_size(text: str) -> tuple[int, int]:
 
 def _model_config(variant: str, height: int) -> GeodesicModelConfig:
     """The model named `variant` with one ERP row per motion-vector unit."""
-    name, scaling = _VARIANTS[variant]
+    name, scaling = motion_model.MODELS[variant]
     return GeodesicModelConfig(name, scaling, motion_model.default_delta(height))
+
+
+def _center_theta(blocks: list[BlockSpec], width: int, height: int) -> np.ndarray:
+    """The center_theta column of warp and compare: the polar angle of each
+    block's centre row."""
+    u, v = np.array([block.center() for block in blocks]).T
+    return geometry.erp_grid_to_sphere(u, v, width, height)[0]
 
 
 def _add_yuv_flags(p: argparse.ArgumentParser):
@@ -145,7 +143,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=_parse_vec3, required=True)
     p.add_argument("--t", type=_parse_vec2, required=True)
     p.add_argument("--block", type=_parse_size, default="16x16")
-    p.add_argument("--variant", default="gcg", choices=tuple(_VARIANTS))
+    p.add_argument("--variant", default="gcg", choices=tuple(motion_model.MODELS))
     p.set_defaults(func=_cmd_warp)
 
     p = sub.add_parser("compare", help="per-block model comparison over a sequence")
@@ -164,12 +162,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_compare)
 
     p = sub.add_parser("camest", help="per-frame camera direction estimates")
-    p.add_argument(
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument(
         "--flow",
         help=".flo file, or printf-style pattern with one %%d plus --count",
     )
+    source.add_argument("--pairs", help="correspondence text file (u1 v1 u2 v2)")
     p.add_argument("--count", type=int, help="number of flow files in the pattern")
-    p.add_argument("--pairs", help="correspondence text file (u1 v1 u2 v2)")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
     p.add_argument("--stride", type=int, default=4)
@@ -212,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pb.set_defaults(func=_cmd_bdrate)
     po = msub.add_parser("opcount")
-    po.add_argument("--variant", default="gcg", choices=tuple(_VARIANTS))
+    po.add_argument("--variant", default="gcg", choices=tuple(motion_model.MODELS))
     po.add_argument("--block", type=_parse_size, required=True, help="M x N")
     po.set_defaults(func=_cmd_opcount)
 
@@ -296,7 +295,8 @@ def _cmd_warp(args) -> int:
     lines = ["block_x0,block_y0,center_theta,sad,clamped\n"]
     total = 0.0
     preds = mocomp._predict_blocks(ref, cur, blocks, args.q, t, cfg)
-    for block, pred in zip(blocks, preds):
+    thetas = _center_theta(blocks, args.width, args.height).tolist()
+    for block, pred, theta_c in zip(blocks, preds, thetas):
         sl = (slice(block.y0, block.y0 + bh), slice(block.x0, block.x0 + bw))
         y[sl] = np.clip(np.rint(pred.block), 0, peak).astype(cur.y.dtype)
         if cb is not None and pred.cb is not None:
@@ -306,8 +306,6 @@ def _cmd_warp(args) -> int:
             )
             cb[csl] = np.clip(np.rint(pred.cb), 0, peak).astype(cur.y.dtype)
             cr[csl] = np.clip(np.rint(pred.cr), 0, peak).astype(cur.y.dtype)
-        _, vc = block.center()
-        theta_c = np.pi * (vc + 0.5) / args.height
         lines.append(
             f"{block.x0},{block.y0},{theta_c:.6f},{pred.sad:.6f},{pred.degenerate}\n"
         )
@@ -338,7 +336,7 @@ def _cmd_compare(args) -> int:
         q_per_pair.append(camera[poc])
 
     names = [v.strip() for v in args.variants.split(",") if v.strip()]
-    bad = sorted(set(names) - set(_VARIANTS))
+    bad = sorted(set(names) - set(motion_model.MODELS))
     if bad:
         raise Geo360Error(f"cli: unknown variants {bad}")
     for i, name in enumerate(names):
@@ -362,7 +360,7 @@ def _cmd_compare(args) -> int:
     winner = np.where(at_min.sum(axis=-1) > 1, len(labels), at_min.argmax(axis=-1))
     x0 = np.array([b.x0 for b in blocks])
     y0 = np.array([b.y0 for b in blocks])
-    theta = math.pi * (np.array([b.center()[1] for b in blocks]) + 0.5) / args.height
+    theta = _center_theta(blocks, args.width, args.height)
 
     def rows() -> Iterator[str]:
         yield "kind,poc,block_x0,block_y0,center_theta,model,t_u,t_v,sad,winner\n"
@@ -387,11 +385,8 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_camest(args) -> int:
-    if not args.flow and not args.pairs:
-        raise Geo360Error("cli: camest needs --flow or --pairs")
-
     estimates: list[tuple[int, np.ndarray]] = []
-    if args.pairs:
+    if args.pairs is not None:
         if args.width is None or args.height is None:
             raise Geo360Error("cli: --pairs needs --width and --height")
         quads = video_io.read_correspondences(args.pairs)
@@ -420,7 +415,7 @@ def _cmd_camest(args) -> int:
     truth = dict(zip(*video_io.read_camera_csv(args.truth))) if args.truth else None
     lines = [video_io.CAMERA_CSV_HEADER + (",angular_error_deg" if truth else "")]
     for poc, q in estimates:
-        row = f"{poc},{q[0]:.10f},{q[1]:.10f},{q[2]:.10f}"
+        row = video_io.camera_row(poc, q)
         if truth is not None:
             if poc not in truth:
                 raise Geo360Error(f"cli: truth CSV has no row for frame {poc}")
@@ -517,9 +512,8 @@ def _cmd_bdrate(args) -> int:
 
 
 def _cmd_opcount(args) -> int:
-    name, scaling = _VARIANTS[args.variant]
     bw, bh = args.block
-    counts = motion_model.op_count(name, scaling, bw, bh)
+    counts = motion_model.op_count(*motion_model.MODELS[args.variant], bw, bh)
     print(
         f"{args.variant} {bw}x{bh}: "
         f"trig={counts.trig} mul={counts.mul} div={counts.div} "

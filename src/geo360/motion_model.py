@@ -68,19 +68,19 @@ class GeodesicModelConfig:
             )
 
 
+# The one table of the models: CLI name -> GeodesicModelConfig's (variant,
+# scaling).  The constant-depth law has no radius, so it is global only.
+MODELS = {
+    "orig": ("original", "global"),
+    "gcg": ("gc", "global"),
+    "gcl": ("gc", "local"),
+}
+
+
 def _check_model(variant: str, scaling: str):
-    """Refuse a (variant, scaling) that names none of the three models.  The
-    constant-depth law has no cylinder radius, so "original" takes only
-    "global" scaling."""
-    if variant not in ("original", "gc"):
-        raise DomainError(f"motion_model: unknown variant {variant!r}")
-    if scaling not in ("global", "local"):
-        raise DomainError(f"motion_model: unknown scaling {scaling!r}")
-    if variant == "original" and scaling != "global":
-        raise DomainError(
-            f"motion_model: variant 'original' takes only 'global' scaling, "
-            f"not {scaling!r}"
-        )
+    """Refuse a (variant, scaling) that names none of the MODELS."""
+    if (variant, scaling) not in MODELS.values():
+        raise DomainError(f"motion_model: ({variant!r}, {scaling!r}) is none of the MODELS")
 
 
 @dataclass(frozen=True)
@@ -131,50 +131,6 @@ def k_factor(theta_c: float, t_u: float, delta: float) -> float:
             f"motion_model: |delta*t_u| = {abs(shift)!r} must be < pi"
         )
     return math.sin(theta_c + shift) / math.sin(shift)
-
-
-def clamp_theta(theta):
-    """Keep a polar angle strictly inside (0, pi) for cot/ratio forms."""
-    return np.clip(theta, POLE_EPS, math.pi - POLE_EPS)
-
-
-def delta_z(delta: float) -> float:
-    """Cylinder-height step per unit t_u: tan(delta)."""
-    if not (0.0 < delta < math.pi / 2):
-        raise DomainError(f"motion_model: delta {delta!r} outside (0, pi/2)")
-    return math.tan(delta)
-
-
-def cyl_radius(scaling: str, theta_c: float) -> float:
-    """Cylinder radius for a block: 1 (global) or sin(theta_c) (local)."""
-    if scaling == "global":
-        return 1.0
-    if scaling == "local":
-        r = math.sin(theta_c)
-        if r < POLE_EPS:
-            raise DegenerateGeometryError(
-                f"motion_model: local radius degenerate at theta_c = {theta_c!r}"
-            )
-        return r
-    raise DomainError(f"motion_model: unknown scaling {scaling!r}")
-
-
-def ged_gc_theta(theta, t_u: float, dz: float, r: float):
-    """Geometry-corrected polar law: arccot(cot(theta) - dz*t_u/r).
-
-    arccot maps all reals into (0, pi) via atan2(1, .), so the result is a
-    valid polar angle for any shift, and applying -t_u with the same r is
-    an exact inverse.  Scalar or array theta.
-    """
-    if r <= 0.0:
-        raise DomainError(f"motion_model: cylinder radius {r!r} must be positive")
-    th = clamp_theta(theta)
-    return _gc_law(np.cos(th), np.sin(th), t_u, dz, r)
-
-
-def _gc_law(cos_theta, sin_theta, t_u, dz: float, r: float):
-    """ged_gc_theta on the cos and sin of the clamped polar angles."""
-    return np.arctan2(1.0, cos_theta / sin_theta - dz * t_u / r)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +261,21 @@ def _model_theta(
 ) -> np.ndarray:
     """Polar law of every t_u over the block's clamped polar angles: (nu, h, w).
 
-    The gc law is ged_gc_theta, whose pole clamp leaves the already clamped
-    angles as they are.  Under the constant-depth law t_u < 0 takes the
-    reverse branch (less pi) and t_u = 0 is the identity.
+    The gc law is arccot(cot(theta) - tan(delta) * t_u / r), through
+    atan2(1, .) so every result is a polar angle in (0, pi), with the
+    radius r = 1 (global) or sin(theta_c) (local).  Under the constant-depth
+    law t_u < 0 takes the reverse branch (less pi) and t_u = 0 is the
+    identity.
     """
     theta = geom.theta
     cos_theta, sin_theta = geom._theta_trig()
     if cfg.variant == "gc":
-        r = cyl_radius(cfg.scaling, geom.theta_c)
-        return _gc_law(cos_theta, sin_theta, t_u[:, None, None], delta_z(cfg.delta), r)
+        r = 1.0 if cfg.scaling == "global" else math.sin(geom.theta_c)
+        if r < POLE_EPS:
+            raise DegenerateGeometryError(f"motion_model: local radius {r!r} below POLE_EPS")
+        return np.arctan2(
+            1.0, cos_theta / sin_theta - math.tan(cfg.delta) * t_u[:, None, None] / r
+        )
     k = np.array([
         k_factor(geom.theta_c, tu, cfg.delta) if tu != 0.0 else 0.0
         for tu in t_u.tolist()
@@ -495,7 +457,7 @@ def count_block_ops(
     t_u = 2.5
     delta = 0.01
     thetas = np.linspace(0.4, 2.7, width * height)
-    dz = delta_z(delta)  # per-sequence constant, not charged
+    dz = math.tan(delta)  # per-sequence constant, not charged
 
     if variant == "original":
         shift = tally.multiply(delta, t_u)

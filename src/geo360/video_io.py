@@ -189,16 +189,22 @@ def text_rows(*columns):
         yield from zip(*(c[start : start + _ROW_CHUNK].tolist() for c in columns))
 
 
+def camera_row(poc: int, direction) -> str:
+    """One camera CSV row, without its line end.  Ten decimal places: enough that
+    quantizing a reread direction to 24 fractional bits gives back its raw values."""
+    x, y, z = direction
+    return f"{poc},{x:.10f},{y:.10f},{z:.10f}"
+
+
 def write_camera_csv(path: str, pocs, directions):
     """Frames `pocs` with the rows of the (N, 3) `directions`, a chunk of
-    rows at a time.  Ten decimal places: enough that quantizing a reread
-    direction to 24 fractional bits reproduces the original raw values."""
+    rows at a time, each formatted by camera_row."""
     directions = np.asarray(directions, dtype=np.float64).reshape(-1, 3)
     with open(path, "w") as fh:
         fh.write(CAMERA_CSV_HEADER + "\n")
         fh.writelines(
-            f"{poc},{x:.10f},{y:.10f},{z:.10f}\n"
-            for poc, (x, y, z) in text_rows(np.asarray(pocs), directions)
+            camera_row(poc, xyz) + "\n"
+            for poc, xyz in text_rows(np.asarray(pocs), directions)
         )
 
 

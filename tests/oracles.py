@@ -3,9 +3,13 @@
 Each function maps one point (or one coordinate) with plain floats, so the
 array code in geo360 can be checked against a formula that is easy to read.
 Points on the sphere are SphericalPoint values, converted one at a time by
-sphere_to_cart and cart_to_sphere; ged_orig_theta is the constant-depth law
-on its own.  The camera codec's bits also have a '0'/'1' string form here.
-None of them is called by the package itself.
+sphere_to_cart and cart_to_sphere; ged_orig_theta and ged_corrected_theta are the
+two polar laws on their own, written here apart from the package's kernel,
+with their own pole clamp.  The camera codec's bits also have a '0'/'1'
+string form here.  None of them is called by the package itself.
+
+gc_row_theta is the one exception: it runs the package's own gc law, for
+the tests of what the paper claims of that law.
 """
 
 from __future__ import annotations
@@ -17,18 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from geo360 import cam_code, geometry
-from geo360.errors import DomainError
+from geo360 import motion_model as mm
+from geo360.errors import DegenerateGeometryError, DomainError
 from geo360.geometry import TWO_PI
 from geo360.mocomp import ErpFrame, _PlaneSampler, _quads
-from geo360.motion_model import (
-    GeodesicModelConfig,
-    MotionVector2D,
-    clamp_theta,
-    cyl_radius,
-    delta_z,
-    ged_gc_theta,
-    k_factor,
-)
+from geo360.motion_model import POLE_EPS, GeodesicModelConfig, MotionVector2D, k_factor
 
 
 @dataclass(frozen=True)
@@ -67,6 +64,33 @@ def ged_orig_theta(theta, theta_c: float, t_u: float, delta: float):
     if t_u < 0.0:
         dt = dt - math.pi
     return dt
+
+
+def pole_clamp(theta):
+    """Keep a polar angle inside [POLE_EPS, pi - POLE_EPS]."""
+    return np.clip(theta, POLE_EPS, math.pi - POLE_EPS)
+
+
+def gc_radius(scaling: str, theta_c: float) -> float:
+    """Cylinder radius of the gc law: 1 (global) or sin(theta_c) (local)."""
+    if scaling == "global":
+        return 1.0
+    r = math.sin(theta_c)
+    if r < POLE_EPS:
+        raise DegenerateGeometryError(f"oracles: local radius {r!r} at the pole")
+    return r
+
+
+def ged_corrected_theta(theta, t_u: float, delta: float, r: float):
+    """Polar angle under the geometry-corrected model (scalar or array).
+
+    A point at height p = r * cot(theta) on the cylinder of radius r about
+    the motion axis moves to p - tan(delta) * t_u, so the new angle is
+    arccot(cot(theta) - tan(delta) * t_u / r), taken as atan2(1, .) to land
+    in (0, pi).  The input angle is pole-clamped first.
+    """
+    th = pole_clamp(theta)
+    return np.arctan2(1.0, np.cos(th) / np.sin(th) - math.tan(delta) * t_u / r)
 
 
 @dataclass(frozen=True)
@@ -138,7 +162,7 @@ def ged_orig_map(
     else:
         theta_m = s.theta + ged_orig_theta(s.theta, theta_c, t.t_u, cfg.delta)
     phi_m = geometry.wrap_angle(s.phi + cfg.delta * t.t_v)
-    return SphericalPoint(theta=float(clamp_theta(theta_m)), phi=float(phi_m))
+    return SphericalPoint(theta=float(pole_clamp(theta_m)), phi=float(phi_m))
 
 
 def ged_gc_map(
@@ -150,10 +174,9 @@ def ged_gc_map(
     """Move one spherical point by t under the geometry-corrected model."""
     if cfg.variant != "gc":
         raise DomainError(f"motion_model: config variant {cfg.variant!r} is not 'gc'")
-    r = cyl_radius(cfg.scaling, theta_c)
-    theta_m = ged_gc_theta(s.theta, t.t_u, delta_z(cfg.delta), r)
+    theta_m = ged_corrected_theta(s.theta, t.t_u, cfg.delta, gc_radius(cfg.scaling, theta_c))
     phi_m = geometry.wrap_angle(s.phi + cfg.delta * t.t_v)
-    return SphericalPoint(theta=float(clamp_theta(theta_m)), phi=float(phi_m))
+    return SphericalPoint(theta=float(pole_clamp(theta_m)), phi=float(phi_m))
 
 
 def map_point(
@@ -166,6 +189,22 @@ def map_point(
     if cfg.variant == "original":
         return ged_orig_map(s, theta_c, t, cfg)
     return ged_gc_map(s, theta_c, t, cfg)
+
+
+def gc_row_theta(theta, t_u: float, delta: float, scaling="global", theta_c=math.pi / 2):
+    """The package's gc law (motion_model._model_theta) over the polar
+    angles theta, laid out as the one pixel row of a block centred at
+    theta_c; the angles must lie inside the pole clamp, as prepared block
+    angles do.  Returns theta's shape."""
+    row = np.asarray(theta, dtype=np.float64).reshape(1, -1)
+    assert np.all((row >= POLE_EPS) & (row <= math.pi - POLE_EPS))
+    geom = mm.BlockGeometry(
+        theta=row, phi=np.zeros_like(row), clamped_in=np.zeros(row.shape, dtype=bool),
+        theta_c=theta_c, rotation=np.eye(3), frame_width=2 * row.size, frame_height=1,
+    )
+    cfg = GeodesicModelConfig(variant="gc", scaling=scaling, delta=delta)
+    out = mm._model_theta(geom, np.array([t_u], dtype=np.float64), cfg)
+    return out.reshape(np.shape(theta))
 
 
 def sample_bilinear(frame: ErpFrame, x, y):

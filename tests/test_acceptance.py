@@ -20,8 +20,10 @@ from oracles import (
     SphericalPoint,
     eg_decode,
     eg_encode,
+    gc_row_theta,
     ged_orig_map,
     ged_orig_theta,
+    pole_clamp,
     write_string,
 )
 
@@ -57,14 +59,15 @@ def test_center_displacement_exact(capsys):
 def test_corrected_model_exact_inverse(capsys):
     thetas = np.linspace(0.01, math.pi - 0.01, 500)
     t_units = np.linspace(-64.0, 64.0, 65)
-    dz = mm.delta_z(math.pi / 256)
-    radii = [1.0] + [math.sin(c) for c in (0.15, 0.7, 1.2, 2.6)]
+    delta = math.pi / 256
+    # the global radius, and the local radius sin(theta_c) of four centres
+    models = [("global", math.pi / 2)] + [("local", c) for c in (0.15, 0.7, 1.2, 2.6)]
     t0 = time.perf_counter()
     worst = 0.0
-    for r in radii:
+    for scaling, theta_c in models:
         for t_u in t_units:
-            fwd = mm.ged_gc_theta(thetas, float(t_u), dz, r)
-            back = mm.ged_gc_theta(fwd, -float(t_u), dz, r)
+            fwd = gc_row_theta(thetas, float(t_u), delta, scaling, theta_c)
+            back = gc_row_theta(fwd, -float(t_u), delta, scaling, theta_c)
             worst = max(worst, float(np.max(np.abs(back - thetas))))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-12 and elapsed < 1.0
@@ -80,14 +83,13 @@ def test_round_trip_witness(capsys):
     delta, t_u, theta_c = 0.01, 10.0, 1.0
     thetas = math.pi * (np.arange(256) + 0.5) / 256
     mask = np.abs(thetas - theta_c) >= 0.05
-    mid = mm.clamp_theta(thetas + ged_orig_theta(thetas, theta_c, t_u, delta))
-    back = mm.clamp_theta(
+    mid = pole_clamp(thetas + ged_orig_theta(thetas, theta_c, t_u, delta))
+    back = pole_clamp(
         mid + ged_orig_theta(mid, theta_c + delta * t_u, -t_u, delta)
     )
     err_orig = np.abs(back - thetas)[mask]
 
-    dz = mm.delta_z(delta)
-    gc_back = mm.ged_gc_theta(mm.ged_gc_theta(thetas, t_u, dz, 1.0), -t_u, dz, 1.0)
+    gc_back = gc_row_theta(gc_row_theta(thetas, t_u, delta), -t_u, delta)
     err_gc = np.abs(gc_back - thetas)[mask]
 
     ok = float(err_orig.max()) > 1e-3 and float(err_gc.max()) < 1e-12

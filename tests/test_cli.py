@@ -361,6 +361,25 @@ def test_compare_over_sequence(synth_dir, tmp_path, capsys):
     assert (tmp_path / "cmp.csv").read_text() == first
 
 
+def test_warp_and_compare_write_the_same_center_theta(synth_dir, tmp_path, capsys):
+    frame = ["--input", synth_dir / "seq.yuv", "--width", 128, "--height", 64,
+             "--pixfmt", "yuv400", "--block", "16x8"]
+    assert run(["warp", *frame, "--out", tmp_path / "p.yuv", "--stats", tmp_path / "s.csv",
+                "--q", "0,0,1", "--t", "1,0"]) == 0
+    assert run(["compare", *frame, "--camera", synth_dir / "cam.csv", "--max-frames", 2,
+                "--range", 1, "--variants", "gcg", "--out", tmp_path / "c.csv"]) == 0
+    capsys.readouterr()
+    warp = [ln.split(",")[:3] for ln in (tmp_path / "s.csv").read_text().splitlines()[1:]]
+    rows = [ln.split(",") for ln in (tmp_path / "c.csv").read_text().splitlines()]
+    compare = [row[2:5] for row in rows if row[0] == "block" and row[5] == "translational"]
+    assert len(warp) == (128 // 16) * (64 // 8)
+    assert compare == warp
+    # the polar angle of the block's centre row, y0 + 3.5
+    assert {theta for _, y0, theta in warp} == {
+        f"{math.pi * (int(y0) + 4.0) / 64:.6f}" for _, y0, _ in warp
+    }
+
+
 # sha256 of the cmp.csv below: the bits of every search, mapping and sampler
 # of compare on two distinct camera directions, one of them repeated.
 COMPARE_DIGEST = "4e1b2048116351bfd410515d74679d7aca6597cdd81660ba7503828bbcb2fd12"
@@ -600,6 +619,25 @@ def test_camest_pairs_needs_geometry(tmp_path, capsys):
     rc = run(["camest", "--pairs", tmp_path / "p.txt"])
     assert rc == 1
     assert "--width" in capsys.readouterr().err
+
+
+def test_camest_refuses_flow_with_pairs(synth_dir, tmp_path, capsys):
+    # it used to estimate from the pairs alone and drop the flow unsaid
+    (tmp_path / "p.txt").write_text("1 2 3 4\n")
+    with pytest.raises(SystemExit) as info:
+        run([
+            "camest", "--flow", synth_dir / "flow_%03d.flo", "--count", 2,
+            "--pairs", tmp_path / "p.txt", "--width", 64, "--height", 32,
+        ])
+    assert info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
+def test_camest_needs_flow_or_pairs(capsys):
+    with pytest.raises(SystemExit) as info:
+        run(["camest", "--width", 64, "--height", 32])
+    assert info.value.code == 2
+    assert "one of the arguments --flow --pairs is required" in capsys.readouterr().err
 
 
 def test_camcode_round_trip(synth_dir, tmp_path, capsys):

@@ -11,10 +11,13 @@ from geo360.motion_model import BlockSpec, GeodesicModelConfig, MotionVector2D
 from oracles import (
     SphericalPoint,
     cart_to_sphere,
-    ged_gc_map,
+    gc_radius,
+    gc_row_theta,
+    ged_corrected_theta,
     ged_orig_map,
     ged_orig_theta,
     map_point,
+    pole_clamp,
     sphere_to_cart,
 )
 
@@ -73,15 +76,17 @@ def test_orig_round_trip_breaks_off_center():
 
 
 # --- geometry-corrected model ---------------------------------------------
+# The paper's claims about the gc law are checked on the package's own law,
+# run through gc_row_theta; a radius r < 1 is local scaling at
+# theta_c = asin(r).
 
 
 def test_gc_exact_invertibility_dense():
     thetas = np.linspace(0.05, math.pi - 0.05, 400)
-    dz = mm.delta_z(0.01)
-    for r in (1.0, math.sin(0.7)):  # global, and one local radius held fixed
+    for scaling, theta_c in (("global", math.pi / 2), ("local", 0.7)):
         for t_u in (-64.0, -7.5, -1.0, 0.5, 12.0, 64.0):
-            fwd = mm.ged_gc_theta(thetas, t_u, dz, r)
-            back = mm.ged_gc_theta(fwd, -t_u, dz, r)
+            fwd = gc_row_theta(thetas, t_u, 0.01, scaling, theta_c)
+            back = gc_row_theta(fwd, -t_u, 0.01, scaling, theta_c)
             assert np.max(np.abs(back - thetas)) < 1e-12
 
 
@@ -92,39 +97,41 @@ def test_gc_exact_invertibility_dense():
     st.floats(min_value=0.1, max_value=1.0),
 )
 def test_gc_invertibility_property(theta, t_u, r):
-    dz = mm.delta_z(0.01)
-    back = mm.ged_gc_theta(mm.ged_gc_theta(theta, t_u, dz, r), -t_u, dz, r)
+    theta_c = math.asin(r)
+    fwd = gc_row_theta(theta, t_u, 0.01, "local", theta_c)
+    back = gc_row_theta(fwd, -t_u, 0.01, "local", theta_c)
     assert abs(back - theta) < 1e-12
 
 
 def test_gc_monotone_in_theta():
     thetas = np.linspace(0.01, math.pi - 0.01, 2000)
     for t_u in (-30.0, -2.0, 0.7, 15.0):
-        out = mm.ged_gc_theta(thetas, t_u, mm.delta_z(0.02), 0.8)
+        out = gc_row_theta(thetas, t_u, 0.02, "local", math.asin(0.8))
         assert np.all(np.diff(out) > 0.0)
 
 
 def test_gc_output_always_valid_polar():
     thetas = np.linspace(0.001, math.pi - 0.001, 500)
-    out = mm.ged_gc_theta(thetas, 200.0, mm.delta_z(0.3), 1.0)
+    out = gc_row_theta(thetas, 200.0, 0.3)
     assert np.all(out > 0.0) and np.all(out < math.pi)
 
 
-def test_cyl_radius():
-    assert mm.cyl_radius("global", 0.3) == 1.0
-    assert math.isclose(mm.cyl_radius("local", 0.7), math.sin(0.7))
+def test_gc_radius():
+    # global scaling is r = 1 at any block centre, local r = sin(theta_c),
+    # and a local radius below the pole clamp is refused
+    thetas = np.linspace(0.1, 3.0, 30)
+    for scaling, theta_c, r in (("global", 0.3, 1.0), ("local", 0.7, math.sin(0.7))):
+        got = gc_row_theta(thetas, 5.0, 0.01, scaling, theta_c)
+        assert np.array_equal(got, ged_corrected_theta(thetas, 5.0, 0.01, r))
     with pytest.raises(DegenerateGeometryError):
-        mm.cyl_radius("local", 1e-9)
-    with pytest.raises(DomainError):
-        mm.cyl_radius("diagonal", 1.0)
+        gc_row_theta(thetas, 5.0, 0.01, "local", 1e-9)
 
 
 def test_local_equals_global_at_equator():
-    s = SphericalPoint(theta=1.3, phi=0.2)
-    a = ged_gc_map(s, math.pi / 2, MotionVector2D(3.0, 1.0), GCG)
-    b = ged_gc_map(s, math.pi / 2, MotionVector2D(3.0, 1.0), GCL)
-    assert math.isclose(a.theta, b.theta, abs_tol=1e-15)
-    assert a.phi == b.phi
+    thetas = np.linspace(0.1, 3.0, 30)
+    a = gc_row_theta(thetas, 3.0, 0.01)
+    b = gc_row_theta(thetas, 3.0, 0.01, "local", math.pi / 2)
+    assert np.array_equal(a, b)
 
 
 # --- both variants ----------------------------------------------------------
@@ -216,7 +223,7 @@ def test_block_mapping_matches_scalar_path():
                 )
                 s_rot = cart_to_sphere(vec)
                 s_rot = SphericalPoint(
-                    theta=float(mm.clamp_theta(s_rot.theta)), phi=s_rot.phi
+                    theta=float(pole_clamp(s_rot.theta)), phi=s_rot.phi
                 )
                 moved = map_point(s_rot, geom.theta_c, t, cfg)
                 back = rot.T @ sphere_to_cart(moved)
@@ -257,7 +264,8 @@ def test_batch_motion_grid_consistent_with_single():
 
 def reference_map_batch(geom, t_u_values, t_v_values, cfg):
     """The per-t_u mapping formula the batch mapper must reproduce bit for
-    bit: polar law one t_u at a time, full-size temporaries throughout."""
+    bit: the oracles' polar laws one t_u at a time, full-size temporaries
+    throughout."""
     t_u_values = np.asarray(t_u_values, dtype=np.float64)
     t_v_values = np.asarray(t_v_values, dtype=np.float64)
     h, w = geom.theta.shape
@@ -266,8 +274,8 @@ def reference_map_batch(geom, t_u_values, t_v_values, cfg):
     for i, tu in enumerate(t_u_values):
         tu = float(tu)
         if cfg.variant == "gc":
-            r = mm.cyl_radius(cfg.scaling, geom.theta_c)
-            theta_m[i] = mm.ged_gc_theta(geom.theta, tu, mm.delta_z(cfg.delta), r)
+            r = gc_radius(cfg.scaling, geom.theta_c)
+            theta_m[i] = ged_corrected_theta(geom.theta, tu, cfg.delta, r)
         elif tu == 0.0:
             theta_m[i] = geom.theta.copy()
         else:
