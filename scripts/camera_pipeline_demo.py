@@ -30,15 +30,12 @@ def main():
         width=args.width, height=args.height, frames=args.frames,
         step=args.step, depth_model="cylinder", seed=args.seed,
     ))
-    truth = {poc: q for poc, q in res.camera}
+    pocs, truth = res.camera
     rng = np.random.default_rng(args.seed)
 
-    estimates = []
+    refined = []
     print("frame  sparse_err_deg  refined_err_deg  objective")
-    for m, flow in enumerate(res.flows):
-        poc = m + 1
-        q_true = truth[poc]
-
+    for poc, q_true, flow in zip(pocs.tolist(), truth, res.flows):
         s, s_m = camera_est.flow_to_pairs(flow, 4)
         q_sparse = camera_est.estimate_camera_motion(s, s_m)
         sparse_err = math.degrees(geometry.angle_between(q_sparse, q_true))
@@ -53,20 +50,17 @@ def main():
         fine_err = math.degrees(geometry.angle_between(q_fine, q_true))
         obj = camera_est.flow_alignment_objective(q_fine, flow)
 
-        estimates.append((poc, q_fine))
+        refined.append(q_fine)
         print(f"{poc:>5}  {sparse_err:>14.6f}  {fine_err:>15.6f}  {obj:.6f}")
 
-    enc = cam_code.encode_stream(
-        [poc for poc, _ in estimates], [q for _, q in estimates]
-    )
+    enc = cam_code.encode_stream(pocs, refined)
     dec = cam_code.decode_stream(enc.data)
     worst = max(
-        geometry.angle_between(q, q_hat)
-        for (_, q), q_hat in zip(estimates, dec.directions)
+        geometry.angle_between(q, q_hat) for q, q_hat in zip(refined, dec.directions)
     )
     bits = 8 * len(enc.data)
-    print(f"\ncoded {len(estimates)} directions in {len(enc.data)} bytes "
-          f"({bits / len(estimates):.1f} bits/frame, "
+    print(f"\ncoded {len(refined)} directions in {len(enc.data)} bytes "
+          f"({bits / len(refined):.1f} bits/frame, "
           f"{enc.payload_bits} payload bits)")
     print(f"worst decode error {worst:.3e} rad")
     return 0

@@ -25,7 +25,7 @@ from .motion_model import (
 from .mocomp import ErpFrame, PredictionResult
 from .camera_est import FlowField
 from .cam_code import Bitstream
-from .metrics import RDCurve, RDPoint
+from .metrics import RDCurve
 from .video_io import SequenceSpec, SynthConfig, SynthResult
 
 __version__ = "0.1.0"
@@ -46,7 +46,6 @@ __all__ = [
     "OpCount",
     "PredictionResult",
     "RDCurve",
-    "RDPoint",
     "SequenceSpec",
     "SynthConfig",
     "SynthResult",

@@ -171,11 +171,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, help="number of flow files in the pattern")
     p.add_argument("--width", type=int)
     p.add_argument("--height", type=int)
-    p.add_argument("--stride", type=int, default=4)
-    p.add_argument("--finetune", action="store_true")
-    p.add_argument("--poc", type=int, default=1, help="frame index for single inputs")
-    p.add_argument("--truth", help="camera CSV; adds an angular_error_deg column")
-    p.add_argument("--out", help="CSV path (default stdout)")
+    p.add_argument("--stride", type=int, help="flow sample spacing (default 4)")
+    p.add_argument("--finetune", action="store_true", default=None)
+    p.add_argument("--poc", type=int, help="frame index for single inputs (default 1)")
+    p.add_argument("--truth", help="camera CSV; adds each frame's error (deg) on stdout")
+    p.add_argument("--out", help="camera CSV path; stdout always gets per-frame lines")
     p.set_defaults(func=_cmd_camest)
 
     p = sub.add_parser("camcode", help="camera direction codec")
@@ -261,11 +261,8 @@ def _cmd_synth(args) -> int:
     video_io.write_yuv(args.out, result.frames)
     print(f"wrote {len(result.frames)} frames to {args.out} (luma-only)")
     if args.camera_out:
-        video_io.write_camera_csv(
-            args.camera_out,
-            [poc for poc, _ in result.camera], [q for _, q in result.camera],
-        )
-        print(f"wrote {len(result.camera)} camera rows to {args.camera_out}")
+        video_io.write_camera_csv(args.camera_out, *result.camera)
+        print(f"wrote {len(result.camera[0])} camera rows to {args.camera_out}")
     if args.flow_out:
         for name, flow in zip(flow_names, result.flows):
             video_io.write_flo(name, flow)
@@ -275,6 +272,9 @@ def _cmd_synth(args) -> int:
 
 def _cmd_warp(args) -> int:
     spec = _spec_from_args(args)
+    bw, bh = args.block
+    if spec.chroma and (bw % 2 or bh % 2):
+        raise Geo360Error(f"cli: 4:2:0 chroma needs even --block sides, got {bw}x{bh}")
     cur_index = args.cur_index if args.cur_index is not None else args.ref_index + 1
     last = max(args.ref_index, cur_index)
     if min(args.ref_index, cur_index) < 0:
@@ -284,7 +284,6 @@ def _cmd_warp(args) -> int:
         raise Geo360Error("cli: frame index outside the sequence")
     ref, cur = frames[args.ref_index], frames[cur_index]
     cfg = _model_config(args.variant, args.height)
-    bw, bh = args.block
     blocks = mocomp.tile_blocks(args.width, args.height, bw, bh)
     t = MotionVector2D(*args.t)
 
@@ -299,7 +298,7 @@ def _cmd_warp(args) -> int:
     for block, pred, theta_c in zip(blocks, preds, thetas):
         sl = (slice(block.y0, block.y0 + bh), slice(block.x0, block.x0 + bw))
         y[sl] = np.clip(np.rint(pred.block), 0, peak).astype(cur.y.dtype)
-        if cb is not None and pred.cb is not None:
+        if cb is not None:
             csl = (
                 slice(block.y0 // 2, (block.y0 + bh) // 2),
                 slice(block.x0 // 2, (block.x0 + bw) // 2),
@@ -385,13 +384,25 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_camest(args) -> int:
+    if args.pairs is not None:
+        source, unread = "--pairs", ("count", "stride", "finetune")
+    elif args.count is not None:
+        source, unread = "--flow with --count", ("width", "height", "poc")
+    else:
+        source, unread = "--flow", ("width", "height")
+    for name in unread:
+        if getattr(args, name) is not None:
+            raise Geo360Error(f"cli: --{name} does not apply to {source}")
+    stride = 4 if args.stride is None else args.stride
+    poc = 1 if args.poc is None else args.poc
+
     estimates: list[tuple[int, np.ndarray]] = []
     if args.pairs is not None:
         if args.width is None or args.height is None:
             raise Geo360Error("cli: --pairs needs --width and --height")
         quads = video_io.read_correspondences(args.pairs)
         s, s_m = camera_est.pixel_pairs_to_bearings(quads, args.width, args.height)
-        estimates.append((args.poc, camera_est.estimate_camera_motion(s, s_m)))
+        estimates.append((poc, camera_est.estimate_camera_motion(s, s_m)))
         frames = []
     elif args.count is not None:
         if args.count < 1:
@@ -400,32 +411,28 @@ def _cmd_camest(args) -> int:
     elif "%" in args.flow:
         raise Geo360Error("cli: a --flow pattern needs --count")
     else:
-        frames = [(args.poc, args.flow)]
-    for poc, path in frames:
+        frames = [(poc, args.flow)]
+    for frame, path in frames:
         try:
             flow = video_io.read_flo(path)
-            s, s_m = camera_est.flow_to_pairs(flow, args.stride)
+            s, s_m = camera_est.flow_to_pairs(flow, stride)
             q = camera_est.estimate_camera_motion(s, s_m)
             if args.finetune:
-                q = camera_est.flow_finetune(q, flow, args.stride)
+                q = camera_est.flow_finetune(q, flow, stride)
         except Geo360Error as exc:
-            raise Geo360Error(f"cli: frame {poc}: {exc}") from exc
-        estimates.append((poc, q))
+            raise Geo360Error(f"cli: frame {frame}: {exc}") from exc
+        estimates.append((frame, q))
 
     truth = dict(zip(*video_io.read_camera_csv(args.truth))) if args.truth else None
-    lines = [video_io.CAMERA_CSV_HEADER + (",angular_error_deg" if truth else "")]
-    for poc, q in estimates:
-        row = video_io.camera_row(poc, q)
+    for frame, q in estimates:
+        line = video_io.camera_row(frame, q).split(",", 1)[1]
         if truth is not None:
-            if poc not in truth:
-                raise Geo360Error(f"cli: truth CSV has no row for frame {poc}")
-            err = np.degrees(geometry.angle_between(q, truth[poc]))
-            row += f",{err:.6f}"
-        lines.append(row)
-        print(f"frame {poc}: " + row.split(",", 1)[1])
+            if frame not in truth:
+                raise Geo360Error(f"cli: truth CSV has no row for frame {frame}")
+            line += f",{np.degrees(geometry.angle_between(q, truth[frame])):.6f}"
+        print(f"frame {frame}: {line}")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        video_io.write_camera_csv(args.out, *zip(*estimates))
     return 0
 
 
@@ -480,7 +487,7 @@ def _read_rd_csv(path: str) -> metrics.RDCurve:
     Only the first non-empty row may be a header: a later row whose numbers
     do not parse is refused, so no point is dropped silently.
     """
-    points = []
+    rates, qualities = [], []
     rows = filter(None, (ln.strip() for ln in video_io.read_text_lines(path)))
     for i, ln in enumerate(rows):
         cells = ln.split(",")
@@ -494,8 +501,9 @@ def _read_rd_csv(path: str) -> metrics.RDCurve:
             if i:
                 raise Geo360Error(f"cli: malformed RD row {ln!r} in {path}") from None
             continue  # header row
-        points.append(metrics.RDPoint(rate=rate, quality=quality))
-    return metrics.RDCurve(points=tuple(points))
+        rates.append(rate)
+        qualities.append(quality)
+    return metrics.RDCurve(rates, qualities)
 
 
 def _cmd_bdrate(args) -> int:
@@ -506,7 +514,8 @@ def _cmd_bdrate(args) -> int:
     value = metrics.bd_rate(anchor, test)
     print(f"bd-rate: {value:.6f} %")
     if args.camera_rate:
-        adjusted = metrics.bd_rate(anchor, test.shifted(-args.camera_rate))
+        without = metrics.RDCurve(test.rates - args.camera_rate, test.qualities)
+        adjusted = metrics.bd_rate(anchor, without)
         print(f"bd-rate w/o camera bits: {adjusted:.6f} %")
     return 0
 

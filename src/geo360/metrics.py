@@ -68,51 +68,33 @@ def ws_psnr(ref: ErpFrame, test: ErpFrame, chroma: bool = False) -> float:
 
 
 @dataclass(frozen=True)
-class RDPoint:
-    rate: float
-    quality: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.rate) and self.rate > 0):
-            raise DomainError(f"metrics: rate {self.rate} must be positive")
-        if not np.isfinite(self.quality):
-            raise DomainError("metrics: quality must be finite")
-
-
-@dataclass(frozen=True)
 class RDCurve:
-    """An operating curve: at least four points, rates and qualities both
-    strictly increasing (sort your measurements by rate first)."""
+    """An operating curve as two equally long float64 arrays: at least four
+    points, rates finite and positive, qualities finite, and both strictly
+    increasing (sort your measurements by rate first)."""
 
-    points: tuple[RDPoint, ...]
+    rates: np.ndarray
+    qualities: np.ndarray
 
     def __post_init__(self):
-        pts = tuple(self.points)
-        object.__setattr__(self, "points", pts)
-        if len(pts) < 4:
-            raise DomainError(f"metrics: curve needs >= 4 points, got {len(pts)}")
-        rates = [p.rate for p in pts]
-        quals = [p.quality for p in pts]
-        if any(b <= a for a, b in zip(rates, rates[1:])):
-            raise DomainError("metrics: rates must increase strictly")
-        if any(b <= a for a, b in zip(quals, quals[1:])):
-            raise DomainError("metrics: qualities must increase strictly")
-
-    @property
-    def rates(self) -> np.ndarray:
-        return np.array([p.rate for p in self.points])
-
-    @property
-    def qualities(self) -> np.ndarray:
-        return np.array([p.quality for p in self.points])
-
-    def shifted(self, rate_offset: float) -> "RDCurve":
-        return RDCurve(
-            points=tuple(
-                RDPoint(rate=p.rate + rate_offset, quality=p.quality)
-                for p in self.points
+        for name in ("rates", "qualities"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            values.flags.writeable = False
+            object.__setattr__(self, name, values)
+        rates, quals = self.rates, self.qualities
+        if rates.ndim != 1 or rates.shape != quals.shape or len(rates) < 4:
+            raise DomainError(
+                "metrics: a curve needs >= 4 rates and as many qualities, "
+                f"got shapes {rates.shape} and {quals.shape}"
             )
-        )
+        # Finite values first, so that no comparison below can make numpy warn.
+        if not (np.isfinite(rates).all() and (rates > 0).all()):
+            raise DomainError("metrics: rates must be finite and positive")
+        if not np.isfinite(quals).all():
+            raise DomainError("metrics: qualities must be finite")
+        for name, values in (("rates", rates), ("qualities", quals)):
+            if (values[1:] <= values[:-1]).any():
+                raise DomainError(f"metrics: {name} must increase strictly")
 
 
 def _mean_log_rate(curve: RDCurve, lo: float, hi: float) -> float:

@@ -328,12 +328,13 @@ class SynthConfig:
 @dataclass(frozen=True)
 class SynthResult:
     """frames[m] is the view from m*step along the axis; flows[m] carries
-    pixel displacements from frame m to m+1; camera[m-1] = (m, direction)
-    states the translation that produced frame m."""
+    pixel displacements from frame m to m+1; camera is the (pocs, directions)
+    pair of read_camera_csv, frames 1 .. frames-1, each direction the
+    translation that produced its frame."""
 
     frames: list[ErpFrame]
     flows: list[FlowField]
-    camera: list[tuple[int, np.ndarray]]
+    camera: tuple[np.ndarray, np.ndarray]
 
 
 class _SphereTexture:
@@ -481,5 +482,5 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
         if flow is not None:
             flows.append(flow)
 
-    camera = [(m, axis.copy()) for m in range(1, cfg.frames)]
+    camera = (np.arange(1, cfg.frames, dtype=np.int64), np.tile(axis, (cfg.frames - 1, 1)))
     return SynthResult(frames=frames, flows=flows, camera=camera)

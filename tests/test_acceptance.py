@@ -312,25 +312,17 @@ def test_weighted_distortion_anchor(capsys):
     )
 
 
-def _curve(rates, quals):
-    return metrics.RDCurve(
-        points=tuple(
-            metrics.RDPoint(rate=r, quality=q) for r, q in zip(rates, quals)
-        )
-    )
-
-
 def test_rate_overhead_reference_points(capsys):
     rates = [100.0, 200.0, 400.0, 800.0]
     quals = [30.0, 33.0, 36.0, 39.0]
-    base = _curve(rates, quals)
-    same = metrics.bd_rate(base, _curve(rates, quals))
-    doubled = metrics.bd_rate(base, _curve([2 * r for r in rates], quals))
+    base = metrics.RDCurve(rates, quals)
+    same = metrics.bd_rate(base, metrics.RDCurve(rates, quals))
+    doubled = metrics.bd_rate(base, metrics.RDCurve([2 * r for r in rates], quals))
 
-    anchor = _curve(
+    anchor = metrics.RDCurve(
         [1358.24, 2486.44, 4593.60, 9487.76], [34.851, 36.845, 38.615, 40.037]
     )
-    test = _curve(
+    test = metrics.RDCurve(
         [1356.24, 2451.52, 4469.00, 9787.80], [34.987, 36.970, 38.651, 40.121]
     )
     published = metrics.bd_rate(anchor, test)

@@ -4,9 +4,11 @@ import hashlib
 import io
 import math
 import re
+import shlex
 import struct
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,9 @@ from geo360.errors import Geo360Error
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture(scope="module")
@@ -34,6 +39,19 @@ def synth_dir(tmp_path_factory):
     )
     assert rc == 0
     return root
+
+
+def test_readme_session_runs(tmp_path, monkeypatch, capsys):
+    # the session used a flow that synth never wrote, and camest --truth
+    # wrote a CSV that camcode encode refused
+    block = README.read_text().split("A typical session:\n\n```\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(ln) for ln in block.replace("\\\n", " ").splitlines()]
+    assert [ln[1] for ln in lines] == ["synth", "compare", "camest", "camcode", "metrics"]
+    monkeypatch.chdir(tmp_path)
+    for argv in lines:
+        assert argv[0] == "geo360"
+        assert run(argv[1:]) == 0, argv
+    capsys.readouterr()
 
 
 def test_synth_outputs(synth_dir):
@@ -332,6 +350,25 @@ def test_warp_rejects_chroma_above_bit_depth(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: mocomp: ")
 
 
+def test_warp_refuses_odd_blocks_on_chroma(tmp_path, capsys):
+    # 5x5 blocks on 4:2:0 frames wrote a cb plane of all zeros, exit 0
+    frame = np.concatenate([np.full(30 * 10, 90), np.full(15 * 5, 128), np.full(15 * 5, 100)])
+    (tmp_path / "c.yuv").write_bytes(2 * frame.astype(np.uint8).tobytes())
+    argv = ["warp", "--input", tmp_path / "c.yuv", "--out", tmp_path / "p.yuv",
+            "--stats", tmp_path / "s.csv", "--width", 30, "--height", 10,
+            "--q", "0,0,1", "--t", "0,0"]
+    assert run(argv + ["--block", "5x5"]) == 1
+    assert capsys.readouterr().err == (
+        "error: cli: 4:2:0 chroma needs even --block sides, got 5x5\n"
+    )
+    assert not (tmp_path / "p.yuv").exists()
+    # even sides predict the chroma; luma-only frames take any side
+    assert run(argv + ["--block", "6x10"]) == 0
+    assert (tmp_path / "p.yuv").read_bytes() == frame.astype(np.uint8).tobytes()
+    assert run(argv + ["--block", "5x5", "--pixfmt", "yuv400"]) == 0
+    capsys.readouterr()
+
+
 def test_compare_over_sequence(synth_dir, tmp_path, capsys):
     args = [
         "compare", "--input", synth_dir / "seq.yuv", "--width", 128,
@@ -531,12 +568,42 @@ def test_camest_pattern_with_truth(synth_dir, tmp_path, capsys):
         ]
     )
     assert rc == 0
+    # the error ends each frame's stdout line; est.csv is a plain camera CSV
+    lines = capsys.readouterr().out.splitlines()
+    pocs, q = video_io.read_camera_csv(tmp_path / "est.csv")
+    assert pocs.tolist() == [1, 2, 3]
+    for ln, poc, row in zip(lines, pocs, q, strict=True):
+        cells = ln.removeprefix(f"frame {poc}: ").split(",")
+        assert cells[:3] == [f"{x:.10f}" for x in row]
+        assert float(cells[3]) < 0.2
+
+
+def test_every_camera_csv_writer_feeds_every_reader(synth_dir, tmp_path, capsys):
+    # camest --truth wrote an extra column that every reader refused
+    flows = ["--flow", synth_dir / "flow_%03d.flo", "--count", 3]
+    written = {
+        "synth": synth_dir / "cam.csv",
+        "camest": tmp_path / "est.csv",
+        "camest-truth": tmp_path / "est_truth.csv",
+        "decode": tmp_path / "dec.csv",
+    }
+    assert run(["camest", *flows, "--out", written["camest"]]) == 0
+    assert run(["camest", *flows, "--truth", written["synth"],
+                "--out", written["camest-truth"]]) == 0
+    assert run(["camcode", "encode", "--camera", written["synth"],
+                "--out", tmp_path / "cam.bin"]) == 0
+    assert run(["camcode", "decode", "--input", tmp_path / "cam.bin",
+                "--out", written["decode"]]) == 0
+    for name, path in written.items():
+        pocs, _ = video_io.read_camera_csv(path)
+        assert pocs.tolist() == [1, 2, 3], name
+        assert run(["camcode", "encode", "--camera", path,
+                    "--out", tmp_path / f"{name}.bin"]) == 0, name
+        assert run(["compare", "--input", synth_dir / "seq.yuv", "--width", 128,
+                    "--height", 64, "--pixfmt", "yuv400", "--camera", path,
+                    "--block", "32x32", "--range", 1, "--out", tmp_path / f"{name}.cmp"]) == 0
+    assert written["camest"].read_bytes() == written["camest-truth"].read_bytes()
     capsys.readouterr()
-    lines = (tmp_path / "est.csv").read_text().strip().split("\n")
-    assert lines[0] == "frame_index,qx,qy,qz,angular_error_deg"
-    assert len(lines) == 4
-    for ln in lines[1:]:
-        assert float(ln.split(",")[4]) < 0.2
 
 
 def test_camest_single_flow(synth_dir, tmp_path, capsys):
@@ -631,6 +698,28 @@ def test_camest_refuses_flow_with_pairs(synth_dir, tmp_path, capsys):
         ])
     assert info.value.code == 2
     assert "not allowed with argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "source, flag",
+    [("pairs", ["--count", 5]), ("pairs", ["--stride", 9]), ("pairs", ["--finetune"]),
+     ("flow", ["--width", 64]), ("flow", ["--height", 32]), ("pattern", ["--poc", 7])],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_camest_refuses_a_flag_its_source_does_not_read(synth_dir, tmp_path, capsys,
+                                                        source, flag):
+    # each flag was dropped without a word, exit 0
+    (tmp_path / "p.txt").write_text("1 2 3 4\n")
+    argv, name = {
+        "pairs": (["--pairs", tmp_path / "p.txt", "--width", 64, "--height", 32], "--pairs"),
+        "flow": (["--flow", synth_dir / "flow_000.flo"], "--flow"),
+        "pattern": (["--flow", synth_dir / "flow_%03d.flo", "--count", 2],
+                    "--flow with --count"),
+    }[source]
+    out = tmp_path / "est.csv"
+    assert run(["camest", *argv, *flag, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: cli: {flag[0]} does not apply to {name}\n"
+    assert not out.exists()
 
 
 def test_camest_needs_flow_or_pairs(capsys):
@@ -831,7 +920,7 @@ TEST_RD = [(110.0, 30.0), (206.0, 33.0), (409.0, 36.0), (820.0, 39.0)]
 
 
 def _rd_curve(points):
-    return metrics.RDCurve(tuple(metrics.RDPoint(r, q) for r, q in points))
+    return metrics.RDCurve(*zip(*points))
 
 
 def test_metrics_bdrate_camera_rate(tmp_path, capsys):
@@ -842,10 +931,31 @@ def test_metrics_bdrate_camera_rate(tmp_path, capsys):
     plain, without = capsys.readouterr().out.splitlines()
     anchor, test = _rd_curve(ANCHOR_RD), _rd_curve(TEST_RD)
     with_bits = metrics.bd_rate(anchor, test)
-    expect = metrics.bd_rate(anchor, test.shifted(-6.0))
+    expect = metrics.bd_rate(anchor, metrics.RDCurve(test.rates - 6.0, test.qualities))
     assert plain == f"bd-rate: {with_bits:.6f} %"
     assert without == f"bd-rate w/o camera bits: {expect:.6f} %"
     assert expect < with_bits
+
+
+# The 4-point pair of tests/test_metrics.py::test_external_reference_vector.
+REFERENCE_ANCHOR_RD = [(1358.24, 34.851), (2486.44, 36.845), (4593.60, 38.615),
+                       (9487.76, 40.037)]
+REFERENCE_TEST_RD = [(1356.24, 34.987), (2451.52, 36.970), (4469.00, 38.651),
+                     (9787.80, 40.121)]
+
+
+@pytest.mark.parametrize(
+    "camera_rate, expect",
+    [([], "bd-rate: -4.420463 %\n"),
+     (["--camera-rate", "37.5"],
+      "bd-rate: -4.420463 %\nbd-rate w/o camera bits: -5.743150 %\n")],
+    ids=["plain", "camera-rate"],
+)
+def test_metrics_bdrate_reference_lines(tmp_path, capsys, camera_rate, expect):
+    a = _write_rd(tmp_path, "a.csv", REFERENCE_ANCHOR_RD)
+    b = _write_rd(tmp_path, "b.csv", REFERENCE_TEST_RD)
+    assert run(["metrics", "bdrate", "--anchor", a, "--test", b, *camera_rate]) == 0
+    assert capsys.readouterr().out == expect
 
 
 def test_metrics_bdrate_negative_camera_rate_exits_1(tmp_path, capsys):
@@ -998,9 +1108,10 @@ def _frame_argv(command, root, draw):
             "pairs": ["--pairs", root / "pairs.txt", f"--width={draw(_int_value(8, 64))}",
                       f"--height={draw(_int_value(4, 32))}"],
         }[source]
-        finetune = draw(st.sampled_from([[], ["--finetune"]]))
-        return ["camest", *flags, f"--stride={draw(_int_value(1, 8))}", *finetune,
-                "--out", root / "e.csv"]
+        if source != "pairs":  # --pairs reads neither
+            flags += [f"--stride={draw(_int_value(1, 8))}",
+                      *draw(st.sampled_from([[], ["--finetune"]]))]
+        return ["camest", *flags, "--out", root / "e.csv"]
     return ["metrics", "wspsnr", "--ref", seq, "--test", root / "seq2.yuv",
             *_frame_flags(draw), f"--max-frames={draw(_int_value(1, 3))}",
             *draw(st.sampled_from([[], ["--chroma"]]))]

@@ -1,23 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from geo360 import metrics
 from geo360.errors import DomainError
-from geo360.metrics import RDCurve, RDPoint
+from geo360.metrics import RDCurve
 from geo360.mocomp import ErpFrame
 
 
 def luma_frame(y, bit_depth=8):
     h, w = y.shape
     return ErpFrame(width=w, height=h, bit_depth=bit_depth, y=y)
-
-
-def curve(rates, qualities):
-    return RDCurve(
-        points=tuple(RDPoint(rate=r, quality=q) for r, q in zip(rates, qualities))
-    )
 
 
 # --- WS-PSNR -----------------------------------------------------------------
@@ -108,41 +103,43 @@ QUALS_A = [30.0, 33.0, 36.0, 39.0]
 
 def test_rd_validation():
     with pytest.raises(DomainError):
-        RDPoint(rate=0.0, quality=30.0)
+        RDCurve([0.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(DomainError):
-        RDPoint(rate=100.0, quality=float("nan"))
+        RDCurve([1.0, 2.0, 3.0, 4.0], [1.0, float("nan"), 3.0, 4.0])
     with pytest.raises(DomainError):
-        curve([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])  # too few
+        RDCurve([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])  # too few
     with pytest.raises(DomainError):
-        curve([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+        RDCurve([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])  # unequal lengths
     with pytest.raises(DomainError):
-        curve([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 2.0, 4.0])
+        RDCurve([1.0, 2.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0])
+    with pytest.raises(DomainError):
+        RDCurve([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 2.0, 4.0])
 
 
 def test_identical_curves_zero():
-    a = curve(RATES_A, QUALS_A)
-    b = curve(RATES_A, QUALS_A)
+    a = RDCurve(RATES_A, QUALS_A)
+    b = RDCurve(RATES_A, QUALS_A)
     assert abs(metrics.bd_rate(a, b)) < 1e-9
 
 
 def test_doubled_rate_is_plus_hundred():
-    a = curve(RATES_A, QUALS_A)
-    b = curve([2.0 * r for r in RATES_A], QUALS_A)
+    a = RDCurve(RATES_A, QUALS_A)
+    b = RDCurve([2.0 * r for r in RATES_A], QUALS_A)
     assert abs(metrics.bd_rate(a, b) - 100.0) < 1e-6
     assert abs(metrics.bd_rate(b, a) + 50.0) < 1e-6
 
 
 def test_reciprocity():
-    a = curve(RATES_A, QUALS_A)
-    b = curve([130.0, 255.0, 490.0, 910.0], [30.5, 33.2, 36.4, 39.1])
+    a = RDCurve(RATES_A, QUALS_A)
+    b = RDCurve([130.0, 255.0, 490.0, 910.0], [30.5, 33.2, 36.4, 39.1])
     fwd = metrics.bd_rate(a, b)
     rev = metrics.bd_rate(b, a)
     assert abs(fwd + rev / (1.0 + rev / 100.0)) < 0.05
 
 
 def test_disjoint_quality_ranges_rejected():
-    a = curve(RATES_A, [10.0, 11.0, 12.0, 13.0])
-    b = curve(RATES_A, [30.0, 31.0, 32.0, 33.0])
+    a = RDCurve(RATES_A, [10.0, 11.0, 12.0, 13.0])
+    b = RDCurve(RATES_A, [30.0, 31.0, 32.0, 33.0])
     with pytest.raises(DomainError):
         metrics.bd_rate(a, b)
 
@@ -150,19 +147,32 @@ def test_disjoint_quality_ranges_rejected():
 def test_external_reference_vector():
     # 4-point RD pair circulating in codec-comparison tutorials; expected
     # value frozen from an independently written cubic-fit evaluation
-    anchor = curve(
+    anchor = RDCurve(
         [1358.24, 2486.44, 4593.60, 9487.76],
         [34.851, 36.845, 38.615, 40.037],
     )
-    test = curve(
+    test = RDCurve(
         [1356.24, 2451.52, 4469.00, 9787.80],
         [34.987, 36.970, 38.651, 40.121],
     )
     assert abs(metrics.bd_rate(anchor, test) - (-4.420463)) < 0.01
 
 
-def test_shifted_moves_rates_only():
-    a = curve(RATES_A, QUALS_A)
-    b = a.shifted(-10.0)
-    assert np.allclose(b.rates, np.array(RATES_A) - 10.0)
-    assert np.allclose(b.qualities, QUALS_A)
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), -1e300])
+def test_rd_validation_raises_no_numpy_warning(bad):
+    # each bad value is refused with DomainError, and numpy warns about none
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rates, quals in (([1.0, 2.0, bad, 4.0], QUALS_A), (RATES_A, [1.0, bad, 3.0, 4.0])):
+            with pytest.raises(DomainError):
+                RDCurve(rates, quals)
+
+
+def test_curve_holds_read_only_float64_copies():
+    rates = np.array(RATES_A)
+    a = RDCurve(rates, [30, 33, 36, 39])
+    assert a.rates.dtype == a.qualities.dtype == np.float64
+    rates[0] = 1e9
+    assert a.rates[0] == RATES_A[0]
+    with pytest.raises(ValueError):
+        a.rates[0] = 1.0

@@ -460,9 +460,10 @@ def test_synth_camera_rows():
     cfg = SynthConfig(width=64, height=32, frames=4, step=0.02, seed=0,
                       direction=(0.0, 0.0, 1.0))
     out = video_io.synth_dolly(cfg)
-    assert [p for p, _ in out.camera] == [1, 2, 3]
-    for _, q in out.camera:
-        assert np.allclose(q, [0.0, 0.0, 1.0])
+    pocs, directions = out.camera
+    assert pocs.dtype == np.int64 and pocs.tolist() == [1, 2, 3]
+    assert directions.dtype == np.float64 and directions.shape == (3, 3)
+    assert np.allclose(directions, [0.0, 0.0, 1.0])
 
 
 def test_synth_flow_matches_projection_geometry():
