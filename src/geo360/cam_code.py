@@ -39,8 +39,8 @@ DEFAULT_FRAC_BITS = 24
 
 def quantize_angle(x: float, frac_bits: int = DEFAULT_FRAC_BITS) -> int:
     """Fixed-point with half-way cases rounded away from zero."""
-    scale = 1 << frac_bits
-    return int(math.copysign(math.floor(abs(x) * scale + 0.5), x))
+    m = math.floor(abs(x) * (1 << frac_bits) + 0.5)
+    return -m if x < 0.0 else m
 
 
 def _check_params(k: int, frac_bits: int):
@@ -150,21 +150,12 @@ class Bitstream:
         return bytes(self._buf)
 
 
-def _eg_word(n: int, k: int) -> tuple[int, int]:
-    """Order-k exponential-Golomb code of n as one word (value, length):
-    value is n + 2**k, and the code's leading zeros are implicit in it."""
-    if n < 0:
-        raise DomainError(f"cam_code: EG input {n} is negative")
-    if k < 0:
-        raise DomainError(f"cam_code: EG order {k} is negative")
-    v = n + (1 << k)
-    return v, 2 * v.bit_length() - 1 - k
-
-
 def _signed_word(raw: int, k: int) -> tuple[int, int]:
-    """EG code of |raw|, then a sign bit (1 = negative) when raw != 0, as
-    one word (value, length)."""
-    v, length = _eg_word(abs(raw), k)
+    """Order-k exponential-Golomb code of |raw|, then a sign bit (1 =
+    negative) when raw != 0, as one word (value, length).  The EG code's
+    value is |raw| + 2**k, and its leading zeros are implicit in it."""
+    v = abs(raw) + (1 << k)
+    length = 2 * v.bit_length() - 1 - k
     if raw:
         return (v << 1) | (raw < 0), length + 1
     return v, length
@@ -191,7 +182,14 @@ def _read_signed(bits: Bitstream, k: int) -> int:
 
 
 # A stream's reconstructed records, one row per record in coding order.
+# The coders store each value through a view of its field: a float into
+# records["theta"][i] costs a fraction of a whole-row tuple store.
 RECORD_DTYPE = np.dtype([("poc", np.int64), ("theta", np.float64), ("phi", np.float64)])
+
+# The header after the magic (u16 version, u32 record count), and a
+# record's u32 poc.
+_HEADER = struct.Struct(">HI")
+_POC = struct.Struct(">I")
 
 
 @dataclass(frozen=True)
@@ -244,13 +242,12 @@ class _History:
     with the coding row of each in `rows`, hold the first `size` of
     `capacity` entries, sized once from the record count.  Each poc enters
     once: appending one already present raises `repeat_error`.
-    predict_direction only looks at the entries nearest in poc, so each
-    prediction is handed those alone.  A frame past the highest poc is
-    predicted from `_top`, the one-entry list of the highest poc, returned
-    as it is, and appended at the end of the index: in ascending poc order
-    neither a lookup nor an append searches, shifts or allocates.  Below the
-    highest poc, a lookup is a binary search and an append shifts the index
-    tail.
+    `top_poc` and `top` are the highest poc and its direction, a row of
+    `directions`; before the first entry they are -1 and +z, the
+    prediction of an empty history.  A frame at or above the highest poc
+    is predicted by `top` and appended at the end of the index, so in
+    ascending poc order nothing searches or shifts.  Below it, a lookup
+    is a binary search and an append shifts the index tail.
     """
 
     def __init__(self, capacity: int, repeat_error: type = DomainError):
@@ -258,14 +255,13 @@ class _History:
         self.pocs = np.empty(capacity, dtype=np.int64)
         self.rows = np.empty(capacity, dtype=np.int64)
         self.directions = np.empty((capacity, 3))
-        self._top: list[tuple[int, np.ndarray]] = []
+        self.top_poc = -1
+        self.top = np.array([0.0, 0.0, 1.0])
         self._repeat_error = repeat_error
 
-    def append(self, poc: int, q: np.ndarray):
+    def append(self, poc: int, xyz: tuple[float, float, float]):
         n = self.size
-        top = self._top
-        if not top or poc > top[0][0]:
-            self._top = [(poc, q)]
+        if poc > self.top_poc:
             i = n
         else:
             pocs, rows = self.pocs, self.rows
@@ -276,16 +272,19 @@ class _History:
             rows[i + 1 : n + 1] = rows[i:n]
         self.pocs[i] = poc
         self.rows[i] = n
-        self.directions[n] = q
+        self.directions[n] = xyz
+        if i == n:
+            self.top_poc, self.top = poc, self.directions[n]
         self.size = n + 1
 
     def neighbours(self, poc: int) -> list[tuple[int, np.ndarray]]:
         """The entry at the nearest poc <= poc, then the one at the nearest
         poc > poc.  predict_direction picks from these what it picks from
         all."""
-        top = self._top
-        if not top or poc >= top[0][0]:
-            return top
+        if not self.size:
+            return []
+        if poc >= self.top_poc:
+            return [(self.top_poc, self.top)]
         pocs = self.pocs[: self.size]
         i = int(np.searchsorted(pocs, poc, side="right"))  # < size: poc is below the top
         near = range(max(i - 1, 0), i + 1)
@@ -310,13 +309,17 @@ def _closed_loop(
     the quantized residuals, and add their direction to the history.
 
     The decoder passes the residuals it read as raw.  The encoder passes
-    its direction q instead and gets back the residuals to code.  The
-    azimuth residual is clamped to the largest step count below a half
-    turn.  A residual within half a step of pi would otherwise round past
-    pi, the decoder would wrap the azimuth to the other side, and coding
-    the decoded direction again would flip the residual's sign.
+    its direction q, a float64 (3,) array, instead and gets back the
+    residuals to code.  The azimuth residual is clamped to the largest step
+    count below a half turn.  A residual within half a step of pi would
+    otherwise round past pi, the decoder would wrap the azimuth to the
+    other side, and coding the decoded direction again would flip the
+    residual's sign.
     """
-    predicted = predict_direction(history.neighbours(poc), poc)
+    if poc >= history.top_poc:  # a repeat of the top poc raises in append
+        predicted = history.top
+    else:
+        predicted = predict_direction(history.neighbours(poc), poc)
     theta_hat, phi_hat = geometry._unit_angles(predicted)
     scale = 1 << frac_bits  # one step of the quantizer is 1 / scale
     if q is not None:
@@ -324,8 +327,16 @@ def _closed_loop(
         raw_t = quantize_angle(theta - theta_hat, frac_bits)
         raw_p = quantize_angle(wrap_residual(phi - phi_hat), frac_bits)
         half_turn = math.floor(math.pi * scale)
-        raw = raw_t, min(max(raw_p, -half_turn), half_turn)
-    theta = min(max(theta_hat + raw[0] / scale, 0.0), math.pi)
+        if raw_p > half_turn:
+            raw_p = half_turn
+        elif raw_p < -half_turn:
+            raw_p = -half_turn
+        raw = raw_t, raw_p
+    theta = theta_hat + raw[0] / scale
+    if theta < 0.0:
+        theta = 0.0
+    elif theta > math.pi:
+        theta = math.pi
     phi = phi_hat + raw[1] / scale
     # geometry.wrap_angle on a float: math.floor gives the bits of np.floor
     phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
@@ -356,16 +367,18 @@ def encode_stream(
     if n and (pocs.min() < 0 or pocs.max() > 0xFFFFFFFF):
         raise DomainError("cam_code: poc outside the u32 range")
 
-    data = bytearray(MAGIC + struct.pack(">HI", VERSION, n))
+    data = bytearray(MAGIC + _HEADER.pack(VERSION, n))
     history = _History(n)
     records = np.empty(n, dtype=RECORD_DTYPE)
+    records["poc"] = pocs
+    thetas, phis = records["theta"], records["phi"]
     record_bits = np.empty(n, dtype=np.int64)
     for i, q in enumerate(directions):
         poc = int(pocs[i])
-        theta, phi, raw = _closed_loop(history, poc, frac_bits, q=q)
+        thetas[i], phis[i], raw = _closed_loop(history, poc, frac_bits, q=q)
         payload, _ = _payload(*raw, k)
-        data += struct.pack(">I", poc) + payload
-        records[i] = poc, theta, phi
+        data += _POC.pack(poc)
+        data += payload
         record_bits[i] = 32 + 8 * len(payload)
 
     return StreamEncodeResult(
@@ -391,7 +404,7 @@ def decode_stream(
         raise TruncationError("cam_code: stream shorter than its header")
     if data[:4] != MAGIC:
         raise FormatError(f"cam_code: bad magic {data[:4]!r}")
-    version, count = struct.unpack(">HI", data[4:10])
+    version, count = _HEADER.unpack_from(data, 4)
     if version != VERSION:
         raise FormatError(f"cam_code: unsupported version {version}")
 
@@ -406,24 +419,24 @@ def decode_stream(
     capacity = min(count, (len(data) - 10) // 5)
     history = _History(capacity, FormatError)
     records = np.empty(capacity, dtype=RECORD_DTYPE)
-    payload_bits = 0
+    pocs, thetas, phis = records["poc"], records["theta"], records["phi"]
     for i in range(count):
-        if bits.bit_length - bits.read_position < 32:
-            raise TruncationError("cam_code: stream ends before a poc field")
-        poc = bits.read_bits(32)
-        start = bits.read_position
+        try:
+            poc = bits.read_bits(32)
+        except TruncationError:
+            raise TruncationError("cam_code: stream ends before a poc field") from None
         raw = (_read_signed(bits, k), _read_signed(bits, k))
         if abs(raw[0]) > limit or abs(raw[1]) > limit:
             raise FormatError(f"cam_code: residual out of range in frame {poc}")
         bits.align_read()
-        payload_bits += bits.read_position - start
-        theta, phi, _ = _closed_loop(history, poc, frac_bits, raw=raw)
-        records[i] = poc, theta, phi
+        thetas[i], phis[i], _ = _closed_loop(history, poc, frac_bits, raw=raw)
+        pocs[i] = poc
 
     if bits.bit_length - bits.read_position >= 8:
         raise FormatError("cam_code: trailing bytes after the last record")
     return StreamDecodeResult(
         records=records,
         directions=history.directions[:count],
-        payload_bits=payload_bits,
+        # every record is byte aligned, and the cursor is at the end
+        payload_bits=bits.read_position - 32 * count,
     )

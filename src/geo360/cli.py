@@ -12,7 +12,10 @@ Subcommands:
     metrics bdrate    BD-rate between two rate/quality CSVs
     metrics opcount   per-block arithmetic cost of a model
 
-All numeric CSV output uses fixed 6-decimal formatting so runs diff cleanly.
+Numeric CSV output uses fixed 6-decimal formatting so runs diff cleanly.
+Camera CSVs are the exception (synth --camera-out, camest --out, camcode
+decode --out): video_io.camera_row writes them with ten decimals, so a
+direction read back quantizes to the same 24-bit residuals it was coded with.
 Errors from the library, and files that cannot be opened or written, are
 reported on stderr as `error: <module>: ...` and turn into exit code 1;
 argparse usage problems keep its conventional exit code 2.

@@ -89,19 +89,25 @@ def _sphere_to_erp_inplace(theta, phi, width: int, height: int, out):
 
 
 def _checked_norm(v) -> tuple[np.ndarray, float]:
-    """v as a float64 3-vector and its norm, which must be 1 within _UNIT_TOL.
+    """v as a float64 3-vector and its _unit_norm.  A float64 (3,) array is
+    used as it is."""
+    if type(v) is not np.ndarray or v.shape != (3,) or v.dtype != np.float64:
+        v = np.asarray(v, dtype=np.float64).reshape(3)
+    return v, _unit_norm(v)
+
+
+def _unit_norm(v: np.ndarray) -> float:
+    """Norm of a float64 (3,) array, which must be 1 within _UNIT_TOL.
 
     np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); calling the parts
     directly skips its dispatch and gives the same bits.  The dot stays a
     numpy dot: x*x + y*y + z*z differs from it in the last bit for about
-    one unit vector in five.  A float64 (3,) array is used as it is.
+    one unit vector in five.
     """
-    if type(v) is not np.ndarray or v.shape != (3,) or v.dtype != np.float64:
-        v = np.asarray(v, dtype=np.float64).reshape(3)
-    n = math.sqrt(float(v.dot(v)))
-    if not math.isfinite(n) or abs(n - 1.0) > _UNIT_TOL:
+    n = math.sqrt(v.dot(v))
+    if not abs(n - 1.0) <= _UNIT_TOL:  # also false for nan and inf
         raise DomainError(f"geometry: vector norm {n!r} is not 1 within {_UNIT_TOL}")
-    return v, n
+    return n
 
 
 def as_unit_vector(v) -> np.ndarray:
@@ -114,28 +120,31 @@ def as_unit_vector(v) -> np.ndarray:
     return v / n
 
 
-def _unit_angles(v) -> tuple[float, float]:
+def _unit_angles(v: np.ndarray) -> tuple[float, float]:
     """Unit vector -> (theta, phi) as two floats; phi fixed to 0 at the poles.
 
-    Each component is divided by the norm as a float, which gives the bits
-    of as_unit_vector's array division.
+    v must be a float64 (3,) array, such as the codec builds or coerces
+    itself; it is used without conversion, and its norm is checked by
+    _unit_norm.  Each component is divided by the norm as a float, which
+    gives the bits of as_unit_vector's array division.
     """
-    v, n = _checked_norm(v)
+    n = _unit_norm(v)
     x, y, z = v.tolist()
-    z = min(1.0, max(-1.0, z / n))
-    theta = math.acos(z)
-    if abs(z) >= 1.0:
-        return theta, 0.0
+    z /= n
+    if z >= 1.0:
+        return 0.0, 0.0
+    if z <= -1.0:
+        return math.pi, 0.0
     phi = math.atan2(y / n, x / n)
     if phi >= math.pi:  # atan2 may return +pi exactly
         phi = -math.pi
-    return theta, phi
+    return math.acos(z), phi
 
 
-def _angles_to_cart(theta: float, phi: float) -> np.ndarray:
-    """(theta, phi) -> unit vector, with the trig on floats."""
+def _angles_to_cart(theta: float, phi: float) -> tuple[float, float, float]:
+    """(theta, phi) -> the unit vector's (x, y, z), with the trig on floats."""
     st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
 
 def sphere_grid_to_cart(theta, phi) -> np.ndarray:

@@ -258,10 +258,10 @@ def _predict(
     """predict_block on a reference prepared by _frame_quads and the block's
     geometry, so callers that predict many blocks prepare it once."""
     y_quads, cb_quads, cr_quads = ref_quads
-    src_u, src_v, clamped = motion_model.map_block_geometry_batch(
+    src_u, src_v = motion_model.map_block_geometry_batch(
         geom, np.array([t.t_u]), np.array([t.t_v]), cfg
     )
-    src_u, src_v, clamped = src_u[0, 0], src_v[0, 0], clamped[0, 0]
+    src_u, src_v = src_u[0, 0], src_v[0, 0]
 
     cb = cr = None
     even = (block.x0 | block.y0 | block.width | block.height) % 2 == 0
@@ -279,9 +279,8 @@ def _predict(
     cur_block = _block_view(cur, block).astype(np.float64)
     sad = float(np.abs(pred - cur_block).sum())
 
-    return PredictionResult(
-        block=pred, sad=sad, degenerate=int(clamped.sum()), cb=cb, cr=cr
-    )
+    degenerate = motion_model._clamped_count(geom, t.t_u, cfg)
+    return PredictionResult(block=pred, sad=sad, degenerate=degenerate, cb=cb, cr=cr)
 
 
 def _predict_blocks(ref: ErpFrame, cur: ErpFrame, blocks, q, t, cfg):
@@ -345,7 +344,7 @@ class _SearchKernel:
 
     def geodesic(self, geom: BlockGeometry, cfg: GeodesicModelConfig) -> _PlaneSampler:
         """Every candidate of a geodesic model for the block of geom."""
-        src_u, src_v, _ = motion_model.map_block_geometry_batch(
+        src_u, src_v = motion_model.map_block_geometry_batch(
             geom, self.offsets, self.offsets, cfg, self._workspace
         )
         return _PlaneSampler(

@@ -297,10 +297,11 @@ def map_block_geometry_batch(
 ):
     """Source coordinates for every (t_u, t_v) candidate at once.
 
-    Returns (src_u, src_v, clamped) with shape (len(t_u), len(t_v), h, w);
-    clamped flags pixels whose polar angle was pole-clamped on the way.
-    The polar law only depends on t_u and the azimuth shift only on t_v, so
-    the trig passes stay at (nu, h, w) and (nv, h, w), and so do the
+    Returns (src_u, src_v) with shape (len(t_u), len(t_v), h, w); a polar
+    angle that comes closer to a pole than POLE_EPS on the way is clamped,
+    and _clamped_count counts such pixels.  The polar law only depends on
+    t_u and the azimuth shift only on t_v, so the trig passes stay at
+    (nu, h, w) and (nv, h, w), and so do the
     rot[2, k] * cos(theta') terms of the rotation back.  The rotation back,
     arccos/arctan2 and the conversion to ERP coordinates run in place in
     five full-size buffers, with the operations and their order of the plain
@@ -319,7 +320,6 @@ def map_block_geometry_batch(
     full = (nu, nv, h, w)
 
     theta_m = _model_theta(geom, t_u_values, cfg)
-    clamped_out = (theta_m < POLE_EPS) | (theta_m > math.pi - POLE_EPS)
     np.clip(theta_m, POLE_EPS, math.pi - POLE_EPS, out=theta_m)
 
     sin_t = np.sin(theta_m)[:, None, :, :]
@@ -348,11 +348,18 @@ def map_block_geometry_batch(
     wy = world(1, x, y)
     phi_w = np.arctan2(wy, wx, out=tmp)
     # arctan2 may return +pi; the wrap maps it to -pi exactly.
-    src_u, src_v = geometry._sphere_to_erp_inplace(
+    return geometry._sphere_to_erp_inplace(
         theta_w, phi_w, geom.frame_width, geom.frame_height, wx
     )
-    clamped = clamped_out[:, None, :, :] | geom.clamped_in[None, None, :, :]
-    return src_u, src_v, np.broadcast_to(clamped, full)
+
+
+def _clamped_count(geom: BlockGeometry, t_u: float, cfg: GeodesicModelConfig) -> int:
+    """Pixels of the block that map_block_geometry_batch pole-clamps at
+    t_u: on the rotation into the epipole frame (geom.clamped_in) or after
+    the polar law."""
+    theta_m = _model_theta(geom, np.array([t_u], dtype=np.float64), cfg)[0]
+    clamped = (theta_m < POLE_EPS) | (theta_m > math.pi - POLE_EPS) | geom.clamped_in
+    return int(np.count_nonzero(clamped))
 
 
 # ---------------------------------------------------------------------------

@@ -220,29 +220,35 @@ def read_text_lines(path: str) -> Iterator[str]:
 
 def read_camera_csv(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Frame indices, (N,) int64, and directions, (N, 3) float64, of a
-    camera CSV.  The values go to one list per array, which become the two
-    arrays once at the end.  A frame listed twice or a non-finite value
-    raises FormatError."""
-    lines = (ln for ln in map(str.strip, read_text_lines(path)) if ln)
-    if next(lines, None) != CAMERA_CSV_HEADER:
+    camera CSV.  Each row is unpacked into exactly four fields and
+    converted as it is read; the values go to one list per array, which
+    become the two arrays once at the end.  A frame listed twice or a
+    non-finite value raises FormatError."""
+    lines = read_text_lines(path)
+    if next(filter(None, map(str.strip, lines)), None) != CAMERA_CSV_HEADER:
         raise FormatError(f"video_io: {path} lacks the '{CAMERA_CSV_HEADER}' header")
     pocs, values, seen = [], [], set()
     for ln in lines:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise FormatError(f"video_io: bad camera row {ln!r}")
+        ln = ln.strip()
+        if not ln:
+            continue
         try:
-            poc = int(parts[0])
-            row = [float(p) for p in parts[1:]]
+            poc, x, y, z = ln.split(",")
+            poc = int(poc)
+            x = float(x)
+            y = float(y)
+            z = float(z)
         except ValueError as exc:
             raise FormatError(f"video_io: bad camera row {ln!r}") from exc
-        if not all(map(math.isfinite, row)):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise FormatError(f"video_io: non-finite camera row {ln!r}")
         if poc in seen:
             raise FormatError(f"video_io: {path} lists frame {poc} twice")
         seen.add(poc)
         pocs.append(poc)
-        values.extend(row)
+        values.append(x)
+        values.append(y)
+        values.append(z)
     try:
         frames = np.array(pocs, dtype=np.int64)
     except OverflowError as exc:

@@ -6,7 +6,9 @@ Points on the sphere are SphericalPoint values, converted one at a time by
 sphere_to_cart and cart_to_sphere; ged_orig_theta and ged_corrected_theta are the
 two polar laws on their own, written here apart from the package's kernel,
 with their own pole clamp.  The camera codec's bits also have a '0'/'1'
-string form here.  None of them is called by the package itself.
+string form here, and its per-record step a plain form, closed_loop_step,
+that predicts over the whole history.  None of them is called by the
+package itself.
 
 gc_row_theta is the one exception: it runs the package's own gc law, for
 the tests of what the paper claims of that law.
@@ -15,6 +17,7 @@ the tests of what the paper claims of that law.
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 
@@ -42,13 +45,35 @@ class SphericalPoint:
             raise DomainError(f"geometry: phi {self.phi!r} outside [-pi, pi)")
 
 
+def angles_to_cart(theta: float, phi: float) -> np.ndarray:
+    """(theta, phi) -> unit vector as a new array, with the trig on floats."""
+    st = math.sin(theta)
+    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def unit_angles(v) -> tuple[float, float]:
+    """Unit vector, any 3-sequence, -> (theta, phi); phi fixed to 0 at the
+    poles.  v is coerced and its norm checked by geometry._checked_norm,
+    and z is clamped into [-1, 1] before the arccosine."""
+    v, n = geometry._checked_norm(v)
+    x, y, z = v.tolist()
+    z = min(1.0, max(-1.0, z / n))
+    theta = math.acos(z)
+    if abs(z) >= 1.0:
+        return theta, 0.0
+    phi = math.atan2(y / n, x / n)
+    if phi >= math.pi:
+        phi = -math.pi
+    return theta, phi
+
+
 def sphere_to_cart(p: SphericalPoint) -> np.ndarray:
-    return geometry._angles_to_cart(p.theta, p.phi)
+    return angles_to_cart(p.theta, p.phi)
 
 
 def cart_to_sphere(v) -> SphericalPoint:
     """Unit vector -> (theta, phi); phi fixed to 0 at the poles."""
-    theta, phi = geometry._unit_angles(v)
+    theta, phi = unit_angles(v)
     return SphericalPoint(theta=theta, phi=phi)
 
 
@@ -222,8 +247,13 @@ def sample_bilinear(frame: ErpFrame, x, y):
 def eg_encode(n: int, k: int = cam_code.DEFAULT_EG_ORDER) -> str:
     """Order-k exponential-Golomb code of a non-negative integer, as a
     bit string.  Code length is 2*m - k + 1 where m is the bit position of
-    the leading one of n + 2**k."""
-    v, length = cam_code._eg_word(n, k)
+    the leading one of n + 2**k.  It is the codec's signed code of n
+    without its sign bit."""
+    if n < 0:
+        raise DomainError(f"oracles: EG input {n} is negative")
+    v, length = cam_code._signed_word(n, k)
+    if n:
+        v, length = v >> 1, length - 1
     return format(v, f"0{length}b")
 
 
@@ -252,3 +282,53 @@ def write_string(stream: cam_code.Bitstream, bits: str):
         raise DomainError(f"cam_code: bit string {bits!r} is not all 0 and 1")
     if bits:
         stream.write_bits(int(bits, 2), len(bits))
+
+
+def quantize_angle(x: float, frac_bits: int) -> int:
+    """Fixed point with frac_bits fractional bits, half-way cases rounded
+    away from zero."""
+    return int(math.copysign(math.floor(abs(x) * (1 << frac_bits) + 0.5), x))
+
+
+def closed_loop_step(history: list, poc: int, frac_bits: int, q=None, raw=(0, 0)):
+    """The camera codec's per-record step, written plainly: predict_direction
+    over the whole history, a list of (poc, direction) in coding order;
+    angles by unit_angles; the reconstructed direction appended as
+    angles_to_cart builds it.  The encoder passes q and gets the residuals
+    raw back, the decoder passes raw.  Returns (theta, phi, raw)."""
+    theta_hat, phi_hat = unit_angles(cam_code.predict_direction(history, poc))
+    scale = 1 << frac_bits
+    if q is not None:
+        theta, phi = unit_angles(q)
+        raw_t = quantize_angle(theta - theta_hat, frac_bits)
+        raw_p = quantize_angle(cam_code.wrap_residual(phi - phi_hat), frac_bits)
+        half_turn = math.floor(math.pi * scale)
+        raw = raw_t, min(max(raw_p, -half_turn), half_turn)
+    theta = min(max(theta_hat + raw[0] / scale, 0.0), math.pi)
+    phi = float(geometry.wrap_angle(phi_hat + raw[1] / scale))
+    history.append((poc, angles_to_cart(theta, phi)))
+    return theta, phi, raw
+
+
+def code_stream(motions, k: int, frac_bits: int):
+    """A camera stream of (poc, direction) motions coded by closed_loop_step.
+    Returns the stream bytes, the (poc, theta, phi) records, the
+    reconstructed directions and the (raw_theta, raw_phi) residuals."""
+    data = bytearray(cam_code.MAGIC + struct.pack(">HI", cam_code.VERSION, len(motions)))
+    history, records, raws = [], [], []
+    for poc, q in motions:
+        theta, phi, raw = closed_loop_step(history, poc, frac_bits, q=q)
+        payload, _ = cam_code._payload(*raw, k)
+        data += struct.pack(">I", poc) + payload
+        records.append((poc, theta, phi))
+        raws.append(raw)
+    return bytes(data), records, [q for _, q in history], raws
+
+
+def decode_raws(pocs, raws, frac_bits: int):
+    """The (poc, theta, phi) records and directions a decoder rebuilds
+    from the residuals raws of frames pocs, by closed_loop_step."""
+    history = []
+    records = [(poc, *closed_loop_step(history, poc, frac_bits, raw=raw)[:2])
+               for poc, raw in zip(pocs, raws)]
+    return records, [q for _, q in history]

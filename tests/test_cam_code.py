@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from geo360 import cam_code, geometry
 from geo360.cam_code import Bitstream
 from geo360.errors import DomainError, FormatError, Geo360Error, TruncationError
+import oracles
 from oracles import (
     SphericalPoint,
     dequantize_angle,
@@ -407,13 +408,21 @@ def test_history_refuses_a_repeated_poc():
         assert history.size == 2
 
 
-def test_ascending_lookup_returns_the_cached_entry():
+def test_ascending_step_predicts_from_the_top(monkeypatch):
+    # at or above the highest poc the step predicts from history.top, a
+    # view of the last row appended, without a lookup or predict_direction
+    def refuse(*args):
+        raise AssertionError("an ascending poc was looked up")
+
+    monkeypatch.setattr(cam_code._History, "neighbours", refuse)
+    monkeypatch.setattr(cam_code, "predict_direction", refuse)
     history = cam_code._History(5)
-    for poc in range(5):
-        q = np.array([0.0, 0.0, 1.0])
-        history.append(poc, q)
-        assert history.neighbours(poc + 1) is history.neighbours(poc)
-        assert history.neighbours(poc)[0][1] is q
+    assert history.top_poc == -1 and history.top.tolist() == [0.0, 0.0, 1.0]
+    for poc in (0, 3, 4, 9, 20):
+        cam_code._closed_loop(history, poc, 24, q=Z)
+        assert history.top_poc == poc
+        assert history.top.base is history.directions
+        assert np.array_equal(history.top, history.directions[history.size - 1])
 
 
 # --- streams ----------------------------------------------------------------------------
@@ -662,6 +671,82 @@ def test_reencode_at_a_half_turn(q):
         assert np.array_equal(dec.records, enc.records)
         again = cam_code.encode_stream(dec.records["poc"], dec.directions, frac_bits=frac_bits)
         assert again.data == enc.data, frac_bits
+
+
+def _ascending_walk():
+    """Pocs rising by 1 to 3, a walk with a large jump every eighth frame."""
+    rng = np.random.default_rng(31)
+    q, poc, motions = Z.copy(), 0, []
+    for i in range(64):
+        q = q + rng.normal(size=3) * (0.5 if i % 8 == 7 else 0.02)
+        q /= np.linalg.norm(q)
+        poc += int(rng.integers(1, 4))
+        motions.append((poc, q.copy()))
+    return motions
+
+
+def _pole_walk():
+    """A seeded walk across both poles, directions near a pole moved onto
+    it, then the poles themselves, and directions whose z rounds to +-1
+    though x or y is not 0."""
+    rng = np.random.default_rng(32)
+    steps = [(rng.uniform(-0.3, 0.3), rng.uniform(-0.05, 0.05)) for _ in range(60)]
+    motions = pole_walk(0.1, 0.7, steps)
+    ends = [Z, -Z, Z, (0.0, 1e-9, 1.0), (-1e-9, 2e-9, -1.0), (3e-9, 0.0, 1.0)]
+    return motions + [(len(motions) + i, np.array(q)) for i, q in enumerate(ends)]
+
+
+def _half_turns():
+    """Each direction half a turn in azimuth from the one before it, the
+    first at azimuth -pi from the +z prediction."""
+    motions = [(0, np.array([math.sin(-1.0), 0.0, math.cos(-1.0)]))]
+    for i in range(1, 24):
+        theta, phi = 0.3 + 0.1 * i, 0.4 + math.pi * i
+        motions.append((i, np.array(
+            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+        )))
+    return motions
+
+
+STEP_TRAJECTORIES = {
+    "ascending": _ascending_walk,
+    "out_of_order": oracle_motions,
+    "pole": _pole_walk,
+    "half_turn": _half_turns,
+}
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("frac_bits", [0, 8, 24, 52])
+@pytest.mark.parametrize("name", sorted(STEP_TRAJECTORIES))
+def test_record_step_matches_the_oracle(name, frac_bits):
+    # the codec's record step against oracles.closed_loop_step, the step
+    # written plainly over the whole history: every angle, residual and
+    # direction bit for bit, then the streams and what decodes from them
+    motions = STEP_TRAJECTORIES[name]()
+    pocs = [p for p, _ in motions]
+    oracle_history, history = [], cam_code._History(len(motions))
+    for i, (poc, q) in enumerate(motions):
+        want = oracles.closed_loop_step(oracle_history, poc, frac_bits, q=q)
+        got = cam_code._closed_loop(history, poc, frac_bits, q=q)
+        assert got[2] == want[2], (i, poc)
+        assert _bits(got[:2]) == _bits(want[:2]), (i, poc)
+        assert _bits(history.directions[i]) == _bits(oracle_history[-1][1]), (i, poc)
+    for k in (0, 18, 64):
+        data, records, directions, raws = oracles.code_stream(motions, k, frac_bits)
+        enc = encode(motions, k=k, frac_bits=frac_bits)
+        assert enc.data == data, k
+        assert enc.records.tolist() == records
+        assert _bits(enc.records["theta"]) == _bits([r[1] for r in records])
+        assert _bits(enc.records["phi"]) == _bits([r[2] for r in records])
+        dec = cam_code.decode_stream(enc.data, k=k, frac_bits=frac_bits)
+        want_records, want_directions = oracles.decode_raws(pocs, raws, frac_bits)
+        assert dec.records.tobytes() == enc.records.tobytes()
+        assert dec.records.tolist() == want_records
+        assert _bits(dec.directions) == _bits(want_directions) == _bits(directions)
 
 
 def test_stream_input_validation():

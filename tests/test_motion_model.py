@@ -186,7 +186,7 @@ def test_block_identity_at_zero_motion():
     q /= np.linalg.norm(q)
     for cfg in (ORIG, GCG, GCL):
         geom = mm.prepare_block_geometry(block, q, 128, 64)
-        src_u, src_v, _ = mm.map_block_geometry_batch(
+        src_u, src_v = mm.map_block_geometry_batch(
             geom, np.array([0.0]), np.array([0.0]), cfg
         )
         uu, vv = np.meshgrid(
@@ -208,7 +208,7 @@ def test_block_mapping_matches_scalar_path():
     rot = geometry.rotation_to_epipole(q)
     geom = mm.prepare_block_geometry(block, q, width, height)
     for cfg in (ORIG, GCG, GCL):
-        src_u, src_v, _ = mm.map_block_geometry_batch(
+        src_u, src_v = mm.map_block_geometry_batch(
             geom, np.array([t.t_u]), np.array([t.t_v]), cfg
         )
         src_u, src_v = src_u[0, 0], src_v[0, 0]
@@ -251,11 +251,11 @@ def test_batch_motion_grid_consistent_with_single():
     geom = mm.prepare_block_geometry(block, q, 128, 64)
     tus = np.array([-2.0, 0.0, 1.0])
     tvs = np.array([-1.0, 3.0])
-    su, sv, clamped = mm.map_block_geometry_batch(geom, tus, tvs, GCG)
+    su, sv = mm.map_block_geometry_batch(geom, tus, tvs, GCG)
     assert su.shape == (3, 2, 4, 4)
     for a, tu in enumerate(tus):
         for b, tv in enumerate(tvs):
-            one_u, one_v, _ = mm.map_block_geometry_batch(
+            one_u, one_v = mm.map_block_geometry_batch(
                 geom, np.array([tu]), np.array([tv]), GCG
             )
             np.testing.assert_allclose(su[a, b], one_u[0, 0], atol=1e-12)
@@ -265,7 +265,8 @@ def test_batch_motion_grid_consistent_with_single():
 def reference_map_batch(geom, t_u_values, t_v_values, cfg):
     """The per-t_u mapping formula the batch mapper must reproduce bit for
     bit: the oracles' polar laws one t_u at a time, full-size temporaries
-    throughout."""
+    throughout.  Returns src_u, src_v and the mask of pole-clamped pixels,
+    whose count mm._clamped_count gives per t_u."""
     t_u_values = np.asarray(t_u_values, dtype=np.float64)
     t_v_values = np.asarray(t_v_values, dtype=np.float64)
     h, w = geom.theta.shape
@@ -337,10 +338,15 @@ def test_batch_mapping_matches_reference_bit_for_bit():
                             mm.map_block_geometry_batch(geom, offsets, tv, cfg)
                         continue
                     got = mm.map_block_geometry_batch(geom, offsets, tv, cfg)
+                    assert len(got) == 2
                     for a, b in zip(got, want):
                         assert a.shape == b.shape
                         assert np.array_equal(a, b)
-                    touched += bool(want[2].any())
+                    clamped = want[2]
+                    for i, tu in enumerate(offsets.tolist()):
+                        count = mm._clamped_count(geom, tu, cfg)
+                        assert count == clamped[i, 0].sum()
+                    touched += bool(clamped.any())
     assert touched  # the pole cases really clamp
 
 

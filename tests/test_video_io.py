@@ -194,6 +194,11 @@ def test_camera_csv_header_enforced(tmp_path):
     path.write_text("poc,x,y,z\n0,0,0,1\n")
     with pytest.raises(FormatError):
         video_io.read_camera_csv(path)
+    for text in ("0,0,0,1\n", "", "\n \n"):
+        path.write_text(text)
+        with pytest.raises(FormatError) as err:
+            video_io.read_camera_csv(str(path))
+        assert str(err.value) == f"video_io: {path} lacks the 'frame_index,qx,qy,qz' header"
 
 
 def test_camera_csv_bad_rows(tmp_path):
@@ -210,6 +215,22 @@ def test_camera_csv_bad_rows(tmp_path):
     path.write_text("frame_index,qx,qy,qz\n99999999999999999999,0,0,1\n")
     with pytest.raises(FormatError, match="frame index outside int64"):
         video_io.read_camera_csv(path)
+    # the whole text of each error, with the row stripped of the
+    # whitespace around it
+    for body, message in [
+        ("0,0,0,1\n1,0,nan,1\n", "non-finite camera row '1,0,nan,1'"),
+        ("0,x,0,1\n", "bad camera row '0,x,0,1'"),
+        ("0,0,0,1,5\n", "bad camera row '0,0,0,1,5'"),
+        ("0,0,0,1,\n", "bad camera row '0,0,0,1,'"),
+        ("1.5,0,0,1\n", "bad camera row '1.5,0,0,1'"),
+        ("  0,x,0,1 \n", "bad camera row '0,x,0,1'"),
+        (" \n2,0,0,1\n\t\n2,1,0,0\n", f"{path} lists frame 2 twice"),
+        ("99999999999999999999,0,0,1\n", f"{path} has a frame index outside int64"),
+    ]:
+        path.write_text("frame_index,qx,qy,qz\n" + body)
+        with pytest.raises(FormatError) as err:
+            video_io.read_camera_csv(str(path))
+        assert str(err.value) == "video_io: " + message, body
 
 
 def test_camera_csv_repeated_frame(tmp_path):
