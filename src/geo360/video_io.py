@@ -363,7 +363,13 @@ class _SphereTexture:
 
 class _CylinderTexture:
     """Sum of sinusoids in (azimuth, axial position); integer azimuthal
-    harmonics keep the seam continuous."""
+    harmonics keep the seam continuous.
+
+    `sample` is the direct sum.  A dolly along the axis adds the same
+    cam_z * omega to each component's phase at every pixel, so a band's
+    sines and cosines of its camera-free phase (`fill_basis`) give every
+    frame by angle addition (`shifted`), which differs from the direct sum
+    by at most `tolerance`."""
 
     def __init__(self, rng: np.random.Generator, n: int, peak: int, depth: float):
         self.harm = rng.integers(1, 25, size=n).astype(np.float64)
@@ -383,6 +389,37 @@ class _CylinderTexture:
         )
         return self.base + np.sin(arg) @ self.amps
 
+    def tolerance(self, dz: np.ndarray, reach: float) -> float:
+        """A bound on |shifted - sample| over points at axial offsets dz
+        from a camera anywhere in [0, reach]: eps * sum|a| * (8 M + 2 n + 32),
+        M the largest phase magnitude, n the component count."""
+        big = (
+            np.pi * self.harm.max()
+            + (np.abs(dz).max() + reach) * self.omega.max()
+            + self.phase.max()
+        )
+        eps = np.finfo(np.float64).eps
+        return eps * np.abs(self.amps).sum() * (8.0 * big + 2.0 * self.harm.size + 32.0)
+
+    def fill_basis(self, phi: np.ndarray, dz: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray):
+        """sin_x = sin x and cos_x = cos x of the camera-free phase
+        x = phi * harm + dz * omega + phase, computed in the two buffers."""
+        np.multiply(phi[..., None], self.harm, out=sin_x)
+        np.multiply(dz[..., None], self.omega, out=cos_x)
+        sin_x += cos_x
+        sin_x += self.phase
+        np.cos(sin_x, out=cos_x)
+        np.sin(sin_x, out=sin_x)
+
+    def shifted(self, sin_x: np.ndarray, cos_x: np.ndarray, cam_z: float) -> np.ndarray:
+        """The texture from camera height cam_z over fill_basis's points:
+        a sin(x + c) = sin x * a cos c + cos x * a sin c, c = cam_z * omega."""
+        c = cam_z * self.omega
+        values = sin_x @ (self.amps * np.cos(c))
+        values += cos_x @ (self.amps * np.sin(c))
+        values += self.base
+        return values
+
 
 def _intersect_sphere(cam_z: float, s_axis: np.ndarray, depth: float) -> np.ndarray:
     """World points where rays s from (0,0,cam_z) hit the ||w|| = depth shell."""
@@ -393,20 +430,28 @@ def _intersect_sphere(cam_z: float, s_axis: np.ndarray, depth: float) -> np.ndar
     return w
 
 
-def _intersect_cylinder(cam_z: float, s_axis: np.ndarray, depth: float):
-    """(azimuth, axial z) where rays from on-axis height cam_z hit the
-    radius-`depth` cylinder around the z axis."""
-    horiz = np.hypot(s_axis[..., 0], s_axis[..., 1])
-    phi = np.arctan2(s_axis[..., 1], s_axis[..., 0])
-    z = cam_z + depth * s_axis[..., 2] / horiz
-    return phi, z
+def _cylinder_values(texture: _CylinderTexture, basis, tol: float, phi, dz, cam_z: float):
+    """The cylinder texture of one band from camera height cam_z, rounding
+    as the direct sum at (phi, cam_z + dz) does.  basis is fill_basis's
+    (sin x, cos x) pair.  The angle-addition value is kept unless it lies
+    within tol of a half-integer; each row holding such a pixel, and the
+    whole band when tol >= 0.5, takes the direct sum."""
+    if not tol < 0.5:
+        return texture.sample(phi, cam_z + dz)
+    values = texture.shifted(*basis, cam_z)
+    near = (np.abs(values - np.floor(values) - 0.5) <= tol).any(axis=1)
+    if near.any():
+        values[near] = texture.sample(phi[near], cam_z + dz[near])
+    return values
 
 
 # A band of rows holds each (rows, W, _TEXTURE_COMPONENTS) float64 texture
 # term within this many bytes, so synth memory does not grow with the
-# frame.  Of 128 KiB up to whole-frame bands, 512 KiB rendered a 256x128
-# cylinder dolly fastest on a 2-core x86-64 machine (about 6% faster than
-# one band); its terms stay inside a 2 MiB L2 cache.
+# frame.  On 6-frame cylinder dollies at 256x128 and 512x256 (2-core
+# x86-64 machine), 1 and 2 MiB bands rendered fastest, 512 KiB 4-8% slower,
+# whole-frame bands 8-12% slower and 128 or 256 KiB bands (one to three
+# rows) 13-60% slower.  512 KiB stays because 1 MiB doubles the two texture
+# buffers a cylinder band holds, about 1 MB more at 256 wide.
 _BAND_BYTES = 512 * 1024
 
 
@@ -418,16 +463,18 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
     intersection is always defined, though its texture gets badly aliased
     in the rows nearest the poles.
 
-    The ray geometry is computed once; each frame and flow is then rendered
-    in bands of rows.  Every step is elementwise or a per-row product, so
-    the output does not depend on the band height.
+    The frames and flows are rendered band of rows by band, every frame of
+    a band in turn, so a band's ray geometry and other frame-independent
+    terms are computed once.  Every step is elementwise or a per-row
+    product, so the output does not depend on the band height.
     """
     rng = np.random.default_rng(cfg.seed)
     peak = (1 << cfg.bit_depth) - 1
-    if cfg.depth_model == "sphere":
-        texture = _SphereTexture(rng, _TEXTURE_COMPONENTS, peak)
-    else:
+    cylinder = cfg.depth_model == "cylinder"
+    if cylinder:
         texture = _CylinderTexture(rng, _TEXTURE_COMPONENTS, peak, cfg.depth)
+    else:
+        texture = _SphereTexture(rng, _TEXTURE_COMPONENTS, peak)
 
     raw_axis = np.asarray(cfg.direction, dtype=np.float64)
     norm = np.linalg.norm(raw_axis)
@@ -438,39 +485,44 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
 
     u = np.arange(cfg.width, dtype=np.float64)
     v = np.arange(cfg.height, dtype=np.float64)
-    theta, phi = geometry.erp_grid_to_sphere(*np.meshgrid(u, v), cfg.width, cfg.height)
-    s_axis = geometry.sphere_grid_to_cart(theta, phi) @ rot.T
-    del theta, phi
-
-    rows = max(1, _BAND_BYTES // (8 * cfg.width * _TEXTURE_COMPONENTS))
+    rows = max(1, min(cfg.height, _BAND_BYTES // (8 * cfg.width * _TEXTURE_COMPONENTS)))
     bands = [slice(r, r + rows) for r in range(0, cfg.height, rows)]
     shape = (cfg.height, cfg.width)
     dtype = _sample_dtype(cfg.bit_depth)
-    frames = []
-    flows = []
-    for m in range(cfg.frames):
-        cam_z = m * cfg.step
-        y = np.empty(shape, dtype=dtype)
-        flow = None
-        if m + 1 < cfg.frames:
-            flow = FlowField(du=np.empty(shape), dv=np.empty(shape))
-        for band in bands:
-            sa = s_axis[band]
-            if cfg.depth_model == "sphere":
+    planes = [np.empty(shape, dtype=dtype) for _ in range(cfg.frames)]
+    flows = [FlowField(du=np.empty(shape), dv=np.empty(shape)) for _ in range(cfg.frames - 1)]
+    if cylinder:
+        reach = (cfg.frames - 1) * cfg.step
+        sin_rows = np.empty((rows, cfg.width, _TEXTURE_COMPONENTS))
+        cos_rows = np.empty_like(sin_rows)
+    for band in bands:
+        # The band's pixel bearings, turned into the motion frame.
+        theta, phi = geometry.erp_grid_to_sphere(*np.meshgrid(u, v[band]), cfg.width, cfg.height)
+        sa = geometry.sphere_grid_to_cart(theta, phi) @ rot.T
+        if cylinder:
+            # Azimuth and axial offset from the camera of each ray's hit on
+            # the cylinder, and the hit point itself from cam_z = 0.
+            horiz = np.hypot(sa[..., 0], sa[..., 1])
+            cphi = np.arctan2(sa[..., 1], sa[..., 0])
+            dz = cfg.depth * sa[..., 2] / horiz
+            ray = (cfg.depth / horiz)[..., None] * sa
+            basis = sin_rows[: len(sa)], cos_rows[: len(sa)]
+            tol = texture.tolerance(dz, reach)
+            if tol < 0.5:
+                texture.fill_basis(cphi, dz, *basis)
+        for m, y in enumerate(planes):
+            cam_z = m * cfg.step
+            if cylinder:
+                values = _cylinder_values(texture, basis, tol, cphi, dz, cam_z)
+            else:
                 w = _intersect_sphere(cam_z, sa, cfg.depth)
                 values = texture.sample(w / cfg.depth)
-            else:
-                cphi, cz = _intersect_cylinder(cam_z, sa, cfg.depth)
-                w = None
-                values = texture.sample(cphi, cz)
             y[band] = np.clip(np.rint(values), 0, peak)
-            if flow is None:
+            if m == len(flows):
                 continue
 
-            if w is None:
-                horiz = np.hypot(sa[..., 0], sa[..., 1])
-                t = cfg.depth / horiz
-                w = t[..., None] * sa
+            if cylinder:
+                w = ray.copy()
                 w[..., 2] += cam_z
             w[..., 2] -= (m + 1) * cfg.step
             s2 = (w / np.linalg.norm(w, axis=-1, keepdims=True)) @ rot
@@ -478,15 +530,12 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
             u2, v2 = geometry.sphere_grid_to_erp(th2, ph2, cfg.width, cfg.height)
             du = u2 - u
             du -= cfg.width * np.round(du / cfg.width)
-            flow.du[band] = du
-            flow.dv[band] = v2 - v[band, None]
-        frames.append(
-            ErpFrame(
-                width=cfg.width, height=cfg.height, bit_depth=cfg.bit_depth, y=y
-            )
-        )
-        if flow is not None:
-            flows.append(flow)
+            flows[m].du[band] = du
+            flows[m].dv[band] = v2 - v[band, None]
 
+    frames = [
+        ErpFrame(width=cfg.width, height=cfg.height, bit_depth=cfg.bit_depth, y=y)
+        for y in planes
+    ]
     camera = (np.arange(1, cfg.frames, dtype=np.int64), np.tile(axis, (cfg.frames - 1, 1)))
     return SynthResult(frames=frames, flows=flows, camera=camera)

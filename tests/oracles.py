@@ -10,6 +10,10 @@ string form here, and its per-record step a plain form, closed_loop_step,
 that predicts over the whole history.  None of them is called by the
 package itself.
 
+synth_direct is the synthetic dolly renderer as it was before it rendered
+the cylinder texture once per band: frames in the outer loop, every
+sinusoid of every pixel summed afresh for each frame.
+
 gc_row_theta is the one exception: it runs the package's own gc law, for
 the tests of what the paper claims of that law.
 """
@@ -23,8 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from geo360 import cam_code, geometry
+from geo360 import cam_code, geometry, video_io
 from geo360 import motion_model as mm
+from geo360.camera_est import FlowField
 from geo360.errors import DegenerateGeometryError, DomainError
 from geo360.geometry import TWO_PI
 from geo360.mocomp import ErpFrame, _PlaneSampler, _quads
@@ -332,3 +337,85 @@ def decode_raws(pocs, raws, frac_bits: int):
     records = [(poc, *closed_loop_step(history, poc, frac_bits, raw=raw)[:2])
                for poc, raw in zip(pocs, raws)]
     return records, [q for _, q in history]
+
+
+def _intersect_cylinder(cam_z: float, s_axis: np.ndarray, depth: float):
+    """(azimuth, axial z) where rays from on-axis height cam_z hit the
+    radius-`depth` cylinder around the z axis."""
+    horiz = np.hypot(s_axis[..., 0], s_axis[..., 1])
+    phi = np.arctan2(s_axis[..., 1], s_axis[..., 0])
+    z = cam_z + depth * s_axis[..., 2] / horiz
+    return phi, z
+
+
+def synth_direct(cfg: video_io.SynthConfig) -> video_io.SynthResult:
+    """video_io.synth_dolly with frames in the outer loop and the texture's
+    direct sum at every pixel of every frame."""
+    rng = np.random.default_rng(cfg.seed)
+    peak = (1 << cfg.bit_depth) - 1
+    if cfg.depth_model == "sphere":
+        texture = video_io._SphereTexture(rng, video_io._TEXTURE_COMPONENTS, peak)
+    else:
+        texture = video_io._CylinderTexture(rng, video_io._TEXTURE_COMPONENTS, peak, cfg.depth)
+
+    raw_axis = np.asarray(cfg.direction, dtype=np.float64)
+    norm = np.linalg.norm(raw_axis)
+    if norm < 1e-12:
+        raise DomainError("video_io: synth direction must be non-zero")
+    axis = raw_axis / norm
+    rot = geometry.rotation_to_epipole(axis)
+
+    u = np.arange(cfg.width, dtype=np.float64)
+    v = np.arange(cfg.height, dtype=np.float64)
+    theta, phi = geometry.erp_grid_to_sphere(*np.meshgrid(u, v), cfg.width, cfg.height)
+    s_axis = geometry.sphere_grid_to_cart(theta, phi) @ rot.T
+    del theta, phi
+
+    rows = max(1, video_io._BAND_BYTES // (8 * cfg.width * video_io._TEXTURE_COMPONENTS))
+    bands = [slice(r, r + rows) for r in range(0, cfg.height, rows)]
+    shape = (cfg.height, cfg.width)
+    dtype = video_io._sample_dtype(cfg.bit_depth)
+    frames = []
+    flows = []
+    for m in range(cfg.frames):
+        cam_z = m * cfg.step
+        y = np.empty(shape, dtype=dtype)
+        flow = None
+        if m + 1 < cfg.frames:
+            flow = FlowField(du=np.empty(shape), dv=np.empty(shape))
+        for band in bands:
+            sa = s_axis[band]
+            if cfg.depth_model == "sphere":
+                w = video_io._intersect_sphere(cam_z, sa, cfg.depth)
+                values = texture.sample(w / cfg.depth)
+            else:
+                cphi, cz = _intersect_cylinder(cam_z, sa, cfg.depth)
+                w = None
+                values = texture.sample(cphi, cz)
+            y[band] = np.clip(np.rint(values), 0, peak)
+            if flow is None:
+                continue
+
+            if w is None:
+                horiz = np.hypot(sa[..., 0], sa[..., 1])
+                t = cfg.depth / horiz
+                w = t[..., None] * sa
+                w[..., 2] += cam_z
+            w[..., 2] -= (m + 1) * cfg.step
+            s2 = (w / np.linalg.norm(w, axis=-1, keepdims=True)) @ rot
+            th2, ph2 = geometry.cart_grid_to_sphere(s2)
+            u2, v2 = geometry.sphere_grid_to_erp(th2, ph2, cfg.width, cfg.height)
+            du = u2 - u
+            du -= cfg.width * np.round(du / cfg.width)
+            flow.du[band] = du
+            flow.dv[band] = v2 - v[band, None]
+        frames.append(
+            ErpFrame(
+                width=cfg.width, height=cfg.height, bit_depth=cfg.bit_depth, y=y
+            )
+        )
+        if flow is not None:
+            flows.append(flow)
+
+    camera = (np.arange(1, cfg.frames, dtype=np.int64), np.tile(axis, (cfg.frames - 1, 1)))
+    return video_io.SynthResult(frames=frames, flows=flows, camera=camera)

@@ -22,6 +22,7 @@ from oracles import (
     erp_to_sphere,
     sphere_to_cart,
     sphere_to_erp,
+    synth_direct,
 )
 
 
@@ -588,3 +589,137 @@ def test_synth_golden_digest():
     assert _synth_digest(result) == (
         "c4fd53c779e66bea06642056ed156fee3fe471c57bececfb508ea5294fa5fbcd"
     )
+
+
+# --- band-outer synth against the frame-outer renderer ------------------------------
+
+
+def _benchmark_cfg(seed, bit_depth):
+    """The benchmark's dolly: 256x128, 6 frames of 0.0245 through the unit
+    cylinder along an axis 40 to 140 degrees from +z."""
+    rng = np.random.default_rng(seed)
+    theta, phi = math.radians(rng.uniform(40.0, 140.0)), rng.uniform(-math.pi, math.pi)
+    axis = (math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta))
+    return SynthConfig(width=256, height=128, frames=6, step=0.0245, depth_model="cylinder",
+                       direction=axis, bit_depth=bit_depth, seed=seed)
+
+
+def _assert_same_synth(a, b):
+    assert len(a.frames) == len(b.frames) and len(a.flows) == len(b.flows)
+    for fa, fb in zip(a.frames, b.frames):
+        assert fa.y.dtype == fb.y.dtype
+        assert fa.y.tobytes() == fb.y.tobytes()
+    for xa, xb in zip(a.flows, b.flows):
+        assert xa.du.tobytes() == xb.du.tobytes()
+        assert xa.dv.tobytes() == xb.dv.tobytes()
+
+
+def _log_results(monkeypatch, name, log):
+    """Append a copy of each result of _CylinderTexture.<name> to log."""
+    method = getattr(video_io._CylinderTexture, name)
+
+    def logged(self, *args):
+        out = method(self, *args)
+        log.append(np.array(out))
+        return out
+
+    monkeypatch.setattr(video_io._CylinderTexture, name, logged)
+
+
+def _render_both(monkeypatch, cfg):
+    """synth_dolly and synth_direct of a cylinder dolly, and the largest
+    gap between an angle-addition texture value and the direct sum, over
+    its band's tolerance."""
+    tols, fast, direct = [], [], []
+    _log_results(monkeypatch, "tolerance", tols)
+    _log_results(monkeypatch, "shifted", fast)
+    new = video_io.synth_dolly(cfg)
+    monkeypatch.undo()
+    _log_results(monkeypatch, "sample", direct)
+    old = synth_direct(cfg)
+    monkeypatch.undo()
+    bands, frames = len(tols), cfg.frames
+    # every band of every frame took the angle-addition path
+    assert len(fast) == len(direct) == bands * frames
+    # synth_dolly renders band by band, synth_direct frame by frame
+    worst = max(
+        np.abs(fast[b * frames + m] - direct[m * bands + b]).max() / tols[b]
+        for b in range(bands) for m in range(frames)
+    )
+    return new, old, worst
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_synth_matches_frame_outer_renderer(monkeypatch, bit_depth):
+    worst = 0.0
+    for seed in range(20):
+        new, old, gap = _render_both(monkeypatch, _benchmark_cfg(seed, bit_depth))
+        _assert_same_synth(new, old)
+        worst = max(worst, gap)
+    # Rounding stays far inside the tolerance, so it is not the guard
+    # that keeps the bytes.
+    assert worst < 0.1
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_synth_long_travel_matches_frame_outer_renderer(monkeypatch, bit_depth):
+    # 64 frames at the showdown's step: phases grow with the camera travel
+    cfg = SynthConfig(width=128, height=64, frames=64, step=2.0 * math.tan(math.pi / 256),
+                      depth_model="cylinder", direction=(0.3, -0.2, 0.9),
+                      bit_depth=bit_depth, seed=11)
+    new, old, gap = _render_both(monkeypatch, cfg)
+    _assert_same_synth(new, old)
+    assert gap < 0.1
+
+
+def test_synth_guard_takes_the_direct_sum_past_half(monkeypatch):
+    # At depth 1e-100 a step of 1e-3 shifts phases by ~1e98 rad, where the
+    # angle-addition value carries no digits; the tolerance passes 0.5 and
+    # every pixel takes the direct sum.
+    cfg = SynthConfig(width=64, height=32, frames=3, step=1e-3, depth=1e-100,
+                      depth_model="cylinder", direction=(0.3, -0.2, 0.9))
+    want = synth_direct(cfg)
+    tols = []
+    _log_results(monkeypatch, "tolerance", tols)
+    _assert_same_synth(video_io.synth_dolly(cfg), want)
+    assert min(tols) >= 0.5
+    monkeypatch.setattr(video_io._CylinderTexture, "tolerance", lambda self, dz, reach: 0.0)
+    unguarded = video_io.synth_dolly(cfg)
+    assert any(a.y.tobytes() != b.y.tobytes() for a, b in zip(unguarded.frames, want.frames))
+
+
+def test_synth_guard_absorbs_any_error_below_the_tolerance(monkeypatch):
+    # Push every angle-addition value 9e-4 up and claim a 1e-3 tolerance:
+    # the pixels this could round the other way lie within 1e-3 of a
+    # half-integer, so their rows must take the direct sum.
+    cfg = _benchmark_cfg(0, 8)
+    want = synth_direct(cfg)
+    shifted = video_io._CylinderTexture.shifted
+    monkeypatch.setattr(video_io._CylinderTexture, "shifted",
+                        lambda self, *args: shifted(self, *args) + 9e-4)
+    monkeypatch.setattr(video_io._CylinderTexture, "tolerance", lambda self, dz, reach: 1e-3)
+    direct = []
+    _log_results(monkeypatch, "sample", direct)
+    _assert_same_synth(video_io.synth_dolly(cfg), want)
+    # some rows, not all, took the direct sum
+    assert 0 < sum(len(rows) for rows in direct) < cfg.height * cfg.frames
+
+
+def test_synth_memory_does_not_grow_with_frames():
+    # The band buffers serve every frame of their band; none is kept per frame.
+    # A first render in the process also traces numpy's one-time set-up.
+    video_io.synth_dolly(SynthConfig(width=16, height=8, depth_model="cylinder"))
+    extra = []
+    for frames in (3, 6, 12):
+        cfg = SynthConfig(width=256, height=128, frames=frames, step=0.02,
+                          depth_model="cylinder", direction=(0.3, -0.2, 0.9))
+        tracemalloc.start()
+        try:
+            result = video_io.synth_dolly(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(f.y.nbytes for f in result.frames)
+        kept += sum(flow.du.nbytes + flow.dv.nbytes for flow in result.flows)
+        extra.append(peak - kept)
+    assert max(extra) - min(extra) < 64 * 1024
