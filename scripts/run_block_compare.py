@@ -74,16 +74,13 @@ def main():
     print(f"search finished in {time.perf_counter() - t0:.1f}s",
           file=sys.stderr)
 
-    labels = ["translational"] + args.variants.split(",")
-    agg = {}
+    rows = [line.split(",") for line in (work / "cmp.csv").read_text().splitlines()[1:]]
+    # the model labels as compare wrote them, translational first
+    agg = {cells[5]: float(cells[8]) for cells in rows if cells[0] == "aggregate"}
+    labels = list(agg)
     bands = {"polar": {}, "mid": {}, "equator": {}}
-    rows = (work / "cmp.csv").read_text().strip().split("\n")[1:]
-    for line in rows:
-        cells = line.split(",")
-        if cells[0] == "aggregate":
-            agg[cells[5]] = float(cells[8])
-            continue
-        if cells[5] != labels[0]:
+    for cells in rows:
+        if cells[0] != "block" or cells[5] != labels[0]:
             continue  # one row per block is enough for the winner column
         colat = abs(float(cells[4]) - math.pi / 2)
         band = ("equator" if colat < math.pi / 6

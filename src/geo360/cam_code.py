@@ -60,16 +60,13 @@ def wrap_residual(x: float) -> float:
 
 
 class Bitstream:
-    """MSB-first bit buffer with an independent read cursor.
+    """MSB-first read cursor over whole bytes.
 
-    Reads and writes move whole integers: a write ORs the top of the value
-    into the free low bits of the last byte and appends the rest as bytes; a
-    read converts the bytes it covers to one integer and shifts and masks.
-    Bits past bit_length in the last byte are always zero.
+    A read converts the bytes it covers to one integer and shifts and masks.
     """
 
-    def __init__(self, data: bytes | None = None):
-        self._buf = bytearray(data or b"")
+    def __init__(self, data: bytes):
+        self._buf = bytes(data)
         self._nbits = 8 * len(self._buf)
         self._pos = 0
 
@@ -81,36 +78,16 @@ class Bitstream:
     def read_position(self) -> int:
         return self._pos
 
-    def write_bits(self, value: int, count: int):
-        """Append the low `count` bits of value, most significant first."""
-        if count < 0 or value >> count:
-            raise DomainError(f"cam_code: {value} does not fit in {count} bits")
-        free = -self._nbits % 8
-        self._nbits += count
-        if free:
-            if count <= free:
-                self._buf[-1] |= value << (free - count)
-                return
-            count -= free
-            self._buf[-1] |= value >> count
-            value &= (1 << count) - 1
-        pad = -count % 8
-        self._buf += (value << pad).to_bytes((count + pad) >> 3, "big")
-
-    def read_bit(self) -> int:
-        return self.read_bits(1)
-
     def read_bits(self, count: int) -> int:
         """Read `count` bits as an unsigned integer, most significant first.
 
         Raises TruncationError, leaving the cursor where it was, when fewer
-        than count bits remain.  Reading 0 bits always gives 0, also with the
-        cursor aligned past a partial last byte.
+        than count bits remain.
         """
         if count < 0:
             raise DomainError(f"cam_code: cannot read {count} bits")
         end = self._pos + count
-        if end > self._nbits and count:
+        if end > self._nbits:
             raise TruncationError("cam_code: read past end of bitstream")
         word = int.from_bytes(self._buf[self._pos >> 3 : (end + 7) >> 3], "big")
         self._pos = end
@@ -144,10 +121,6 @@ class Bitstream:
     def align_read(self):
         """Skip forward to the next byte boundary."""
         self._pos += (-self._pos) % 8
-
-    def to_bytes(self) -> bytes:
-        """Buffer contents, final partial byte zero-padded."""
-        return bytes(self._buf)
 
 
 def _signed_word(raw: int, k: int) -> tuple[int, int]:

@@ -402,87 +402,3 @@ def op_count(variant: str, scaling: str, width: int, height: int) -> OpCount:
     if scaling == "global":
         return OpCount(trig=2 * mn, mul=mn, div=0, add=mn)
     return OpCount(trig=2 * mn + 1, mul=mn, div=mn, add=mn)
-
-
-class _Tally:
-    """Arithmetic wrapper that counts as it computes."""
-
-    def __init__(self):
-        self.trig = 0
-        self.mul = 0
-        self.div = 0
-        self.add = 0
-
-    def sin(self, x):
-        self.trig += 1
-        return math.sin(x)
-
-    def cos(self, x):
-        self.trig += 1
-        return math.cos(x)
-
-    def atan(self, x):
-        self.trig += 1
-        return math.atan(x)
-
-    def cot(self, x):
-        self.trig += 1
-        return math.cos(x) / math.sin(x)
-
-    def acot(self, x):
-        self.trig += 1
-        return math.atan2(1.0, x)
-
-    def multiply(self, a, b):
-        self.mul += 1
-        return a * b
-
-    def divide(self, a, b):
-        self.div += 1
-        return a / b
-
-    def addsub(self, a, b):
-        self.add += 1
-        return a + b
-
-
-def count_block_ops(
-    variant: str, scaling: str, width: int, height: int
-) -> OpCount:
-    """Tally of a scalar transcription of one block's polar law.
-
-    Evaluates, on a dummy block and through counting wrappers, a per-pixel
-    scalar form of each law that this function carries itself, as a second
-    derivation of the closed-form table in op_count.  It does not run the
-    vectorized kernel (_model_theta), so a change to the kernel's law does
-    not show in this tally.  Returns the tally; the computed angles
-    themselves are discarded.
-    """
-    _check_model(variant, scaling)
-    tally = _Tally()
-    theta_c = 1.1
-    t_u = 2.5
-    delta = 0.01
-    thetas = np.linspace(0.4, 2.7, width * height)
-    dz = math.tan(delta)  # per-sequence constant, not charged
-
-    if variant == "original":
-        shift = tally.multiply(delta, t_u)
-        k = tally.divide(
-            tally.sin(tally.addsub(theta_c, shift)), tally.sin(shift)
-        )
-        for th in thetas:
-            num = tally.sin(th)
-            den = tally.addsub(k, -tally.cos(th))
-            tally.addsub(th, tally.atan(tally.divide(num, den)))
-    elif scaling == "global":
-        for th in thetas:
-            shift = tally.multiply(dz, t_u)
-            tally.acot(tally.addsub(tally.cot(th), -shift))
-    else:
-        r = tally.sin(theta_c)
-        for th in thetas:
-            shift = tally.divide(tally.multiply(dz, t_u), r)
-            tally.acot(tally.addsub(tally.cot(th), -shift))
-
-    return OpCount(trig=tally.trig, mul=tally.mul, div=tally.div, add=tally.add)

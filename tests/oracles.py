@@ -5,10 +5,12 @@ array code in geo360 can be checked against a formula that is easy to read.
 Points on the sphere are SphericalPoint values, converted one at a time by
 sphere_to_cart and cart_to_sphere; ged_orig_theta and ged_corrected_theta are the
 two polar laws on their own, written here apart from the package's kernel,
-with their own pole clamp.  The camera codec's bits also have a '0'/'1'
-string form here, and its per-record step a plain form, closed_loop_step,
-that predicts over the whole history.  None of them is called by the
-package itself.
+with their own pole clamp, and count_block_ops tallies the arithmetic of a
+scalar transcription of each law.  The camera codec's bits also have a
+'0'/'1' string form here, which pack_bits turns into the bytes a Bitstream
+reads, and its per-record step a plain form, closed_loop_step, that
+predicts over the whole history.  None of them is called by the package
+itself.
 
 synth_direct is the synthetic dolly renderer as it was before it rendered
 the cylinder texture once per band: frames in the outer loop, every
@@ -237,6 +239,86 @@ def gc_row_theta(theta, t_u: float, delta: float, scaling="global", theta_c=math
     return out.reshape(np.shape(theta))
 
 
+class _Tally:
+    """Arithmetic wrapper that counts as it computes."""
+
+    def __init__(self):
+        self.trig = 0
+        self.mul = 0
+        self.div = 0
+        self.add = 0
+
+    def sin(self, x):
+        self.trig += 1
+        return math.sin(x)
+
+    def cos(self, x):
+        self.trig += 1
+        return math.cos(x)
+
+    def atan(self, x):
+        self.trig += 1
+        return math.atan(x)
+
+    def cot(self, x):
+        self.trig += 1
+        return math.cos(x) / math.sin(x)
+
+    def acot(self, x):
+        self.trig += 1
+        return math.atan2(1.0, x)
+
+    def multiply(self, a, b):
+        self.mul += 1
+        return a * b
+
+    def divide(self, a, b):
+        self.div += 1
+        return a / b
+
+    def addsub(self, a, b):
+        self.add += 1
+        return a + b
+
+
+def count_block_ops(variant: str, scaling: str, width: int, height: int) -> mm.OpCount:
+    """Tally of a scalar transcription of one block's polar law.
+
+    Evaluates, on a dummy block and through counting wrappers, a per-pixel
+    scalar form of each law, as a second derivation of the closed-form
+    table in motion_model.op_count.  It does not run the vectorized kernel
+    (motion_model._model_theta), so a change to the kernel's law does not
+    show in this tally.  Refuses, as the package does, every (variant,
+    scaling) outside motion_model.MODELS.
+    """
+    mm._check_model(variant, scaling)
+    tally = _Tally()
+    theta_c = 1.1
+    t_u = 2.5
+    delta = 0.01
+    thetas = np.linspace(0.4, 2.7, width * height)
+    dz = math.tan(delta)  # per-sequence constant, not charged
+
+    if variant == "original":
+        shift = tally.multiply(delta, t_u)
+        k = tally.divide(tally.sin(tally.addsub(theta_c, shift)), tally.sin(shift))
+        for th in thetas:
+            num = tally.sin(th)
+            den = tally.addsub(k, -tally.cos(th))
+            tally.addsub(th, tally.atan(tally.divide(num, den)))
+    elif scaling == "global":
+        for th in thetas:
+            shift = tally.multiply(dz, t_u)
+            tally.acot(tally.addsub(tally.cot(th), -shift))
+    else:
+        r = tally.sin(theta_c)
+        for th in thetas:
+            shift = tally.divide(tally.multiply(dz, t_u), r)
+            tally.acot(tally.addsub(tally.cot(th), -shift))
+
+    return mm.OpCount(trig=tally.trig, mul=tally.mul, div=tally.div, add=tally.add)
+
+
 def sample_bilinear(frame: ErpFrame, x, y):
     """Bilinear luma sample at continuous ERP coordinates (x, y)."""
     sampler = _PlaneSampler(
@@ -274,19 +356,29 @@ def dequantize_angle(raw: int, frac_bits: int = cam_code.DEFAULT_FRAC_BITS) -> f
     return raw / (1 << frac_bits)
 
 
-def write_bit(stream: cam_code.Bitstream, bit: int):
-    """Append one bit, 0 or 1, to a Bitstream."""
+def write_bit(out: list, bit: int):
+    """Append one bit, 0 or 1, to out, a list of '0'/'1' strings."""
     if bit not in (0, 1):
-        raise DomainError(f"cam_code: bit value {bit!r} is not 0 or 1")
-    stream.write_bits(int(bit), 1)
+        raise DomainError(f"oracles: bit value {bit!r} is not 0 or 1")
+    out.append("1" if bit else "0")
 
 
-def write_string(stream: cam_code.Bitstream, bits: str):
-    """Append a string of '0' and '1' characters to a Bitstream."""
+def write_string(out: list, bits: str):
+    """Append a string of '0' and '1' characters to out."""
     if bits.strip("01"):
-        raise DomainError(f"cam_code: bit string {bits!r} is not all 0 and 1")
-    if bits:
-        stream.write_bits(int(bits, 2), len(bits))
+        raise DomainError(f"oracles: bit string {bits!r} is not all 0 and 1")
+    out.append(bits)
+
+
+def pack_bits(bits) -> bytes:
+    """A '0'/'1' string, or a list of them as write_bit and write_string
+    build, as the bytes a Bitstream reads: most significant bit first, the
+    last byte zero-padded."""
+    bits = "".join(bits)
+    if bits.strip("01"):
+        raise DomainError(f"oracles: bit string {bits!r} is not all 0 and 1")
+    pad = -len(bits) % 8
+    return int("0" + bits + "0" * pad, 2).to_bytes((len(bits) + pad) // 8, "big")
 
 
 def quantize_angle(x: float, frac_bits: int) -> int:

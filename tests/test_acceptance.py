@@ -18,11 +18,13 @@ from geo360.mocomp import ErpFrame
 from geo360.motion_model import GeodesicModelConfig, MotionVector2D
 from oracles import (
     SphericalPoint,
+    count_block_ops,
     eg_decode,
     eg_encode,
     gc_row_theta,
     ged_orig_map,
     ged_orig_theta,
+    pack_bits,
     pole_clamp,
     write_string,
 )
@@ -114,7 +116,7 @@ def test_operation_count_table(capsys):
             }
             for (variant, scaling), total in expect.items():
                 table = mm.op_count(variant, scaling, m, n)
-                ran = mm.count_block_ops(variant, scaling, m, n)
+                ran = count_block_ops(variant, scaling, m, n)
                 ok = ok and table.total == total and ran == table
                 checked += 1
     eight = tuple(
@@ -145,19 +147,23 @@ def test_entropy_coder_sweep(capsys):
             expected_len = (
                 2 * np.floor(np.log2(values + 2**k)).astype(np.int64) - k + 1
             )
-            bits = cam_code.Bitstream()
             lengths = np.empty(values.shape[0], dtype=np.int64)
-            for i, n in enumerate(values):
-                code = eg_encode(int(n), k)
-                lengths[i] = len(code)
-                write_string(bits, code)
-            for n in values:
-                decoded = eg_decode(bits, k)
-                if decoded != n:
-                    _report(
-                        capsys, "entropy-coder", False,
-                        f"k={k}: {int(n)} decoded as {decoded}",
-                    )
+            # one stream per chunk keeps each packed string a few MB
+            for start in range(0, len(values), 1 << 16):
+                chunk = values[start : start + (1 << 16)]
+                out = []
+                for i, n in enumerate(chunk, start):
+                    code = eg_encode(int(n), k)
+                    lengths[i] = len(code)
+                    write_string(out, code)
+                bits = cam_code.Bitstream(pack_bits(out))
+                for n in chunk:
+                    decoded = eg_decode(bits, k)
+                    if decoded != n:
+                        _report(
+                            capsys, "entropy-coder", False,
+                            f"k={k}: {int(n)} decoded as {decoded}",
+                        )
             bad = int(np.count_nonzero(lengths != expected_len))
             if bad:
                 _report(capsys, "entropy-coder", False, f"k={k}: {bad} bad lengths")

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geo360 import cam_code, geometry
@@ -17,6 +17,7 @@ from oracles import (
     dequantize_angle,
     eg_decode,
     eg_encode,
+    pack_bits,
     sphere_to_cart,
     write_bit,
     write_string,
@@ -56,52 +57,40 @@ def test_wrap_residual_range():
 
 
 def test_bitstream_round_trip():
-    bs = Bitstream()
-    bs.write_bits(0b1011, 4)
-    write_bit(bs, 1)
-    write_string(bs, "001")
-    raw = bs.to_bytes()
+    out = []
+    write_string(out, "1011")
+    write_bit(out, 1)
+    write_string(out, "001101")
+    raw = pack_bits(out)
+    assert raw == bytes([0b10111001, 0b10100000])  # MSB first, zero padded
     rd = Bitstream(raw)
+    assert rd.bit_length == 16
     assert rd.read_bits(4) == 0b1011
-    assert rd.read_bit() == 1
-    assert rd.read_bits(3) == 0b001
+    assert rd.read_bits(1) == 1
+    assert rd.read_bits(6) == 0b001101
+    assert rd.read_bits(5) == 0
 
 
 def test_bitstream_truncation():
     rd = Bitstream(b"\xff")
     rd.read_bits(8)
     with pytest.raises(TruncationError):
-        rd.read_bit()
-
-
-def test_bitstream_pads_to_bytes():
-    bs = Bitstream()
-    bs.write_bits(0b101, 3)
-    raw = bs.to_bytes()
-    assert len(raw) == 1
-    assert raw[0] == 0b10100000  # MSB first, zero padded
-
-
-def test_write_bits_rejects_value_wider_than_count():
-    bs = Bitstream()
-    for value, count in ((5, 0), (1, 0), (8, 3), (-1, 4)):
-        with pytest.raises(DomainError):
-            bs.write_bits(value, count)
-    assert bs.bit_length == 0
-    bs.write_bits(0, 0)
-    assert bs.bit_length == 0
+        rd.read_bits(1)
+    assert rd.read_position == 8
 
 
 @pytest.mark.parametrize("bad", ["1x2 ", "0_1", " 01", "01\n", "2", "0b1", "\u0661"])
 def test_write_string_accepts_only_0_and_1(bad):
-    bs = Bitstream()
+    out = []
     with pytest.raises(DomainError):
-        write_string(bs, bad)
-    assert bs.bit_length == 0
+        write_string(out, bad)
+    assert out == []
+    with pytest.raises(DomainError):
+        pack_bits(bad)
 
 
 class BitOracle:
-    """Bit-at-a-time MSB-first buffer: the reference Bitstream must match."""
+    """Bit-at-a-time MSB-first buffer: a Bitstream's reads must match."""
 
     def __init__(self, data=b""):
         self.buf = bytearray(data)
@@ -159,7 +148,6 @@ _write_op = st.one_of(
     st.tuples(st.just("write_string"), st.text(alphabet="01", max_size=40)),
 )
 _read_op = st.one_of(
-    st.tuples(st.just("read_bit")),
     st.tuples(st.just("read_bits"), st.integers(0, 70)),
     st.tuples(st.just("align_read")),
     st.tuples(st.just("eg"), st.sampled_from([0, 1, 3, 18])),
@@ -188,24 +176,12 @@ def _apply_reads(stream, reads):
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_write_op, max_size=24), st.lists(_read_op, max_size=24))
-# a 0-bit read with the cursor aligned past a partial last byte
-@example([("write_bit", 0)], [("read_bit",), ("align_read",), ("read_bits", 0)])
 def test_bitstream_matches_bit_at_a_time_oracle(writes, reads):
-    bs, oracle = Bitstream(), BitOracle()
+    oracle = BitOracle()
     for op, *args in writes:
-        if op == "write_string":
-            write_string(bs, *args)
-        elif op == "write_bit":
-            write_bit(bs, *args)
-        else:
-            getattr(bs, op)(*args)
         getattr(oracle, op)(*args)
-        assert bs.bit_length == oracle.nbits
-    raw = bs.to_bytes()
-    assert raw == bytes(oracle.buf)
-    # reads on the written object itself (partial last byte), then on every
-    # byte prefix of its contents
-    assert _apply_reads(bs, reads) == _apply_reads(oracle, reads)
+    raw = bytes(oracle.buf)
+    # reads on the oracle's bytes and on every byte prefix of them
     for n in range(len(raw) + 1):
         assert _apply_reads(Bitstream(raw[:n]), reads) == _apply_reads(
             BitOracle(raw[:n]), reads
@@ -234,17 +210,13 @@ def test_eg18_zero_is_19_bits():
 def test_eg_round_trip_sample():
     for k in (0, 1, 18, 24):
         for n in (0, 1, 2, 255, 1 << 17, (1 << 20) - 1):
-            bs = Bitstream()
-            write_string(bs, eg_encode(n, k))
-            assert eg_decode(Bitstream(bs.to_bytes()), k) == n
+            assert eg_decode(Bitstream(pack_bits(eg_encode(n, k))), k) == n
 
 
 @settings(max_examples=300)
 @given(st.integers(min_value=0, max_value=(1 << 26) - 1), st.integers(min_value=0, max_value=24))
 def test_eg_round_trip_property(n, k):
-    bs = Bitstream()
-    write_string(bs, eg_encode(n, k))
-    assert eg_decode(Bitstream(bs.to_bytes()), k) == n
+    assert eg_decode(Bitstream(pack_bits(eg_encode(n, k))), k) == n
 
 
 def test_eg_length_formula_k18():
@@ -263,24 +235,27 @@ def test_eg_length_monotone():
 def test_signed_code_round_trip_at_the_boundaries(k):
     # below 2**k the zero run is empty, from 2**k on it is not; either way
     # the sign bit is read in one word with the EG code, and a zero code
-    # gives back the bit after it, also when the stream ends there
+    # gives back the bit after it, also when the stream ends there; a zero
+    # prefix, read off first, ends the code on a byte boundary
     mags = {0, 1, 2**k - 1, 2**k, 2 ** (k + 1) + 3}
     for raw in sorted(mags | {-m for m in mags}):
         word, used = cam_code._signed_word(raw, k)
-        for tail, tail_bits in ((0, 0), (1, 1), (0b1011, 4)):
-            bs = Bitstream()
-            bs.write_bits(word, used)
-            bs.write_bits(tail, tail_bits)
+        prefix = -used % 8
+        for tail in ("", "1", "1011"):
+            bs = Bitstream(pack_bits("0" * prefix + format(word, f"0{used}b") + tail))
+            bs.read_bits(prefix)
             assert cam_code._read_signed(bs, k) == raw
-            assert bs.read_position == used
+            assert bs.read_position == prefix + used
 
 
 @pytest.mark.parametrize("k", [0, 3, 18])
 def test_signed_code_without_its_sign_bit_is_truncated(k):
     for mag in (1, 2**k):
         word, used = cam_code._signed_word(mag, k)
-        bs = Bitstream()
-        bs.write_bits(word >> 1, used - 1)
+        # the stream ends on the byte boundary after the EG code
+        prefix = -(used - 1) % 8
+        bs = Bitstream(pack_bits("0" * prefix + format(word >> 1, f"0{used - 1}b")))
+        bs.read_bits(prefix)
         with pytest.raises(TruncationError):
             cam_code._read_signed(bs, k)
 

@@ -1,5 +1,8 @@
-"""The package's exported names and the project's pytest settings."""
+"""The package's exported names, its own use of its code, and the
+project's pytest settings."""
 
+import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +16,34 @@ def test_every_exported_name_resolves():
     missing = [name for name in geo360.__all__ if not hasattr(geo360, name)]
     assert missing == []
     assert len(set(geo360.__all__)) == len(geo360.__all__)
+
+
+def test_src_holds_no_test_only_code():
+    """Every function, class and method that src/geo360 defines is named,
+    as a whole word, somewhere in src/, scripts/ or perfbench/ other than on
+    its own def or class line.  Code that only tests run belongs in
+    tests/oracles.py.  Dunder names are exempt.  The check goes by name, so
+    a method named like another callable, as a `to_bytes` method would be
+    by `int.to_bytes`, passes unseen."""
+    texts = {
+        path: path.read_text()
+        for pattern in ("src/geo360/*.py", "scripts/*.py", "perfbench/*.py")
+        for path in sorted(ROOT.glob(pattern))
+    }
+    everywhere = "\n".join(texts.values())
+    unused = []
+    for path in sorted(ROOT.glob("src/geo360/*.py")):
+        lines = texts[path].splitlines()
+        for node in ast.walk(ast.parse(texts[path])):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            uses = len(word.findall(everywhere)) - len(word.findall(lines[node.lineno - 1]))
+            if not uses:
+                unused.append(f"{path.name}:{node.lineno} {node.name}")
+    assert unused == []
 
 
 def test_a_mistyped_marker_fails(tmp_path):

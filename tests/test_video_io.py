@@ -568,8 +568,11 @@ def test_synth_output_does_not_depend_on_band_height(monkeypatch, world, bit_dep
 @pytest.mark.parametrize("components", [40, 160])
 @pytest.mark.parametrize("world", ["cylinder", "sphere"])
 def test_synth_memory_does_not_grow_with_texture(monkeypatch, world, components):
-    # Whole-frame texture terms would peak at 28-128 MB here.
+    # Whole-frame texture terms would peak at 28-128 MB here; the band
+    # buffers take 0.9-1.8 MB.  A first render in the process also traces
+    # numpy's one-time set-up.
     monkeypatch.setattr(video_io, "_TEXTURE_COMPONENTS", components)
+    video_io.synth_dolly(SynthConfig(width=16, height=8, depth_model=world))
     cfg = SynthConfig(width=256, height=128, frames=3, step=0.02, depth_model=world,
                       direction=(0.3, -0.2, 0.9))
     tracemalloc.start()
@@ -580,7 +583,7 @@ def test_synth_memory_does_not_grow_with_texture(monkeypatch, world, components)
         tracemalloc.stop()
     kept = sum(f.y.nbytes for f in result.frames)
     kept += sum(flow.du.nbytes + flow.dv.nbytes for flow in result.flows)
-    assert peak - kept < 8e6
+    assert peak - kept < 3e6
 
 
 def test_synth_golden_digest():
