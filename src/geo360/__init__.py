@@ -24,7 +24,6 @@ from .motion_model import (
 )
 from .mocomp import ErpFrame, PredictionResult
 from .camera_est import FlowField
-from .cam_code import Bitstream
 from .metrics import RDCurve
 from .video_io import SequenceSpec, SynthConfig, SynthResult
 
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AmbiguousSignError",
-    "Bitstream",
     "BlockSpec",
     "DegenerateGeometryError",
     "DomainError",

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import math
 import struct
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -59,110 +61,82 @@ def wrap_residual(x: float) -> float:
     return x - 2.0 * math.pi * math.ceil((x - math.pi) / (2.0 * math.pi))
 
 
-class Bitstream:
-    """MSB-first read cursor over whole bytes.
+def _record_bytes(poc: int, raw_t: int, raw_p: int, k: int) -> bytes:
+    """One record: the u32 poc, then each residual as a signed order-k EG
+    code, zero-padded to a byte.
 
-    A read converts the bytes it covers to one integer and shifts and masks.
+    A signed code is the EG code of |raw|, then a sign bit (1 = negative)
+    when raw != 0.  The EG code's value is |raw| + 2**k, and its leading
+    zeros are implicit in it, so the record is one integer word.
     """
+    word_t = abs(raw_t) + (1 << k)
+    used_t = 2 * word_t.bit_length() - 1 - k
+    if raw_t:
+        word_t = (word_t << 1) | (raw_t < 0)
+        used_t += 1
+    word_p = abs(raw_p) + (1 << k)
+    used_p = 2 * word_p.bit_length() - 1 - k
+    if raw_p:
+        word_p = (word_p << 1) | (raw_p < 0)
+        used_p += 1
+    pad = -(used_t + used_p) % 8
+    word = (((poc << used_t) | word_t) << used_p | word_p) << pad
+    return word.to_bytes(4 + ((used_t + used_p + pad) >> 3), "big")
 
-    def __init__(self, data: bytes):
-        self._buf = bytes(data)
-        self._nbits = 8 * len(self._buf)
-        self._pos = 0
 
-    @property
-    def bit_length(self) -> int:
-        return self._nbits
+def _read_record(data: bytes, pos: int, k: int) -> tuple[int, int, int, int]:
+    """Inverse of _record_bytes for the record at byte `pos` of `data`: its
+    poc, its two residuals, and the byte after it.
 
-    @property
-    def read_position(self) -> int:
-        return self._pos
-
-    def read_bits(self, count: int) -> int:
-        """Read `count` bits as an unsigned integer, most significant first.
-
-        Raises TruncationError, leaving the cursor where it was, when fewer
-        than count bits remain.
-        """
-        if count < 0:
-            raise DomainError(f"cam_code: cannot read {count} bits")
-        end = self._pos + count
-        if end > self._nbits:
+    One int.from_bytes turns a window of the data into a word of `size`
+    bits.  `rest` keeps the bits after the first `end`, those read so far:
+    a code's zero run is their count less rest.bit_length(), and as the
+    bits above it are zero, one shift of rest gives the code's EG word,
+    |raw| + 2**k.  The sign bit follows unless the magnitude is 0, so a
+    zero code may end the stream.  The window holds 16 bytes at first,
+    enough for a record whose codes take up to 96 bits; a longer record
+    doubles it until the record fits, and one that runs past the data
+    raises TruncationError.
+    """
+    one = 1 << k
+    window = 16
+    while True:
+        chunk = data[pos : pos + window]
+        size = 8 * len(chunk)
+        if size < 32:
+            raise TruncationError("cam_code: stream ends before a poc field")
+        word = int.from_bytes(chunk, "big")
+        rest = word & ((1 << (size - 32)) - 1)
+        # 32 + 2 * zeros + k + 1, zeros = size - 32 - rest.bit_length()
+        end = 2 * (size - rest.bit_length()) - 32 + k + 1
+        if end <= size:
+            raw_t = (rest >> (size - end)) - one
+            if raw_t:
+                end += 1
+                if end <= size and (rest >> (size - end)) & 1:
+                    raw_t = -raw_t
+        if end <= size:
+            rest &= (1 << (size - end)) - 1
+            # end + 2 * zeros + k + 1, zeros = size - end - rest.bit_length()
+            end = 2 * (size - rest.bit_length()) - end + k + 1
+            if end <= size:
+                raw_p = (rest >> (size - end)) - one
+                if raw_p:
+                    end += 1
+                    if end <= size and (rest >> (size - end)) & 1:
+                        raw_p = -raw_p
+                if end <= size:
+                    return word >> (size - 32), raw_t, raw_p, pos + ((end + 7) >> 3)
+        if len(chunk) < window:
             raise TruncationError("cam_code: read past end of bitstream")
-        word = int.from_bytes(self._buf[self._pos >> 3 : (end + 7) >> 3], "big")
-        self._pos = end
-        return (word >> (-end % 8)) & ((1 << count) - 1)
-
-    def unread(self, count: int):
-        """Move the cursor back over the last `count` bits read."""
-        if not 0 <= count <= self._pos:
-            raise DomainError(f"cam_code: cannot unread {count} bits")
-        self._pos -= count
-
-    def read_zero_run(self) -> int:
-        """Count the zero bits from the cursor to the next one bit and move
-        the cursor onto that one bit.
-
-        Raises TruncationError when no one bit follows.
-        """
-        buf = self._buf
-        i = self._pos >> 3
-        byte = buf[i] & (0xFF >> (self._pos & 7)) if i < len(buf) else 0
-        while not byte:
-            i += 1
-            if i >= len(buf):
-                raise TruncationError("cam_code: read past end of bitstream")
-            byte = buf[i]
-        one = 8 * i + 8 - byte.bit_length()
-        zeros = one - self._pos
-        self._pos = one
-        return zeros
-
-    def align_read(self):
-        """Skip forward to the next byte boundary."""
-        self._pos += (-self._pos) % 8
-
-
-def _signed_word(raw: int, k: int) -> tuple[int, int]:
-    """Order-k exponential-Golomb code of |raw|, then a sign bit (1 =
-    negative) when raw != 0, as one word (value, length).  The EG code's
-    value is |raw| + 2**k, and its leading zeros are implicit in it."""
-    v = abs(raw) + (1 << k)
-    length = 2 * v.bit_length() - 1 - k
-    if raw:
-        return (v << 1) | (raw < 0), length + 1
-    return v, length
-
-
-def _read_signed(bits: Bitstream, k: int) -> int:
-    """Inverse of _signed_word: the EG word and the bit after it in one
-    read_bits.  That bit is the sign bit when the magnitude is not 0, and
-    is given back when it is 0.  A zero code may end the stream, and then
-    its EG word is read alone."""
-    zeros = bits.read_zero_run()
-    try:
-        word = bits.read_bits(zeros + k + 2)
-    except TruncationError:
-        # a non-empty zero run means |raw| >= 2**k, so a sign bit must follow
-        if zeros or bits.read_bits(k + 1) != 1 << k:
-            raise
-        return 0
-    mag = (word >> 1) - (1 << k)
-    if not mag:
-        bits.unread(1)
-        return 0
-    return -mag if word & 1 else mag
+        window *= 2
 
 
 # A stream's reconstructed records, one row per record in coding order.
-# The coders store each value through a view of its field: a float into
-# records["theta"][i] costs a fraction of a whole-row tuple store.
 RECORD_DTYPE = np.dtype([("poc", np.int64), ("theta", np.float64), ("phi", np.float64)])
 
-# The header after the magic (u16 version, u32 record count), and a
-# record's u32 poc.
+# The header after the magic: u16 version, u32 record count.
 _HEADER = struct.Struct(">HI")
-_POC = struct.Struct(">I")
 
 
 @dataclass(frozen=True)
@@ -209,112 +183,191 @@ def predict_direction(
 
 
 class _History:
-    """Reconstructed directions in flat arrays, with an index sorted by poc.
+    """The records a coder has reconstructed, in flat buffers.
 
-    `directions`, `(N, 3)` in coding order, and the index, `pocs` ascending
-    with the coding row of each in `rows`, hold the first `size` of
-    `capacity` entries, sized once from the record count.  Each poc enters
-    once: appending one already present raises `repeat_error`.
-    `top_poc` and `top` are the highest poc and its direction, a row of
-    `directions`; before the first entry they are -1 and +z, the
-    prediction of an empty history.  A frame at or above the highest poc
-    is predicted by `top` and appended at the end of the index, so in
-    ascending poc order nothing searches or shifts.  Below it, a lookup
-    is a binary search and an append shifts the index tail.
+    In coding order, `pocs`, `thetas` and `phis` are array buffers, and
+    the directions are the rows of `directions`, a float64 `(capacity, 3)`
+    array sized once.  An index in two more buffers, the pocs ascending and
+    the coding row of each, serves the frames below the highest poc so
+    far.  Each poc enters once: _closed_loop raises `repeat_error` on a
+    repeat.
     """
 
     def __init__(self, capacity: int, repeat_error: type = DomainError):
-        self.size = 0
-        self.pocs = np.empty(capacity, dtype=np.int64)
-        self.rows = np.empty(capacity, dtype=np.int64)
+        self.pocs = array("q")
+        self.thetas = array("d")
+        self.phis = array("d")
         self.directions = np.empty((capacity, 3))
-        self.top_poc = -1
-        self.top = np.array([0.0, 0.0, 1.0])
-        self._repeat_error = repeat_error
-
-    def append(self, poc: int, xyz: tuple[float, float, float]):
-        n = self.size
-        if poc > self.top_poc:
-            i = n
-        else:
-            pocs, rows = self.pocs, self.rows
-            i = int(np.searchsorted(pocs[:n], poc))  # < n: poc is not above the top
-            if pocs[i] == poc:
-                raise self._repeat_error(f"cam_code: frame {poc} appears twice")
-            pocs[i + 1 : n + 1] = pocs[i:n]
-            rows[i + 1 : n + 1] = rows[i:n]
-        self.pocs[i] = poc
-        self.rows[i] = n
-        self.directions[n] = xyz
-        if i == n:
-            self.top_poc, self.top = poc, self.directions[n]
-        self.size = n + 1
+        self.index = array("q")
+        self.rows = array("q")
+        self.repeat_error = repeat_error
 
     def neighbours(self, poc: int) -> list[tuple[int, np.ndarray]]:
         """The entry at the nearest poc <= poc, then the one at the nearest
         poc > poc.  predict_direction picks from these what it picks from
         all."""
-        if not self.size:
-            return []
-        if poc >= self.top_poc:
-            return [(self.top_poc, self.top)]
-        pocs = self.pocs[: self.size]
-        i = int(np.searchsorted(pocs, poc, side="right"))  # < size: poc is below the top
-        near = range(max(i - 1, 0), i + 1)
-        return [(int(pocs[j]), self.directions[self.rows[j]]) for j in near]
+        index = self.index
+        i = bisect_right(index, poc)
+        near = range(max(i - 1, 0), min(i + 1, len(index)))
+        return [(index[j], self.directions[self.rows[j]]) for j in near]
+
+    def records(self) -> np.ndarray:
+        """The records as one RECORD_DTYPE array."""
+        out = np.empty(len(self.pocs), dtype=RECORD_DTYPE)
+        out["poc"] = self.pocs
+        out["theta"] = self.thetas
+        out["phi"] = self.phis
+        return out
 
 
-def _payload(raw_t: int, raw_p: int, k: int) -> tuple[bytes, int]:
-    """Both signed EG codes as one zero-padded word, and its unpadded length."""
-    word, used = _signed_word(raw_t, k)
-    word_p, used_p = _signed_word(raw_p, k)
-    used += used_p
-    pad = -used % 8
-    word = ((word << used_p) | word_p) << pad
-    return word.to_bytes((used + pad) >> 3, "big"), used
+def _closed_loop(history: _History, inputs, frac_bits: int, quantize: bool):
+    """The step both coders run per record, as one generator over
+    `inputs`, (poc, a, b) per record; it yields (poc, raw_t, raw_p) once
+    each record is in `history`.
 
-
-def _closed_loop(
-    history: _History, poc: int, frac_bits: int, q: np.ndarray | None = None, raw=(0, 0)
-) -> tuple[float, float, tuple[int, int]]:
-    """The one step both sides run per record: predict frame `poc`'s angles
-    from the reconstructed history, rebuild the angles a decoder sees from
-    the quantized residuals, and add their direction to the history.
-
-    The decoder passes the residuals it read as raw.  The encoder passes
-    its direction q, a float64 (3,) array, instead and gets back the
-    residuals to code.  The azimuth residual is clamped to the largest step
-    count below a half turn.  A residual within half a step of pi would
-    otherwise round past pi, the decoder would wrap the azimuth to the
-    other side, and coding the decoded direction again would flip the
+    A step predicts frame `poc`'s angles from the reconstructed history,
+    quantizes the residuals or takes them as given, rebuilds the angles a
+    decoder sees from them, and appends the record.  The decoder passes
+    the residuals it read as a and b.  The encoder passes the angles of
+    its direction, theta and phi, with `quantize` set, and gets back the
+    residuals to code.  The azimuth residual is clamped to the largest
+    step count below a half turn.  A residual within half a step of pi
+    would otherwise round past pi, the decoder would wrap the azimuth to
+    the other side, and coding the decoded direction again would flip the
     residual's sign.
+
+    The loop's state lives in local variables, and the direction of the
+    highest poc so far, `top`, predicts every frame above it, so in
+    ascending poc order nothing searches or shifts.  Before the first
+    record, top is +z, the prediction of an empty history.  The predicted
+    direction's angles follow geometry's conventions (phi 0 at the
+    poles); its norm is a numpy dot, the one numpy call per record, as
+    x*x + y*y + z*z differs from it in the last bit for about one unit
+    vector in five.
     """
-    if poc >= history.top_poc:  # a repeat of the top poc raises in append
-        predicted = history.top
-    else:
-        predicted = predict_direction(history.neighbours(poc), poc)
-    theta_hat, phi_hat = geometry._unit_angles(predicted)
+    pocs, thetas, phis = history.pocs, history.thetas, history.phis
+    index, rows = history.index, history.rows
+    # the directions' columns, and top, as memoryviews of float64 arrays
+    xs, ys, zs = (memoryview(column) for column in history.directions.T)
+    top = np.array([0.0, 0.0, 1.0])
+    top_xyz = memoryview(top)
+    top_poc, tx, ty, tz = -1, 0.0, 0.0, 1.0
     scale = 1 << frac_bits  # one step of the quantizer is 1 / scale
-    if q is not None:
-        theta, phi = geometry._unit_angles(q)
-        raw_t = quantize_angle(theta - theta_hat, frac_bits)
-        raw_p = quantize_angle(wrap_residual(phi - phi_hat), frac_bits)
-        half_turn = math.floor(math.pi * scale)
-        if raw_p > half_turn:
-            raw_p = half_turn
-        elif raw_p < -half_turn:
-            raw_p = -half_turn
-        raw = raw_t, raw_p
-    theta = theta_hat + raw[0] / scale
-    if theta < 0.0:
-        theta = 0.0
-    elif theta > math.pi:
-        theta = math.pi
-    phi = phi_hat + raw[1] / scale
-    # geometry.wrap_angle on a float: math.floor gives the bits of np.floor
-    phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
-    history.append(poc, geometry._angles_to_cart(theta, phi))
-    return theta, phi, raw
+    half_turn = math.floor(math.pi * scale)
+    for row, (poc, a, b) in enumerate(inputs):
+        above = poc > top_poc
+        if above:
+            predicted, x, y, z = top, tx, ty, tz
+        else:
+            predicted = predict_direction(history.neighbours(poc), poc)
+            x, y, z = predicted.tolist()
+        norm = math.sqrt(predicted.dot(predicted))
+        z /= norm
+        if z >= 1.0:
+            theta_hat, phi_hat = 0.0, 0.0
+        elif z <= -1.0:
+            theta_hat, phi_hat = math.pi, 0.0
+        else:
+            theta_hat, phi_hat = math.acos(z), math.atan2(y / norm, x / norm)
+            if phi_hat >= math.pi:  # atan2 may return +pi exactly
+                phi_hat = -math.pi
+        if quantize:  # a and b are the direction's angles
+            raw_t = quantize_angle(a - theta_hat, frac_bits)
+            raw_p = quantize_angle(wrap_residual(b - phi_hat), frac_bits)
+            if raw_p > half_turn:
+                raw_p = half_turn
+            elif raw_p < -half_turn:
+                raw_p = -half_turn
+        else:  # a and b are the residuals the decoder read
+            raw_t, raw_p = a, b
+        theta = theta_hat + raw_t / scale
+        if theta < 0.0:
+            theta = 0.0
+        elif theta > math.pi:
+            theta = math.pi
+        phi = phi_hat + raw_p / scale
+        # geometry.wrap_angle on a float: math.floor gives the bits of np.floor
+        phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
+
+        if above:
+            index.append(poc)
+            rows.append(row)
+        else:
+            i = bisect_right(index, poc)
+            if i and index[i - 1] == poc:
+                raise history.repeat_error(f"cam_code: frame {poc} appears twice")
+            index.insert(i, poc)
+            rows.insert(i, row)
+        pocs.append(poc)
+        thetas.append(theta)
+        phis.append(phi)
+        sin_theta = math.sin(theta)
+        x, y, z = sin_theta * math.cos(phi), sin_theta * math.sin(phi), math.cos(theta)
+        xs[row], ys[row], zs[row] = x, y, z
+        if above:
+            top_poc, tx, ty, tz = poc, x, y, z
+            top_xyz[0], top_xyz[1], top_xyz[2] = x, y, z
+        yield poc, raw_t, raw_p
+
+
+# The encoder turns its input directions into angles this many rows at a
+# time, so the arrays it needs for that stay small.
+_BLOCK = 1024
+
+
+def _direction_angles(pocs: np.ndarray, directions: np.ndarray):
+    """(poc, theta, phi) of each frame the encoder codes: the angles of its
+    unit direction, with phi 0 at the poles, worked out a block of rows at
+    a time.
+
+    A row's norm is the square root of its dot with itself, one np.matmul
+    over the block.  np.matmul takes a row times a row with the dot
+    routine ndarray.dot runs, BLAS's ddot where numpy has one, so each
+    norm has the bits a dot per row gives; x*x + y*y + z*z differs from it
+    in the last bit for about one unit vector in five.  The components are
+    divided by the norm as arrays, the same IEEE division as on floats.
+    The arccosine and the arctangent are math's, element by element, as
+    numpy's differ from them in the last bit for several percent of
+    directions.  The predicted directions depend on the record before, so
+    _closed_loop works out their angles one at a time, with the same
+    operations on floats.
+    """
+    tol = geometry._UNIT_TOL
+    for start in range(0, len(directions), _BLOCK):
+        block = np.ascontiguousarray(directions[start : start + _BLOCK])
+        norms = np.sqrt(np.matmul(block[:, None, :], block[:, :, None])[:, 0, 0])
+        bad = ~(np.abs(norms - 1.0) <= tol)  # also true for nan and inf
+        if bad.any():
+            raise DomainError(f"cam_code: direction norm {norms[bad][0]!r} is not 1 within {tol}")
+        x, y, z = (block / norms[:, None]).T
+        # memoryviews hand out one float at a time, where tolist would
+        # make a Python object of each element of the block at once
+        acos = map(math.acos, memoryview(np.clip(z, -1.0, 1.0)))
+        theta = np.fromiter(acos, np.float64, len(z))
+        phi = np.fromiter(map(math.atan2, memoryview(y), memoryview(x)), np.float64, len(z))
+        phi[phi >= math.pi] = -math.pi  # atan2 may return +pi exactly
+        theta[z >= 1.0] = 0.0
+        theta[z <= -1.0] = math.pi
+        phi[np.abs(z) >= 1.0] = 0.0
+        block_pocs = pocs[start : start + _BLOCK].astype(np.int64)
+        yield from zip(memoryview(block_pocs), memoryview(theta), memoryview(phi))
+
+
+def _read_records(data: bytes, count: int, k: int, frac_bits: int):
+    """(poc, raw_t, raw_p) of each of the `count` records after the
+    header, the decoder's input to _closed_loop; raises FormatError on a
+    residual no encoder writes and on bytes after the last record."""
+    # An encoder's residuals are angle differences of at most pi; a larger
+    # one is corrupt, and one past the float range could not be dequantized.
+    limit = quantize_angle(2.0 * math.pi, frac_bits)
+    pos = 10
+    for _ in range(count):
+        poc, raw_t, raw_p, pos = _read_record(data, pos, k)
+        if abs(raw_t) > limit or abs(raw_p) > limit:
+            raise FormatError(f"cam_code: residual out of range in frame {poc}")
+        yield poc, raw_t, raw_p
+    if pos < len(data):
+        raise FormatError("cam_code: trailing bytes after the last record")
 
 
 def encode_stream(
@@ -342,23 +395,18 @@ def encode_stream(
 
     data = bytearray(MAGIC + _HEADER.pack(VERSION, n))
     history = _History(n)
-    records = np.empty(n, dtype=RECORD_DTYPE)
-    records["poc"] = pocs
-    thetas, phis = records["theta"], records["phi"]
-    record_bits = np.empty(n, dtype=np.int64)
-    for i, q in enumerate(directions):
-        poc = int(pocs[i])
-        thetas[i], phis[i], raw = _closed_loop(history, poc, frac_bits, q=q)
-        payload, _ = _payload(*raw, k)
-        data += _POC.pack(poc)
-        data += payload
-        record_bits[i] = 32 + 8 * len(payload)
+    record_bits = array("q")
+    inputs = _direction_angles(pocs, directions)
+    for poc, raw_t, raw_p in _closed_loop(history, inputs, frac_bits, quantize=True):
+        record = _record_bytes(poc, raw_t, raw_p, k)
+        data += record
+        record_bits.append(8 * len(record))
 
     return StreamEncodeResult(
         data=bytes(data),
-        records=records,
+        records=history.records(),
         payload_bits=8 * (len(data) - 10) - 32 * n,
-        record_bits=record_bits,
+        record_bits=np.frombuffer(record_bits, dtype=np.int64),
     )
 
 
@@ -381,35 +429,17 @@ def decode_stream(
     if version != VERSION:
         raise FormatError(f"cam_code: unsupported version {version}")
 
-    # An encoder's residuals are angle differences of at most pi; a larger
-    # one is corrupt, and one past the float range could not be dequantized.
-    limit = quantize_angle(2.0 * math.pi, frac_bits)
-    bits = Bitstream(data[10:])
     # A record takes at least 5 bytes (a u32 poc and one payload byte), so
     # the data holds no more records than this, whatever the header says;
     # a stream that claims more ends in a TruncationError before the
-    # arrays fill up.
-    capacity = min(count, (len(data) - 10) // 5)
-    history = _History(capacity, FormatError)
-    records = np.empty(capacity, dtype=RECORD_DTYPE)
-    pocs, thetas, phis = records["poc"], records["theta"], records["phi"]
-    for i in range(count):
-        try:
-            poc = bits.read_bits(32)
-        except TruncationError:
-            raise TruncationError("cam_code: stream ends before a poc field") from None
-        raw = (_read_signed(bits, k), _read_signed(bits, k))
-        if abs(raw[0]) > limit or abs(raw[1]) > limit:
-            raise FormatError(f"cam_code: residual out of range in frame {poc}")
-        bits.align_read()
-        thetas[i], phis[i], _ = _closed_loop(history, poc, frac_bits, raw=raw)
-        pocs[i] = poc
-
-    if bits.bit_length - bits.read_position >= 8:
-        raise FormatError("cam_code: trailing bytes after the last record")
+    # directions fill up.
+    history = _History(min(count, (len(data) - 10) // 5), FormatError)
+    inputs = _read_records(data, count, k, frac_bits)
+    for _ in _closed_loop(history, inputs, frac_bits, quantize=False):
+        pass
     return StreamDecodeResult(
-        records=records,
+        records=history.records(),
         directions=history.directions[:count],
-        # every record is byte aligned, and the cursor is at the end
-        payload_bits=bits.read_position - 32 * count,
+        # the records fill the data up to its end
+        payload_bits=8 * (len(data) - 10) - 32 * count,
     )

@@ -20,8 +20,8 @@ Conventions, fixed once so every module agrees bit-for-bit:
     stay deterministic.
 
 The *_grid functions take numpy arrays and are what the per-pixel pipelines
-use; the camera codec converts one direction at a time with the private
-float helpers _unit_angles and _angles_to_cart.
+use; the camera codec converts one direction at a time on Python floats,
+with the same conventions.
 """
 
 from __future__ import annotations
@@ -118,33 +118,6 @@ def as_unit_vector(v) -> np.ndarray:
     """
     v, n = _checked_norm(v)
     return v / n
-
-
-def _unit_angles(v: np.ndarray) -> tuple[float, float]:
-    """Unit vector -> (theta, phi) as two floats; phi fixed to 0 at the poles.
-
-    v must be a float64 (3,) array, such as the codec builds or coerces
-    itself; it is used without conversion, and its norm is checked by
-    _unit_norm.  Each component is divided by the norm as a float, which
-    gives the bits of as_unit_vector's array division.
-    """
-    n = _unit_norm(v)
-    x, y, z = v.tolist()
-    z /= n
-    if z >= 1.0:
-        return 0.0, 0.0
-    if z <= -1.0:
-        return math.pi, 0.0
-    phi = math.atan2(y / n, x / n)
-    if phi >= math.pi:  # atan2 may return +pi exactly
-        phi = -math.pi
-    return math.acos(z), phi
-
-
-def _angles_to_cart(theta: float, phi: float) -> tuple[float, float, float]:
-    """(theta, phi) -> the unit vector's (x, y, z), with the trig on floats."""
-    st = math.sin(theta)
-    return st * math.cos(phi), st * math.sin(phi), math.cos(theta)
 
 
 def sphere_grid_to_cart(theta, phi) -> np.ndarray:

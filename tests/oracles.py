@@ -7,10 +7,11 @@ sphere_to_cart and cart_to_sphere; ged_orig_theta and ged_corrected_theta are th
 two polar laws on their own, written here apart from the package's kernel,
 with their own pole clamp, and count_block_ops tallies the arithmetic of a
 scalar transcription of each law.  The camera codec's bits also have a
-'0'/'1' string form here, which pack_bits turns into the bytes a Bitstream
-reads, and its per-record step a plain form, closed_loop_step, that
-predicts over the whole history.  None of them is called by the package
-itself.
+'0'/'1' string form here, which pack_bits turns into the bytes the codec's
+record parser reads; BitOracle reads them back one bit at a time, the
+reference that parser is checked against; and the codec's per-record step
+has a plain form, closed_loop_step, that predicts over the whole history.
+None of them is called by the package itself.
 
 synth_direct is the synthetic dolly renderer as it was before it rendered
 the cylinder texture once per band: frames in the outer loop, every
@@ -32,7 +33,7 @@ import numpy as np
 from geo360 import cam_code, geometry, video_io
 from geo360 import motion_model as mm
 from geo360.camera_est import FlowField
-from geo360.errors import DegenerateGeometryError, DomainError
+from geo360.errors import DegenerateGeometryError, DomainError, TruncationError
 from geo360.geometry import TWO_PI
 from geo360.mocomp import ErpFrame, _PlaneSampler, _quads
 from geo360.motion_model import POLE_EPS, GeodesicModelConfig, MotionVector2D, k_factor
@@ -333,22 +334,87 @@ def sample_bilinear(frame: ErpFrame, x, y):
 
 def eg_encode(n: int, k: int = cam_code.DEFAULT_EG_ORDER) -> str:
     """Order-k exponential-Golomb code of a non-negative integer, as a
-    bit string.  Code length is 2*m - k + 1 where m is the bit position of
-    the leading one of n + 2**k.  It is the codec's signed code of n
-    without its sign bit."""
+    bit string: m - k zeros, then the m + 1 bits of n + 2**k, where m is
+    the bit position of its leading one.  Code length is 2*m - k + 1."""
     if n < 0:
         raise DomainError(f"oracles: EG input {n} is negative")
-    v, length = cam_code._signed_word(n, k)
-    if n:
-        v, length = v >> 1, length - 1
-    return format(v, f"0{length}b")
+    v = n + (1 << k)
+    m = v.bit_length() - 1
+    return "0" * (m - k) + format(v, "b")
 
 
-def eg_decode(bits: cam_code.Bitstream, k: int = cam_code.DEFAULT_EG_ORDER) -> int:
-    """Read one order-k exponential-Golomb code from a Bitstream."""
-    # m - k zeros, then the m + 1 bits of n + 2**k read as one word
-    v = bits.read_bits(bits.read_zero_run() + k + 1)
-    return v - (1 << k)
+def signed_code(raw: int, k: int = cam_code.DEFAULT_EG_ORDER) -> str:
+    """The codec's signed code of a residual, as a bit string: the EG code
+    of |raw|, then a sign bit (1 = negative) when raw != 0."""
+    if not raw:
+        return eg_encode(0, k)
+    return eg_encode(abs(raw), k) + ("1" if raw < 0 else "0")
+
+
+def record_string(poc: int, raw_t: int, raw_p: int, k: int = cam_code.DEFAULT_EG_ORDER) -> str:
+    """One record of a camera stream as a bit string, before its padding:
+    the u32 poc, then the signed codes of the two residuals."""
+    return format(poc, "032b") + signed_code(raw_t, k) + signed_code(raw_p, k)
+
+
+class BitOracle:
+    """Bit-at-a-time MSB-first buffer: the codec's record parser must read
+    from its bytes what it reads."""
+
+    def __init__(self, data=b""):
+        self.buf = bytearray(data)
+        self.nbits = 8 * len(self.buf)
+        self.pos = 0
+
+    def write_bit(self, bit):
+        if self.nbits % 8 == 0:
+            self.buf.append(0)
+        if bit:
+            self.buf[-1] |= 0x80 >> (self.nbits % 8)
+        self.nbits += 1
+
+    def write_bits(self, value, count):
+        for shift in range(count - 1, -1, -1):
+            self.write_bit((value >> shift) & 1)
+
+    def write_string(self, bits):
+        for ch in bits:
+            self.write_bit(int(ch))
+
+    def read_bit(self):
+        if self.pos >= self.nbits:
+            raise TruncationError("oracle: read past end")
+        bit = (self.buf[self.pos // 8] >> (7 - self.pos % 8)) & 1
+        self.pos += 1
+        return bit
+
+    def read_bits(self, count):
+        value = 0
+        for _ in range(count):
+            value = (value << 1) | self.read_bit()
+        return value
+
+    def eg_decode(self, k):
+        zeros = 0
+        while self.read_bit() == 0:
+            zeros += 1
+        m = zeros + k
+        return (1 << m) - (1 << k) + self.read_bits(m)
+
+    def read_signed(self, k):
+        mag = self.eg_decode(k)
+        if mag and self.read_bit():
+            return -mag
+        return mag
+
+    def read_record(self, k):
+        """(poc, raw_t, raw_p, end) of the record at the cursor, a byte
+        boundary, with end the byte after its padding."""
+        poc = self.read_bits(32)
+        raw_t = self.read_signed(k)
+        raw_p = self.read_signed(k)
+        self.pos += -self.pos % 8
+        return poc, raw_t, raw_p, self.pos // 8
 
 
 def dequantize_angle(raw: int, frac_bits: int = cam_code.DEFAULT_FRAC_BITS) -> float:
@@ -372,8 +438,8 @@ def write_string(out: list, bits: str):
 
 def pack_bits(bits) -> bytes:
     """A '0'/'1' string, or a list of them as write_bit and write_string
-    build, as the bytes a Bitstream reads: most significant bit first, the
-    last byte zero-padded."""
+    build, as bytes: most significant bit first, the last byte
+    zero-padded."""
     bits = "".join(bits)
     if bits.strip("01"):
         raise DomainError(f"oracles: bit string {bits!r} is not all 0 and 1")
@@ -415,8 +481,7 @@ def code_stream(motions, k: int, frac_bits: int):
     history, records, raws = [], [], []
     for poc, q in motions:
         theta, phi, raw = closed_loop_step(history, poc, frac_bits, q=q)
-        payload, _ = cam_code._payload(*raw, k)
-        data += struct.pack(">I", poc) + payload
+        data += pack_bits(record_string(poc, *raw, k))
         records.append((poc, theta, phi))
         raws.append(raw)
     return bytes(data), records, [q for _, q in history], raws

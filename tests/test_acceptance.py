@@ -19,14 +19,12 @@ from geo360.motion_model import GeodesicModelConfig, MotionVector2D
 from oracles import (
     SphericalPoint,
     count_block_ops,
-    eg_decode,
     eg_encode,
     gc_row_theta,
     ged_orig_map,
     ged_orig_theta,
     pack_bits,
     pole_clamp,
-    write_string,
 )
 
 
@@ -148,22 +146,33 @@ def test_entropy_coder_sweep(capsys):
                 2 * np.floor(np.log2(values + 2**k)).astype(np.int64) - k + 1
             )
             lengths = np.empty(values.shape[0], dtype=np.int64)
-            # one stream per chunk keeps each packed string a few MB
+            # one stream per chunk keeps each packed string a few MB; each
+            # record codes two values as residuals, the second negated, and
+            # the codec's record parser reads them back
             for start in range(0, len(values), 1 << 16):
-                chunk = values[start : start + (1 << 16)]
-                out = []
-                for i, n in enumerate(chunk, start):
-                    code = eg_encode(int(n), k)
-                    lengths[i] = len(code)
-                    write_string(out, code)
-                bits = cam_code.Bitstream(pack_bits(out))
-                for n in chunk:
-                    decoded = eg_decode(bits, k)
-                    if decoded != n:
+                chunk = values[start : start + (1 << 16)].tolist()
+                codes = [eg_encode(n, k) for n in chunk]
+                lengths[start : start + len(chunk)] = [len(c) for c in codes]
+                if len(chunk) % 2:  # a zero code ends an odd chunk
+                    chunk.append(0)
+                    codes.append(eg_encode(0, k))
+                # the sign bits follow nonzero magnitudes: 0 for +a, 1 for -b
+                records = [
+                    format(j, "032b") + codes[j] + "0" * (chunk[j] > 0)
+                    + codes[j + 1] + "1" * (chunk[j + 1] > 0)
+                    for j in range(0, len(chunk), 2)
+                ]
+                data, pos = pack_bits([r + "0" * (-len(r) % 8) for r in records]), 0
+                for j in range(0, len(chunk), 2):
+                    poc, a, b, pos = cam_code._read_record(data, pos, k)
+                    if (poc, a, b) != (j, chunk[j], -chunk[j + 1]):
                         _report(
                             capsys, "entropy-coder", False,
-                            f"k={k}: {int(n)} decoded as {decoded}",
+                            f"k={k}: record {j} of {chunk[j]}, {-chunk[j + 1]} "
+                            f"decoded as {poc}, {a}, {b}",
                         )
+                if pos != len(data):
+                    _report(capsys, "entropy-coder", False, f"k={k}: {len(data) - pos} bytes left")
             bad = int(np.count_nonzero(lengths != expected_len))
             if bad:
                 _report(capsys, "entropy-coder", False, f"k={k}: {bad} bad lengths")
