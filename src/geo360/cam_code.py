@@ -16,7 +16,8 @@ Stream layout (big endian throughout):
     repeat: u32 poc, payload (two signed EG codes, zero-padded to a byte)
 
 The EG order k and the fixed-point precision are codec parameters agreed
-out of band; both sides default to k=18 and 24 fractional bits.
+out of band; both sides default to k=18 and 24 fractional bits.  The stream
+records neither, so the CLI always codes at the defaults.
 """
 
 from __future__ import annotations

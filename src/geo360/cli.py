@@ -8,6 +8,8 @@ Subcommands:
     camest            per-frame camera direction from flow or correspondences
     camcode encode    camera CSV -> coded stream, with a bit report
     camcode decode    coded stream -> reconstructed camera CSV
+                      (both at the codec's defaults, EG order 18 and 24
+                      fractional bits, which the stream does not record)
     metrics wspsnr    sphere-weighted PSNR between two YUV files
     metrics bdrate    BD-rate between two rate/quality CSVs
     metrics opcount   per-block arithmetic cost of a model
@@ -129,7 +131,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--height", type=int, default=128)
     p.add_argument("--frames", type=int, default=2)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--depth", type=float, default=1.0)
     p.add_argument("--depth-model", default="sphere", choices=("sphere", "cylinder"))
     p.add_argument("--q", type=_parse_vec3, default="0,0,1")
     p.add_argument("--bitdepth", type=int, default=8, choices=(8, 10))
@@ -186,14 +187,10 @@ def _build_parser() -> argparse.ArgumentParser:
     pe = csub.add_parser("encode")
     pe.add_argument("--camera", required=True)
     pe.add_argument("--out", required=True)
-    pe.add_argument("--eg-order", type=int, default=cam_code.DEFAULT_EG_ORDER)
-    pe.add_argument("--frac-bits", type=int, default=cam_code.DEFAULT_FRAC_BITS)
     pe.set_defaults(func=_cmd_camcode_encode)
     pd = csub.add_parser("decode")
     pd.add_argument("--input", required=True)
     pd.add_argument("--out", required=True)
-    pd.add_argument("--eg-order", type=int, default=cam_code.DEFAULT_EG_ORDER)
-    pd.add_argument("--frac-bits", type=int, default=cam_code.DEFAULT_FRAC_BITS)
     pd.set_defaults(func=_cmd_camcode_decode)
 
     p = sub.add_parser("metrics", help="quality / rate / complexity numbers")
@@ -254,7 +251,6 @@ def _cmd_synth(args) -> int:
         height=args.height,
         frames=args.frames,
         step=args.step,
-        depth=args.depth,
         depth_model=args.depth_model,
         direction=tuple(np.asarray(args.q, dtype=float)),
         bit_depth=args.bitdepth,
@@ -441,9 +437,7 @@ def _cmd_camest(args) -> int:
 
 def _cmd_camcode_encode(args) -> int:
     pocs, directions = video_io.read_camera_csv(args.camera)
-    result = cam_code.encode_stream(
-        pocs, directions, k=args.eg_order, frac_bits=args.frac_bits
-    )
+    result = cam_code.encode_stream(pocs, directions)
     with open(args.out, "wb") as fh:
         fh.write(result.data)
     sys.stdout.writelines(
@@ -460,7 +454,7 @@ def _cmd_camcode_encode(args) -> int:
 def _cmd_camcode_decode(args) -> int:
     with open(args.input, "rb") as fh:
         data = fh.read()
-    result = cam_code.decode_stream(data, k=args.eg_order, frac_bits=args.frac_bits)
+    result = cam_code.decode_stream(data)
     video_io.write_camera_csv(args.out, result.records["poc"], result.directions)
     print(f"decoded {len(result.records)} records to {args.out}")
     return 0

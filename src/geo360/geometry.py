@@ -88,35 +88,21 @@ def _sphere_to_erp_inplace(theta, phi, width: int, height: int, out):
     return u, v
 
 
-def _checked_norm(v) -> tuple[np.ndarray, float]:
-    """v as a float64 3-vector and its _unit_norm.  A float64 (3,) array is
-    used as it is."""
-    if type(v) is not np.ndarray or v.shape != (3,) or v.dtype != np.float64:
-        v = np.asarray(v, dtype=np.float64).reshape(3)
-    return v, _unit_norm(v)
-
-
-def _unit_norm(v: np.ndarray) -> float:
-    """Norm of a float64 (3,) array, which must be 1 within _UNIT_TOL.
-
-    np.linalg.norm of a 1-D vector is sqrt(v.dot(v)); calling the parts
-    directly skips its dispatch and gives the same bits.  The dot stays a
-    numpy dot: x*x + y*y + z*z differs from it in the last bit for about
-    one unit vector in five.
-    """
-    n = math.sqrt(v.dot(v))
-    if not abs(n - 1.0) <= _UNIT_TOL:  # also false for nan and inf
-        raise DomainError(f"geometry: vector norm {n!r} is not 1 within {_UNIT_TOL}")
-    return n
-
-
 def as_unit_vector(v) -> np.ndarray:
     """Validate and return v as a float64 unit 3-vector.
 
     Rejects vectors whose norm deviates from 1 by more than _UNIT_TOL; small
-    deviations are renormalized so downstream trig stays clean.
+    deviations are renormalized so downstream trig stays clean.  A float64
+    (3,) array is used as it is.  np.linalg.norm of a 1-D vector is
+    sqrt(v.dot(v)); calling the parts directly skips its dispatch and gives
+    the same bits.  The dot stays a numpy dot: x*x + y*y + z*z differs from
+    it in the last bit for about one unit vector in five.
     """
-    v, n = _checked_norm(v)
+    if type(v) is not np.ndarray or v.shape != (3,) or v.dtype != np.float64:
+        v = np.asarray(v, dtype=np.float64).reshape(3)
+    n = math.sqrt(v.dot(v))
+    if not abs(n - 1.0) <= _UNIT_TOL:  # also false for nan and inf
+        raise DomainError(f"geometry: vector norm {n!r} is not 1 within {_UNIT_TOL}")
     return v / n
 
 

@@ -235,61 +235,41 @@ def predict_block(
     even-aligned, chroma is predicted with the same mapping at half
     resolution (coordinates halved on the even-indexed luma grid).
     """
-    _check_pair(ref, cur)
-    geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
-    return _predict(_frame_quads(ref), cur, block, geom, t, cfg)
-
-
-def _frame_quads(frame: ErpFrame) -> tuple:
-    """_quads of the luma plane and, when the frame has them, of cb and cr."""
-    if frame.cb is None:
-        return _quads(frame.y), None, None
-    return _quads(frame.y), _quads(frame.cb), _quads(frame.cr)
-
-
-def _predict(
-    ref_quads: tuple,
-    cur: ErpFrame,
-    block: BlockSpec,
-    geom: BlockGeometry,
-    t: MotionVector2D,
-    cfg: GeodesicModelConfig,
-) -> PredictionResult:
-    """predict_block on a reference prepared by _frame_quads and the block's
-    geometry, so callers that predict many blocks prepare it once."""
-    y_quads, cb_quads, cr_quads = ref_quads
-    src_u, src_v = motion_model.map_block_geometry_batch(
-        geom, np.array([t.t_u]), np.array([t.t_v]), cfg
-    )
-    src_u, src_v = src_u[0, 0], src_v[0, 0]
-
-    cb = cr = None
-    even = (block.x0 | block.y0 | block.width | block.height) % 2 == 0
-    if cb_quads is not None and cur.cb is not None and even:
-        # Built first: the luma sampler below overwrites src_u and src_v.
-        chroma = _PlaneSampler(
-            src_u[0::2, 0::2] / 2.0, src_v[0::2, 0::2] / 2.0,
-            cur.width // 2, cur.height // 2,
-        )
-        cb = chroma.sample(cb_quads)
-        cr = chroma.sample(cr_quads)
-
-    luma = _PlaneSampler(src_u, src_v, cur.width, cur.height)
-    pred = luma.sample(y_quads)
-    cur_block = _block_view(cur, block).astype(np.float64)
-    sad = float(np.abs(pred - cur_block).sum())
-
-    degenerate = motion_model._clamped_count(geom, t.t_u, cfg)
-    return PredictionResult(block=pred, sad=sad, degenerate=degenerate, cb=cb, cr=cr)
+    return next(_predict_blocks(ref, cur, [block], q, t, cfg))
 
 
 def _predict_blocks(ref: ErpFrame, cur: ErpFrame, blocks, q, t, cfg):
-    """predict_block for each block in turn, with ref prepared once."""
+    """predict_block for each block in turn, with the _quads of ref's
+    planes built once (chroma only when both frames carry it)."""
     _check_pair(ref, cur)
-    ref_quads = _frame_quads(ref)
+    y_quads = _quads(ref.y)
+    chroma = ref.cb is not None and cur.cb is not None
+    if chroma:
+        cb_quads, cr_quads = _quads(ref.cb), _quads(ref.cr)
+    t_u, t_v = np.array([t.t_u]), np.array([t.t_v])
     for block in blocks:
         geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
-        yield _predict(ref_quads, cur, block, geom, t, cfg)
+        src_u, src_v = motion_model.map_block_geometry_batch(geom, t_u, t_v, cfg)
+        src_u, src_v = src_u[0, 0], src_v[0, 0]
+
+        cb = cr = None
+        even = (block.x0 | block.y0 | block.width | block.height) % 2 == 0
+        if chroma and even:
+            # Built first: the luma sampler below overwrites src_u and src_v.
+            half = _PlaneSampler(
+                src_u[0::2, 0::2] / 2.0, src_v[0::2, 0::2] / 2.0,
+                cur.width // 2, cur.height // 2,
+            )
+            cb = half.sample(cb_quads)
+            cr = half.sample(cr_quads)
+
+        luma = _PlaneSampler(src_u, src_v, cur.width, cur.height)
+        pred = luma.sample(y_quads)
+        cur_block = _block_view(cur, block).astype(np.float64)
+        sad = float(np.abs(pred - cur_block).sum())
+
+        degenerate = motion_model._clamped_count(geom, t.t_u, cfg)
+        yield PredictionResult(block=pred, sad=sad, degenerate=degenerate, cb=cb, cr=cr)
 
 
 class _SearchKernel:

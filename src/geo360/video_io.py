@@ -279,8 +279,8 @@ def read_correspondences(path: str) -> np.ndarray:
 # Sinusoids summed into the synth texture.
 _TEXTURE_COMPONENTS = 40
 
-# Largest depth and camera travel, and the inverse of the smallest depth, in
-# world units: squared lengths and texture phases stay finite float64.
+# Largest camera travel in world units (the world has radius 1): squared
+# lengths and texture phases stay finite float64.
 _MAX_LENGTH = 1e100
 
 
@@ -288,19 +288,21 @@ _MAX_LENGTH = 1e100
 class SynthConfig:
     """A camera sliding along `direction` through a static textured world.
 
-    step is the camera advance per frame in world units; depth is the shell
-    range (sphere) or the perpendicular radius (cylinder).  depth lies in
-    [1e-100, 1e100] and the whole travel, (frames - 1) * step, is at most
-    1e100, so the ray geometry stays inside the float range.  The sphere
-    world requires the whole path to stay well inside the shell.  seed is
-    a non-negative integer.
+    The world has radius 1: the sphere shell's range and the cylinder's
+    perpendicular radius are both 1.  Images fix a translation only up to
+    scale, so a world of radius d dollied by d * step would render the
+    same frames, and flows equal up to rounding; step alone sets the
+    motion.  step is the camera advance per frame in those units, and the
+    whole travel, (frames - 1) * step, is at most 1e100, so the ray
+    geometry stays inside the float range.  The sphere world requires the
+    whole path to stay well inside the shell, below 0.95.  seed is a
+    non-negative integer.
     """
 
     width: int = 256
     height: int = 128
     frames: int = 2
     step: float = 0.01
-    depth: float = 1.0
     depth_model: Literal["sphere", "cylinder"] = "sphere"
     direction: tuple[float, float, float] = (0.0, 0.0, 1.0)
     bit_depth: int = 8
@@ -311,8 +313,6 @@ class SynthConfig:
             raise DomainError("video_io: synth frame too small")
         if self.frames < 1:
             raise DomainError("video_io: synth needs >= 1 frame")
-        if not 1.0 / _MAX_LENGTH <= self.depth <= _MAX_LENGTH:
-            raise DomainError(f"video_io: depth {self.depth} is outside [1e-100, 1e100]")
         if not np.isfinite(self.step) or self.step < 0:
             raise DomainError("video_io: step must be >= 0")
         reach = (self.frames - 1) * self.step
@@ -324,10 +324,9 @@ class SynthConfig:
             raise DomainError("video_io: bit depth must be 8 or 10")
         if self.seed < 0:
             raise DomainError(f"video_io: seed {self.seed} is negative")
-        if self.depth_model == "sphere" and reach >= 0.95 * self.depth:
+        if self.depth_model == "sphere" and reach >= 0.95:
             raise DomainError(
-                "video_io: camera path leaves the sphere shell "
-                f"(reach {reach:.4g} vs depth {self.depth:.4g})"
+                f"video_io: camera path leaves the sphere shell (reach {reach:.4g} vs 0.95)"
             )
 
 
@@ -371,11 +370,11 @@ class _CylinderTexture:
     frame by angle addition (`shifted`), which differs from the direct sum
     by at most `tolerance`."""
 
-    def __init__(self, rng: np.random.Generator, n: int, peak: int, depth: float):
+    def __init__(self, rng: np.random.Generator, n: int, peak: int):
         self.harm = rng.integers(1, 25, size=n).astype(np.float64)
         # Axial band chosen so mid-latitude ERP rows see O(0.1..1) rad of
         # phase per row: slow enough to sample, fast enough to matter.
-        self.omega = rng.uniform(10.0, 80.0, size=n) / depth
+        self.omega = rng.uniform(10.0, 80.0, size=n)
         self.phase = rng.uniform(0.0, 2.0 * np.pi, size=n)
         amps = rng.uniform(0.5, 1.0, size=n)
         self.amps = amps * (88.0 * (peak + 1) / 256.0 / amps.sum())
@@ -421,10 +420,10 @@ class _CylinderTexture:
         return values
 
 
-def _intersect_sphere(cam_z: float, s_axis: np.ndarray, depth: float) -> np.ndarray:
-    """World points where rays s from (0,0,cam_z) hit the ||w|| = depth shell."""
+def _intersect_sphere(cam_z: float, s_axis: np.ndarray) -> np.ndarray:
+    """World points where rays s from (0,0,cam_z) hit the unit shell."""
     cs = cam_z * s_axis[..., 2]
-    t = -cs + np.sqrt(cs * cs + depth * depth - cam_z * cam_z)
+    t = -cs + np.sqrt(cs * cs + 1.0 - cam_z * cam_z)
     w = t[..., None] * s_axis
     w[..., 2] += cam_z
     return w
@@ -472,7 +471,7 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
     peak = (1 << cfg.bit_depth) - 1
     cylinder = cfg.depth_model == "cylinder"
     if cylinder:
-        texture = _CylinderTexture(rng, _TEXTURE_COMPONENTS, peak, cfg.depth)
+        texture = _CylinderTexture(rng, _TEXTURE_COMPONENTS, peak)
     else:
         texture = _SphereTexture(rng, _TEXTURE_COMPONENTS, peak)
 
@@ -504,8 +503,10 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
             # the cylinder, and the hit point itself from cam_z = 0.
             horiz = np.hypot(sa[..., 0], sa[..., 1])
             cphi = np.arctan2(sa[..., 1], sa[..., 0])
-            dz = cfg.depth * sa[..., 2] / horiz
-            ray = (cfg.depth / horiz)[..., None] * sa
+            dz = sa[..., 2] / horiz
+            # (1 / horiz) * sa, not sa / horiz: the two round differently,
+            # and the flows keep the bits of the former
+            ray = (1.0 / horiz)[..., None] * sa
             basis = sin_rows[: len(sa)], cos_rows[: len(sa)]
             tol = texture.tolerance(dz, reach)
             if tol < 0.5:
@@ -515,8 +516,8 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
             if cylinder:
                 values = _cylinder_values(texture, basis, tol, cphi, dz, cam_z)
             else:
-                w = _intersect_sphere(cam_z, sa, cfg.depth)
-                values = texture.sample(w / cfg.depth)
+                w = _intersect_sphere(cam_z, sa)
+                values = texture.sample(w)
             y[band] = np.clip(np.rint(values), 0, peak)
             if m == len(flows):
                 continue

@@ -61,15 +61,15 @@ def angles_to_cart(theta: float, phi: float) -> np.ndarray:
 
 def unit_angles(v) -> tuple[float, float]:
     """Unit vector, any 3-sequence, -> (theta, phi); phi fixed to 0 at the
-    poles.  v is coerced and its norm checked by geometry._checked_norm,
-    and z is clamped into [-1, 1] before the arccosine."""
-    v, n = geometry._checked_norm(v)
-    x, y, z = v.tolist()
-    z = min(1.0, max(-1.0, z / n))
+    poles.  v is coerced, checked and divided by its norm by
+    geometry.as_unit_vector, and z is clamped into [-1, 1] before the
+    arccosine."""
+    x, y, z = geometry.as_unit_vector(v).tolist()
+    z = min(1.0, max(-1.0, z))
     theta = math.acos(z)
     if abs(z) >= 1.0:
         return theta, 0.0
-    phi = math.atan2(y / n, x / n)
+    phi = math.atan2(y, x)
     if phi >= math.pi:
         phi = -math.pi
     return theta, phi
@@ -496,12 +496,12 @@ def decode_raws(pocs, raws, frac_bits: int):
     return records, [q for _, q in history]
 
 
-def _intersect_cylinder(cam_z: float, s_axis: np.ndarray, depth: float):
+def _intersect_cylinder(cam_z: float, s_axis: np.ndarray):
     """(azimuth, axial z) where rays from on-axis height cam_z hit the
-    radius-`depth` cylinder around the z axis."""
+    unit cylinder around the z axis."""
     horiz = np.hypot(s_axis[..., 0], s_axis[..., 1])
     phi = np.arctan2(s_axis[..., 1], s_axis[..., 0])
-    z = cam_z + depth * s_axis[..., 2] / horiz
+    z = cam_z + s_axis[..., 2] / horiz
     return phi, z
 
 
@@ -513,7 +513,7 @@ def synth_direct(cfg: video_io.SynthConfig) -> video_io.SynthResult:
     if cfg.depth_model == "sphere":
         texture = video_io._SphereTexture(rng, video_io._TEXTURE_COMPONENTS, peak)
     else:
-        texture = video_io._CylinderTexture(rng, video_io._TEXTURE_COMPONENTS, peak, cfg.depth)
+        texture = video_io._CylinderTexture(rng, video_io._TEXTURE_COMPONENTS, peak)
 
     raw_axis = np.asarray(cfg.direction, dtype=np.float64)
     norm = np.linalg.norm(raw_axis)
@@ -543,10 +543,10 @@ def synth_direct(cfg: video_io.SynthConfig) -> video_io.SynthResult:
         for band in bands:
             sa = s_axis[band]
             if cfg.depth_model == "sphere":
-                w = video_io._intersect_sphere(cam_z, sa, cfg.depth)
-                values = texture.sample(w / cfg.depth)
+                w = video_io._intersect_sphere(cam_z, sa)
+                values = texture.sample(w)
             else:
-                cphi, cz = _intersect_cylinder(cam_z, sa, cfg.depth)
+                cphi, cz = _intersect_cylinder(cam_z, sa)
                 w = None
                 values = texture.sample(cphi, cz)
             y[band] = np.clip(np.rint(values), 0, peak)
@@ -555,7 +555,7 @@ def synth_direct(cfg: video_io.SynthConfig) -> video_io.SynthResult:
 
             if w is None:
                 horiz = np.hypot(sa[..., 0], sa[..., 1])
-                t = cfg.depth / horiz
+                t = 1.0 / horiz
                 w = t[..., None] * sa
                 w[..., 2] += cam_z
             w[..., 2] -= (m + 1) * cfg.step

@@ -430,13 +430,11 @@ def test_flo_forged_size_through_a_pipe_reads_only_what_arrives(tmp_path):
 
 
 def test_synth_lengths_and_seed_are_bounded():
-    for kw in (dict(seed=-1), dict(depth=1e300), dict(depth=1e-101), dict(depth=0.0),
-               dict(depth=float("inf")), dict(depth_model="cylinder", frames=3, step=6e99)):
+    for kw in (dict(seed=-1), dict(depth_model="cylinder", frames=3, step=6e99)):
         with pytest.raises(DomainError):
             SynthConfig(**kw)
-    # at the bounds the ray geometry stays finite and warns of nothing
-    bounds = [dict(depth=1e100), dict(depth=1e-100, step=0.0),
-              dict(depth_model="cylinder", depth=1e-100, frames=3, step=5e99)]
+    # at the bound the ray geometry stays finite and warns of nothing
+    bounds = [dict(depth_model="cylinder", frames=3, step=5e99)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for kw in bounds:
@@ -451,7 +449,7 @@ def test_synth_config_validation():
         SynthConfig(step=-0.1)
     with pytest.raises(DomainError):
         # camera path would pierce the sphere shell
-        SynthConfig(frames=200, step=0.01, depth=1.0)
+        SynthConfig(frames=200, step=0.01)
     with pytest.raises(DomainError):
         video_io.synth_dolly(SynthConfig(direction=(0.0, 0.0, 0.0)))
 
@@ -490,20 +488,19 @@ def test_synth_camera_rows():
 
 def test_synth_flow_matches_projection_geometry():
     # independent oracle: re-derive the flow of a few pixels from the world
-    # model (static sphere shell, camera moved along +z by `step`)
+    # model (static unit sphere shell, camera moved along +z by `step`)
     cfg = SynthConfig(width=128, height=64, frames=2, step=0.03, seed=5)
     out = video_io.synth_dolly(cfg)
     flow = out.flows[0]
-    d = cfg.depth
     for (u, v) in ((10, 20), (64, 32), (100, 40), (30, 50)):
         s = sphere_to_cart(
             erp_to_sphere(
                 ErpCoord(u=float(u), v=float(v), width=128, height=64)
             )
         )
-        # ray from the origin camera hits the unit-depth shell at d*s; the
+        # ray from the origin camera hits the unit shell at s; the
         # second camera sits at step * z
-        x = d * s - np.array([0.0, 0.0, cfg.step])
+        x = s - np.array([0.0, 0.0, cfg.step])
         s2 = x / np.linalg.norm(x)
         p2 = cart_to_sphere(s2)
         c2 = sphere_to_erp(p2, 128, 64)
@@ -676,10 +673,10 @@ def test_synth_long_travel_matches_frame_outer_renderer(monkeypatch, bit_depth):
 
 
 def test_synth_guard_takes_the_direct_sum_past_half(monkeypatch):
-    # At depth 1e-100 a step of 1e-3 shifts phases by ~1e98 rad, where the
+    # A step of 1e97 radii shifts phases by ~1e98 rad, where the
     # angle-addition value carries no digits; the tolerance passes 0.5 and
     # every pixel takes the direct sum.
-    cfg = SynthConfig(width=64, height=32, frames=3, step=1e-3, depth=1e-100,
+    cfg = SynthConfig(width=64, height=32, frames=3, step=1e97,
                       depth_model="cylinder", direction=(0.3, -0.2, 0.9))
     want = synth_direct(cfg)
     tols = []
