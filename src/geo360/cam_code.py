@@ -156,42 +156,15 @@ class StreamDecodeResult:
     payload_bits: int
 
 
-def predict_direction(
-    reconstructed: Sequence[tuple[int, np.ndarray]], poc: int
-) -> np.ndarray:
-    """Predictor for the direction of frame `poc`.
-
-    No history yet predicts straight ahead, +z.  Otherwise the
-    reconstructed direction with the nearest poc wins; a two-sided distance
-    tie averages the two and renormalizes, falling back to the lower-poc
-    neighbor when the average cancels out.
-    """
-    if not reconstructed:
-        return np.array([0.0, 0.0, 1.0])
-    if len(reconstructed) == 1:
-        return reconstructed[0][1]
-    dists = [abs(p - poc) for p, _ in reconstructed]
-    best = min(dists)
-    hits = [entry for entry, d in zip(reconstructed, dists) if d == best]
-    if len(hits) == 1:
-        return hits[0][1]
-    hits.sort(key=lambda entry: entry[0])
-    mean = (hits[0][1] + hits[1][1]) / 2.0
-    norm = np.linalg.norm(mean)
-    if norm < 1e-6:
-        return hits[0][1]
-    return mean / norm
-
-
 class _History:
     """The records a coder has reconstructed, in flat buffers.
 
     In coding order, `pocs`, `thetas` and `phis` are array buffers, and
     the directions are the rows of `directions`, a float64 `(capacity, 3)`
-    array sized once.  An index in two more buffers, the pocs ascending and
-    the coding row of each, serves the frames below the highest poc so
-    far.  Each poc enters once: _closed_loop raises `repeat_error` on a
-    repeat.
+    array sized once.  `rows` holds the coding rows in ascending poc
+    order, the one list _closed_loop searches for a frame below the
+    highest poc so far.  Each poc enters once: _closed_loop raises
+    `repeat_error` on a repeat.
     """
 
     def __init__(self, capacity: int, repeat_error: type = DomainError):
@@ -199,18 +172,8 @@ class _History:
         self.thetas = array("d")
         self.phis = array("d")
         self.directions = np.empty((capacity, 3))
-        self.index = array("q")
         self.rows = array("q")
         self.repeat_error = repeat_error
-
-    def neighbours(self, poc: int) -> list[tuple[int, np.ndarray]]:
-        """The entry at the nearest poc <= poc, then the one at the nearest
-        poc > poc.  predict_direction picks from these what it picks from
-        all."""
-        index = self.index
-        i = bisect_right(index, poc)
-        near = range(max(i - 1, 0), min(i + 1, len(index)))
-        return [(index[j], self.directions[self.rows[j]]) for j in near]
 
     def records(self) -> np.ndarray:
         """The records as one RECORD_DTYPE array."""
@@ -240,16 +203,20 @@ def _closed_loop(history: _History, inputs, frac_bits: int, quantize: bool):
     The loop's state lives in local variables, and the direction of the
     highest poc so far, `top`, predicts every frame above it, so in
     ascending poc order nothing searches or shifts.  Before the first
-    record, top is +z, the prediction of an empty history.  The predicted
-    direction's angles follow geometry's conventions (phi 0 at the
-    poles); its norm is a numpy dot, the one numpy call per record, as
-    x*x + y*y + z*z differs from it in the last bit for about one unit
-    vector in five.
+    record, top is +z, the prediction of an empty history.  A frame below
+    the highest poc takes one bisect of `rows` by poc, which gives the
+    repeat check, the rows of its two nearest pocs and its place in
+    `rows`.  The nearer of the two predicts.  On a tie, their mean
+    divided by its norm predicts, or the lower poc's direction when that
+    norm is below 1e-6.  The predicted direction's angles follow
+    geometry's conventions (phi 0 at the poles); its norm is a numpy dot,
+    the one numpy call per record, as x*x + y*y + z*z differs from it in
+    the last bit for about one unit vector in five.
     """
-    pocs, thetas, phis = history.pocs, history.thetas, history.phis
-    index, rows = history.index, history.rows
+    pocs, thetas, phis, rows = history.pocs, history.thetas, history.phis, history.rows
+    directions = history.directions
     # the directions' columns, and top, as memoryviews of float64 arrays
-    xs, ys, zs = (memoryview(column) for column in history.directions.T)
+    xs, ys, zs = (memoryview(column) for column in directions.T)
     top = np.array([0.0, 0.0, 1.0])
     top_xyz = memoryview(top)
     top_poc, tx, ty, tz = -1, 0.0, 0.0, 1.0
@@ -260,7 +227,20 @@ def _closed_loop(history: _History, inputs, frac_bits: int, quantize: bool):
         if above:
             predicted, x, y, z = top, tx, ty, tz
         else:
-            predicted = predict_direction(history.neighbours(poc), poc)
+            i = bisect_right(rows, poc, key=pocs.__getitem__)
+            if i and pocs[rows[i - 1]] == poc:
+                raise history.repeat_error(f"cam_code: frame {poc} appears twice")
+            upper = rows[i]  # a poc below the highest has a row above it
+            predicted = directions[upper]
+            if i:
+                lower = rows[i - 1]
+                below, beyond = poc - pocs[lower], pocs[upper] - poc
+                if below < beyond:
+                    predicted = directions[lower]
+                elif below == beyond:
+                    mean = (directions[lower] + predicted) / 2.0
+                    norm = np.linalg.norm(mean)
+                    predicted = directions[lower] if norm < 1e-6 else mean / norm
             x, y, z = predicted.tolist()
         norm = math.sqrt(predicted.dot(predicted))
         z /= norm
@@ -291,13 +271,8 @@ def _closed_loop(history: _History, inputs, frac_bits: int, quantize: bool):
         phi -= geometry.TWO_PI * math.floor((phi + math.pi) / geometry.TWO_PI)
 
         if above:
-            index.append(poc)
             rows.append(row)
         else:
-            i = bisect_right(index, poc)
-            if i and index[i - 1] == poc:
-                raise history.repeat_error(f"cam_code: frame {poc} appears twice")
-            index.insert(i, poc)
             rows.insert(i, row)
         pocs.append(poc)
         thetas.append(theta)

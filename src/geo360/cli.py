@@ -117,10 +117,10 @@ def _write_or_print(path: str | None, lines: Iterable[str], note: str) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="geo360")
+    top = argparse.ArgumentParser(prog="geo360", allow_abbrev=False)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="render a synthetic dolly sequence")
+    p = sub.add_parser("synth", allow_abbrev=False, help="render a synthetic dolly sequence")
     p.add_argument("--out", required=True, help="output YUV path (luma-only)")
     p.add_argument("--camera-out", help="camera direction CSV path")
     p.add_argument(
@@ -137,7 +137,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("warp", help="predict a frame with fixed q and t")
+    p = sub.add_parser("warp", allow_abbrev=False, help="predict a frame with fixed q and t")
     p.add_argument("--input", required=True, help="YUV holding both frames")
     p.add_argument("--out", required=True, help="predicted frame (YUV)")
     p.add_argument("--stats", help="per-block SAD CSV (default stdout)")
@@ -150,7 +150,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variant", default="gcg", choices=tuple(motion_model.MODELS))
     p.set_defaults(func=_cmd_warp)
 
-    p = sub.add_parser("compare", help="per-block model comparison over a sequence")
+    p = sub.add_parser(
+        "compare", allow_abbrev=False, help="per-block model comparison over a sequence"
+    )
     p.add_argument("--input", required=True)
     _add_yuv_flags(p)
     p.add_argument("--camera", required=True, help="camera CSV, poc = current frame")
@@ -165,7 +167,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="CSV path (default stdout)")
     p.set_defaults(func=_cmd_compare)
 
-    p = sub.add_parser("camest", help="per-frame camera direction estimates")
+    p = sub.add_parser("camest", allow_abbrev=False, help="per-frame camera direction estimates")
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument(
         "--flow",
@@ -182,27 +184,27 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="camera CSV path; stdout always gets per-frame lines")
     p.set_defaults(func=_cmd_camest)
 
-    p = sub.add_parser("camcode", help="camera direction codec")
+    p = sub.add_parser("camcode", allow_abbrev=False, help="camera direction codec")
     csub = p.add_subparsers(dest="camcode_command", required=True)
-    pe = csub.add_parser("encode")
+    pe = csub.add_parser("encode", allow_abbrev=False)
     pe.add_argument("--camera", required=True)
     pe.add_argument("--out", required=True)
     pe.set_defaults(func=_cmd_camcode_encode)
-    pd = csub.add_parser("decode")
+    pd = csub.add_parser("decode", allow_abbrev=False)
     pd.add_argument("--input", required=True)
     pd.add_argument("--out", required=True)
     pd.set_defaults(func=_cmd_camcode_decode)
 
-    p = sub.add_parser("metrics", help="quality / rate / complexity numbers")
+    p = sub.add_parser("metrics", allow_abbrev=False, help="quality / rate / complexity numbers")
     msub = p.add_subparsers(dest="metrics_command", required=True)
-    pw = msub.add_parser("wspsnr")
+    pw = msub.add_parser("wspsnr", allow_abbrev=False)
     pw.add_argument("--ref", required=True)
     pw.add_argument("--test", required=True)
     _add_yuv_flags(pw)
     pw.add_argument("--chroma", action="store_true", help="6:1:1 YUV mix")
     pw.add_argument("--max-frames", type=int)
     pw.set_defaults(func=_cmd_wspsnr)
-    pb = msub.add_parser("bdrate")
+    pb = msub.add_parser("bdrate", allow_abbrev=False)
     pb.add_argument("--anchor", required=True, help="CSV with [label,]rate,quality rows")
     pb.add_argument("--test", required=True)
     pb.add_argument(
@@ -210,7 +212,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="side-channel rate buried in every test point",
     )
     pb.set_defaults(func=_cmd_bdrate)
-    po = msub.add_parser("opcount")
+    po = msub.add_parser("opcount", allow_abbrev=False)
     po.add_argument("--variant", default="gcg", choices=tuple(motion_model.MODELS))
     po.add_argument("--block", type=_parse_size, required=True, help="M x N")
     po.set_defaults(func=_cmd_opcount)

@@ -10,7 +10,8 @@ scalar transcription of each law.  The camera codec's bits also have a
 '0'/'1' string form here, which pack_bits turns into the bytes the codec's
 record parser reads; BitOracle reads them back one bit at a time, the
 reference that parser is checked against; and the codec's per-record step
-has a plain form, closed_loop_step, that predicts over the whole history.
+has a plain form, closed_loop_step, that predicts with its own
+predict_direction over the whole history.
 None of them is called by the package itself.
 
 synth_direct is the synthetic dolly renderer as it was before it rendered
@@ -453,13 +454,39 @@ def quantize_angle(x: float, frac_bits: int) -> int:
     return int(math.copysign(math.floor(abs(x) * (1 << frac_bits) + 0.5), x))
 
 
+def predict_direction(reconstructed, poc: int) -> np.ndarray:
+    """Predictor for the direction of frame `poc` from `reconstructed`, a
+    sequence of (poc, direction).
+
+    No history yet predicts straight ahead, +z.  Otherwise the
+    reconstructed direction with the nearest poc wins; a two-sided distance
+    tie averages the two and renormalizes, falling back to the lower-poc
+    neighbor when the average cancels out.
+    """
+    if not reconstructed:
+        return np.array([0.0, 0.0, 1.0])
+    if len(reconstructed) == 1:
+        return reconstructed[0][1]
+    dists = [abs(p - poc) for p, _ in reconstructed]
+    best = min(dists)
+    hits = [entry for entry, d in zip(reconstructed, dists) if d == best]
+    if len(hits) == 1:
+        return hits[0][1]
+    hits.sort(key=lambda entry: entry[0])
+    mean = (hits[0][1] + hits[1][1]) / 2.0
+    norm = np.linalg.norm(mean)
+    if norm < 1e-6:
+        return hits[0][1]
+    return mean / norm
+
+
 def closed_loop_step(history: list, poc: int, frac_bits: int, q=None, raw=(0, 0)):
     """The camera codec's per-record step, written plainly: predict_direction
     over the whole history, a list of (poc, direction) in coding order;
     angles by unit_angles; the reconstructed direction appended as
     angles_to_cart builds it.  The encoder passes q and gets the residuals
     raw back, the decoder passes raw.  Returns (theta, phi, raw)."""
-    theta_hat, phi_hat = unit_angles(cam_code.predict_direction(history, poc))
+    theta_hat, phi_hat = unit_angles(predict_direction(history, poc))
     scale = 1 << frac_bits
     if q is not None:
         theta, phi = unit_angles(q)

@@ -334,29 +334,33 @@ def test_record_round_trip_random():
 # --- prediction ----------------------------------------------------------------------
 
 
+# oracles.predict_direction is the rule the codec's step must follow:
+# test_record_step_matches_the_oracle holds the package to it bit for bit.
+
+
 def test_predictor_defaults_to_forward():
-    assert np.allclose(cam_code.predict_direction([], 5), Z)
+    assert np.allclose(oracles.predict_direction([], 5), Z)
 
 
 def test_predictor_picks_nearest_poc():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])
     hist = [(0, a), (10, b)]
-    assert np.allclose(cam_code.predict_direction(hist, 2), a)
-    assert np.allclose(cam_code.predict_direction(hist, 9), b)
+    assert np.allclose(oracles.predict_direction(hist, 2), a)
+    assert np.allclose(oracles.predict_direction(hist, 9), b)
 
 
 def test_predictor_tie_averages_and_renormalizes():
     a = np.array([1.0, 0.0, 0.0])
     b = np.array([0.0, 1.0, 0.0])
-    out = cam_code.predict_direction([(0, a), (2, b)], 1)
+    out = oracles.predict_direction([(0, a), (2, b)], 1)
     assert math.isclose(np.linalg.norm(out), 1.0, abs_tol=1e-12)
     assert np.allclose(out, np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0))
 
 
 def test_predictor_antipodal_tie_takes_lower_poc():
     a = np.array([1.0, 0.0, 0.0])
-    out = cam_code.predict_direction([(0, a), (2, -a)], 1)
+    out = oracles.predict_direction([(0, a), (2, -a)], 1)
     assert np.allclose(out, a)
 
 
@@ -369,28 +373,6 @@ def encoder_steps(history, motions, frac_bits):
     return cam_code._closed_loop(history, inputs, frac_bits, quantize=True)
 
 
-def test_predictor_neighbours_match_full_history():
-    # shuffled distinct pocs, and antipodal directions so two-sided ties
-    # also hit the cancellation fallback; the history grows one step at a
-    # time
-    rng = np.random.default_rng(21)
-    axes = np.eye(3)
-    pocs = rng.permutation(60)[:45].tolist()
-    qs = [axes[rng.integers(3)] * rng.choice([-1.0, 1.0]) for _ in pocs]
-    history = cam_code._History(len(pocs))
-    steps = encoder_steps(history, list(zip(pocs, qs)), 52)
-    for n in range(len(pocs) + 1):
-        entries = list(zip(history.pocs, history.directions[:n]))
-        for target in range(-2, 63):
-            full = cam_code.predict_direction(entries, target)
-            near = cam_code.predict_direction(history.neighbours(target), target)
-            assert np.array_equal(full, near)
-        next(steps, None)
-    rows = np.argsort(pocs)
-    assert history.rows.tolist() == rows.tolist()
-    assert history.index.tolist() == np.array(pocs)[rows].tolist()
-
-
 def test_history_refuses_a_repeated_poc():
     # below and at the highest poc; the encoder's error, or a stream's
     for error in (DomainError, FormatError):
@@ -399,27 +381,26 @@ def test_history_refuses_a_repeated_poc():
             motions = [(4, Z), (7, Z), (poc, Z)]
             with pytest.raises(error, match=f"frame {poc} appears twice"):
                 list(encoder_steps(history, motions, 24))
-            assert len(history.pocs) == len(history.index) == 2
+            assert len(history.pocs) == len(history.rows) == 2
 
 
 def test_ascending_step_predicts_from_the_top(monkeypatch):
     # above the highest poc so far the step predicts from the last row it
-    # appended, without a lookup or predict_direction, and appends to the
-    # end of the index; its residuals are the oracle's, whose step
-    # predicts over the whole history
+    # appended, without a bisect, and appends to the end of rows; its
+    # residuals are the oracle's, whose step predicts over the whole
+    # history
     motions = _ascending_walk()[:8]
     oracle_history = []
     want = [oracles.closed_loop_step(oracle_history, p, 24, q=q)[2] for p, q in motions]
 
-    def refuse(*args):
+    def refuse(*args, **kwargs):
         raise AssertionError("an ascending poc was looked up")
 
-    monkeypatch.setattr(cam_code._History, "neighbours", refuse)
-    monkeypatch.setattr(cam_code, "predict_direction", refuse)
+    monkeypatch.setattr(cam_code, "bisect_right", refuse)
     history = cam_code._History(len(motions))
     got = list(encoder_steps(history, motions, 24))
     assert [g[1:] for g in got] == want
-    assert history.index.tolist() == history.pocs.tolist() == [p for p, _ in motions]
+    assert history.pocs.tolist() == [p for p, _ in motions]
     assert history.rows.tolist() == list(range(len(motions)))
 
 
@@ -592,7 +573,7 @@ def test_streams_match_pinned_digests(frac_bits, k):
 def test_oracle_covers_the_prediction_branches(monkeypatch):
     # the averaging branch, the antipodal fallback and the pole clamp
     seen = []
-    real = cam_code.predict_direction
+    real = oracles.predict_direction
 
     def spy(reconstructed, poc):
         dists = [abs(p - poc) for p, _ in reconstructed]
@@ -602,12 +583,12 @@ def test_oracle_covers_the_prediction_branches(monkeypatch):
             seen.append("antipodal" if np.linalg.norm(mean) < 2e-6 else "average")
         return real(reconstructed, poc)
 
-    monkeypatch.setattr(cam_code, "predict_direction", spy)
-    coarse = encode(oracle_motions(), frac_bits=0)
-    fine = encode(oracle_motions(), frac_bits=24)
+    monkeypatch.setattr(oracles, "predict_direction", spy)
+    coarse = oracles.code_stream(oracle_motions(), 18, 0)[1]
+    fine = oracles.code_stream(oracle_motions(), 18, 24)[1]
     assert {"average", "antipodal"} <= set(seen)
-    assert np.isin(coarse.records["theta"], (0.0, math.pi)).any()
-    assert (np.diff(fine.records["poc"]) < 0).any()
+    assert any(theta in (0.0, math.pi) for _, theta, _ in coarse)
+    assert any(b[0] < a[0] for a, b in zip(fine, fine[1:]))
 
 
 POLE_MARGIN = 0.01
@@ -736,8 +717,18 @@ def _benchmark_walk_out_of_order():
     return [motions[p] for p in hierarchical_order(len(motions))]
 
 
+def _shuffled_axes():
+    """45 of the pocs 0..59 in a shuffled order, each direction a signed
+    axis, so two-sided ties both average and cancel."""
+    rng = np.random.default_rng(21)
+    axes = np.eye(3)
+    pocs = rng.permutation(60)[:45].tolist()
+    return [(poc, axes[rng.integers(3)] * rng.choice([-1.0, 1.0])) for poc in pocs]
+
+
 STEP_TRAJECTORIES = {
     "ascending": _ascending_walk,
+    "shuffled_axes": _shuffled_axes,
     "out_of_order": oracle_motions,
     "pole": _pole_walk,
     "half_turn": _half_turns,
