@@ -12,7 +12,6 @@ warm-up call, on a block geometry whose shared trig is not computed yet
 
 import argparse
 import dataclasses
-import math
 import statistics
 import sys
 import time
@@ -32,8 +31,8 @@ def map_microseconds(variant: str, scaling: str) -> tuple[float, float]:
     width, height = 256, 128
     q = np.array([0.3, -0.5, 0.8])
     block = mm.BlockSpec(x0=96, y0=48, width=TIMED_BLOCK, height=TIMED_BLOCK)
-    geom = mm.prepare_block_geometry(block, q / np.linalg.norm(q), width, height)
-    cfg = mm.GeodesicModelConfig(variant, scaling, delta=math.pi / height)
+    (geom,) = mm.prepare_block_geometry([block], q / np.linalg.norm(q), width, height)
+    cfg = mm.GeodesicModelConfig(variant, scaling, delta=mm.default_delta(height))
     workspace = mm.Workspace()
     mm.map_block_geometry_batch(geom, TIMED_OFFSETS, TIMED_OFFSETS, cfg, workspace)
     law, mapping = [], []

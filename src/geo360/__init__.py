@@ -12,7 +12,6 @@ from .errors import (
     DomainError,
     FormatError,
     Geo360Error,
-    NoMotionError,
     TruncationError,
 )
 from .motion_model import (
@@ -40,7 +39,6 @@ __all__ = [
     "Geo360Error",
     "GeodesicModelConfig",
     "MotionVector2D",
-    "NoMotionError",
     "OpCount",
     "PredictionResult",
     "RDCurve",

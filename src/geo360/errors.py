@@ -17,10 +17,6 @@ class DegenerateGeometryError(DomainError):
     """Geometric configuration carries no usable information."""
 
 
-class NoMotionError(Geo360Error, ValueError):
-    """A motion-dependent quantity was requested for zero motion."""
-
-
 class AmbiguousSignError(Geo360Error, ValueError):
     """Sign disambiguation produced an exact tie."""
 

@@ -248,7 +248,7 @@ def _predict_blocks(ref: ErpFrame, cur: ErpFrame, blocks, q, t, cfg):
         cb_quads, cr_quads = _quads(ref.cb), _quads(ref.cr)
     t_u, t_v = np.array([t.t_u]), np.array([t.t_v])
     for block in blocks:
-        geom = motion_model.prepare_block_geometry(block, q, cur.width, cur.height)
+        (geom,) = motion_model.prepare_block_geometry([block], q, cur.width, cur.height)
         src_u, src_v = motion_model.map_block_geometry_batch(geom, t_u, t_v, cfg)
         src_u, src_v = src_u[0, 0], src_v[0, 0]
 
@@ -407,7 +407,7 @@ def compare_sequence(
         q = np.asarray(q_per_pair[members[0]], dtype=np.float64)
         for row in rows.values():
             row_blocks = [blocks[i] for i in row]
-            geoms = motion_model.prepare_row_geometry(row_blocks, q, width, height)
+            geoms = motion_model.prepare_block_geometry(row_blocks, q, width, height)
             for i, block in zip(row, row_blocks):
                 # Dropped after its block, with the trig its mappings shared.
                 geom = geoms.pop(0)

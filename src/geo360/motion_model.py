@@ -34,7 +34,7 @@ from typing import Literal
 import numpy as np
 
 from . import geometry
-from .errors import DegenerateGeometryError, DomainError, NoMotionError
+from .errors import DegenerateGeometryError, DomainError
 
 # Pixels mapped closer to a pole than this are clamped and flagged.
 POLE_EPS = 1e-6
@@ -114,25 +114,6 @@ class BlockSpec:
         return (self.x0 + (self.width - 1) / 2.0, self.y0 + (self.height - 1) / 2.0)
 
 
-def k_factor(theta_c: float, t_u: float, delta: float) -> float:
-    """Constant-depth ratio fixed by the block center's displacement.
-
-    k = sin(theta_c + delta*t_u) / sin(delta*t_u).  Zero t_u has no finite
-    k (no motion); |delta*t_u| >= pi would move the center past the
-    antipode.  k alone loses the motion direction when the block center is
-    pushed past a pole, so the polar law takes its branch from the sign of
-    t_u.
-    """
-    if t_u == 0.0:
-        raise NoMotionError("motion_model: k factor undefined for t_u = 0")
-    shift = delta * t_u
-    if abs(shift) >= math.pi:
-        raise DomainError(
-            f"motion_model: |delta*t_u| = {abs(shift)!r} must be < pi"
-        )
-    return math.sin(theta_c + shift) / math.sin(shift)
-
-
 # ---------------------------------------------------------------------------
 # Per-block pixel mapping
 
@@ -200,17 +181,11 @@ class BlockGeometry:
 
 
 def prepare_block_geometry(
-    block: BlockSpec, q, width: int, height: int
-) -> BlockGeometry:
-    """Rotate a block's pixel directions into the epipole frame of q."""
-    return prepare_row_geometry([block], q, width, height)[0]
-
-
-def prepare_row_geometry(
     blocks: list[BlockSpec], q, width: int, height: int
 ) -> list[BlockGeometry]:
-    """prepare_block_geometry of blocks that share y0, width and height, with
-    one rotation and one pass over the angles of all of them.
+    """Rotate the pixel directions of blocks that share y0, width and height
+    into the epipole frame of q, with one rotation and one pass over the
+    angles of all of them.
 
     The angles live in (n, h, w) arrays, block-major, so each block's
     geometry is a contiguous view of them and every operation runs on the
@@ -263,9 +238,14 @@ def _model_theta(
 
     The gc law is arccot(cot(theta) - tan(delta) * t_u / r), through
     atan2(1, .) so every result is a polar angle in (0, pi), with the
-    radius r = 1 (global) or sin(theta_c) (local).  Under the constant-depth
-    law t_u < 0 takes the reverse branch (less pi) and t_u = 0 is the
-    identity.
+    radius r = 1 (global) or sin(theta_c) (local).
+
+    The constant-depth law adds atan2(sin(theta), k - cos(theta)) to theta,
+    with k = sin(theta_c + delta*t_u) / sin(delta*t_u) fixed by the block
+    center's displacement.  k alone loses the motion direction when the
+    center is pushed past a pole, so t_u < 0 takes the reverse branch (less
+    pi).  t_u = 0 has no finite k and is the identity; |delta*t_u| >= pi
+    would move the center past the antipode and is refused.
     """
     theta = geom.theta
     cos_theta, sin_theta = geom._theta_trig()
@@ -276,11 +256,13 @@ def _model_theta(
         return np.arctan2(
             1.0, cos_theta / sin_theta - math.tan(cfg.delta) * t_u[:, None, None] / r
         )
-    k = np.array([
-        k_factor(geom.theta_c, tu, cfg.delta) if tu != 0.0 else 0.0
-        for tu in t_u.tolist()
-    ])
-    theta_m = np.subtract(k[:, None, None], cos_theta)
+    k = []
+    for tu in t_u.tolist():
+        shift = cfg.delta * tu
+        if abs(shift) >= math.pi:
+            raise DomainError(f"motion_model: |delta*t_u| = {abs(shift)!r} must be < pi")
+        k.append(math.sin(geom.theta_c + shift) / math.sin(shift) if tu != 0.0 else 0.0)
+    theta_m = np.subtract(np.array(k)[:, None, None], cos_theta)
     np.arctan2(sin_theta, theta_m, out=theta_m)
     theta_m[t_u < 0.0] -= math.pi
     theta_m += theta
@@ -374,11 +356,6 @@ class OpCount:
     mul: int
     div: int
     add: int
-
-    def __post_init__(self):
-        for name in ("trig", "mul", "div", "add"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"motion_model: negative op count {name}")
 
     @property
     def total(self) -> int:

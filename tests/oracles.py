@@ -37,7 +37,7 @@ from geo360.camera_est import FlowField
 from geo360.errors import DegenerateGeometryError, DomainError, TruncationError
 from geo360.geometry import TWO_PI
 from geo360.mocomp import ErpFrame, _PlaneSampler, _quads
-from geo360.motion_model import POLE_EPS, GeodesicModelConfig, MotionVector2D, k_factor
+from geo360.motion_model import POLE_EPS, GeodesicModelConfig, MotionVector2D
 
 
 @dataclass(frozen=True)
@@ -90,11 +90,12 @@ def ged_orig_theta(theta, theta_c: float, t_u: float, delta: float):
     """Polar displacement under the constant-depth model (scalar or array).
 
     Two-argument arctangent of (sin(theta), k - cos(theta)) with the k of
-    the block center theta_c; reverse motion (t_u < 0) lands on the
-    opposite branch, shifting the result by -pi so the displacement carries
-    the sign of t_u.
+    the block center theta_c, k = sin(theta_c + delta*t_u) / sin(delta*t_u);
+    reverse motion (t_u < 0) lands on the opposite branch, shifting the
+    result by -pi so the displacement carries the sign of t_u.
     """
-    dt = np.arctan2(np.sin(theta), k_factor(theta_c, t_u, delta) - np.cos(theta))
+    k = math.sin(theta_c + delta * t_u) / math.sin(delta * t_u)
+    dt = np.arctan2(np.sin(theta), k - np.cos(theta))
     if t_u < 0.0:
         dt = dt - math.pi
     return dt

@@ -542,6 +542,24 @@ def test_compare_missing_camera_row(synth_dir, tmp_path, capsys):
     assert "no row for frame 2" in capsys.readouterr().err
 
 
+def test_compare_refuses_orig_at_the_half_turn(tmp_path, capsys):
+    # at delta = pi/128 the grid's t_u = +-128 moves a block center by pi,
+    # where the constant-depth law has no k
+    assert run([
+        "synth", "--out", tmp_path / "seq.yuv", "--camera-out", tmp_path / "cam.csv",
+        "--width", 256, "--height", 128, "--frames", 2, "--seed", 0,
+    ]) == 0
+    rc = run([
+        "compare", "--input", tmp_path / "seq.yuv", "--width", 256, "--height", 128,
+        "--pixfmt", "yuv400", "--camera", tmp_path / "cam.csv", "--block", "64x64",
+        "--variants", "orig", "--range", 128, "--step", 8, "--out", tmp_path / "cmp.csv",
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: motion_model: \|delta\*t_u\| = \S+ must be < pi\n", err)
+    assert not (tmp_path / "cmp.csv").exists()
+
+
 @pytest.mark.parametrize("command", ["compare", "camest", "camcode"])
 def test_camera_csv_with_a_repeated_frame_exits_1(synth_dir, tmp_path, capsys, command):
     # compare and camest --truth used the later row of frame 2

@@ -234,7 +234,7 @@ def test_whole_pixel_shifts_gather_one_tap():
 def test_geodesic_samplers_share_kernel_buffers(cylinder_pair):
     ref, cur = cylinder_pair
     block = mocomp.tile_blocks(256, 128, 32, 32)[9]
-    geom = motion_model.prepare_block_geometry(block, Z, 256, 128)
+    (geom,) = motion_model.prepare_block_geometry([block], Z, 256, 128)
     quads = mocomp._quads(ref.y)
     cur_block = cur.y[block.y0 : block.y0 + 32, block.x0 : block.x0 + 32].astype(np.float64)
     kernel = mocomp._SearchKernel(2.0, 1.0, 256)
@@ -264,7 +264,7 @@ def test_mapping_in_a_used_workspace_matches_a_new_one(cylinder_pair):
         (BlockSpec(x0=96, y0=112, width=16, height=16), ORIG),
     ]
     for block, cfg in cases:
-        geom = motion_model.prepare_block_geometry(block, q, 256, 128)
+        (geom,) = motion_model.prepare_block_geometry([block], q, 256, 128)
         want = motion_model.map_block_geometry_batch(geom, kernel.offsets, kernel.offsets, cfg)
         got = motion_model.map_block_geometry_batch(
             geom, kernel.offsets, kernel.offsets, cfg, kernel._workspace
@@ -565,6 +565,36 @@ def test_compare_sequence_matches_pairwise(cylinder_pair):
     for i, block in enumerate(blocks):
         if 0 < block.y0 < 96:  # clear of the clamped rows
             assert t[0, i, 0].tolist() == [0.0, 1.0]
+
+
+def test_one_preparation_per_direction_and_row(monkeypatch):
+    # compare prepares each block row once per distinct q, the whole row in
+    # one call, whatever the number of pairs and models; predict_block
+    # prepares its one block
+    rng = np.random.default_rng(8)
+    frames = [luma_frame(rng.integers(0, 256, size=(32, 64), dtype=np.uint8)) for _ in range(4)]
+    q2 = np.array([0.3, -0.2, 0.93])
+    q2 /= np.linalg.norm(q2)
+    calls = []
+    prepare = motion_model.prepare_block_geometry
+
+    def spy(blocks, q, width, height):
+        calls.append((list(blocks), np.asarray(q).tobytes()))
+        return prepare(blocks, q, width, height)
+
+    monkeypatch.setattr(motion_model, "prepare_block_geometry", spy)
+    blocks = mocomp.tile_blocks(64, 32, 16, 16)
+    rows = [blocks[:4], blocks[4:]]
+    mocomp.compare_sequence(frames, blocks, [Z, q2, Z], {"orig": ORIG, "gcg": GCG}, 1.0, 1.0)
+    assert len(calls) == 4
+    assert all(row in rows for row, _ in calls)
+    assert {(row[0].y0, q) for row, q in calls} == {
+        (y0, q.tobytes()) for y0 in (0, 16) for q in (Z, q2)
+    }
+
+    calls.clear()
+    mocomp.predict_block(frames[0], frames[1], blocks[5], Z, MotionVector2D(1.0, 0.0), GCG)
+    assert calls == [([blocks[5]], Z.tobytes())]
 
 
 def test_compare_sequence_memory_per_frame():

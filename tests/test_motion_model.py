@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from geo360 import motion_model as mm
-from geo360.errors import DegenerateGeometryError, DomainError, NoMotionError
+from geo360 import video_io
+from geo360.errors import DegenerateGeometryError, DomainError
 from geo360.motion_model import BlockSpec, GeodesicModelConfig, MotionVector2D
 from oracles import (
     SphericalPoint,
@@ -44,13 +45,23 @@ def test_center_identity_grid():
     assert worst < 1e-9
 
 
-def test_k_factor_errors():
-    with pytest.raises(NoMotionError):
-        mm.k_factor(1.0, 0.0, 0.01)
-    with pytest.raises(DomainError):
-        mm.k_factor(1.0, 400.0, 0.01)  # |delta*t_u| >= pi
-    k = mm.k_factor(1.0, -2.0, 0.01)
-    assert k == math.sin(1.0 - 0.02) / math.sin(-0.02)
+def test_orig_refuses_the_half_turn():
+    # delta * t_u = pi would move the block center past the antipode: the
+    # constant-depth law has no k there, the cylinder law has no such limit
+    width, height = 64, 32
+    delta = mm.default_delta(height)
+    (geom,) = mm.prepare_block_geometry(
+        [BlockSpec(x0=16, y0=8, width=8, height=8)], np.array([0.0, 0.0, 1.0]), width, height
+    )
+    orig = GeodesicModelConfig(variant="original", scaling="global", delta=delta)
+    gcg = GeodesicModelConfig(variant="gc", scaling="global", delta=delta)
+    for t_u in (float(height), -float(height)):
+        assert abs(delta * t_u) == math.pi
+        with pytest.raises(DomainError, match=r"\|delta\*t_u\| = .* must be < pi"):
+            mm.map_block_geometry_batch(geom, np.array([0.0, t_u]), np.array([0.0]), orig)
+        src_u, src_v = mm.map_block_geometry_batch(geom, np.array([t_u]), np.array([0.0]), gcg)
+        assert np.isfinite(src_u).all() and np.isfinite(src_v).all()
+    mm.map_block_geometry_batch(geom, np.array([height - 1.0]), np.array([0.0]), orig)
 
 
 def test_orig_zero_tu_is_identity():
@@ -186,7 +197,7 @@ def test_block_identity_at_zero_motion():
     q = np.array([0.2, -0.4, 0.89])
     q /= np.linalg.norm(q)
     for cfg in (ORIG, GCG, GCL):
-        geom = mm.prepare_block_geometry(block, q, 128, 64)
+        (geom,) = mm.prepare_block_geometry([block], q, 128, 64)
         src_u, src_v = mm.map_block_geometry_batch(
             geom, np.array([0.0]), np.array([0.0]), cfg
         )
@@ -207,7 +218,7 @@ def test_block_mapping_matches_scalar_path():
     from geo360 import geometry
 
     rot = geometry.rotation_to_epipole(q)
-    geom = mm.prepare_block_geometry(block, q, width, height)
+    (geom,) = mm.prepare_block_geometry([block], q, width, height)
     for cfg in (ORIG, GCG, GCL):
         src_u, src_v = mm.map_block_geometry_batch(
             geom, np.array([t.t_u]), np.array([t.t_v]), cfg
@@ -239,7 +250,7 @@ def test_block_mapping_matches_scalar_path():
 def test_block_out_of_bounds():
     with pytest.raises(DomainError):
         mm.prepare_block_geometry(
-            BlockSpec(x0=120, y0=60, width=16, height=16),
+            [BlockSpec(x0=120, y0=60, width=16, height=16)],
             np.array([0.0, 0.0, 1.0]),
             128,
             64,
@@ -249,7 +260,7 @@ def test_block_out_of_bounds():
 def test_batch_motion_grid_consistent_with_single():
     block = BlockSpec(x0=60, y0=30, width=4, height=4)
     q = np.array([0.0, 0.0, 1.0])
-    geom = mm.prepare_block_geometry(block, q, 128, 64)
+    (geom,) = mm.prepare_block_geometry([block], q, 128, 64)
     tus = np.array([-2.0, 0.0, 1.0])
     tvs = np.array([-1.0, 3.0])
     su, sv = mm.map_block_geometry_batch(geom, tus, tvs, GCG)
@@ -328,7 +339,7 @@ def test_batch_mapping_matches_reference_bit_for_bit():
     touched = 0
     for q in qs:
         for block in blocks:
-            geom = mm.prepare_block_geometry(block, q, width, height)
+            (geom,) = mm.prepare_block_geometry([block], q, width, height)
             for cfg in cfgs:
                 for offsets in steps:
                     tv = offsets[::-1] * 1.5
@@ -439,7 +450,7 @@ def test_prepare_matches_reference_bit_for_bit():
     ]
     for q in qs:
         for block in blocks:
-            geom = mm.prepare_block_geometry(block, q, width, height)
+            (geom,) = mm.prepare_block_geometry([block], q, width, height)
             _assert_matches_reference(geom, block, q, width, height)
         # every block of every row of three tilings, each row prepared at once
         for bw, bh, w, h in ((1, 1, 32, 16), (8, 4, width, height), (16, 16, width, height)):
@@ -450,7 +461,7 @@ def test_prepare_matches_reference_bit_for_bit():
             per_row = w // bw
             for start in range(0, len(tiles), per_row):
                 row = tiles[start : start + per_row]
-                geoms = mm.prepare_row_geometry(row, q, w, h)
+                geoms = mm.prepare_block_geometry(row, q, w, h)
                 assert len(geoms) == len(row)
                 for block, geom in zip(row, geoms):
                     assert geom.theta.flags.c_contiguous
@@ -460,16 +471,69 @@ def test_prepare_matches_reference_bit_for_bit():
 def test_prepare_row_refuses_blocks_of_another_row():
     q = np.array([0.0, 0.0, 1.0])
     row = [BlockSpec(x0=0, y0=8, width=8, height=8), BlockSpec(x0=8, y0=8, width=8, height=8)]
-    assert len(mm.prepare_row_geometry(row, q, 64, 32)) == 2
+    assert len(mm.prepare_block_geometry(row, q, 64, 32)) == 2
     for other in (
         BlockSpec(x0=16, y0=0, width=8, height=8),
         BlockSpec(x0=16, y0=8, width=4, height=8),
         BlockSpec(x0=16, y0=8, width=8, height=4),
     ):
         with pytest.raises(DomainError):
-            mm.prepare_row_geometry(row + [other], q, 64, 32)
+            mm.prepare_block_geometry(row + [other], q, 64, 32)
     with pytest.raises(DomainError):
-        mm.prepare_row_geometry(row + [BlockSpec(x0=60, y0=8, width=8, height=8)], q, 64, 32)
+        mm.prepare_block_geometry(row + [BlockSpec(x0=60, y0=8, width=8, height=8)], q, 64, 32)
+
+
+def _cylinder_flow_errors(q, flow, cfg, step):
+    """|r + flow(round(r)) - p| in ERP pixels, over every pixel p of the
+    16x16 blocks of a 256x128 frame whose centers lie within 30 degrees of
+    the epipole frame's equator, with r the reference point cfg maps p to
+    at the t_u of a cylinder dolly by step along q, t_u = -step / tan(delta)."""
+    width, height = 256, 128
+    t_u = np.array([-step / math.tan(cfg.delta)])
+    errors = []
+    for y0 in range(0, height, 16):
+        row = [BlockSpec(x0=x0, y0=y0, width=16, height=16) for x0 in range(0, width, 16)]
+        for block, geom in zip(row, mm.prepare_block_geometry(row, q, width, height)):
+            if abs(geom.theta_c - math.pi / 2) > math.pi / 6:
+                continue
+            src_u, src_v = mm.map_block_geometry_batch(geom, t_u, np.array([0.0]), cfg)
+            src_u, src_v = src_u[0, 0], src_v[0, 0]
+            iu = np.rint(src_u).astype(int) % width
+            iv = np.clip(np.rint(src_v).astype(int), 0, height - 1)
+            pu, pv = np.meshgrid(block.x0 + np.arange(16.0), block.y0 + np.arange(16.0))
+            du = src_u + flow.du[iv, iu] - pu
+            du -= width * np.round(du / width)
+            errors.append(np.hypot(du, src_v + flow.dv[iv, iu] - pv).ravel())
+    return np.concatenate(errors)
+
+
+def test_gc_law_is_synth_cylinder_motion():
+    # A dolly of s along a unit cylinder's axis maps cot(theta) to
+    # cot(theta) - s, which is gcg's law at t_u = -s / tan(delta), so the
+    # mapping lands every pixel where synth's exact flow says; orig at the
+    # same t_u does not.  The two oblique q are tilted 40 degrees from an
+    # axis pole: further over, the band reaches the world poles, where ERP
+    # columns crowd and a nearest-pixel flow lookup is pixels off for any
+    # law.
+    delta = mm.default_delta(128)
+    step = 0.0245  # the benchmark's dolly step: |t_u| = 0.998
+    gcg = GeodesicModelConfig(variant="gc", scaling="global", delta=delta)
+    orig = GeodesicModelConfig(variant="original", scaling="global", delta=delta)
+    tilt = math.radians(40.0)
+    cases = [(np.array([0.0, 0.0, 1.0]), 0)] + [
+        (np.array([math.sin(tilt) * math.cos(az), math.sin(tilt) * math.sin(az), z]), seed)
+        for az, z, seed in ((0.5, math.cos(tilt), 1), (3.0, -math.cos(tilt), 2))
+    ]
+    for q, seed in cases:
+        (flow,) = video_io.synth_dolly(video_io.SynthConfig(
+            width=256, height=128, frames=2, step=step, depth_model="cylinder",
+            direction=tuple(q), seed=seed,
+        )).flows
+        gc_err = _cylinder_flow_errors(q, flow, gcg, step)
+        orig_err = _cylinder_flow_errors(q, flow, orig, step)
+        assert gc_err.size >= 8192
+        assert gc_err.max() < 0.05
+        assert np.median(orig_err) >= 5 * np.median(gc_err)
 
 
 # --- arithmetic cost ---------------------------------------------------------

@@ -1,7 +1,9 @@
-"""The package's exported names, its own use of its code, and the
-project's pytest settings."""
+"""The package's exported names, its own use of its code, the names the
+benchmark's tracer reads, and the project's pytest settings."""
 
 import ast
+import importlib
+import inspect
 import re
 import subprocess
 import sys
@@ -44,6 +46,46 @@ def test_src_holds_no_test_only_code():
             if not uses:
                 unused.append(f"{path.name}:{node.lineno} {node.name}")
     assert unused == []
+
+
+# Traced names whose function left the package; the benchmark change of
+# ROADMAP item 13 retargets them.
+STALE_TRACED = {"cam_code.encode_record", "cam_code.predict_direction"}
+
+
+def test_traced_names_resolve():
+    """Every "layer.name" that perfbench/tracing.py reads spans or counts of
+    names a function its Tracer wraps: a public function defined in
+    geo360.<layer>.  A renamed function would read 0 in its metrics."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "run"
+            and node.func.attr in ("calls", "inclusive", "count", "self_of")
+        ):
+            args = node.args[:1] if node.func.attr == "count" else node.args
+            names.update(a.value for a in args if isinstance(a, ast.Constant))
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "COUNTERS" for t in node.targets
+        ):
+            names.update(key.value for key in node.value.keys)
+    assert "motion_model.prepare_block_geometry" in names
+    unresolved = set()
+    for name in names:
+        layer, _, attr = name.partition(".")
+        module = importlib.import_module(f"geo360.{layer}")
+        fn = getattr(module, attr, None)
+        if (
+            attr.startswith("_")
+            or not inspect.isfunction(fn)
+            or fn.__module__ != module.__name__
+        ):
+            unresolved.add(name)
+    assert unresolved == STALE_TRACED
 
 
 def test_a_mistyped_marker_fails(tmp_path):
