@@ -327,6 +327,11 @@ def flow_finetune(q_init: np.ndarray, flow: FlowField, stride: int = 4) -> np.nd
     grid of half-width r around the running best direction, keeps the best
     scoring candidate (the center is always a candidate, so the objective
     never increases), and halves r.  Deterministic given its inputs.
+
+    A candidate already scored is not scored again: it scored no lower
+    than the best then, and the best only falls, so under strict < it
+    cannot win.  When a level keeps its center, the next level's inner
+    ring repeats it bit for bit (-1 * (r / 2) is -0.5 * r).
     """
     q = geometry.as_unit_vector(q_init)
     u, v, dirs, bearings = _flow_samples(flow, stride)
@@ -334,6 +339,7 @@ def flow_finetune(q_init: np.ndarray, flow: FlowField, stride: int = 4) -> np.nd
 
     best_q = q
     (best_j,) = _objectives([q], u, v, dirs, bearings, width, height)
+    scored = {q.tobytes()}
     radius = _GRID_RADIUS
     offsets = np.linspace(-1.0, 1.0, _GRID_SIZE)
     for _ in range(_LEVELS):
@@ -345,8 +351,11 @@ def flow_finetune(q_init: np.ndarray, flow: FlowField, stride: int = 4) -> np.nd
                 if r_off == 0.0:
                     continue
                 axis = (a * e1 + b * e2) / r_off
-                cand = best_q * np.cos(r_off) + axis * np.sin(r_off)
-                cands.append(geometry.as_unit_vector(cand))
+                cand = geometry.as_unit_vector(best_q * np.cos(r_off) + axis * np.sin(r_off))
+                key = cand.tobytes()
+                if key not in scored:
+                    scored.add(key)
+                    cands.append(cand)
         # The level is scored in batches; the winner is taken in grid order
         # with strict <, as a one-by-one scan would.
         scores = _objectives(cands, u, v, dirs, bearings, width, height)

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+import itertools
 import math
 
 import numpy as np
@@ -238,17 +239,25 @@ def predict_block(
     return next(_predict_blocks(ref, cur, [block], q, t, cfg))
 
 
+def _row_geometries(blocks, q, width, height):
+    """(block, geometry) for each block in turn; a run of consecutive blocks
+    sharing y0, width and height is prepared in one call."""
+    for _, run in itertools.groupby(blocks, key=lambda b: (b.y0, b.width, b.height)):
+        run = list(run)
+        yield from zip(run, motion_model.prepare_block_geometry(run, q, width, height))
+
+
 def _predict_blocks(ref: ErpFrame, cur: ErpFrame, blocks, q, t, cfg):
     """predict_block for each block in turn, with the _quads of ref's
-    planes built once (chroma only when both frames carry it)."""
+    planes built once (chroma only when both frames carry it) and each run
+    of consecutive blocks of one block row prepared in one call."""
     _check_pair(ref, cur)
     y_quads = _quads(ref.y)
     chroma = ref.cb is not None and cur.cb is not None
     if chroma:
         cb_quads, cr_quads = _quads(ref.cb), _quads(ref.cr)
     t_u, t_v = np.array([t.t_u]), np.array([t.t_v])
-    for block in blocks:
-        (geom,) = motion_model.prepare_block_geometry([block], q, cur.width, cur.height)
+    for block, geom in _row_geometries(blocks, q, cur.width, cur.height):
         src_u, src_v = motion_model.map_block_geometry_batch(geom, t_u, t_v, cfg)
         src_u, src_v = src_u[0, 0], src_v[0, 0]
 

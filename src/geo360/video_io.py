@@ -388,27 +388,43 @@ class _CylinderTexture:
         )
         return self.base + np.sin(arg) @ self.amps
 
-    def tolerance(self, dz: np.ndarray, reach: float) -> float:
-        """A bound on |shifted - sample| over points at axial offsets dz
-        from a camera anywhere in [0, reach]: eps * sum|a| * (8 M + 2 n + 32),
-        M the largest phase magnitude, n the component count."""
-        big = (
+    def phase_bound(self, dz: np.ndarray, reach: float) -> float:
+        """M, the largest phase magnitude over points at axial offsets dz
+        from a camera anywhere in [0, reach]."""
+        return (
             np.pi * self.harm.max()
             + (np.abs(dz).max() + reach) * self.omega.max()
             + self.phase.max()
         )
+
+    def tolerance(self, dz: np.ndarray, reach: float) -> float:
+        """A bound on |shifted - sample| over those points:
+        eps * sum|a| * (9 M + 2 n + 50), n the component count.  Of that,
+        M + 18 bounds fill_basis's gap from (sin x, cos x) in one term."""
+        big = self.phase_bound(dz, reach)
         eps = np.finfo(np.float64).eps
-        return eps * np.abs(self.amps).sum() * (8.0 * big + 2.0 * self.harm.size + 32.0)
+        return eps * np.abs(self.amps).sum() * (9.0 * big + 2.0 * self.harm.size + 50.0)
 
     def fill_basis(self, phi: np.ndarray, dz: np.ndarray, sin_x: np.ndarray, cos_x: np.ndarray):
         """sin_x = sin x and cos_x = cos x of the camera-free phase
-        x = phi * harm + dz * omega + phase, computed in the two buffers."""
+        x = phi * harm + dz * omega + phase, computed in the two buffers
+        from one tangent: with r = x - 2 pi rint(x / 2 pi) and t = tan(r / 2),
+        sin x = 2t / (1 + t^2) and cos x = 2 / (1 + t^2) - 1."""
         np.multiply(phi[..., None], self.harm, out=sin_x)
         np.multiply(dz[..., None], self.omega, out=cos_x)
         sin_x += cos_x
         sin_x += self.phase
-        np.cos(sin_x, out=cos_x)
-        np.sin(sin_x, out=sin_x)
+        np.multiply(sin_x, 1.0 / geometry.TWO_PI, out=cos_x)
+        np.rint(cos_x, out=cos_x)
+        cos_x *= geometry.TWO_PI
+        sin_x -= cos_x
+        sin_x *= 0.5
+        np.tan(sin_x, out=sin_x)
+        np.multiply(sin_x, sin_x, out=cos_x)
+        cos_x += 1.0
+        np.divide(2.0, cos_x, out=cos_x)
+        sin_x *= cos_x
+        cos_x -= 1.0
 
     def shifted(self, sin_x: np.ndarray, cos_x: np.ndarray, cam_z: float) -> np.ndarray:
         """The texture from camera height cam_z over fill_basis's points:

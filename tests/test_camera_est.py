@@ -363,9 +363,33 @@ def test_batched_finetune_matches_one_at_a_time(synth_flow, monkeypatch, per_bat
         )
 
 
+def test_finetune_scores_each_candidate_once(synth_flow, monkeypatch):
+    # A level that keeps its center hands its inner ring to the next level
+    # bit for bit; those repeats are not scored again, and the refined
+    # direction is the one scoring every candidate gives.
+    flow, q_true = synth_flow
+    objectives = camera_est._objectives
+    scored = []
+
+    def counted(qs, *args):
+        scored.extend(q.tobytes() for q in qs)
+        return objectives(qs, *args)
+
+    monkeypatch.setattr(camera_est, "_objectives", counted)
+    rng = np.random.default_rng(12)
+    full = 1 + camera_est._LEVELS * (camera_est._GRID_SIZE ** 2 - 1)
+    for q0 in (q_true, perturb(q_true, math.radians(3.0), rng)):
+        scored.clear()
+        refined = camera_est.flow_finetune(q0, flow)
+        assert np.array_equal(refined, reference_finetune(q0, flow))
+        assert len(set(scored)) == len(scored) < full
+
+
 def test_finetune_keeps_the_first_of_tied_candidates(synth_flow, monkeypatch):
     # scores as the grid scan sees them: the start scores 1, two candidates
-    # of the first level tie at 0.5 and nothing later does better
+    # of the first level tie at 0.5 and nothing later does better; the
+    # second level keeps its center, so the third scores only the 16 new
+    # candidates of its grid
     flow, q_true = synth_flow
     levels = []
 
@@ -378,7 +402,7 @@ def test_finetune_keeps_the_first_of_tied_candidates(synth_flow, monkeypatch):
     monkeypatch.setattr(camera_est, "_objectives", scores)
     monkeypatch.setattr(camera_est, "_LEVELS", 3)
     refined = camera_est.flow_finetune(q_true, flow)
-    assert [len(qs) for qs in levels] == [1, 24, 24, 24]
+    assert [len(qs) for qs in levels] == [1, 24, 24, 16]
     assert np.array_equal(refined, levels[1][3])
 
 

@@ -570,7 +570,7 @@ def test_compare_sequence_matches_pairwise(cylinder_pair):
 def test_one_preparation_per_direction_and_row(monkeypatch):
     # compare prepares each block row once per distinct q, the whole row in
     # one call, whatever the number of pairs and models; predict_block
-    # prepares its one block
+    # prepares its one block, and warp's predictions each block row once
     rng = np.random.default_rng(8)
     frames = [luma_frame(rng.integers(0, 256, size=(32, 64), dtype=np.uint8)) for _ in range(4)]
     q2 = np.array([0.3, -0.2, 0.93])
@@ -593,8 +593,19 @@ def test_one_preparation_per_direction_and_row(monkeypatch):
     }
 
     calls.clear()
-    mocomp.predict_block(frames[0], frames[1], blocks[5], Z, MotionVector2D(1.0, 0.0), GCG)
+    t = MotionVector2D(1.0, 0.0)
+    mocomp.predict_block(frames[0], frames[1], blocks[5], Z, t, GCG)
     assert calls == [([blocks[5]], Z.tobytes())]
+
+    # warp's predictions prepare each block row once, with the bits of a
+    # block prepared alone
+    calls.clear()
+    preds = list(mocomp._predict_blocks(frames[0], frames[1], blocks, q2, t, GCG))
+    assert calls == [(row, q2.tobytes()) for row in rows]
+    for block, pred in zip(blocks, preds):
+        alone = mocomp.predict_block(frames[0], frames[1], block, q2, t, GCG)
+        assert pred.block.tobytes() == alone.block.tobytes()
+        assert (pred.sad, pred.degenerate) == (alone.sad, alone.degenerate)
 
 
 def test_compare_sequence_memory_per_frame():

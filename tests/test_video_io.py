@@ -705,6 +705,90 @@ def test_synth_guard_absorbs_any_error_below_the_tolerance(monkeypatch):
     assert 0 < sum(len(rows) for rows in direct) < cfg.height * cfg.frames
 
 
+def test_trig_within_the_ulps_the_tolerance_assumes():
+    # The tolerance takes np.tan, np.sin and np.cos within 4 ulp of exact.
+    # libm's math.* is within 1 ulp, so numpy must stay within 3 ulp of it:
+    # tan on fill_basis's half phases, up to and just past pi/2, and sine
+    # and cosine on the reduced range and on the direct sum's phases.
+    rng = np.random.default_rng(27)
+    half = math.pi / 2
+    cases = [
+        (np.tan, math.tan, np.concatenate([
+            rng.uniform(-half, half, 20000),
+            half - rng.uniform(0.0, 1e-6, 5000),
+            rng.uniform(-1e-3, 1e-3, 5000),
+            np.nextafter(half, 2.0) + rng.uniform(0.0, 1e-12, 2000),
+        ])),
+        (np.sin, math.sin, rng.uniform(-math.pi, math.pi, 20000)),
+        (np.cos, math.cos, rng.uniform(-math.pi, math.pi, 20000)),
+        (np.sin, math.sin, rng.uniform(-1e4, 1e4, 20000)),
+        (np.cos, math.cos, rng.uniform(-1e4, 1e4, 20000)),
+    ]
+    for fast, exact, x in cases:
+        for sign in (1.0, -1.0):
+            want = [exact(a) for a in (sign * x).tolist()]
+            gap = np.abs(fast(sign * x) - want) / [math.ulp(w) for w in want]
+            assert gap.max() <= 3.0, fast.__name__
+
+
+def _basis_gaps(monkeypatch, cfg):
+    """For each band of cfg's render: the largest per-element gap, hypot of
+    sine and cosine, between fill_basis and np.sin, np.cos of the same
+    phase, over the (M + 18) eps that tolerance charges for it; and the
+    band's largest |D|."""
+    reach, out = (cfg.frames - 1) * cfg.step, []
+    fill_basis = video_io._CylinderTexture.fill_basis
+
+    def logged(self, phi, dz, sin_x, cos_x):
+        fill_basis(self, phi, dz, sin_x, cos_x)
+        x = phi[..., None] * self.harm
+        x += dz[..., None] * self.omega
+        x += self.phase
+        gap = np.hypot(sin_x - np.sin(x), cos_x - np.cos(x)).max()
+        charged = (self.phase_bound(dz, reach) + 18.0) * np.finfo(np.float64).eps
+        out.append((gap / charged, np.abs(dz).max()))
+
+    monkeypatch.setattr(video_io._CylinderTexture, "fill_basis", logged)
+    video_io.synth_dolly(cfg)
+    monkeypatch.undo()
+    return out
+
+
+@pytest.mark.parametrize("cfg", [
+    # dolly along +z: the pole rows' rays run nearly along the axis, |D| ~ 81
+    SynthConfig(width=256, height=128, frames=6, step=0.0245, depth_model="cylinder"),
+    # 64 frames at the showdown's step: the reach adds to every phase bound
+    SynthConfig(width=128, height=64, frames=64, step=2.0 * math.tan(math.pi / 256),
+                depth_model="cylinder", direction=(0.3, -0.2, 0.9), seed=11),
+], ids=["pole-rows", "long-travel"])
+def test_fill_basis_within_its_tolerance_term(monkeypatch, cfg):
+    gaps = _basis_gaps(monkeypatch, cfg)
+    assert max(gap for gap, _ in gaps) < 1.0
+    if cfg.frames == 6:
+        assert max(d for _, d in gaps) > 80.0
+
+
+def test_fill_basis_allocates_no_band_sized_temporary():
+    # A default band at 256 wide.  numpy's broadcast products take iterator
+    # buffers of a fixed 8192 elements, 128 KiB at most; a temporary the
+    # size of a band term would take the band's 480 KiB.
+    width = 256
+    rows = video_io._BAND_BYTES // (8 * width * 40)
+    texture = video_io._CylinderTexture(np.random.default_rng(0), 40, 255)
+    rng = np.random.default_rng(1)
+    phi = rng.uniform(-math.pi, math.pi, (rows, width))
+    dz = rng.uniform(-80.0, 80.0, (rows, width))
+    sin_x, cos_x = np.empty((2, rows, width, 40))
+    texture.fill_basis(phi, dz, sin_x, cos_x)  # numpy's one-time set-up
+    tracemalloc.start()
+    try:
+        texture.fill_basis(phi, dz, sin_x, cos_x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < sin_x.nbytes / 2
+
+
 def test_synth_memory_does_not_grow_with_frames():
     # The band buffers serve every frame of their band; none is kept per frame.
     # A first render in the process also traces numpy's one-time set-up.
