@@ -27,6 +27,8 @@ def parse_args():
     ap.add_argument("--seed", type=int, default=11)
     ap.add_argument("--block", default="32x32")
     ap.add_argument("--range", dest="srange", type=int, default=4)
+    ap.add_argument("--grid-step", type=float, default=1.0,
+                    help="candidate grid step in pixels; --range must be a multiple")
     ap.add_argument("--variants", default="orig,gcg")
     ap.add_argument("--out-dir", default=None,
                     help="keep intermediate files here instead of a temp dir")
@@ -66,7 +68,7 @@ def main():
         "compare", "--input", str(work / "seq.yuv"),
         "--width", str(args.width), "--height", str(args.height),
         "--pixfmt", "yuv400", "--camera", str(work / "cam.csv"),
-        "--block", args.block, "--range", str(args.srange), "--step", "1",
+        "--block", args.block, "--range", str(args.srange), "--step", repr(args.grid_step),
         "--variants", args.variants, "--out", str(work / "cmp.csv"),
     ])
     if rc:

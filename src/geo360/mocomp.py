@@ -6,10 +6,10 @@ a plain translational shift, kept as the baseline).  Sampling is bilinear
 with horizontal wrap-around and vertical clamping; the matching cost is the
 sum of absolute luma differences.
 
-Determinism: searches scan a fixed candidate grid and reduce with plain
-row-major numpy sums on one thread, so results do not depend on block order
-or machine parallelism.  SAD ties are broken by smaller |t_u| + |t_v|, then
-smaller t_u, then smaller t_v.
+Determinism: each search scans a fixed candidate grid and reduces with
+plain row-major numpy sums in one thread, so results do not depend on block
+order or on how many processes share the blocks.  SAD ties are broken by
+smaller |t_u| + |t_v|, then smaller t_u, then smaller t_v.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ from typing import Mapping
 
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
 
 import numpy as np
 
@@ -382,6 +386,10 @@ def compare_sequence(
     candidates, so a finer grid never gives a larger SAD, as long as it
     still has no more candidates per axis than the frame has columns; past
     that it raises DomainError.
+
+    Where _forks allows, one forked child searches the second half of the
+    block rows (see _search_forked); the results and errors are those of
+    one process.
     """
     if len(frames) < 2:
         raise DomainError("mocomp: sequence comparison needs >= 2 frames")
@@ -391,19 +399,40 @@ def compare_sequence(
         )
     for f in frames[1:]:
         _check_pair(frames[0], f)
-    width, height = frames[0].width, frames[0].height
-    kernel = _SearchKernel(search_range, step, width)
-
+    kernel = _SearchKernel(search_range, step, frames[0].width)
+    for block in blocks:
+        _block_view(frames[0], block)
     ref_quads = [_quads(f.y) for f in frames[:-1]]
+
+    def search(part):
+        return _search_blocks(kernel, frames, ref_quads, q_per_pair, model_configs, part)
+
+    rows = _block_rows(blocks)
+    if _forks(len(rows)):
+        best, sad = _search_forked(search, blocks, rows)
+    else:
+        best, sad = search(blocks)
+    return np.stack((kernel.tu[best], kernel.tv[best]), axis=-1), sad
+
+
+def _block_rows(blocks: list[BlockSpec]) -> list[list[int]]:
+    """The indices of the blocks of each block row (one y0, width and
+    height), rows in the order of their first block."""
+    rows: dict[tuple, list[int]] = {}
+    for i, block in enumerate(blocks):
+        rows.setdefault((block.y0, block.width, block.height), []).append(i)
+    return list(rows.values())
+
+
+def _search_blocks(kernel, frames, ref_quads, q_per_pair, model_configs, blocks):
+    """compare_sequence's search over blocks: (best, sad), with best[m, i, k]
+    the grid index of model k's search of pair m on block i."""
+    width, height = frames[0].width, frames[0].height
     n_pairs = len(frames) - 1
     groups: dict[bytes, list[int]] = {}
     for m, q in enumerate(q_per_pair):
         groups.setdefault(np.asarray(q, dtype=np.float64).tobytes(), []).append(m)
-    rows: dict[tuple, list[int]] = {}
-    for i, block in enumerate(blocks):
-        rows.setdefault((block.y0, block.width, block.height), []).append(i)
 
-    # best[m, i, k]: the grid index of model k's search of pair m on block i.
     shape = (n_pairs, len(blocks), 1 + len(model_configs))
     best = np.empty(shape, dtype=np.intp)
     sad = np.empty(shape)
@@ -414,7 +443,7 @@ def compare_sequence(
             best[m, i, 0], sad[m, i, 0] = kernel.search(shifts, ref_quads[m], cur_block)
     for members in groups.values():
         q = np.asarray(q_per_pair[members[0]], dtype=np.float64)
-        for row in rows.values():
+        for row in _block_rows(blocks):
             row_blocks = [blocks[i] for i in row]
             geoms = motion_model.prepare_block_geometry(row_blocks, q, width, height)
             for i, block in zip(row, row_blocks):
@@ -427,7 +456,96 @@ def compare_sequence(
                         best[m, i, k], sad[m, i, k] = kernel.search(
                             sampler, ref_quads[m], cur_block
                         )
-    return np.stack((kernel.tu[best], kernel.tv[best]), axis=-1), sad
+    return best, sad
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    return len(os.sched_getaffinity(0))
+
+
+def _forks(n_rows: int) -> bool:
+    """Whether compare searches in two processes: on Linux, with two CPUs
+    or more, two block rows or more, and no other thread running, since a
+    fork copies a lock that another thread holds as held forever."""
+    return (
+        sys.platform == "linux"
+        and n_rows >= 2
+        and threading.active_count() == 1
+        and _cpu_count() >= 2
+    )
+
+
+def _search_forked(search, blocks, rows):
+    """search(blocks), with the first half of the block rows searched in
+    this process and the rest in one forked child.  If either side fails,
+    the whole search runs again here, so the results, and the error
+    raised, are those of search(blocks) in one process."""
+    split = (len(rows) + 1) // 2
+    here = [i for row in rows[:split] for i in row]
+    there = [i for row in rows[split:] for i in row]
+    try:
+        halves = _fork_halves(search, [blocks[i] for i in here], [blocks[i] for i in there])
+    except Exception:
+        return search(blocks)
+    (best_here, _), _ = halves
+    shape = (best_here.shape[0], len(blocks), best_here.shape[2])
+    best, sad = np.empty(shape, dtype=np.intp), np.empty(shape)
+    for index, (best_part, sad_part) in zip((here, there), halves):
+        best[:, index], sad[:, index] = best_part, sad_part
+    return best, sad
+
+
+def _fork_halves(search, here, there):
+    """(search(here), search(there)), the second run in a forked child that
+    sends the raw bytes of its best (intp) and sad (float64) through a pipe
+    and exits.  Raises ChildProcessError when the child fails.  The child
+    is reaped, and killed first unless it has exited, before this returns
+    or raises."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # The child: whatever happens, it leaves through os._exit, so it
+        # runs no exit handler and flushes no inherited stdio buffer.
+        code = 1
+        try:
+            os.close(read_fd)
+            best, sad = search(there)
+            data = memoryview(best.tobytes() + sad.tobytes())
+            while data:
+                data = data[os.write(write_fd, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    try:
+        os.close(write_fd)
+        best, sad = search(here)
+        shape = (best.shape[0], len(there), best.shape[2])
+        count = math.prod(shape)
+        data = bytearray(count * (best.itemsize + sad.itemsize))
+        view, got = memoryview(data), 0
+        while got < len(data):
+            n = os.readv(read_fd, [view[got:]])
+            if n == 0:
+                raise ChildProcessError(f"mocomp: search child sent {got} of {len(data)} bytes")
+            got += n
+        _, status = os.waitpid(pid, 0)
+        pid = 0
+        if status != 0:
+            raise ChildProcessError(f"mocomp: search child ended with status {status}")
+        best_there = np.frombuffer(data, np.intp, count).reshape(shape)
+        sad_there = np.frombuffer(data, np.float64, offset=count * best.itemsize)
+        return (best, sad), (best_there, sad_there.reshape(shape))
+    finally:
+        os.close(read_fd)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def tile_blocks(width: int, height: int, bw: int, bh: int) -> list[BlockSpec]:

@@ -3,6 +3,7 @@ import contextlib
 import hashlib
 import io
 import math
+import os
 import re
 import shlex
 import struct
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geo360 import cam_code, cli, metrics, mocomp, video_io
+from geo360 import cam_code, cli, geometry, metrics, mocomp, video_io
 from geo360.errors import Geo360Error
 
 
@@ -557,6 +558,81 @@ def test_compare_refuses_orig_at_the_half_turn(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: motion_model: \|delta\*t_u\| = \S+ must be < pi\n", err)
+    assert not (tmp_path / "cmp.csv").exists()
+
+
+def _run_with_cpus(monkeypatch, capsys, cpus, argv):
+    """(exit code, stdout, stderr) of one command as on a machine with cpus
+    CPUs."""
+    monkeypatch.setattr(mocomp, "_cpu_count", lambda: cpus)
+    rc = run(argv)
+    return (rc, *capsys.readouterr())
+
+
+def test_compare_writes_the_same_bytes_in_one_process_and_two(
+    tmp_path, capsys, monkeypatch, forks
+):
+    assert run([
+        "synth", "--out", tmp_path / "seq.yuv", "--camera-out", tmp_path / "cam.csv",
+        "--width", 128, "--height", 64, "--frames", 4, "--step", "0.1",
+        "--depth-model", "cylinder", "--q=0.48,-0.36,0.8", "--seed", 3,
+    ]) == 0
+    capsys.readouterr()
+    args = [
+        "compare", "--input", tmp_path / "seq.yuv", "--width", 128, "--height", 64,
+        "--pixfmt", "yuv400", "--camera", tmp_path / "cam.csv", "--block", "32x32",
+        "--range", 2, "--step", "0.5", "--variants", "orig,gcg,gcl",
+        "--out", tmp_path / "cmp.csv",
+    ]
+    outputs = []
+    for cpus in (1, 2):
+        outcome = _run_with_cpus(monkeypatch, capsys, cpus, args)
+        outputs.append((outcome, (tmp_path / "cmp.csv").read_bytes()))
+    assert forks == [os.getpid()]
+    assert outputs[0] == outputs[1] and outputs[0][0][0] == 0
+    # four different aggregates: the models did not all pick the same motion
+    assert len({ln.split(": ")[1] for ln in outputs[0][0][1].splitlines()[1:]}) == 4
+
+
+def test_compare_refuses_gcl_at_the_epipole_in_the_child_rows(
+    tmp_path, capsys, monkeypatch, forks
+):
+    # q is the centre of the first block of the second block row, which
+    # the child searches, and no block centre is at its antipode; the
+    # local radius there is below POLE_EPS, and the error is the one a
+    # single process raises
+    assert run([
+        "synth", "--out", tmp_path / "seq.yuv", "--width", 96, "--height", 32,
+        "--frames", 2, "--seed", 1,
+    ]) == 0
+    capsys.readouterr()
+    theta, phi = geometry.erp_grid_to_sphere(np.float64(15.5), np.float64(23.5), 96, 32)
+    q = geometry.sphere_grid_to_cart(theta, phi).tolist()
+    (tmp_path / "cam.csv").write_text("frame_index,qx,qy,qz\n1,%r,%r,%r\n" % tuple(q))
+    args = [
+        "compare", "--input", tmp_path / "seq.yuv", "--width", 96, "--height", 32,
+        "--pixfmt", "yuv400", "--camera", tmp_path / "cam.csv", "--block", "32x16",
+        "--range", 1, "--variants", "gcl", "--out", tmp_path / "cmp.csv",
+    ]
+    failures = []
+    fork_halves = mocomp._fork_halves
+
+    def spy(*halves):
+        try:
+            return fork_halves(*halves)
+        except Exception as exc:
+            failures.append(type(exc))
+            raise
+
+    monkeypatch.setattr(mocomp, "_fork_halves", spy)
+    one = _run_with_cpus(monkeypatch, capsys, 1, args)
+    two = _run_with_cpus(monkeypatch, capsys, 2, args)
+    # the parent's row passed and the child's failed
+    assert forks == [os.getpid()] and failures == [ChildProcessError]
+    assert one == two
+    assert one[0] == 1 and re.fullmatch(
+        r"error: motion_model: local radius \S+ below POLE_EPS\n", one[2]
+    )
     assert not (tmp_path / "cmp.csv").exists()
 
 

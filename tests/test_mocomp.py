@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -570,7 +572,9 @@ def test_compare_sequence_matches_pairwise(cylinder_pair):
 def test_one_preparation_per_direction_and_row(monkeypatch):
     # compare prepares each block row once per distinct q, the whole row in
     # one call, whatever the number of pairs and models; predict_block
-    # prepares its one block, and warp's predictions each block row once
+    # prepares its one block, and warp's predictions each block row once.
+    # One process, so the spy sees every row.
+    monkeypatch.setattr(mocomp, "_cpu_count", lambda: 1)
     rng = np.random.default_rng(8)
     frames = [luma_frame(rng.integers(0, 256, size=(32, 64), dtype=np.uint8)) for _ in range(4)]
     q2 = np.array([0.3, -0.2, 0.93])
@@ -608,9 +612,11 @@ def test_one_preparation_per_direction_and_row(monkeypatch):
         assert (pred.sad, pred.degenerate) == (alone.sad, alone.degenerate)
 
 
-def test_compare_sequence_memory_per_frame():
+def test_compare_sequence_memory_per_frame(monkeypatch):
     # compare keeps the _quads of each reference frame, 4 bytes per 8-bit
-    # pixel; a float64 copy of every frame would add 8
+    # pixel; a float64 copy of every frame would add 8 (one process, where
+    # tracemalloc sees the whole search)
+    monkeypatch.setattr(mocomp, "_cpu_count", lambda: 1)
     w, h = 256, 128
     rng = np.random.default_rng(6)
     frames = [
@@ -643,10 +649,12 @@ def _compare_peak(frames, qs, bw=16):
         tracemalloc.stop()
 
 
-def test_compare_sequence_memory_is_flat_in_rows_and_directions():
+def test_compare_sequence_memory_is_flat_in_rows_and_directions(monkeypatch):
     # the geometry of one row of blocks within one direction is alive at a
     # time: peak memory grows by the quads of the larger frame (4 bytes a
     # pixel) and the per-block results, not with the rows or the directions
+    # (one process, where tracemalloc sees the whole search)
+    monkeypatch.setattr(mocomp, "_cpu_count", lambda: 1)
     rng = np.random.default_rng(7)
     w = 128
 
@@ -663,6 +671,137 @@ def test_compare_sequence_memory_is_flat_in_rows_and_directions():
     two_qs = _compare_peak(clip, [qs[m % 2] for m in range(8)])
     eight_qs = _compare_peak(clip, qs)
     assert eight_qs - two_qs <= 32 * 1024
+
+
+# --- two processes ------------------------------------------------------------
+
+
+def _compare_with_cpus(monkeypatch, cpus, *args):
+    """compare_sequence(*args) as on a machine with cpus CPUs."""
+    monkeypatch.setattr(mocomp, "_cpu_count", lambda: cpus)
+    return mocomp.compare_sequence(*args)
+
+
+@pytest.fixture(scope="module")
+def dolly_clip():
+    cfg = video_io.SynthConfig(
+        width=64, height=32, frames=6, step=2.0 * math.tan(math.pi / 32),
+        depth_model="cylinder", seed=4,
+    )
+    return video_io.synth_dolly(cfg).frames
+
+
+def _oblique_qs(n, seed):
+    qs = np.random.default_rng(seed).normal(size=(n, 3))
+    return list(qs / np.linalg.norm(qs, axis=1, keepdims=True))
+
+
+_SPLIT_CASES = {
+    # name: (pairs, q per pair, block size, range, step, block rows)
+    "fixed-q-5-pairs": (5, "fixed", (16, 16), 2.0, 1.0, 2),
+    "q-per-pair": (5, "per-pair", (16, 16), 2.0, 1.0, 2),
+    "grid-step-half": (2, "per-pair", (16, 16), 1.0, 0.5, 2),
+    "three-rows": (3, "fixed", (16, 8), 2.0, 1.0, 3),
+    "one-row": (2, "per-pair", (16, 16), 2.0, 1.0, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPLIT_CASES))
+def test_two_processes_give_the_bits_of_one(dolly_clip, monkeypatch, forks, case):
+    # the child searches the second half of the block rows (one of three
+    # here); its rows come back in block order with every bit of t and sad.
+    # A single block row is searched in one process.
+    pairs, qs, (bw, bh), search_range, step, n_rows = _SPLIT_CASES[case]
+    frames = dolly_clip[: pairs + 1]
+    qs = [Z] * pairs if qs == "fixed" else _oblique_qs(pairs, 3)
+    blocks = mocomp.tile_blocks(64, 32, bw, bh)[: 4 * n_rows]
+    cfgs = {"orig": ORIG, "gcg": GCG}
+    args = (frames, blocks, qs, cfgs, search_range, step)
+    t1, sad1 = _compare_with_cpus(monkeypatch, 1, *args)
+    assert forks == []
+    t2, sad2 = _compare_with_cpus(monkeypatch, 2, *args)
+    assert forks == ([os.getpid()] if n_rows > 1 else [])
+    assert t1.shape == t2.shape == (pairs, len(blocks), 3, 2)
+    assert t1.tobytes() == t2.tobytes() and sad1.tobytes() == sad2.tobytes()
+    assert sad1.dtype == sad2.dtype and t1.dtype == t2.dtype
+
+
+def test_two_processes_prepare_each_side_its_own_rows(monkeypatch, forks):
+    # the parent prepares its own block row, once per distinct q, and
+    # none of the child's
+    rng = np.random.default_rng(8)
+    frames = [luma_frame(rng.integers(0, 256, size=(32, 64), dtype=np.uint8)) for _ in range(4)]
+    (q2,) = _oblique_qs(1, 5)
+    calls = []
+    prepare = motion_model.prepare_block_geometry
+
+    def spy(blocks, q, width, height):
+        calls.append((list(blocks), np.asarray(q).tobytes()))
+        return prepare(blocks, q, width, height)
+
+    monkeypatch.setattr(motion_model, "prepare_block_geometry", spy)
+    blocks = mocomp.tile_blocks(64, 32, 16, 16)
+    args = (frames, blocks, [Z, q2, Z], {"orig": ORIG, "gcg": GCG}, 1.0, 1.0)
+    _compare_with_cpus(monkeypatch, 2, *args)
+    assert forks == [os.getpid()]
+    assert calls == [(blocks[:4], Z.tobytes()), (blocks[:4], q2.tobytes())]
+
+
+@pytest.mark.parametrize("when", ["before-sending", "after-sending"])
+def test_failed_child_falls_back_to_one_process(dolly_clip, monkeypatch, forks, when):
+    # a child that exits 3, before it sends its results or after, is reaped
+    # and the whole search runs again here
+    parent = os.getpid()
+    blocks = mocomp.tile_blocks(64, 32, 16, 16)
+    args = (dolly_clip[:3], blocks, _oblique_qs(2, 6), {"gcg": GCG}, 2.0, 1.0)
+    t1, sad1 = _compare_with_cpus(monkeypatch, 1, *args)
+    if when == "before-sending":
+        search = mocomp._search_blocks
+
+        def child_exits(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return search(*args)
+
+        monkeypatch.setattr(mocomp, "_search_blocks", child_exits)
+    else:
+        exit_ = os._exit
+        monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
+    searched = []
+    search_here = mocomp._search_blocks
+
+    def counted(*args):
+        searched.append(len(args[-1]))
+        return search_here(*args)
+
+    monkeypatch.setattr(mocomp, "_search_blocks", counted)
+    t2, sad2 = _compare_with_cpus(monkeypatch, 2, *args)
+    assert forks == [parent]
+    # the parent's rows, then every block once more
+    assert searched == [4, 8]
+    assert t1.tobytes() == t2.tobytes() and sad1.tobytes() == sad2.tobytes()
+
+
+def test_a_running_thread_keeps_compare_in_one_process(monkeypatch, forks):
+    frame = luma_frame(np.zeros((32, 64), dtype=np.uint8))
+    blocks = mocomp.tile_blocks(64, 32, 16, 16)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        _compare_with_cpus(monkeypatch, 2, [frame, frame], blocks, [Z], {"gcg": GCG}, 1.0, 1.0)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive() and forks == []
+
+
+def test_out_of_frame_block_is_refused_before_a_fork(monkeypatch, forks):
+    frame = luma_frame(np.zeros((32, 64), dtype=np.uint8))
+    blocks = mocomp.tile_blocks(64, 32, 16, 16) + [BlockSpec(x0=56, y0=16, width=16, height=16)]
+    with pytest.raises(DomainError, match="exceeds frame bounds"):
+        _compare_with_cpus(monkeypatch, 2, [frame, frame], blocks, [Z], {"gcg": GCG}, 1.0, 1.0)
+    assert forks == []
 
 
 def test_compare_sequence_arity_checks(cylinder_pair):

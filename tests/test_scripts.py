@@ -21,11 +21,36 @@ SCRIPT_CASES = [
 ]
 
 
-@pytest.mark.parametrize("script, args", SCRIPT_CASES)
-def test_script_runs(script, args):
+def _run_script(script, args):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("script, args", SCRIPT_CASES)
+def test_script_runs(script, args):
+    proc = _run_script(script, args)
     assert proc.returncode == 0, proc.stderr
+
+
+def _aggregates(stdout):
+    """{model: aggregate SAD} from run_block_compare.py's table."""
+    table = stdout.split("aggregate SAD (lower is better)\n", 1)[1].split("\n\n", 1)[0]
+    return {
+        label.strip(): float(value.split()[0])
+        for label, value in (ln.split(":") for ln in table.splitlines())
+    }
+
+
+def test_block_compare_grid_step():
+    # a half-pixel grid only adds candidates, so no model's aggregate rises,
+    # and on a dolly some fall
+    args = TINY + ["--block", "16x16", "--range", "2"]
+    runs = [_run_script("run_block_compare.py", args + ["--grid-step", s]) for s in ("1", "0.5")]
+    assert all(proc.returncode == 0 for proc in runs), [proc.stderr for proc in runs]
+    whole, half = (_aggregates(proc.stdout) for proc in runs)
+    assert list(whole) == list(half) == ["translational", "orig", "gcg"]
+    assert all(half[m] <= whole[m] for m in whole)
+    assert any(half[m] < whole[m] for m in whole)
