@@ -96,10 +96,17 @@ def as_unit_vector(v) -> np.ndarray:
     (3,) array is used as it is.  np.linalg.norm of a 1-D vector is
     sqrt(v.dot(v)); calling the parts directly skips its dispatch and gives
     the same bits.  The dot stays a numpy dot: x*x + y*y + z*z differs from
-    it in the last bit for about one unit vector in five.
+    it in the last bit for about one unit vector in five.  Anything that is
+    not three numbers raises DomainError.
     """
     if type(v) is not np.ndarray or v.shape != (3,) or v.dtype != np.float64:
-        v = np.asarray(v, dtype=np.float64).reshape(3)
+        try:
+            v = np.asarray(v, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise DomainError("geometry: vector is not numeric") from None
+        if v.size != 3:
+            raise DomainError(f"geometry: vector has size {v.size}, not 3")
+        v = v.reshape(3)
     n = math.sqrt(v.dot(v))
     if not abs(n - 1.0) <= _UNIT_TOL:  # also false for nan and inf
         raise DomainError(f"geometry: vector norm {n!r} is not 1 within {_UNIT_TOL}")

@@ -19,6 +19,7 @@ from typing import Mapping
 
 import itertools
 import math
+import mmap
 import os
 import signal
 import sys
@@ -387,9 +388,11 @@ def compare_sequence(
     still has no more candidates per axis than the frame has columns; past
     that it raises DomainError.
 
-    Where _forks allows, one forked child searches the second half of the
-    block rows (see _search_forked); the results and errors are those of
-    one process.
+    The searches write their results into one shared anonymous mapping,
+    16 bytes per search.  Where _forks allows, one forked child searches
+    the second half of the block rows into it (see _search_in_two); the
+    results and errors are those of one process.  The arrays returned are
+    copies, which do not alias the mapping.
     """
     if len(frames) < 2:
         raise DomainError("mocomp: sequence comparison needs >= 2 frames")
@@ -404,15 +407,21 @@ def compare_sequence(
         _block_view(frames[0], block)
     ref_quads = [_quads(f.y) for f in frames[:-1]]
 
-    def search(part):
-        return _search_blocks(kernel, frames, ref_quads, q_per_pair, model_configs, part)
+    shape = (len(frames) - 1, len(blocks), 1 + len(model_configs))
+    count = math.prod(shape)
+    # One shared mapping that a forked child writes into as well; at least
+    # one byte, since mmap refuses an empty one.
+    results = mmap.mmap(-1, max(1, 16 * count))
+    best = np.frombuffer(results, np.intp, count).reshape(shape)
+    sad = np.frombuffer(results, np.float64, count, offset=best.nbytes).reshape(shape)
+
+    def search(rows):
+        _search_rows(kernel, frames, ref_quads, q_per_pair, model_configs, blocks, rows, best, sad)
 
     rows = _block_rows(blocks)
-    if _forks(len(rows)):
-        best, sad = _search_forked(search, blocks, rows)
-    else:
-        best, sad = search(blocks)
-    return np.stack((kernel.tu[best], kernel.tv[best]), axis=-1), sad
+    if not (_forks(len(rows)) and _search_in_two(search, rows)):
+        search(rows)
+    return np.stack((kernel.tu[best], kernel.tv[best]), axis=-1), sad.copy()
 
 
 def _block_rows(blocks: list[BlockSpec]) -> list[list[int]]:
@@ -424,26 +433,24 @@ def _block_rows(blocks: list[BlockSpec]) -> list[list[int]]:
     return list(rows.values())
 
 
-def _search_blocks(kernel, frames, ref_quads, q_per_pair, model_configs, blocks):
-    """compare_sequence's search over blocks: (best, sad), with best[m, i, k]
-    the grid index of model k's search of pair m on block i."""
+def _search_rows(kernel, frames, ref_quads, q_per_pair, model_configs, blocks, rows, best, sad):
+    """compare_sequence's search of the blocks of rows, lists of indices
+    into blocks as _block_rows gives them: best[m, i, k] and sad[m, i, k]
+    take the grid index and SAD of model k's search of pair m on block i,
+    and no other element is written."""
     width, height = frames[0].width, frames[0].height
-    n_pairs = len(frames) - 1
     groups: dict[bytes, list[int]] = {}
     for m, q in enumerate(q_per_pair):
         groups.setdefault(np.asarray(q, dtype=np.float64).tobytes(), []).append(m)
 
-    shape = (n_pairs, len(blocks), 1 + len(model_configs))
-    best = np.empty(shape, dtype=np.intp)
-    sad = np.empty(shape)
-    for i, block in enumerate(blocks):
-        shifts = kernel.translational(block, width, height)
-        for m in range(n_pairs):
-            cur_block = _block_view(frames[m + 1], block)
-            best[m, i, 0], sad[m, i, 0] = kernel.search(shifts, ref_quads[m], cur_block)
+    for i in itertools.chain.from_iterable(rows):
+        shifts = kernel.translational(blocks[i], width, height)
+        for m, quads in enumerate(ref_quads):
+            cur_block = _block_view(frames[m + 1], blocks[i])
+            best[m, i, 0], sad[m, i, 0] = kernel.search(shifts, quads, cur_block)
     for members in groups.values():
         q = np.asarray(q_per_pair[members[0]], dtype=np.float64)
-        for row in _block_rows(blocks):
+        for row in rows:
             row_blocks = [blocks[i] for i in row]
             geoms = motion_model.prepare_block_geometry(row_blocks, q, width, height)
             for i, block in zip(row, row_blocks):
@@ -456,7 +463,6 @@ def _search_blocks(kernel, frames, ref_quads, q_per_pair, model_configs, blocks)
                         best[m, i, k], sad[m, i, k] = kernel.search(
                             sampler, ref_quads[m], cur_block
                         )
-    return best, sad
 
 
 def _cpu_count() -> int:
@@ -476,73 +482,34 @@ def _forks(n_rows: int) -> bool:
     )
 
 
-def _search_forked(search, blocks, rows):
-    """search(blocks), with the first half of the block rows searched in
-    this process and the rest in one forked child.  If either side fails,
-    the whole search runs again here, so the results, and the error
-    raised, are those of search(blocks) in one process."""
+def _search_in_two(search, rows) -> bool:
+    """Whether search(rows) ran whole: the first half of the rows here and
+    the rest in one forked child, which writes its results into memory
+    shared with this process and exits.  False when the fork, either side
+    or the child's exit status fails; the child is then killed, so nothing
+    writes the results any more.  It is reaped before this returns."""
     split = (len(rows) + 1) // 2
-    here = [i for row in rows[:split] for i in row]
-    there = [i for row in rows[split:] for i in row]
-    try:
-        halves = _fork_halves(search, [blocks[i] for i in here], [blocks[i] for i in there])
-    except Exception:
-        return search(blocks)
-    (best_here, _), _ = halves
-    shape = (best_here.shape[0], len(blocks), best_here.shape[2])
-    best, sad = np.empty(shape, dtype=np.intp), np.empty(shape)
-    for index, (best_part, sad_part) in zip((here, there), halves):
-        best[:, index], sad[:, index] = best_part, sad_part
-    return best, sad
-
-
-def _fork_halves(search, here, there):
-    """(search(here), search(there)), the second run in a forked child that
-    sends the raw bytes of its best (intp) and sad (float64) through a pipe
-    and exits.  Raises ChildProcessError when the child fails.  The child
-    is reaped, and killed first unless it has exited, before this returns
-    or raises."""
-    read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
+    except Exception:
+        return False
     if pid == 0:
         # The child: whatever happens, it leaves through os._exit, so it
         # runs no exit handler and flushes no inherited stdio buffer.
         code = 1
         try:
-            os.close(read_fd)
-            best, sad = search(there)
-            data = memoryview(best.tobytes() + sad.tobytes())
-            while data:
-                data = data[os.write(write_fd, data):]
+            search(rows[split:])
             code = 0
         finally:
             os._exit(code)
     try:
-        os.close(write_fd)
-        best, sad = search(here)
-        shape = (best.shape[0], len(there), best.shape[2])
-        count = math.prod(shape)
-        data = bytearray(count * (best.itemsize + sad.itemsize))
-        view, got = memoryview(data), 0
-        while got < len(data):
-            n = os.readv(read_fd, [view[got:]])
-            if n == 0:
-                raise ChildProcessError(f"mocomp: search child sent {got} of {len(data)} bytes")
-            got += n
+        search(rows[:split])
         _, status = os.waitpid(pid, 0)
         pid = 0
-        if status != 0:
-            raise ChildProcessError(f"mocomp: search child ended with status {status}")
-        best_there = np.frombuffer(data, np.intp, count).reshape(shape)
-        sad_there = np.frombuffer(data, np.float64, offset=count * best.itemsize)
-        return (best, sad), (best_there, sad_there.reshape(shape))
+        return status == 0
+    except Exception:
+        return False
     finally:
-        os.close(read_fd)
         if pid:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

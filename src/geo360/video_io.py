@@ -328,6 +328,18 @@ class SynthConfig:
             raise DomainError(
                 f"video_io: camera path leaves the sphere shell (reach {reach:.4g} vs 0.95)"
             )
+        try:
+            direction = np.asarray(self.direction, dtype=np.float64)
+        except (TypeError, ValueError):
+            direction = np.empty(0)
+        if direction.shape != (3,) or not np.isfinite(direction).all():
+            raise DomainError(
+                f"video_io: synth direction {self.direction!r} is not three finite numbers"
+            )
+        with np.errstate(over="ignore"):  # a norm that overflows is refused
+            norm = np.linalg.norm(direction)
+        if not 1e-12 <= norm < math.inf:
+            raise DomainError(f"video_io: synth direction norm {norm:.4g} is not in [1e-12, inf)")
 
 
 @dataclass(frozen=True)
@@ -492,10 +504,7 @@ def synth_dolly(cfg: SynthConfig) -> SynthResult:
         texture = _SphereTexture(rng, _TEXTURE_COMPONENTS, peak)
 
     raw_axis = np.asarray(cfg.direction, dtype=np.float64)
-    norm = np.linalg.norm(raw_axis)
-    if norm < 1e-12:
-        raise DomainError("video_io: synth direction must be non-zero")
-    axis = raw_axis / norm
+    axis = raw_axis / np.linalg.norm(raw_axis)
     rot = geometry.rotation_to_epipole(axis)
 
     u = np.arange(cfg.width, dtype=np.float64)

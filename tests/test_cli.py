@@ -614,21 +614,27 @@ def test_compare_refuses_gcl_at_the_epipole_in_the_child_rows(
         "--pixfmt", "yuv400", "--camera", tmp_path / "cam.csv", "--block", "32x16",
         "--range", 1, "--variants", "gcl", "--out", tmp_path / "cmp.csv",
     ]
-    failures = []
-    fork_halves = mocomp._fork_halves
+    outcomes, searched, passed = [], [], []
+    search_in_two, search_rows = mocomp._search_in_two, mocomp._search_rows
 
-    def spy(*halves):
-        try:
-            return fork_halves(*halves)
-        except Exception as exc:
-            failures.append(type(exc))
-            raise
+    def in_two(*args):
+        outcomes.append(search_in_two(*args))
+        return outcomes[-1]
 
-    monkeypatch.setattr(mocomp, "_fork_halves", spy)
+    def rows(*args):
+        searched.append(args[6])
+        search_rows(*args)
+        passed.append(args[6])
+
+    monkeypatch.setattr(mocomp, "_search_in_two", in_two)
+    monkeypatch.setattr(mocomp, "_search_rows", rows)
     one = _run_with_cpus(monkeypatch, capsys, 1, args)
+    searched.clear()
     two = _run_with_cpus(monkeypatch, capsys, 2, args)
-    # the parent's row passed and the child's failed
-    assert forks == [os.getpid()] and failures == [ChildProcessError]
+    # here, the parent's row passed, the helper reported the child's
+    # failure, and the rerun of every row raised
+    assert forks == [os.getpid()] and outcomes == [False]
+    assert searched == [[[0, 1, 2]], [[0, 1, 2], [3, 4, 5]]] and passed == [[[0, 1, 2]]]
     assert one == two
     assert one[0] == 1 and re.fullmatch(
         r"error: motion_model: local radius \S+ below POLE_EPS\n", one[2]

@@ -108,6 +108,16 @@ def test_as_unit_vector_rejects_off_norm():
         geometry.as_unit_vector(np.array([1.0, 1.0, 1.0]))
     v = geometry.as_unit_vector(np.array([0.0, 0.0, 1.0]))
     assert v.shape == (3,)
+    # three numbers in another shape or dtype are still read as a 3-vector
+    assert geometry.as_unit_vector([[0, 0, 1]]).tolist() == [0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize(
+    "v", [np.array([0.0, 1.0]), [0.0, 0.0, 0.0, 1.0], [], 1.0, "xyz", [1.0, "y", 0.0], None]
+)
+def test_as_unit_vector_refuses_what_is_not_three_numbers(v):
+    with pytest.raises(DomainError, match="^geometry: "):
+        geometry.as_unit_vector(v)
 
 
 def test_rotation_to_epipole_sends_q_to_z():

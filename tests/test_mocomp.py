@@ -703,14 +703,15 @@ _SPLIT_CASES = {
     "grid-step-half": (2, "per-pair", (16, 16), 1.0, 0.5, 2),
     "three-rows": (3, "fixed", (16, 8), 2.0, 1.0, 3),
     "one-row": (2, "per-pair", (16, 16), 2.0, 1.0, 1),
+    "no-blocks": (2, "per-pair", (16, 16), 2.0, 1.0, 0),
 }
 
 
 @pytest.mark.parametrize("case", list(_SPLIT_CASES))
 def test_two_processes_give_the_bits_of_one(dolly_clip, monkeypatch, forks, case):
     # the child searches the second half of the block rows (one of three
-    # here); its rows come back in block order with every bit of t and sad.
-    # A single block row is searched in one process.
+    # here) and writes its rows at their own indices, every bit of t and sad.
+    # A single block row, or none, is searched in one process.
     pairs, qs, (bw, bh), search_range, step, n_rows = _SPLIT_CASES[case]
     frames = dolly_clip[: pairs + 1]
     qs = [Z] * pairs if qs == "fixed" else _oblique_qs(pairs, 3)
@@ -722,6 +723,7 @@ def test_two_processes_give_the_bits_of_one(dolly_clip, monkeypatch, forks, case
     t2, sad2 = _compare_with_cpus(monkeypatch, 2, *args)
     assert forks == ([os.getpid()] if n_rows > 1 else [])
     assert t1.shape == t2.shape == (pairs, len(blocks), 3, 2)
+    assert sad1.shape == sad2.shape == (pairs, len(blocks), 3)
     assert t1.tobytes() == t2.tobytes() and sad1.tobytes() == sad2.tobytes()
     assert sad1.dtype == sad2.dtype and t1.dtype == t2.dtype
 
@@ -747,39 +749,53 @@ def test_two_processes_prepare_each_side_its_own_rows(monkeypatch, forks):
     assert calls == [(blocks[:4], Z.tobytes()), (blocks[:4], q2.tobytes())]
 
 
-@pytest.mark.parametrize("when", ["before-sending", "after-sending"])
+@pytest.mark.parametrize("when", ["before-writing", "after-writing"])
 def test_failed_child_falls_back_to_one_process(dolly_clip, monkeypatch, forks, when):
-    # a child that exits 3, before it sends its results or after, is reaped
+    # a child that exits 3, before it writes its rows or after, is reaped
     # and the whole search runs again here
     parent = os.getpid()
     blocks = mocomp.tile_blocks(64, 32, 16, 16)
     args = (dolly_clip[:3], blocks, _oblique_qs(2, 6), {"gcg": GCG}, 2.0, 1.0)
     t1, sad1 = _compare_with_cpus(monkeypatch, 1, *args)
-    if when == "before-sending":
-        search = mocomp._search_blocks
+    if when == "before-writing":
+        search = mocomp._search_rows
 
         def child_exits(*args):
             if os.getpid() != parent:
                 os._exit(3)
             return search(*args)
 
-        monkeypatch.setattr(mocomp, "_search_blocks", child_exits)
+        monkeypatch.setattr(mocomp, "_search_rows", child_exits)
     else:
         exit_ = os._exit
         monkeypatch.setattr(os, "_exit", lambda code: exit_(3))
     searched = []
-    search_here = mocomp._search_blocks
+    search_here = mocomp._search_rows
 
     def counted(*args):
-        searched.append(len(args[-1]))
+        searched.append(sum(map(len, args[6])))
         return search_here(*args)
 
-    monkeypatch.setattr(mocomp, "_search_blocks", counted)
+    monkeypatch.setattr(mocomp, "_search_rows", counted)
     t2, sad2 = _compare_with_cpus(monkeypatch, 2, *args)
     assert forks == [parent]
     # the parent's rows, then every block once more
     assert searched == [4, 8]
     assert t1.tobytes() == t2.tobytes() and sad1.tobytes() == sad2.tobytes()
+
+
+def test_compare_results_outlive_the_next_compare(dolly_clip, monkeypatch, forks):
+    # each compare's arrays are its own: a second compare, forked like the
+    # first, leaves the first one's results as they were
+    blocks = mocomp.tile_blocks(64, 32, 16, 16)
+    cfgs = {"gcg": GCG}
+    t1, sad1 = _compare_with_cpus(monkeypatch, 2, dolly_clip[:3], blocks, [Z, Z], cfgs, 2.0, 1.0)
+    saved = t1.tobytes(), sad1.tobytes()
+    t2, sad2 = mocomp.compare_sequence(dolly_clip[2:5], blocks, _oblique_qs(2, 9), cfgs, 2.0, 1.0)
+    assert forks == [os.getpid()] * 2
+    assert (t1.tobytes(), sad1.tobytes()) == saved
+    assert (t2.tobytes(), sad2.tobytes()) != saved
+    assert not np.shares_memory(t1, t2) and not np.shares_memory(sad1, sad2)
 
 
 def test_a_running_thread_keeps_compare_in_one_process(monkeypatch, forks):
@@ -802,6 +818,13 @@ def test_out_of_frame_block_is_refused_before_a_fork(monkeypatch, forks):
     with pytest.raises(DomainError, match="exceeds frame bounds"):
         _compare_with_cpus(monkeypatch, 2, [frame, frame], blocks, [Z], {"gcg": GCG}, 1.0, 1.0)
     assert forks == []
+
+
+def test_compare_refuses_a_direction_of_two_numbers(dolly_clip):
+    blocks = mocomp.tile_blocks(64, 32, 16, 16)
+    q = np.array([0.0, 1.0])
+    with pytest.raises(DomainError, match="^geometry: vector has size 2, not 3"):
+        mocomp.compare_sequence(dolly_clip[:2], blocks, [q], {"gcg": GCG}, 1.0, 1.0)
 
 
 def test_compare_sequence_arity_checks(cylinder_pair):

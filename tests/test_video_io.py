@@ -454,6 +454,17 @@ def test_synth_config_validation():
         video_io.synth_dolly(SynthConfig(direction=(0.0, 0.0, 0.0)))
 
 
+@pytest.mark.parametrize(
+    "direction",
+    [(0.0, 0.0, 0.0), (math.inf, 0.0, 1.0), (0.0, math.nan, 1.0), (1.0, 0.0), (1e200, 1e200, 0.0)],
+)
+def test_synth_config_refuses_a_direction_not_three_finite_numbers(direction):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^video_io: synth direction"):
+            SynthConfig(direction=direction)
+
+
 def test_synth_deterministic():
     cfg = SynthConfig(width=64, height=32, frames=3, step=0.01, seed=12)
     a = video_io.synth_dolly(cfg)
